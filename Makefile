@@ -12,19 +12,20 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/...
+	go test -race ./...
 
 bench:
 	go test -run '^$$' -bench . -benchmem .
 
-# Full check + machine-readable snapshot (see cmd/seagull-bench).
+# Full check + re-record the one committed baseline (see cmd/seagull-bench);
+# do this in the PR that retires, renames or deliberately moves a benchmark.
 bench-json:
-	go run ./cmd/seagull-bench -out BENCH_10.json
+	go run ./cmd/seagull-bench -out BENCH.json
 
 # Diff a fresh run against the committed snapshot; fails on >10% allocs/op
 # regression (the CI gate).
 bench-compare:
-	go run ./cmd/seagull-bench -out /tmp/bench-now.json -compare BENCH_10.json
+	go run ./cmd/seagull-bench -out /tmp/bench-now.json -compare BENCH.json
 
 # Time-compressed simulation smoke: six simulated hours with a burst storm
 # and a drift injection, artifacts under /tmp/seagull-sim (also runs in CI).

@@ -293,20 +293,6 @@ func BenchmarkFleetGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetGenerationEager forces every series at generation time —
-// the historical behaviour, for comparison with the lazy default.
-func BenchmarkFleetGenerationEager(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fleet := simulate.GenerateFleet(simulate.Config{
-			Region: "bench", Servers: 50, Weeks: 4, Seed: int64(i), Eager: true,
-		})
-		if len(fleet.Servers) != 50 {
-			b.Fatal("wrong fleet size")
-		}
-	}
-}
-
 // BenchmarkFleetMaterialize isolates the deferred telemetry synthesis: lazy
 // generation followed by materializing every server.
 func BenchmarkFleetMaterialize(b *testing.B) {
@@ -605,37 +591,56 @@ func streamSnapshotFixture(b *testing.B, servers, points int) (*stream.Ingestor,
 	return ing, cfg
 }
 
-// BenchmarkStreamSnapshotWrite measures serializing 64 servers × 2016 live
-// points (one week) to the snapshot format — the seagull-serve drain hook.
-func BenchmarkStreamSnapshotWrite(b *testing.B) {
-	ing, _ := streamSnapshotFixture(b, 64, 2016)
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := ing.WriteSnapshot(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
-}
+// drainOnly is the WAL-less durability a snapshot-only deployment runs:
+// nothing on a timer, the shard snapshots written when asked (or on Close).
+var drainOnly = stream.DurabilityConfig{DisableWAL: true, SnapshotEvery: -1}
 
-// BenchmarkStreamSnapshotRestore measures parsing, CRC-verifying and
-// installing the same snapshot into a cold ingestor — the startup hook.
-func BenchmarkStreamSnapshotRestore(b *testing.B) {
-	ing, cfg := streamSnapshotFixture(b, 64, 2016)
-	var buf bytes.Buffer
-	if err := ing.WriteSnapshot(&buf); err != nil {
+// BenchmarkStreamShardSnapshotWrite measures persisting 64 servers × 2016
+// live points (one week) through the per-shard snapshot writer into the lake
+// — the seagull-serve drain hook. A fresh manager per iteration has seen no
+// shard yet, so every populated shard is rewritten.
+func BenchmarkStreamShardSnapshotWrite(b *testing.B) {
+	ing, _ := streamSnapshotFixture(b, 64, 2016)
+	store, err := lake.Open(b.TempDir())
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := stream.NewDurability(ing, store, drainOnly)
+		if err := d.Open(); err != nil {
+			b.Fatal(err)
+		}
+		if n, err := d.SnapshotNow(); err != nil || n == 0 {
+			b.Fatalf("snapshot wrote %d shards: %v", n, err)
+		}
+	}
+}
+
+// BenchmarkStreamShardSnapshotRestore measures boot recovery of the same
+// snapshots into a cold ingestor: parse, CRC-verify and install every shard
+// file — the startup hook.
+func BenchmarkStreamShardSnapshotRestore(b *testing.B) {
+	ing, cfg := streamSnapshotFixture(b, 64, 2016)
+	store, err := lake.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := stream.NewDurability(ing, store, drainOnly)
+	if err := d.Open(); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cold := stream.NewIngestor(cfg)
-		if err := cold.RestoreSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
+		rec, err := stream.NewDurability(cold, store, drainOnly).Recover()
+		if err != nil || rec.Degraded() || rec.Servers != 64 {
+			b.Fatalf("recovered %+v: %v", rec, err)
 		}
 	}
 }

@@ -1,15 +1,16 @@
 // Command seagull-bench is the repo's perf-trajectory helper: it runs
 // go vet, the test suite, and a short benchmark pass, then writes a
-// machine-readable BENCH_<n>.json summary (ns/op, B/op, allocs/op per
-// benchmark) so successive PRs can be compared without re-deriving numbers.
+// machine-readable summary (ns/op, B/op, allocs/op per benchmark) so a PR can
+// be compared against the committed baseline, BENCH.json, without re-deriving
+// numbers.
 //
 // Usage:
 //
 //	go run ./cmd/seagull-bench                 # vet + test + short benchmarks
-//	go run ./cmd/seagull-bench -out BENCH_2.json
+//	go run ./cmd/seagull-bench -out BENCH.json    # re-record the baseline
 //	go run ./cmd/seagull-bench -bench 'BenchmarkARIMATrain' -benchtime 10x
 //	go run ./cmd/seagull-bench -skip-checks    # benchmarks only
-//	go run ./cmd/seagull-bench -compare BENCH_1.json
+//	go run ./cmd/seagull-bench -out /tmp/now.json -compare BENCH.json
 //
 // -compare diffs the fresh run against a prior snapshot, printing ±% deltas
 // per benchmark, and exits non-zero when any shared benchmark regresses its
@@ -33,18 +34,18 @@ import (
 
 // defaultBench covers the hot-path micro-benchmarks plus the headline figure
 // benchmark the acceptance numbers track. SSA/FFNN appear in both their
-// default-config and fast-path variants; fleet generation in lazy, eager and
+// default-config and fast-path variants; fleet generation in lazy and
 // materialize-all forms.
 const defaultBench = "BenchmarkARIMATrain|BenchmarkSolveRidge|BenchmarkPoolForEach|" +
 	"BenchmarkSSATrainInfer|BenchmarkSSATrainInferRandomized|" +
 	"BenchmarkFFNNTrainInfer|BenchmarkFFNNTrainInferBatched|" +
 	"BenchmarkPersistentForecastTrainInfer|BenchmarkFleetGeneration|" +
-	"BenchmarkFleetGenerationEager|BenchmarkFleetMaterialize|" +
+	"BenchmarkFleetMaterialize|" +
 	"BenchmarkFig11aTrainInfer|" +
 	"BenchmarkServePredict|BenchmarkServeBatch|" +
 	"BenchmarkTracedPredict|BenchmarkMetricsRender|" +
 	"BenchmarkStreamIngest|BenchmarkStreamDriftSweep|BenchmarkStreamRefresh|" +
-	"BenchmarkStreamSnapshotWrite|BenchmarkStreamSnapshotRestore|BenchmarkStreamSweeper|" +
+	"BenchmarkStreamShardSnapshot|BenchmarkStreamSweeper|" +
 	"BenchmarkStreamWALAppend|BenchmarkStreamWALReplay|" +
 	"BenchmarkAdmissionAccept|BenchmarkAdmissionShed|" +
 	"BenchmarkRouterPredict|BenchmarkRouterFleetVarz|BenchmarkSimulateScenario"
@@ -192,11 +193,11 @@ func compare(old *summary, fresh []benchResult, maxAllocRegressPct float64) []st
 }
 
 func main() {
-	out := flag.String("out", "BENCH_1.json", "output JSON path")
+	out := flag.String("out", "bench-now.json", "output JSON path")
 	bench := flag.String("bench", defaultBench, "benchmark pattern passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "value passed to go test -benchtime")
 	skipChecks := flag.Bool("skip-checks", false, "skip go vet and go test, run benchmarks only")
-	comparePath := flag.String("compare", "", "prior BENCH_<n>.json to diff against; "+
+	comparePath := flag.String("compare", "", "prior summary (BENCH.json) to diff against; "+
 		"exits non-zero on allocs/op regression beyond -max-alloc-regress")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 10,
 		"allowed allocs/op regression in percent before -compare fails the run")

@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"seagull/internal/parallel"
 	"seagull/internal/simworkload"
 )
 
@@ -52,7 +51,6 @@ func run() error {
 		scale    = flag.Float64("scale", 0, "pace the replay at this many simulated seconds per wall second (0 = unthrottled)")
 		ingestW  = flag.Int("ingest-workers", 4, "ingest fan-out workers")
 		predictW = flag.Int("predict-workers", 8, "predict request workers")
-		schedule = flag.String("schedule", "guided", "ingest fan-out schedule: guided or chunked")
 		rowEvery = flag.Duration("row-every", time.Hour, "timeline sampling cadence in simulated time")
 		quiet    = flag.Bool("quiet", false, "suppress progress logging")
 		replicas = flag.Int("replicas", 0, "override the scenario's serving replicas (consistent-hash shards behind a router; 1 = single process)")
@@ -80,21 +78,10 @@ func run() error {
 		sc.Replicas = *replicas
 	}
 
-	var sched parallel.Schedule
-	switch *schedule {
-	case "guided":
-		sched = parallel.ScheduleGuided
-	case "chunked":
-		sched = parallel.ScheduleChunked
-	default:
-		return fmt.Errorf("unknown -schedule %q (want guided or chunked)", *schedule)
-	}
-
 	opts := simworkload.Options{
 		Hours:          *hours,
 		Seed:           *seed,
 		Scale:          *scale,
-		Schedule:       sched,
 		IngestWorkers:  *ingestW,
 		PredictWorkers: *predictW,
 		RowEvery:       *rowEvery,

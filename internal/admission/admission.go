@@ -649,12 +649,12 @@ type EndpointStats struct {
 	Class            string  `json:"class"`
 	TargetMs         float64 `json:"target_ms"`
 	EstServiceMs     float64 `json:"est_service_ms"`
-	Admitted         uint64  `json:"admitted"`
+	Admitted         uint64  `json:"admitted" metric:"counter seagull_admission_admitted_total Requests admitted, by endpoint."`
 	Queued           uint64  `json:"queued"`
 	Shed             uint64  `json:"shed,omitempty"`
 	Evicted          uint64  `json:"evicted,omitempty"`
 	DeadlineRejected uint64  `json:"deadline_rejected,omitempty"`
-	Degraded         uint64  `json:"degraded,omitempty"`
+	Degraded         uint64  `json:"degraded,omitempty" metric:"counter seagull_admission_degraded_total Requests served by degraded fallbacks, by endpoint."`
 	Canceled         uint64  `json:"canceled,omitempty"`
 }
 
@@ -662,20 +662,20 @@ type EndpointStats struct {
 type Stats struct {
 	// Limit is the current adaptive concurrency limit; MaxInflight is its
 	// configured ceiling.
-	Limit       float64 `json:"limit"`
-	MaxInflight int     `json:"max_inflight"`
-	InFlight    int     `json:"in_flight"`
-	InQueue     int     `json:"in_queue"`
+	Limit       float64 `json:"limit" metric:"gauge seagull_admission_limit Current adaptive concurrency limit."`
+	MaxInflight int     `json:"max_inflight" metric:"gauge seagull_admission_max_inflight Configured concurrency ceiling."`
+	InFlight    int     `json:"in_flight" metric:"gauge seagull_admission_in_flight Admitted requests currently executing."`
+	InQueue     int     `json:"in_queue" metric:"gauge seagull_admission_in_queue Requests waiting for admission."`
 	// Sheds/Evictions/DeadlineRejects are process-lifetime shed totals
 	// across endpoints (per-endpoint splits below).
-	Sheds           uint64 `json:"sheds"`
-	Evictions       uint64 `json:"evictions"`
-	DeadlineRejects uint64 `json:"deadline_rejects"`
+	Sheds           uint64 `json:"sheds" metric:"counter seagull_admission_sheds_total Requests shed at admission."`
+	Evictions       uint64 `json:"evictions" metric:"counter seagull_admission_evictions_total Queued requests evicted by higher-priority arrivals."`
+	DeadlineRejects uint64 `json:"deadline_rejects" metric:"counter seagull_admission_deadline_rejects_total Requests rejected as unable to meet their deadline."`
 	// Brownout reports whether degraded fallbacks are currently serving;
 	// BrownoutEntries counts transitions into that state.
-	Brownout        bool                     `json:"brownout"`
-	BrownoutEntries uint64                   `json:"brownout_entries"`
-	Endpoints       map[string]EndpointStats `json:"endpoints"`
+	Brownout        bool                     `json:"brownout" metric:"gauge seagull_admission_brownout 1 while degraded fallbacks are serving."`
+	BrownoutEntries uint64                   `json:"brownout_entries" metric:"counter seagull_admission_brownout_entries_total Transitions into brownout."`
+	Endpoints       map[string]EndpointStats `json:"endpoints" label:"endpoint"`
 }
 
 // Stats snapshots the limiter.

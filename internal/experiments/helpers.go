@@ -175,10 +175,8 @@ func (ar *modelArena) get(newModel func() (forecast.Model, error)) (forecast.Mod
 // three days of history. Short-lived servers are skipped.
 //
 // Callers pass the shared worker pool so one pool serves every model, region
-// and sweep point of an experiment run. Per-server cost is heavy-tailed
-// (ARIMA order searches abandon pathological servers at different depths),
-// so the loop runs under guided scheduling; each worker carries one
-// modelArena for all its servers.
+// and sweep point of an experiment run; each worker carries one modelArena
+// for all its servers.
 func evaluateFleet(fleet *simulate.Fleet, newModel func() (forecast.Model, error),
 	weeks []int, mcfg metrics.Config, pool *parallel.Pool) ([]serverEval, error) {
 
@@ -189,8 +187,7 @@ func evaluateFleet(fleet *simulate.Fleet, newModel func() (forecast.Model, error
 		}
 	}
 	evals := make([]serverEval, len(longLived))
-	guided := pool.WithSchedule(parallel.ScheduleGuided)
-	err := parallel.ForEachScratch(guided, len(longLived),
+	err := parallel.ForEachScratch(pool, len(longLived),
 		func() *modelArena { return &modelArena{} },
 		func(i int, arena *modelArena) error {
 			srv := longLived[i]

@@ -482,9 +482,9 @@ func (t *Tracer) Slowest() []TraceView {
 // count, cache hits where the stage has them, and total/mean/max duration.
 type StageStat struct {
 	Stage   string  `json:"stage"`
-	Count   uint64  `json:"count"`
-	Hits    uint64  `json:"hits,omitempty"`
-	TotalMs float64 `json:"total_ms"`
+	Count   uint64  `json:"count" metric:"counter seagull_trace_stage_total Spans recorded, by pipeline stage."`
+	Hits    uint64  `json:"hits,omitempty" metric:"counter seagull_trace_stage_hits_total Spans that hit a warm path (pool checkout, train memo), by stage."`
+	TotalMs float64 `json:"total_ms" metric:"counter seagull_trace_stage_seconds_sum Total time spent in each pipeline stage, in seconds." div:"1000"`
 	AvgMs   float64 `json:"avg_ms"`
 	MaxMs   float64 `json:"max_ms"`
 }
@@ -515,4 +515,25 @@ func (t *Tracer) StageStats() []StageStat {
 		})
 	}
 	return out
+}
+
+// TraceMetrics is the tracer's /metrics document: the per-stage aggregates
+// keyed by stage name, and the overrun counter.
+type TraceMetrics struct {
+	Stages   map[string]StageStat `label:"stage"`
+	Overruns uint64               `metric:"counter seagull_trace_overruns_total Trace starts skipped because every ring slot was active."`
+}
+
+// Metrics snapshots the tracer for /metrics. Nil — which Expo.Struct renders
+// as nothing — on a nil tracer or before the first span.
+func (t *Tracer) Metrics() *TraceMetrics {
+	stats := t.StageStats()
+	if len(stats) == 0 {
+		return nil
+	}
+	m := &TraceMetrics{Stages: make(map[string]StageStat, len(stats)), Overruns: t.Overruns()}
+	for _, st := range stats {
+		m.Stages[st.Stage] = st
+	}
+	return m
 }

@@ -63,138 +63,6 @@ func TestForEachChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestGuidedMatchesSequentialLoop: the guided scheduler must visit exactly
-// the index set a sequential loop would, each exactly once, for arbitrary
-// (n, workers).
-func TestGuidedMatchesSequentialLoop(t *testing.T) {
-	f := func(nRaw uint16, workersRaw uint8) bool {
-		n := int(nRaw % 700)
-		workers := int(workersRaw%12) + 1
-		visited := make([]int32, n)
-		err := NewPool(workers).WithSchedule(ScheduleGuided).ForEach(n, func(i int) error {
-			atomic.AddInt32(&visited[i], 1)
-			return nil
-		})
-		if err != nil {
-			return false
-		}
-		for _, v := range visited {
-			if v != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestGuidedStragglerTail records the claim schedule and verifies the
-// property that motivates guided scheduling for heavy-tailed per-server
-// cost: claims shrink toward the tail, so a pathological server near the
-// end of the index space strands at most a handful of chunkmates behind it,
-// where the fixed-chunk policy strands n/(4·workers).
-func TestGuidedStragglerTail(t *testing.T) {
-	const n, workers = 1024, 4
-	var (
-		mu     sync.Mutex
-		claims [][2]int
-	)
-	claimObserver = func(lo, hi int) {
-		mu.Lock()
-		claims = append(claims, [2]int{lo, hi})
-		mu.Unlock()
-	}
-	defer func() { claimObserver = nil }()
-
-	err := NewPool(workers).WithSchedule(ScheduleGuided).ForEach(n, func(i int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(claims) == 0 {
-		t.Fatal("no claims recorded")
-	}
-	maxSize, tailMax, sawSingle := 0, 0, false
-	covered := 0
-	for _, c := range claims {
-		size := c[1] - c[0]
-		covered += size
-		if size > maxSize {
-			maxSize = size
-		}
-		// Claims that begin in the final 5% of the index space.
-		if c[0] >= n*95/100 {
-			if size > tailMax {
-				tailMax = size
-			}
-		}
-		if size == 1 {
-			sawSingle = true
-		}
-	}
-	if covered != n {
-		t.Fatalf("claims cover %d items, want %d", covered, n)
-	}
-	// The first claim takes remaining/(2·workers) = n/8; no claim may exceed it.
-	if maxSize > n/(2*workers) {
-		t.Errorf("claim of %d items exceeds the claim-half bound %d", maxSize, n/(2*workers))
-	}
-	// The tail must be fine-grained: by the last 5% of the space, remaining
-	// ≤ n/20, so claims are at most n/(20·2·workers) ≈ 6 items here — far
-	// below the fixed-chunk policy's n/(4·workers) = 64.
-	if want := n / (100 / 5) / (2 * workers); tailMax > max(want, 1) {
-		t.Errorf("tail claim of %d items; guided tail should be ≤ %d", tailMax, max(want, 1))
-	}
-	if !sawSingle {
-		t.Error("guided schedule never degraded to single-item claims")
-	}
-}
-
-// TestGuidedScratchConfinement mirrors the chunked scratch test on the
-// guided dispatcher: scratch values must stay confined to one worker
-// goroutine (plain increments below would trip -race otherwise).
-func TestGuidedScratchConfinement(t *testing.T) {
-	type scratch struct{ items int32 }
-	var (
-		mu      sync.Mutex
-		created []*scratch
-	)
-	const n, workers = 500, 4
-	p := NewPool(workers).WithSchedule(ScheduleGuided)
-	err := ForEachScratch(p, n, func() *scratch {
-		mu.Lock()
-		defer mu.Unlock()
-		s := &scratch{}
-		created = append(created, s)
-		return s
-	}, func(i int, s *scratch) error {
-		s.items++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int32
-	for _, s := range created {
-		total += s.items
-	}
-	if total != n {
-		t.Errorf("scratch items total %d, want %d", total, n)
-	}
-}
-
-func TestWithScheduleLeavesReceiverUntouched(t *testing.T) {
-	p := NewPool(3)
-	g := p.WithSchedule(ScheduleGuided)
-	if p.sched != ScheduleChunked {
-		t.Error("WithSchedule mutated the receiver")
-	}
-	if g.sched != ScheduleGuided || g.Workers() != 3 {
-		t.Errorf("derived pool sched=%v workers=%d", g.sched, g.Workers())
-	}
-}
-
 func TestForEachScratchPerWorker(t *testing.T) {
 	type scratch struct {
 		worker int

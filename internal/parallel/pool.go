@@ -10,8 +10,8 @@
 // ForEachScratch variants hand each worker private scratch for exactly that
 // reason). Item errors are collected, not cancelling — every index still
 // runs; only context cancellation (ForEachCtx) stops new claims, with
-// in-flight items finishing. Equivalence: scheduling policy and worker
-// count affect wall clock only, never which indices run or how often —
+// in-flight items finishing. Equivalence: the worker count affects wall
+// clock only, never which indices run or how often —
 // callers owning deterministic per-item work get deterministic aggregate
 // results at any worker count.
 package parallel
@@ -28,33 +28,15 @@ import (
 // ErrBadWorkers is returned when a non-positive worker count is requested.
 var ErrBadWorkers = errors.New("parallel: worker count must be positive")
 
-// Schedule selects how ForEach partitions the index space across workers.
-type Schedule int
-
-const (
-	// ScheduleChunked hands out fixed-size chunks, roughly four per worker —
-	// the lowest-overhead policy when per-item cost is roughly uniform.
-	ScheduleChunked Schedule = iota
-	// ScheduleGuided hands out shrinking chunks: each claim takes half of
-	// the remaining work divided by the worker count (OpenMP's "guided"
-	// policy). Early claims are large, so distribution overhead stays low,
-	// while the tail degrades to single items — a pathologically expensive
-	// item near the end strands at most its own claim's few neighbours
-	// instead of a fixed n/(4·workers)-item chunk. Use for heavy-tailed
-	// per-item cost (one slow server in a fleet partition).
-	ScheduleGuided
-)
-
 // Pool is a fixed-size worker pool. The zero value is not usable; call
 // NewPool. A Pool carries no per-run state and may be reused and shared
 // freely across experiments and goroutines.
 type Pool struct {
 	workers int
-	sched   Schedule
 }
 
-// NewPool returns a pool with the given concurrency and chunked scheduling.
-// workers ≤ 0 selects runtime.NumCPU().
+// NewPool returns a pool with the given concurrency. workers ≤ 0 selects
+// runtime.NumCPU().
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -64,20 +46,6 @@ func NewPool(workers int) *Pool {
 
 // Workers returns the pool's concurrency.
 func (p *Pool) Workers() int { return p.workers }
-
-// WithSchedule returns a pool sharing p's concurrency under the given
-// scheduling policy. The receiver is unchanged, so a shared pool can serve
-// uniform and heavy-tailed loops simultaneously.
-func (p *Pool) WithSchedule(s Schedule) *Pool {
-	q := *p
-	q.sched = s
-	return &q
-}
-
-// claimObserver, when non-nil, is invoked for every index-range claim the
-// dispatcher hands to a worker. Test hook: set only from package tests,
-// before any concurrent ForEach is running.
-var claimObserver func(lo, hi int)
 
 // ForEach runs fn(i) for every i in [0, n) across the pool's workers and
 // blocks until all complete. The first error observed is returned (remaining
@@ -161,33 +129,6 @@ func (p *Pool) forEachWorker(ctx context.Context, n int, makeFn func(worker int)
 	if chunk < 1 {
 		chunk = 1
 	}
-	claim := func() (int, int, bool) {
-		// Fixed-size chunks off a single atomic cursor.
-		lo := int(cursor.Add(int64(chunk))) - chunk
-		if lo >= n {
-			return 0, 0, false
-		}
-		return lo, min(lo+chunk, n), true
-	}
-	if p.sched == ScheduleGuided {
-		claim = func() (int, int, bool) {
-			// Claim half of the remaining work divided across the workers;
-			// CAS because the size depends on the remaining count.
-			for {
-				cur := cursor.Load()
-				if cur >= int64(n) {
-					return 0, 0, false
-				}
-				take := (int64(n) - cur) / int64(2*workers)
-				if take < 1 {
-					take = 1
-				}
-				if cursor.CompareAndSwap(cur, cur+take) {
-					return int(cur), int(cur + take), true
-				}
-			}
-		}
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -200,14 +141,12 @@ func (p *Pool) forEachWorker(ctx context.Context, n int, makeFn func(worker int)
 				if ctx.Err() != nil {
 					return
 				}
-				lo, hi, ok := claim()
-				if !ok {
+				// Fixed-size chunks off a single atomic cursor.
+				lo := int(cursor.Add(int64(chunk))) - chunk
+				if lo >= n {
 					return
 				}
-				if obs := claimObserver; obs != nil {
-					obs(lo, hi)
-				}
-				for i := lo; i < hi; i++ {
+				for i := lo; i < min(lo+chunk, n); i++ {
 					if err := safeCall(fn, i); err != nil {
 						mu.Lock()
 						if firstErr == nil {

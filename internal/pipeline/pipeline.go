@@ -38,6 +38,13 @@ import (
 // Scenario is the deployment scenario name for backup scheduling.
 const Scenario = "backup"
 
+// The cosmos collections a weekly run publishes into and the stream layer
+// reads back: per-server PredictionDocs and per-region SummaryDocs.
+const (
+	PredictionsCollection = "predictions"
+	SummariesCollection   = "summaries"
+)
+
 // Stage names reported in run telemetry; these are the components of
 // Figure 12(a).
 const (
@@ -429,6 +436,23 @@ func (p *Pipeline) trainInferEvaluate(ctx context.Context, cfg Config, histories
 	return preds, evals, nil
 }
 
+// MinTrainDays is the least history a model trains on (Section 5.3.1: servers
+// need at least three days of telemetry before their backup day).
+const MinTrainDays = 3
+
+// TrainingWindow is the one rule for how much history a forecast of the day
+// starting at point dayIdx trains on: the whole days immediately before it,
+// at most a week. ok is false under MinTrainDays. The weekly run and the
+// stream refresher both call it, which is what keeps a refreshed forecast
+// bit-identical to a full RunWeek over the same telemetry.
+func TrainingWindow(dayIdx, pointsPerDay int) (points int, ok bool) {
+	points = 7 * pointsPerDay
+	if dayIdx < points {
+		points = dayIdx - dayIdx%pointsPerDay
+	}
+	return points, points >= MinTrainDays*pointsPerDay
+}
+
 // predictServer runs train→infer→evaluate for one server. Servers whose
 // history cannot support the model (too young, no backup day in week) are
 // skipped — they default to the activity-agnostic backup window.
@@ -446,12 +470,9 @@ func (p *Pipeline) predictServer(cfg Config, h *serverHistory) (*PredictionDoc, 
 	if dayIdx+ppd > h.load.Len() {
 		return nil, nil // backup day not fully covered by telemetry
 	}
-	trainPoints := 7 * ppd
-	if dayIdx < trainPoints {
-		trainPoints = dayIdx - dayIdx%ppd // use whole days available
-	}
-	if trainPoints < 3*ppd {
-		return nil, nil // under three days of history (Section 5.3.1)
+	trainPoints, ok := TrainingWindow(dayIdx, ppd)
+	if !ok {
+		return nil, nil
 	}
 	history, err := h.load.Slice(dayIdx-trainPoints, dayIdx)
 	if err != nil {
@@ -519,9 +540,9 @@ func (p *Pipeline) predictServer(cfg Config, h *serverHistory) (*PredictionDoc, 
 // records the fleet summary.
 func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDoc, evals []*EvalDoc) (metrics.FleetSummary, error) {
 	var summary metrics.FleetSummary
-	predCol := p.DB.Collection("predictions")
+	predCol := p.DB.Collection(PredictionsCollection)
 	evalCol := p.DB.Collection("evaluations")
-	sumCol := p.DB.Collection("summaries")
+	sumCol := p.DB.Collection(SummariesCollection)
 
 	for _, pd := range preds {
 		if err := predCol.Upsert(cfg.Region, docID(pd.ServerID, pd.Week), pd); err != nil {

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"seagull/internal/obs"
 	"seagull/internal/serving"
 	"seagull/internal/shard"
 	"seagull/internal/simclock"
@@ -103,12 +104,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// routeVars is one route's live counters.
-type routeVars struct {
-	count  atomic.Uint64
-	errors atomic.Uint64
-}
-
 // replicaVars is one replica's forwarding counters. They survive membership
 // changes, so a drain/rejoin keeps its history.
 type replicaVars struct {
@@ -119,10 +114,9 @@ type replicaVars struct {
 // Router fronts the replica fleet. Construct with New; it is an
 // http.Handler.
 type Router struct {
-	cfg     Config
-	clock   simclock.Clock
-	started time.Time
-	mux     *http.ServeMux
+	cfg  Config
+	mux  *http.ServeMux
+	http *obs.HTTP // per-route accounting and request IDs, shared with the replicas
 
 	// mu guards the membership view: the shard map and the client set swap
 	// together, atomically from a request's point of view.
@@ -132,8 +126,6 @@ type Router struct {
 
 	rr atomic.Uint64 // round-robin cursor for stateless forwards
 
-	routesMu sync.Mutex
-	routes   map[string]*routeVars
 	repMu    sync.Mutex
 	replicas map[string]*replicaVars
 }
@@ -143,11 +135,9 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:      cfg,
-		clock:    cfg.Clock,
-		routes:   map[string]*routeVars{},
+		http:     obs.NewHTTP(cfg.Clock, nil),
 		replicas: map[string]*replicaVars{},
 	}
-	rt.started = rt.clock.Now()
 	names := make([]string, 0, len(cfg.Replicas))
 	clients := make(map[string]*serving.Client, len(cfg.Replicas))
 	for _, rep := range cfg.Replicas {
@@ -168,7 +158,7 @@ func New(cfg Config) (*Router, error) {
 
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, rt.instrument(pattern, h))
+		mux.HandleFunc(pattern, rt.http.Instrument(pattern, h))
 	}
 	handle("GET /healthz", rt.handleHealth)
 	handle("GET /readyz", rt.handleReady)
@@ -303,39 +293,6 @@ func (rt *Router) observeForward(name string, err error) {
 	rv.forwards.Add(1)
 	if err != nil {
 		rv.failures.Add(1)
-	}
-}
-
-// statusWriter captures the response status for the route error counters.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// Unwrap exposes the wrapped writer to http.ResponseController.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// instrument wraps a handler with per-route request/error accounting.
-func (rt *Router) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	rt.routesMu.Lock()
-	rv, ok := rt.routes[name]
-	if !ok {
-		rv = &routeVars{}
-		rt.routes[name] = rv
-	}
-	rt.routesMu.Unlock()
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		rv.count.Add(1)
-		if sw.status >= 400 {
-			rv.errors.Add(1)
-		}
 	}
 }
 

@@ -558,3 +558,34 @@ func TestFleetVarzAndMetrics(t *testing.T) {
 		t.Fatal("dead replica still reported up")
 	}
 }
+
+// TestRoutedRequestCarriesRequestID: the router accounts requests with the
+// same instrument as a replica, so a routed request echoes the caller's
+// X-Request-Id — or gets one minted — exactly like a direct one.
+func TestRoutedRequestCarriesRequestID(t *testing.T) {
+	_, rt, front := newFakeFleet(t, 2, nil)
+	body := fmt.Sprintf(`{"server_id":%q,"live_history":true,"horizon":1}`, ownedBy(t, rt, "shard-a"))
+
+	req, err := http.NewRequest("POST", front.URL+"/v2/predict", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "follow-me-3")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed predict: %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("X-Request-Id"); got != "follow-me-3" {
+		t.Fatalf("X-Request-Id echo = %q, want follow-me-3", got)
+	}
+
+	minted, _ := post(t, front.URL+"/v2/predict", body)
+	if minted.Header.Get("X-Request-Id") == "" {
+		t.Fatal("routed request without an ID got none minted")
+	}
+}

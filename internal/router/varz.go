@@ -3,12 +3,11 @@ package router
 import (
 	"context"
 	"net/http"
-	"sort"
 	"sync"
 
 	"seagull/internal/obs"
 	"seagull/internal/serving"
-	"seagull/internal/simclock"
+	"seagull/internal/stream"
 )
 
 // Fleet-wide observability: /varz aggregates every replica's counters
@@ -18,17 +17,17 @@ import (
 
 // RouteVarz is one router route's counters.
 type RouteVarz struct {
-	Count  uint64 `json:"count"`
-	Errors uint64 `json:"errors"`
+	Count  uint64 `json:"count" metric:"counter seagull_router_requests_total Requests handled by the router, by route."`
+	Errors uint64 `json:"errors" metric:"counter seagull_router_request_errors_total Router requests answered with status >= 400, by route."`
 }
 
 // ReplicaVarz is one replica's slice of the fleet document.
 type ReplicaVarz struct {
-	Ready bool `json:"ready"`
+	Ready bool `json:"ready" metric:"gauge seagull_router_replica_up 1 when the replica passes readiness, by replica."`
 	// Forwards/Failures count the router's upstream calls to this replica
 	// (retries inside the client are one forward).
-	Forwards uint64 `json:"forwards"`
-	Failures uint64 `json:"failures"`
+	Forwards uint64 `json:"forwards" metric:"counter seagull_router_replica_forwards_total Upstream calls forwarded, by replica."`
+	Failures uint64 `json:"failures" metric:"counter seagull_router_replica_failures_total Upstream calls that failed, by replica."`
 	// Error carries the varz fetch failure when the replica was unreachable
 	// (Varz is then nil).
 	Error string        `json:"error,omitempty"`
@@ -38,31 +37,73 @@ type ReplicaVarz struct {
 // FleetTotals sums the load-bearing counters across every reachable
 // replica — the numbers a capacity dashboard wants first.
 type FleetTotals struct {
-	Servers       int    `json:"servers"`
-	Appended      uint64 `json:"appended"`
-	Duplicates    uint64 `json:"duplicates"`
-	Requests      uint64 `json:"http_requests"`
-	RequestErrors uint64 `json:"http_request_errors"`
-	PoolHits      uint64 `json:"pool_hits"`
-	PoolMisses    uint64 `json:"pool_misses"`
-	Drifted       uint64 `json:"drifted"`
-	Refreshed     uint64 `json:"refreshed"`
-	WALCommits    uint64 `json:"wal_commits"`
-	WALRecords    uint64 `json:"wal_records"`
-	Snapshots     uint64 `json:"snapshots"`
+	Servers       int    `json:"servers" metric:"gauge seagull_fleet_servers Servers with live telemetry windows, fleet-wide."`
+	Appended      uint64 `json:"appended" metric:"counter seagull_fleet_ingest_appended_total Telemetry points appended, fleet-wide."`
+	Duplicates    uint64 `json:"duplicates" metric:"counter seagull_fleet_ingest_duplicates_total Duplicate telemetry points dropped, fleet-wide."`
+	Requests      uint64 `json:"http_requests" metric:"counter seagull_fleet_http_requests_total Requests handled by the replicas, fleet-wide."`
+	RequestErrors uint64 `json:"http_request_errors" metric:"counter seagull_fleet_http_request_errors_total Replica requests answered with status >= 400, fleet-wide."`
+	PoolHits      uint64 `json:"pool_hits" metric:"counter seagull_fleet_pool_hits_total Warm-pool hits, fleet-wide."`
+	PoolMisses    uint64 `json:"pool_misses" metric:"counter seagull_fleet_pool_misses_total Warm-pool misses, fleet-wide."`
+	Drifted       uint64 `json:"drifted" metric:"counter seagull_fleet_drift_drifted_total Stored predictions found drifted, fleet-wide."`
+	Refreshed     uint64 `json:"refreshed" metric:"counter seagull_fleet_refresh_refreshed_total Predictions retrained and republished, fleet-wide."`
+	WALCommits    uint64 `json:"wal_commits" metric:"counter seagull_fleet_wal_commits_total WAL commit cycles, fleet-wide."`
+	WALRecords    uint64 `json:"wal_records" metric:"counter seagull_fleet_wal_records_total Telemetry records committed to WALs, fleet-wide."`
+	Snapshots     uint64 `json:"snapshots" metric:"counter seagull_fleet_snapshots_total Incremental snapshots taken, fleet-wide."`
+}
+
+// fleetTotals projects the summed replica documents onto the totals a
+// dashboard reads; the summing itself belongs to each Stats type's Add.
+func fleetTotals(replicas map[string]ReplicaVarz) FleetTotals {
+	var (
+		pool  serving.PoolStats
+		reqs  obs.EndpointStats
+		ing   stream.Stats
+		drift stream.DriftStats
+		ref   stream.RefreshStats
+		dur   stream.DurabilityStats
+	)
+	for _, rep := range replicas {
+		v := rep.Varz
+		if v == nil {
+			continue
+		}
+		pool.Add(v.Pool)
+		for _, ep := range v.Endpoints {
+			reqs.Add(ep)
+		}
+		if v.Ingest != nil {
+			ing.Add(*v.Ingest)
+		}
+		if v.Drift != nil {
+			drift.Add(*v.Drift)
+		}
+		if v.Refresh != nil {
+			ref.Add(*v.Refresh)
+		}
+		if v.Durability != nil {
+			dur.Add(*v.Durability)
+		}
+	}
+	return FleetTotals{
+		Servers: ing.Servers, Appended: ing.Appended, Duplicates: ing.Duplicates,
+		Requests: reqs.Count, RequestErrors: reqs.Errors,
+		PoolHits: pool.Hits, PoolMisses: pool.Misses,
+		Drifted: drift.Drifted, Refreshed: ref.Refreshed,
+		WALCommits: dur.Commits, WALRecords: dur.CommitRecords, Snapshots: dur.Snapshots,
+	}
 }
 
 // FleetVarz is the router's /varz document.
 type FleetVarz struct {
-	UptimeSec float64  `json:"uptime_sec"`
+	UptimeSec float64  `json:"uptime_sec" metric:"gauge seagull_router_uptime_seconds Seconds since the router started."`
 	Seed      uint64   `json:"seed"`
-	Members   []string `json:"members"`
+	Members   []string `json:"members" metric:"gauge seagull_router_replicas Configured replica count."`
 	// ReadyReplicas counts members currently passing /readyz; the fleet has
 	// full shard coverage only when it equals len(Members).
-	ReadyReplicas int                    `json:"ready_replicas"`
-	Routes        map[string]RouteVarz   `json:"routes"`
+	ReadyReplicas int                    `json:"ready_replicas" metric:"gauge seagull_router_ready_replicas Replicas currently passing readiness."`
+	Routes        map[string]RouteVarz   `json:"routes" label:"route"`
 	Fleet         FleetTotals            `json:"fleet"`
-	Replicas      map[string]ReplicaVarz `json:"replicas"`
+	Replicas      map[string]ReplicaVarz `json:"replicas" label:"replica"`
 }
 
 // FleetVarz assembles the aggregated fleet document, probing every replica
@@ -71,17 +112,15 @@ func (rt *Router) FleetVarz(ctx context.Context) FleetVarz {
 	smap, clients := rt.view()
 	names := smap.Replicas()
 	out := FleetVarz{
-		UptimeSec: simclock.Since(rt.clock, rt.started).Seconds(),
+		UptimeSec: rt.http.UptimeSec(),
 		Seed:      smap.Seed(),
 		Members:   names,
 		Routes:    map[string]RouteVarz{},
 		Replicas:  make(map[string]ReplicaVarz, len(names)),
 	}
-	rt.routesMu.Lock()
-	for name, rv := range rt.routes {
-		out.Routes[name] = RouteVarz{Count: rv.count.Load(), Errors: rv.errors.Load()}
+	for name, ep := range rt.http.Snapshot() {
+		out.Routes[name] = RouteVarz{Count: ep.Count, Errors: ep.Errors}
 	}
-	rt.routesMu.Unlock()
 
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -104,35 +143,10 @@ func (rt *Router) FleetVarz(ctx context.Context) FleetVarz {
 			if rep.Ready {
 				out.ReadyReplicas++
 			}
-			if rep.Varz == nil {
-				return
-			}
-			t := &out.Fleet
-			t.PoolHits += rep.Varz.Pool.Hits
-			t.PoolMisses += rep.Varz.Pool.Misses
-			for _, ep := range rep.Varz.Endpoints {
-				t.Requests += ep.Count
-				t.RequestErrors += ep.Errors
-			}
-			if st := rep.Varz.Ingest; st != nil {
-				t.Servers += st.Servers
-				t.Appended += st.Appended
-				t.Duplicates += st.Duplicates
-			}
-			if st := rep.Varz.Drift; st != nil {
-				t.Drifted += st.Drifted
-			}
-			if st := rep.Varz.Refresh; st != nil {
-				t.Refreshed += st.Refreshed
-			}
-			if st := rep.Varz.Durability; st != nil {
-				t.WALCommits += st.Commits
-				t.WALRecords += st.CommitRecords
-				t.Snapshots += st.Snapshots
-			}
 		}(name, clients[name])
 	}
 	wg.Wait()
+	out.Fleet = fleetTotals(out.Replicas)
 	return out
 }
 
@@ -140,59 +154,11 @@ func (rt *Router) handleVarz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rt.FleetVarz(r.Context()))
 }
 
-// WriteMetrics renders the fleet aggregate in Prometheus exposition format.
+// WriteMetrics renders the fleet aggregate in Prometheus exposition format:
+// the /varz document's own metric tags, walked by obs.
 func (rt *Router) WriteMetrics(ctx context.Context, w http.ResponseWriter) error {
-	v := rt.FleetVarz(ctx)
 	e := obs.NewExpo(w)
-
-	e.Gauge("seagull_router_uptime_seconds", "Seconds since the router started.", v.UptimeSec)
-	e.Gauge("seagull_router_replicas", "Configured replica count.", float64(len(v.Members)))
-	e.Gauge("seagull_router_ready_replicas", "Replicas currently passing readiness.", float64(v.ReadyReplicas))
-
-	routes := make([]string, 0, len(v.Routes))
-	for name := range v.Routes {
-		routes = append(routes, name)
-	}
-	sort.Strings(routes)
-	e.Header("seagull_router_requests_total", "counter", "Requests handled by the router, by route.")
-	for _, name := range routes {
-		e.Sample("seagull_router_requests_total", obs.Labels("route", name), float64(v.Routes[name].Count))
-	}
-	e.Header("seagull_router_request_errors_total", "counter", "Router requests answered with status >= 400, by route.")
-	for _, name := range routes {
-		e.Sample("seagull_router_request_errors_total", obs.Labels("route", name), float64(v.Routes[name].Errors))
-	}
-
-	e.Header("seagull_router_replica_up", "gauge", "1 when the replica passes readiness, by replica.")
-	for _, name := range v.Members {
-		up := 0.0
-		if v.Replicas[name].Ready {
-			up = 1
-		}
-		e.Sample("seagull_router_replica_up", obs.Labels("replica", name), up)
-	}
-	e.Header("seagull_router_replica_forwards_total", "counter", "Upstream calls forwarded, by replica.")
-	for _, name := range v.Members {
-		e.Sample("seagull_router_replica_forwards_total", obs.Labels("replica", name), float64(v.Replicas[name].Forwards))
-	}
-	e.Header("seagull_router_replica_failures_total", "counter", "Upstream calls that failed, by replica.")
-	for _, name := range v.Members {
-		e.Sample("seagull_router_replica_failures_total", obs.Labels("replica", name), float64(v.Replicas[name].Failures))
-	}
-
-	e.Gauge("seagull_fleet_servers", "Servers with live telemetry windows, fleet-wide.", float64(v.Fleet.Servers))
-	e.Counter("seagull_fleet_ingest_appended_total", "Telemetry points appended, fleet-wide.", float64(v.Fleet.Appended))
-	e.Counter("seagull_fleet_ingest_duplicates_total", "Duplicate telemetry points dropped, fleet-wide.", float64(v.Fleet.Duplicates))
-	e.Counter("seagull_fleet_http_requests_total", "Requests handled by the replicas, fleet-wide.", float64(v.Fleet.Requests))
-	e.Counter("seagull_fleet_http_request_errors_total", "Replica requests answered with status >= 400, fleet-wide.", float64(v.Fleet.RequestErrors))
-	e.Counter("seagull_fleet_pool_hits_total", "Warm-pool hits, fleet-wide.", float64(v.Fleet.PoolHits))
-	e.Counter("seagull_fleet_pool_misses_total", "Warm-pool misses, fleet-wide.", float64(v.Fleet.PoolMisses))
-	e.Counter("seagull_fleet_drift_drifted_total", "Stored predictions found drifted, fleet-wide.", float64(v.Fleet.Drifted))
-	e.Counter("seagull_fleet_refresh_refreshed_total", "Predictions retrained and republished, fleet-wide.", float64(v.Fleet.Refreshed))
-	e.Counter("seagull_fleet_wal_commits_total", "WAL commit cycles, fleet-wide.", float64(v.Fleet.WALCommits))
-	e.Counter("seagull_fleet_wal_records_total", "Telemetry records committed to WALs, fleet-wide.", float64(v.Fleet.WALRecords))
-	e.Counter("seagull_fleet_snapshots_total", "Incremental snapshots taken, fleet-wide.", float64(v.Fleet.Snapshots))
-
+	e.Struct(rt.FleetVarz(ctx))
 	return e.Flush()
 }
 

@@ -124,7 +124,7 @@ func New(db *cosmos.DB, fabric *FabricStore, cfg metrics.Config) *Scheduler {
 // server; decisions already written to the fabric store stay in place (each
 // is individually complete).
 func (s *Scheduler) ScheduleWeek(ctx context.Context, region string, week int) ([]Decision, error) {
-	predCol := s.DB.Collection("predictions")
+	predCol := s.DB.Collection(pipeline.PredictionsCollection)
 	evalCol := s.DB.Collection("evaluations")
 	var decisions []Decision
 	err := predCol.Query(region, func(id string, body json.RawMessage) error {

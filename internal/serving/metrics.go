@@ -3,158 +3,21 @@ package serving
 import (
 	"io"
 	"net/http"
-	"sort"
 
 	"seagull/internal/obs"
 )
 
-// The /metrics endpoint renders the same atomics that feed /varz in the
-// Prometheus text exposition format (version 0.0.4), so the JSON debug page
-// and the scrape target can never disagree: both are views over one
-// VarzSnapshot. Latency histograms are converted from the per-bucket
-// millisecond counts /varz reports to the cumulative le-labeled
-// seconds-valued buckets Prometheus expects.
+// The /metrics endpoint renders the /varz document in the Prometheus text
+// exposition format, so the JSON debug page and the scrape target can never
+// disagree: each metric is declared once, as a `metric` struct tag beside
+// the stats field both pages read (see obs.Expo.Struct).
 
 // WriteMetrics renders the service's metrics in exposition format.
 func (s *Service) WriteMetrics(w io.Writer) error {
-	v := s.VarzSnapshot()
 	e := obs.NewExpo(w)
-
-	e.Gauge("seagull_uptime_seconds", "Seconds since the service started.", v.UptimeSec)
-
-	// Per-endpoint HTTP counters, in sorted order for stable scrapes.
-	names := make([]string, 0, len(v.Endpoints))
-	for name := range v.Endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	secBounds := make([]float64, len(latencyBoundsMs))
-	for i, ms := range latencyBoundsMs {
-		secBounds[i] = ms / 1000
-	}
-	e.Header("seagull_http_requests_total", "counter", "Requests handled, by endpoint.")
-	for _, name := range names {
-		e.Sample("seagull_http_requests_total", obs.Labels("endpoint", name), float64(v.Endpoints[name].Count))
-	}
-	e.Header("seagull_http_request_errors_total", "counter", "Requests answered with status >= 400, by endpoint.")
-	for _, name := range names {
-		e.Sample("seagull_http_request_errors_total", obs.Labels("endpoint", name), float64(v.Endpoints[name].Errors))
-	}
-	e.Header("seagull_http_in_flight", "gauge", "Requests currently being handled, by endpoint.")
-	for _, name := range names {
-		e.Sample("seagull_http_in_flight", obs.Labels("endpoint", name), float64(v.Endpoints[name].InFlight))
-	}
-	e.Header("seagull_http_request_duration_seconds", "histogram", "Request handling latency, by endpoint.")
-	for _, name := range names {
-		ep := v.Endpoints[name]
-		e.Histogram("seagull_http_request_duration_seconds", obs.Labels("endpoint", name),
-			secBounds, ep.LatencyCounts, ep.LatencyMsSum/1000)
-	}
-
-	// Warm pool.
-	e.Gauge("seagull_pool_entries", "Warm-pool slots currently resident.", float64(v.Pool.Entries))
-	e.Gauge("seagull_pool_idle", "Idle model instances across warm-pool slots.", float64(v.Pool.Idle))
-	e.Counter("seagull_pool_hits_total", "Checkouts served from a warm instance.", float64(v.Pool.Hits))
-	e.Counter("seagull_pool_misses_total", "Checkouts that built a fresh model.", float64(v.Pool.Misses))
-	e.Counter("seagull_pool_evictions_total", "Warm-pool slots dropped by the LRU bound.", float64(v.Pool.Evictions))
-	e.Counter("seagull_pool_invalidations_total", "Warm-pool invalidation events.", float64(v.Pool.Invalidations))
-
-	if st := v.Ingest; st != nil {
-		e.Gauge("seagull_ingest_servers", "Servers with live telemetry windows.", float64(st.Servers))
-		e.Counter("seagull_ingest_appended_total", "Telemetry points appended.", float64(st.Appended))
-		e.Counter("seagull_ingest_duplicates_total", "Telemetry points dropped as duplicates.", float64(st.Duplicates))
-		e.Counter("seagull_ingest_too_old_total", "Telemetry points older than the retained window.", float64(st.TooOld))
-		e.Counter("seagull_ingest_too_new_total", "Telemetry points beyond the accepted horizon.", float64(st.TooNew))
-		e.Counter("seagull_ingest_bad_values_total", "Telemetry points rejected as non-finite.", float64(st.BadValues))
-	}
-	if st := v.Drift; st != nil {
-		e.Counter("seagull_drift_sweeps_total", "Drift sweeps performed.", float64(st.Sweeps))
-		e.Counter("seagull_drift_checked_total", "Stored predictions checked for drift.", float64(st.Checked))
-		e.Counter("seagull_drift_drifted_total", "Stored predictions found drifted.", float64(st.Drifted))
-		e.Counter("seagull_drift_skipped_total", "Drift checks skipped for missing data.", float64(st.Skipped))
-	}
-	if st := v.Refresh; st != nil {
-		e.Counter("seagull_refresh_queued_total", "Refresh jobs enqueued.", float64(st.Queued))
-		e.Counter("seagull_refresh_coalesced_total", "Refresh enqueues folded into a pending job.", float64(st.Coalesced))
-		e.Counter("seagull_refresh_dropped_total", "Refresh enqueues rejected by a full queue.", float64(st.Dropped))
-		e.Counter("seagull_refresh_refreshed_total", "Predictions retrained and republished.", float64(st.Refreshed))
-		e.Counter("seagull_refresh_skipped_total", "Refreshes skipped for insufficient history.", float64(st.Skipped))
-		e.Counter("seagull_refresh_failed_total", "Refreshes that failed.", float64(st.Failed))
-		e.Gauge("seagull_refresh_pending", "Refresh jobs currently queued.", float64(st.Pending))
-	}
-	if st := v.Sweeper; st != nil {
-		e.Counter("seagull_sweeper_ticks_total", "Completed background sweep rounds.", float64(st.Ticks))
-		e.Counter("seagull_sweeper_regions_total", "Region sweeps across all rounds.", float64(st.Regions))
-		e.Counter("seagull_sweeper_drifted_total", "Drifted servers found by background sweeps.", float64(st.Drifted))
-		e.Counter("seagull_sweeper_queued_total", "Drifted servers newly queued for refresh.", float64(st.Queued))
-		e.Counter("seagull_sweeper_dropped_total", "Drifted servers rejected by a full refresh queue.", float64(st.Dropped))
-		e.Counter("seagull_sweeper_paused_total", "Sweep rounds skipped under refresh backpressure.", float64(st.Paused))
-		e.Counter("seagull_sweeper_errors_total", "Failed region sweeps.", float64(st.Errors))
-	}
-	if st := v.Durability; st != nil {
-		e.Gauge("seagull_wal_enabled", "1 when the write-ahead log is active.", boolGauge(st.WAL))
-		e.Gauge("seagull_wal_commit_interval_ms", "Configured WAL commit interval (delta) in milliseconds.", st.DeltaMS)
-		e.Counter("seagull_wal_commits_total", "WAL commit cycles.", float64(st.Commits))
-		e.Counter("seagull_wal_records_total", "Telemetry records committed to the WAL.", float64(st.CommitRecords))
-		e.Counter("seagull_wal_bytes_total", "Bytes committed to the WAL.", float64(st.CommitBytes))
-		e.Counter("seagull_wal_errors_total", "WAL commit errors.", float64(st.CommitErrors))
-		e.Counter("seagull_wal_dropped_total", "Records dropped by WAL buffer overflow.", float64(st.Dropped))
-		e.Counter("seagull_snapshots_total", "Incremental snapshots taken.", float64(st.Snapshots))
-		e.Counter("seagull_snapshot_errors_total", "Snapshot failures.", float64(st.SnapshotErrs))
-		e.Counter("seagull_wal_truncations_total", "WAL truncations after snapshots.", float64(st.Truncations))
-	}
-	if st := v.Admission; st != nil {
-		e.Gauge("seagull_admission_limit", "Current adaptive concurrency limit.", st.Limit)
-		e.Gauge("seagull_admission_max_inflight", "Configured concurrency ceiling.", float64(st.MaxInflight))
-		e.Gauge("seagull_admission_in_flight", "Admitted requests currently executing.", float64(st.InFlight))
-		e.Gauge("seagull_admission_in_queue", "Requests waiting for admission.", float64(st.InQueue))
-		e.Counter("seagull_admission_sheds_total", "Requests shed at admission.", float64(st.Sheds))
-		e.Counter("seagull_admission_evictions_total", "Queued requests evicted by higher-priority arrivals.", float64(st.Evictions))
-		e.Counter("seagull_admission_deadline_rejects_total", "Requests rejected as unable to meet their deadline.", float64(st.DeadlineRejects))
-		e.Gauge("seagull_admission_brownout", "1 while degraded fallbacks are serving.", boolGauge(st.Brownout))
-		e.Counter("seagull_admission_brownout_entries_total", "Transitions into brownout.", float64(st.BrownoutEntries))
-		epNames := make([]string, 0, len(st.Endpoints))
-		for name := range st.Endpoints {
-			epNames = append(epNames, name)
-		}
-		sort.Strings(epNames)
-		e.Header("seagull_admission_admitted_total", "counter", "Requests admitted, by endpoint.")
-		for _, name := range epNames {
-			e.Sample("seagull_admission_admitted_total", obs.Labels("endpoint", name), float64(st.Endpoints[name].Admitted))
-		}
-		e.Header("seagull_admission_degraded_total", "counter", "Requests served by degraded fallbacks, by endpoint.")
-		for _, name := range epNames {
-			e.Sample("seagull_admission_degraded_total", obs.Labels("endpoint", name), float64(st.Endpoints[name].Degraded))
-		}
-	}
-
-	e.Gauge("seagull_degraded", "1 when the service reports partial health.", boolGauge(v.Degraded != ""))
-
-	// Per-stage trace aggregates, when tracing is enabled.
-	if stats := s.tracer.StageStats(); len(stats) > 0 {
-		e.Header("seagull_trace_stage_total", "counter", "Spans recorded, by pipeline stage.")
-		for _, st := range stats {
-			e.Sample("seagull_trace_stage_total", obs.Labels("stage", st.Stage), float64(st.Count))
-		}
-		e.Header("seagull_trace_stage_hits_total", "counter", "Spans that hit a warm path (pool checkout, train memo), by stage.")
-		for _, st := range stats {
-			e.Sample("seagull_trace_stage_hits_total", obs.Labels("stage", st.Stage), float64(st.Hits))
-		}
-		e.Header("seagull_trace_stage_seconds_sum", "counter", "Total time spent in each pipeline stage, in seconds.")
-		for _, st := range stats {
-			e.Sample("seagull_trace_stage_seconds_sum", obs.Labels("stage", st.Stage), st.TotalMs/1000)
-		}
-		e.Counter("seagull_trace_overruns_total", "Trace starts skipped because every ring slot was active.", float64(s.tracer.Overruns()))
-	}
-
+	e.Struct(s.VarzSnapshot())
+	e.Struct(s.tracer.Metrics())
 	return e.Flush()
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -144,12 +144,22 @@ type poolEntry struct {
 
 // PoolStats is a point-in-time snapshot of pool effectiveness.
 type PoolStats struct {
-	Entries       int    `json:"entries"`       // warm slots
-	Idle          int    `json:"idle"`          // idle model instances across slots
-	Hits          uint64 `json:"hits"`          // checkouts served from a warm instance
-	Misses        uint64 `json:"misses"`        // checkouts that built a fresh model
-	Evictions     uint64 `json:"evictions"`     // slots dropped by the LRU bound
-	Invalidations uint64 `json:"invalidations"` // invalidation events (registry changes, manual)
+	Entries       int    `json:"entries" metric:"gauge seagull_pool_entries Warm-pool slots currently resident."`
+	Idle          int    `json:"idle" metric:"gauge seagull_pool_idle Idle model instances across warm-pool slots."`
+	Hits          uint64 `json:"hits" metric:"counter seagull_pool_hits_total Checkouts served from a warm instance."`
+	Misses        uint64 `json:"misses" metric:"counter seagull_pool_misses_total Checkouts that built a fresh model."`
+	Evictions     uint64 `json:"evictions" metric:"counter seagull_pool_evictions_total Warm-pool slots dropped by the LRU bound."`
+	Invalidations uint64 `json:"invalidations" metric:"counter seagull_pool_invalidations_total Warm-pool invalidation events."` // registry changes, manual
+}
+
+// Add folds another pool's snapshot into s, for fleet-wide totals.
+func (s *PoolStats) Add(o PoolStats) {
+	s.Entries += o.Entries
+	s.Idle += o.Idle
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.Invalidations += o.Invalidations
 }
 
 // ModelPool keeps trained model instances warm per (scenario, region,

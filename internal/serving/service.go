@@ -101,7 +101,7 @@ type ServiceConfig struct {
 	// propagated via X-Request-Id. Nil disables tracing; the hot path then
 	// pays a single context lookup. Span recording is allocation-free, so a
 	// traced warm predict stays inside the untraced allocation budget (the
-	// BENCH_9 gate pins this).
+	// alloc gate pins this).
 	Tracer *obs.Tracer
 	// Logger receives structured operational logs: admission sheds and
 	// brownout serves (rate-limited to one line per second per endpoint).
@@ -154,7 +154,7 @@ type Service struct {
 	tracer   *obs.Tracer        // nil: tracing disabled (every method is nil-safe)
 	logger   *slog.Logger       // never nil: discards when unconfigured
 	mux      *http.ServeMux
-	varz     *varz
+	http     *obs.HTTP // per-endpoint accounting, request IDs, trace start/finish
 	ready    atomic.Bool
 	degraded atomic.Pointer[string] // non-nil: serving, but restore was partial
 	unbind   func()                 // detaches the pool's registry watcher
@@ -180,10 +180,10 @@ func NewService(reg *registry.Registry, db *cosmos.DB, cfg ServiceConfig) *Servi
 		db:      db,
 		cfg:     cfg,
 		pool:    NewModelPool(cfg.Pool),
-		workers: parallel.NewPool(cfg.Workers).WithSchedule(parallel.ScheduleGuided),
+		workers: parallel.NewPool(cfg.Workers),
 		tracer:  cfg.Tracer,
 		logger:  obs.LoggerOr(cfg.Logger),
-		varz:    newVarz(cfg.Clock),
+		http:    obs.NewHTTP(cfg.Clock, cfg.Tracer),
 	}
 	s.unbind = s.pool.Bind(reg)
 	s.ready.Store(true)
@@ -212,7 +212,7 @@ func NewService(reg *registry.Registry, db *cosmos.DB, cfg ServiceConfig) *Servi
 	// priority class; liveness routes (healthz/readyz/varz) never queue.
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, s.instrument(pattern, h))
+		mux.HandleFunc(pattern, s.http.Instrument(pattern, h))
 	}
 	admit := func(pattern string, class admission.Class, h http.HandlerFunc) {
 		handle(pattern, s.admitted(pattern, class, h, nil))
@@ -446,9 +446,9 @@ func (s *Service) predict(ctx context.Context, req PredictRequestV2, enforceLimi
 }
 
 // PredictBatch serves many servers of one deployment slot in a single call.
-// Items fan out across the service's worker pool under guided scheduling;
-// each worker checks out one warm model and retrains it per server (the
-// retrain-equals-fresh guarantee makes that equivalent to fresh models).
+// Items fan out across the service's worker pool; each worker checks out
+// one warm model and retrains it per server (the retrain-equals-fresh
+// guarantee makes that equivalent to fresh models).
 // Item-level failures are reported per item; cancelling ctx abandons the
 // batch and fails the whole call. An item carrying a positive DeadlineMS is
 // additionally bounded by its own deadline, measured from the start of the
@@ -594,7 +594,7 @@ func (s *Service) StoredPredictions(region string, week int) ([]*pipeline.Predic
 	// checked, so a foreign id scheme degrades to a filter, not a wrong
 	// answer.
 	weekSuffix := fmt.Sprintf("/week-%04d", week)
-	err := s.db.Collection("predictions").Query(region, func(id string, body json.RawMessage) error {
+	err := s.db.Collection(pipeline.PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
 		if !strings.HasSuffix(id, weekSuffix) {
 			return nil
 		}

@@ -124,8 +124,8 @@ type BatchItem struct {
 }
 
 // BatchRequest predicts many servers of one (scenario, region) in a single
-// call. The service fans the items across its worker pool under guided
-// scheduling, with one warm model per worker.
+// call. The service fans the items across its worker pool, with one warm
+// model per worker.
 type BatchRequest struct {
 	Scenario string      `json:"scenario"`
 	Region   string      `json:"region"`

@@ -13,8 +13,9 @@
 // Concurrency: fleets materialize telemetry lazily behind a per-server
 // sync.Once, so concurrent readers of Server.Load are safe; mutating a
 // returned series is not (View/FillGaps/Clone copy before mutating).
-// Equivalence: lazy and eager generation are pinned to produce identical
-// series per seed, and metadata queries never force materialization.
+// Equivalence: a server's series is the same whenever and in whatever order
+// it is first read (each server parks its own RNG right after its metadata
+// draws), and metadata queries never force materialization.
 package simulate
 
 import (
@@ -99,15 +100,7 @@ type Config struct {
 	// MissingRate is the per-point probability that telemetry is absent,
 	// exercising validation and gap repair. Default 0 (no gaps).
 	MissingRate float64
-	// Eager materializes every server's load series at generation time. The
-	// default (false) defers each series to the first Server.Load call: the
-	// per-server RNG is parked right after the metadata draws, so the lazy
-	// series is identical to the eager one (see TestFleetLazyMatchesEager)
-	// while consumers that never read a server's telemetry — figure
-	// benchmarks slicing a fleet prefix, classification of subsets — skip
-	// the dominant generation cost entirely.
-	Eager bool
-	Seed  int64
+	Seed        int64
 }
 
 func (c Config) withDefaults() Config {
@@ -319,9 +312,6 @@ func generateServer(cfg Config, idx int, rng *rand.Rand) *Server {
 	startDay := int(from.Sub(cfg.Start) / (24 * time.Hour))
 	s.gen = func() timeseries.Series {
 		return materializeLoad(cfg, shape, rng, from, n, startDay)
-	}
-	if cfg.Eager {
-		s.once.Do(s.materialize)
 	}
 	return s
 }

@@ -35,9 +35,6 @@ const week = 7 * 24 * time.Hour
 // scenario says what happens in simulated time; the options say how the run
 // executes on the host.
 type Options struct {
-	// Dir is the data directory for the lake (extracts, WAL, snapshots).
-	// Empty means a temporary directory removed when the run ends.
-	Dir string
 	// Hours overrides the scenario's live-replay length when positive.
 	Hours float64
 	// Seed overrides the scenario seed when non-zero.
@@ -46,9 +43,6 @@ type Options struct {
 	// second (100 = a day every ~14 minutes); 0 runs unthrottled — as fast
 	// as the host executes, the usual choice.
 	Scale float64
-	// Schedule selects the ingest fan-out's work-stealing discipline — the
-	// guided-vs-chunked ablation hook.
-	Schedule parallel.Schedule
 	// IngestWorkers and PredictWorkers bound the per-slot fan-outs.
 	// Defaults 4 and 8.
 	IngestWorkers  int
@@ -225,15 +219,13 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Outcome, error) {
 		sc.Seed = opts.Seed
 	}
 
-	dir := opts.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "seagull-sim-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	// The lake (extracts, WAL, snapshots) lives in a temporary directory
+	// removed when the run ends.
+	dir, err := os.MkdirTemp("", "seagull-sim-*")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 
 	h := &harness{sc: sc, opts: opts, slot: sc.slotDur()}
 	h.ppd = int(24 * time.Hour / h.slot)
@@ -364,7 +356,7 @@ func (h *harness) build(dir string, liveWeeks int) error {
 	h.closers = append(h.closers, unbind)
 
 	h.rng = rand.New(rand.NewSource(h.sc.Seed*911_383 + 101))
-	h.ingPool = parallel.NewPool(h.opts.IngestWorkers).WithSchedule(h.opts.Schedule)
+	h.ingPool = parallel.NewPool(h.opts.IngestWorkers)
 	h.predPool = parallel.NewPool(h.opts.PredictWorkers)
 
 	for _, ev := range h.sc.Events {
@@ -535,8 +527,10 @@ func (h *harness) replay(ctx context.Context, wallStart time.Time) ([]Row, error
 		slotStart := h.replayStart.Add(time.Duration(s) * h.slot)
 		slotEnd := slotStart.Add(h.slot)
 		h.clock.AdvanceTo(slotEnd)
-		hour := float64(s) * h.slot.Hours()
-		endHour := hour + h.slot.Hours()
+		// Hours come from integer minute counts so slot boundaries that fall
+		// on whole hours are exact (2, never 1.9999999999999998).
+		hour := float64(s*slotMin) / 60
+		endHour := float64((s+1)*slotMin) / 60
 
 		appends := h.slotAppends(slotStart, hour)
 		predicts := h.slotPredicts(slotStart, hour)
@@ -620,7 +614,7 @@ func (h *harness) replay(ctx context.Context, wallStart time.Time) ([]Row, error
 			}
 		}
 	}
-	last := float64(totalSlots) * h.slot.Hours()
+	last := float64(totalSlots*slotMin) / 60
 	if n := len(rows); n == 0 || rows[n-1].SimHours != last {
 		rows = append(rows, h.sample(last))
 	}
@@ -804,113 +798,61 @@ func (h *harness) measureDrift(ctx context.Context, hour float64) {
 	}
 }
 
-// fleetIngest sums the replica ingestors' counters. Per-replica counters are
+// fleetStats sums the replicas' stream counters. Per-replica counters are
 // deterministic (routing is a pure function of the seed), so the sums are
-// too.
-func (h *harness) fleetIngest() stream.Stats {
-	var out stream.Stats
-	for _, st := range h.stacks {
-		s := st.ing.Stats()
-		out.Servers += s.Servers
-		out.Appended += s.Appended
-		out.Duplicates += s.Duplicates
-		out.TooOld += s.TooOld
-		out.TooNew += s.TooNew
-		out.BadValues += s.BadValues
+// too. Durability starts from the first replica so its configuration fields
+// and — in a fleet of one — its recovery outcome carry over.
+func (h *harness) fleetStats() (ing stream.Stats, sw stream.SweeperStats, ref stream.RefreshStats, dur stream.DurabilityStats) {
+	dur = h.stacks[0].dur.Stats()
+	for i, st := range h.stacks {
+		ing.Add(st.ing.Stats())
+		sw.Add(st.sw.Stats())
+		ref.Add(st.ref.Stats())
+		if i > 0 {
+			dur.Add(st.dur.Stats())
+		}
 	}
-	return out
-}
-
-func (h *harness) fleetSweeper() stream.SweeperStats {
-	var out stream.SweeperStats
-	for _, st := range h.stacks {
-		s := st.sw.Stats()
-		out.Ticks += s.Ticks
-		out.Regions += s.Regions
-		out.Drifted += s.Drifted
-		out.Queued += s.Queued
-		out.Dropped += s.Dropped
-		out.Paused += s.Paused
-		out.Errors += s.Errors
-	}
-	return out
-}
-
-func (h *harness) fleetRefresh() stream.RefreshStats {
-	var out stream.RefreshStats
-	for _, st := range h.stacks {
-		s := st.ref.Stats()
-		out.Queued += s.Queued
-		out.Coalesced += s.Coalesced
-		out.Dropped += s.Dropped
-		out.Refreshed += s.Refreshed
-		out.Skipped += s.Skipped
-		out.Failed += s.Failed
-		out.Pending += s.Pending
-	}
-	return out
-}
-
-func (h *harness) fleetDurability() stream.DurabilityStats {
-	out := h.stacks[0].dur.Stats()
-	for _, st := range h.stacks[1:] {
-		s := st.dur.Stats()
-		out.Commits += s.Commits
-		out.CommitRecords += s.CommitRecords
-		out.CommitBytes += s.CommitBytes
-		out.CommitErrors += s.CommitErrors
-		out.Dropped += s.Dropped
-		out.Snapshots += s.Snapshots
-		out.SnapshotErrs += s.SnapshotErrs
-		out.Truncations += s.Truncations
-	}
-	if len(h.stacks) > 1 {
-		out.Recovered = nil // per-replica recovery doesn't sum meaningfully
-	}
-	return out
+	return ing, sw, ref, dur
 }
 
 // sample snapshots the deterministic counters into a timeline row.
 func (h *harness) sample(simHours float64) Row {
-	ist := h.fleetIngest()
-	sst := h.fleetSweeper()
-	rst := h.fleetRefresh()
-	dst := h.fleetDurability()
-	sweepSpans, _ := stageCount(h.simTracer, "sweep")
-	trainSpans, trainHits := stageCount(h.simTracer, "train")
+	ist, sst, rst, dst := h.fleetStats()
 	return Row{
-		SimHours:        simHours,
-		Appended:        ist.Appended,
-		Duplicates:      ist.Duplicates,
-		TooOld:          ist.TooOld,
-		TooNew:          ist.TooNew,
-		Sweeps:          sst.Ticks,
-		Drifted:         sst.Drifted,
-		Queued:          sst.Queued,
-		Refreshed:       rst.Refreshed,
-		RefSkipped:      rst.Skipped,
-		RefDropped:      rst.Dropped,
-		QueueDepth:      h.lastDepth,
-		WALCommits:      dst.Commits,
-		WALRecords:      dst.CommitRecords,
-		Snapshots:       dst.Snapshots,
-		PredictsIssued:  h.issued,
-		SweepSpans:      sweepSpans,
-		RefreshTrains:   trainSpans,
-		RefreshMemoHits: trainHits,
+		SimHours:       simHours,
+		Appended:       ist.Appended,
+		Duplicates:     ist.Duplicates,
+		TooOld:         ist.TooOld,
+		TooNew:         ist.TooNew,
+		Sweeps:         sst.Ticks,
+		Drifted:        sst.Drifted,
+		Queued:         sst.Queued,
+		Refreshed:      rst.Refreshed,
+		RefSkipped:     rst.Skipped,
+		RefDropped:     rst.Dropped,
+		QueueDepth:     h.lastDepth,
+		WALCommits:     dst.Commits,
+		WALRecords:     dst.CommitRecords,
+		Snapshots:      dst.Snapshots,
+		PredictsIssued: h.issued,
+		SweepSpans:     stageCount(h.simTracer, "sweep"),
+		RefreshTrains:  stageCount(h.simTracer, "train"),
 	}
 }
 
-// stageCount reads one stage's cumulative span count and hit count from a
-// tracer's aggregates. On the simulated-clock tracer these are deterministic:
-// sweeps and refresh drains run synchronously at slot boundaries.
-func stageCount(tr *obs.Tracer, stage string) (count, hits uint64) {
+// stageCount reads one stage's cumulative span count from a tracer's
+// aggregates. On the simulated-clock tracer it is deterministic: sweeps and
+// refresh drains run synchronously at slot boundaries. The train stage's
+// memo-hit count is not — it depends on which warm-pool instance a parallel
+// refresher worker drew — so it stays out of the timeline; slo.json's
+// wall-measured stages carry train hits.
+func stageCount(tr *obs.Tracer, stage string) uint64 {
 	for _, st := range tr.StageStats() {
 		if st.Stage == stage {
-			return st.Count, st.Hits
+			return st.Count
 		}
 	}
-	return 0, 0
+	return 0
 }
 
 // report assembles the SLO report after the replay.
@@ -922,11 +864,8 @@ func (h *harness) report(wall time.Duration) SLOReport {
 		WallSeconds:   wall.Seconds(),
 		MaxQueueDepth: h.maxDepth,
 		Replicas:      len(h.stacks),
-		Ingest:        h.fleetIngest(),
-		Sweeper:       h.fleetSweeper(),
-		Refresh:       h.fleetRefresh(),
-		Durability:    h.fleetDurability(),
 	}
+	rep.Ingest, rep.Sweeper, rep.Refresh, rep.Durability = h.fleetStats()
 	if rep.WallSeconds > 0 {
 		rep.Compression = rep.SimHours * 3600 / rep.WallSeconds
 	}

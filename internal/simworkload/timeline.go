@@ -44,16 +44,15 @@ type Row struct {
 	// deterministic — sweeps and refresh drains run synchronously at slot
 	// boundaries — so they belong in the CSV; span durations are zero on the
 	// frozen simulated clock and are deliberately not sampled.
-	SweepSpans      uint64 `json:"sweep_spans"`
-	RefreshTrains   uint64 `json:"refresh_trains"`
-	RefreshMemoHits uint64 `json:"refresh_memo_hits"`
+	SweepSpans    uint64 `json:"sweep_spans"`
+	RefreshTrains uint64 `json:"refresh_trains"`
 }
 
 // timelineHeader lists the CSV columns, in Row field order.
 const timelineHeader = "sim_hours,appended,duplicates,too_old,too_new," +
 	"sweeps,drifted,queued,refreshed,ref_skipped,ref_dropped,queue_depth," +
 	"wal_commits,wal_records,snapshots,predicts_issued," +
-	"sweep_spans,refresh_trains,refresh_memo_hits"
+	"sweep_spans,refresh_trains"
 
 // TimelineCSV renders rows as a CSV document. Float formatting uses the
 // shortest round-trip representation, so the bytes are a pure function of the
@@ -73,7 +72,7 @@ func TimelineCSV(rows []Row) []byte {
 		fmt.Fprintf(&b, ",%d", r.QueueDepth)
 		for _, v := range []uint64{
 			r.WALCommits, r.WALRecords, r.Snapshots, r.PredictsIssued,
-			r.SweepSpans, r.RefreshTrains, r.RefreshMemoHits,
+			r.SweepSpans, r.RefreshTrains,
 		} {
 			fmt.Fprintf(&b, ",%d", v)
 		}

@@ -28,9 +28,6 @@ type DriftConfig struct {
 	// judge a server at all; with fewer overlapping points the verdict is
 	// "skipped", not "drifted". Default 12 (one hour at five-minute slots).
 	MinPoints int
-	// Collection is the cosmos collection holding PredictionDocs. Default
-	// "predictions" (the pipeline's).
-	Collection string
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
@@ -42,9 +39,6 @@ func (c DriftConfig) withDefaults() DriftConfig {
 	}
 	if c.MinPoints == 0 {
 		c.MinPoints = 12
-	}
-	if c.Collection == "" {
-		c.Collection = "predictions"
 	}
 	return c
 }
@@ -70,10 +64,18 @@ type Report struct {
 
 // DriftStats accumulates sweep counters across the detector's lifetime.
 type DriftStats struct {
-	Sweeps  uint64 `json:"sweeps"`
-	Checked uint64 `json:"checked"`
-	Drifted uint64 `json:"drifted"`
-	Skipped uint64 `json:"skipped"`
+	Sweeps  uint64 `json:"sweeps" metric:"counter seagull_drift_sweeps_total Drift sweeps performed."`
+	Checked uint64 `json:"checked" metric:"counter seagull_drift_checked_total Stored predictions checked for drift."`
+	Drifted uint64 `json:"drifted" metric:"counter seagull_drift_drifted_total Stored predictions found drifted."`
+	Skipped uint64 `json:"skipped" metric:"counter seagull_drift_skipped_total Drift checks skipped for missing data."`
+}
+
+// Add folds another detector's snapshot into s, for fleet-wide totals.
+func (s *DriftStats) Add(o DriftStats) {
+	s.Sweeps += o.Sweeps
+	s.Checked += o.Checked
+	s.Drifted += o.Drifted
+	s.Skipped += o.Skipped
 }
 
 // DriftDetector compares live slots against stored PredictionDocs: a stored
@@ -106,7 +108,7 @@ func NewDriftDetector(ing *Ingestor, db *cosmos.DB, cfg DriftConfig) *DriftDetec
 func (d *DriftDetector) Sweep(ctx context.Context, region string, week int) (Report, error) {
 	rep := Report{Region: region, Week: week}
 	weekSuffix := fmt.Sprintf("/week-%04d", week)
-	err := d.db.Collection(d.cfg.Collection).Query(region, func(id string, body json.RawMessage) error {
+	err := d.db.Collection(pipeline.PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
 		if !strings.HasSuffix(id, weekSuffix) {
 			return nil
 		}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -160,9 +159,6 @@ func (d *Durability) objName(name string) string {
 type RecoveryStats struct {
 	// SnapshotShards counts per-shard snapshot objects restored.
 	SnapshotShards int `json:"snapshot_shards"`
-	// LegacySnapshot is set when the monolithic pre-incremental snapshot
-	// object was restored (no per-shard snapshots existed yet).
-	LegacySnapshot bool `json:"legacy_snapshot,omitempty"`
 	// Servers counts servers live after restore + replay.
 	Servers int `json:"servers"`
 	// WALFiles counts shard logs replayed; WALRecords the points they
@@ -186,9 +182,6 @@ func (r RecoveryStats) Degraded() bool { return len(r.Failures) > 0 }
 func (r RecoveryStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d servers from %d shard snapshots", r.Servers, r.SnapshotShards)
-	if r.LegacySnapshot {
-		b.WriteString(" (legacy)")
-	}
 	fmt.Fprintf(&b, ", %d WAL records replayed from %d logs", r.WALRecords, r.WALFiles)
 	if r.TornTails > 0 {
 		fmt.Fprintf(&b, ", %d torn tails trimmed", r.TornTails)
@@ -200,8 +193,7 @@ func (r RecoveryStats) String() string {
 }
 
 // Recover restores the ingestor from the store: every per-shard snapshot
-// first (falling back to the legacy monolithic snapshot when none exist),
-// then every WAL replayed over it. Per-shard recovery is embarrassingly
+// first, then every WAL replayed over it. Per-shard recovery is embarrassingly
 // parallel, so files are processed concurrently. A file that fails to
 // restore is recorded in Failures and skipped — everything else is still
 // salvaged, no partial object is ever installed, and the error surface is
@@ -226,19 +218,6 @@ func (d *Durability) Recover() (RecoveryStats, error) {
 		}
 		return nil
 	})
-
-	// Pre-incremental lakes stored one monolithic snapshot; honor it when no
-	// per-shard snapshots exist so upgrades restore cleanly.
-	if len(snaps) == 0 {
-		switch err := d.restoreObject(d.objName(SnapshotObject)); {
-		case err == nil:
-			rec.LegacySnapshot = true
-		case errors.Is(err, lake.ErrNotFound):
-			// first boot
-		default:
-			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", d.objName(SnapshotObject), err))
-		}
-	}
 
 	logs, err := d.store.ListObjects(d.objName(WALPrefix))
 	if err != nil {
@@ -411,7 +390,8 @@ func (d *Durability) flushShard(i int) error {
 		d.spare = pend
 		return nil
 	}
-	err := d.writeEntries(d.wals[i], pend)
+	var err error
+	d.scratch, err = d.writeEntries(d.wals[i], pend, d.scratch)
 	if err != nil {
 		d.commitErrors.Add(1)
 		// Put the batch back so the next cycle retries it: a transient
@@ -426,15 +406,15 @@ func (d *Durability) flushShard(i int) error {
 	return nil
 }
 
-// writeEntries appends entries to w as frames and syncs. On failure the log
-// is rolled back to its last known-good size, so a store hiccup never leaves
-// a mid-file torn frame that would poison every record after it.
-func (d *Durability) writeEntries(w *shardWAL, entries []walEntry) error {
-	buf := d.scratch[:0]
+// writeEntries appends entries to w as frames and syncs, serializing into buf
+// (returned grown, for reuse). On failure the log is rolled back to its last
+// known-good size, so a store hiccup never leaves a mid-file torn frame that
+// would poison every record after it.
+func (d *Durability) writeEntries(w *shardWAL, entries []walEntry, buf []byte) ([]byte, error) {
+	buf = buf[:0]
 	for _, e := range entries {
 		buf = appendWALFrame(buf, e)
 	}
-	d.scratch = buf
 	_, werr := w.obj.Write(buf)
 	if werr == nil {
 		werr = w.obj.Sync()
@@ -445,11 +425,11 @@ func (d *Durability) writeEntries(w *shardWAL, entries []walEntry) error {
 		if terr := w.obj.Truncate(w.size); terr == nil {
 			d.truncations.Add(1)
 		}
-		return werr
+		return buf, werr
 	}
 	w.size += int64(len(buf))
 	d.commitBytes.Add(uint64(len(buf)))
-	return nil
+	return buf, nil
 }
 
 // SnapshotNow writes an incremental snapshot: every shard whose generation
@@ -520,7 +500,8 @@ func (d *Durability) snapshotShard(i int) (bool, error) {
 			// The capture covers these entries, but if the snapshot write
 			// below fails they must already be in the log — otherwise a
 			// kill right after would lose them with nothing to replay.
-			if err := d.appendFrames(w, pend); err != nil {
+			// A private buffer: d.scratch holds the snapshot capture.
+			if _, err := d.writeEntries(w, pend, nil); err != nil {
 				d.commitErrors.Add(1)
 				d.ing.requeuePending(i, pend)
 				d.spare = nil
@@ -563,28 +544,6 @@ func (d *Durability) snapshotShard(i int) (bool, error) {
 	return true, nil
 }
 
-// appendFrames writes entries to w without touching d.scratch (the caller is
-// using it for the snapshot capture).
-func (d *Durability) appendFrames(w *shardWAL, entries []walEntry) error {
-	var buf []byte
-	for _, e := range entries {
-		buf = appendWALFrame(buf, e)
-	}
-	_, werr := w.obj.Write(buf)
-	if werr == nil {
-		werr = w.obj.Sync()
-	}
-	if werr != nil {
-		if terr := w.obj.Truncate(w.size); terr == nil {
-			d.truncations.Add(1)
-		}
-		return werr
-	}
-	w.size += int64(len(buf))
-	d.commitBytes.Add(uint64(len(buf)))
-	return nil
-}
-
 // Close stops the maintenance goroutine, performs a final commit + snapshot
 // (so a clean drain loses nothing at all), and closes the shard logs. The
 // manager cannot be reused after Close.
@@ -623,19 +582,35 @@ func (d *Durability) Close() error {
 
 // DurabilityStats is the /varz view of the durability layer.
 type DurabilityStats struct {
-	WAL           bool    `json:"wal"`
-	DeltaMS       float64 `json:"delta_ms"` // configured δ (commit interval)
-	Commits       uint64  `json:"wal_commits"`
-	CommitRecords uint64  `json:"wal_records"`
-	CommitBytes   uint64  `json:"wal_bytes"`
-	CommitErrors  uint64  `json:"wal_errors"`
-	Dropped       uint64  `json:"wal_dropped"` // buffer overflow between commits
-	Snapshots     uint64  `json:"snapshots"`
-	SnapshotErrs  uint64  `json:"snapshot_errors"`
-	Truncations   uint64  `json:"wal_truncations"`
+	WAL           bool    `json:"wal" metric:"gauge seagull_wal_enabled 1 when the write-ahead log is active."`
+	DeltaMS       float64 `json:"delta_ms" metric:"gauge seagull_wal_commit_interval_ms Configured WAL commit interval (delta) in milliseconds."`
+	Commits       uint64  `json:"wal_commits" metric:"counter seagull_wal_commits_total WAL commit cycles."`
+	CommitRecords uint64  `json:"wal_records" metric:"counter seagull_wal_records_total Telemetry records committed to the WAL."`
+	CommitBytes   uint64  `json:"wal_bytes" metric:"counter seagull_wal_bytes_total Bytes committed to the WAL."`
+	CommitErrors  uint64  `json:"wal_errors" metric:"counter seagull_wal_errors_total WAL commit errors."`
+	Dropped       uint64  `json:"wal_dropped" metric:"counter seagull_wal_dropped_total Records dropped by WAL buffer overflow."`
+	Snapshots     uint64  `json:"snapshots" metric:"counter seagull_snapshots_total Incremental snapshots taken."`
+	SnapshotErrs  uint64  `json:"snapshot_errors" metric:"counter seagull_snapshot_errors_total Snapshot failures."`
+	Truncations   uint64  `json:"wal_truncations" metric:"counter seagull_wal_truncations_total WAL truncations after snapshots."`
 
 	// Boot recovery outcome, frozen at Recover time.
 	Recovered *RecoveryStats `json:"recovered,omitempty"`
+}
+
+// Add folds another replica's snapshot into s, for fleet-wide totals. The
+// counters add; WAL and DeltaMS are configuration and keep the receiver's
+// values; per-replica recovery outcomes do not sum meaningfully, so the
+// total carries none.
+func (s *DurabilityStats) Add(o DurabilityStats) {
+	s.Commits += o.Commits
+	s.CommitRecords += o.CommitRecords
+	s.CommitBytes += o.CommitBytes
+	s.CommitErrors += o.CommitErrors
+	s.Dropped += o.Dropped
+	s.Snapshots += o.Snapshots
+	s.SnapshotErrs += o.SnapshotErrs
+	s.Truncations += o.Truncations
+	s.Recovered = nil
 }
 
 // Stats assembles a point-in-time durability snapshot.
@@ -654,16 +629,4 @@ func (d *Durability) Stats() DurabilityStats {
 		Recovered:     d.rec.Load(),
 	}
 	return st
-}
-
-// Delta returns the configured bounded-loss window δ: the WAL commit
-// interval, or the snapshot interval when the WAL is disabled.
-func (d *Durability) Delta() time.Duration {
-	if d.cfg.DisableWAL {
-		if d.cfg.SnapshotEvery > 0 {
-			return d.cfg.SnapshotEvery
-		}
-		return -1
-	}
-	return d.cfg.CommitEvery
 }

@@ -27,22 +27,18 @@ func fuzzIngestor() *Ingestor {
 		Interval: 5 * time.Minute,
 		Epoch:    time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC),
 		Slots:    64,
-		Shards:   4,
+		Shards:   1, // one shard stream then holds every ring
 	})
 }
 
-// fuzzSnapshotBytes builds a small valid snapshot of two live rings.
-func fuzzSnapshotBytes(tb testing.TB) []byte {
+// fuzzSnapshotBytes builds a small valid shard snapshot of two live rings.
+func fuzzSnapshotBytes() []byte {
 	g := fuzzIngestor()
 	for slot := int64(0); slot < 8; slot++ {
 		g.replayPut("srv-a", slot, float64(slot))
 		g.replayPut("srv-b", slot*2, 1.5)
 	}
-	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	return shardSnapshots(g)[0]
 }
 
 // fuzzWALBytes builds a small valid shard log of three frames.
@@ -62,21 +58,18 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("SEAGULL_REGEN_CORPUS") == "" {
 		t.Skip("set SEAGULL_REGEN_CORPUS=1 to rewrite testdata/fuzz")
 	}
-	valid := fuzzSnapshotBytes(t)
+	valid := fuzzSnapshotBytes()
 	snapFlip := append([]byte(nil), valid...)
 	snapFlip[len(snapFlip)-1] ^= 0xff
 	writeCorpus(t, "FuzzRestoreSnapshot", map[string][]byte{
-		"valid":         valid,
-		"truncated":     valid[:len(valid)/2],
-		"crc-flipped":   snapFlip,
-		"header-only":   valid[:len(snapshotMagic)+3*8],
+		"valid":       valid,
+		"truncated":   valid[:len(valid)/2],
+		"crc-flipped": snapFlip,
+		"header-only": valid[:len(snapshotMagic)+3*8],
 		"wrong-geometry": func() []byte {
-			g := NewIngestor(Config{Interval: time.Minute, Epoch: time.Unix(0, 0), Slots: 8})
-			var buf bytes.Buffer
-			if err := g.WriteSnapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
+			g := NewIngestor(Config{Interval: time.Minute, Epoch: time.Unix(0, 0), Slots: 8, Shards: 1})
+			g.replayPut("srv-a", 1, 1)
+			return shardSnapshots(g)[0]
 		}(),
 	})
 	wal := fuzzWALBytes()
@@ -106,7 +99,7 @@ func writeCorpus(t *testing.T, target string, seeds map[string][]byte) {
 }
 
 func FuzzRestoreSnapshot(f *testing.F) {
-	valid := fuzzSnapshotBytes(f)
+	valid := fuzzSnapshotBytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])              // truncated checksum
 	f.Add(valid[:len(snapshotMagic)+3*8+2])  // truncated mid-record
@@ -134,12 +127,10 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 		// An accepted snapshot must hold invariant state: re-serializing the
 		// restored rings must produce a snapshot that restores cleanly too.
-		var buf bytes.Buffer
-		if err := g.WriteSnapshot(&buf); err != nil {
-			t.Fatalf("re-snapshot of accepted restore: %v", err)
-		}
-		if err := fuzzIngestor().RestoreSnapshot(&buf); err != nil {
-			t.Fatalf("round-trip of accepted restore: %v", err)
+		for _, snap := range shardSnapshots(g) {
+			if err := fuzzIngestor().RestoreSnapshot(bytes.NewReader(snap)); err != nil {
+				t.Fatalf("round-trip of accepted restore: %v", err)
+			}
 		}
 	})
 }

@@ -105,12 +105,23 @@ func (s AppendStatus) String() string {
 
 // Stats is a point-in-time snapshot of ingestion counters across all shards.
 type Stats struct {
-	Servers    int    `json:"servers"`
-	Appended   uint64 `json:"appended"`
-	Duplicates uint64 `json:"duplicates"`
-	TooOld     uint64 `json:"too_old"`
-	TooNew     uint64 `json:"too_new"`
-	BadValues  uint64 `json:"bad_values"`
+	Servers    int    `json:"servers" metric:"gauge seagull_ingest_servers Servers with live telemetry windows."`
+	Appended   uint64 `json:"appended" metric:"counter seagull_ingest_appended_total Telemetry points appended."`
+	Duplicates uint64 `json:"duplicates" metric:"counter seagull_ingest_duplicates_total Telemetry points dropped as duplicates."`
+	TooOld     uint64 `json:"too_old" metric:"counter seagull_ingest_too_old_total Telemetry points older than the retained window."`
+	TooNew     uint64 `json:"too_new" metric:"counter seagull_ingest_too_new_total Telemetry points beyond the accepted horizon."`
+	BadValues  uint64 `json:"bad_values" metric:"counter seagull_ingest_bad_values_total Telemetry points rejected as non-finite."`
+}
+
+// Add folds another ingestor's snapshot into s, for fleet-wide totals:
+// replicas own disjoint shards, so server counts add like the counters do.
+func (s *Stats) Add(o Stats) {
+	s.Servers += o.Servers
+	s.Appended += o.Appended
+	s.Duplicates += o.Duplicates
+	s.TooOld += o.TooOld
+	s.TooNew += o.TooNew
+	s.BadValues += o.BadValues
 }
 
 // serverRing is one server's retained history: a linear buffer of 2×Slots

@@ -84,12 +84,6 @@ type RefreshConfig struct {
 	Scenario string
 	// Metrics carries the accuracy constants. Zero value → DefaultConfig.
 	Metrics metrics.Config
-	// HistoryDays bounds the live history a refresh trains on; default 7
-	// (the batch pipeline's training window).
-	HistoryDays int
-	// MinDays is the minimum whole days of live history required to retrain;
-	// default 3 (Section 5.3.1's floor, matching the batch pipeline).
-	MinDays int
 	// QueueSize bounds the pending refresh queue; default 1024.
 	QueueSize int
 	// Workers bounds how many retrains Run and Drain execute concurrently.
@@ -100,9 +94,6 @@ type RefreshConfig struct {
 	// (region, server, week)) and every retrain is deterministic, which the
 	// drain equivalence test pins.
 	Workers int
-	// Collection is the cosmos collection holding PredictionDocs. Default
-	// "predictions".
-	Collection string
 	// SaturationDrops and SaturationWindow define the sustained-backpressure
 	// predicate Saturated(): the queue is saturated while the last
 	// SaturationDrops rejected enqueues all happened within SaturationWindow.
@@ -128,20 +119,11 @@ func (c RefreshConfig) withDefaults() RefreshConfig {
 	if c.Metrics == (metrics.Config{}) {
 		c.Metrics = metrics.DefaultConfig()
 	}
-	if c.HistoryDays <= 0 {
-		c.HistoryDays = 7
-	}
-	if c.MinDays <= 0 {
-		c.MinDays = 3
-	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 1024
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.Collection == "" {
-		c.Collection = "predictions"
 	}
 	if c.SaturationDrops <= 0 {
 		c.SaturationDrops = 3
@@ -155,13 +137,25 @@ func (c RefreshConfig) withDefaults() RefreshConfig {
 
 // RefreshStats snapshots the refresher's lifetime counters.
 type RefreshStats struct {
-	Queued    uint64 `json:"queued"`
-	Coalesced uint64 `json:"coalesced"` // enqueues folded into an already-pending job
-	Dropped   uint64 `json:"dropped"`   // enqueues rejected by a full queue
-	Refreshed uint64 `json:"refreshed"`
-	Skipped   uint64 `json:"skipped"` // insufficient live history
-	Failed    uint64 `json:"failed"`
-	Pending   int    `json:"pending"`
+	Queued    uint64 `json:"queued" metric:"counter seagull_refresh_queued_total Refresh jobs enqueued."`
+	Coalesced uint64 `json:"coalesced" metric:"counter seagull_refresh_coalesced_total Refresh enqueues folded into a pending job."`
+	Dropped   uint64 `json:"dropped" metric:"counter seagull_refresh_dropped_total Refresh enqueues rejected by a full queue."`
+	Refreshed uint64 `json:"refreshed" metric:"counter seagull_refresh_refreshed_total Predictions retrained and republished."`
+	Skipped   uint64 `json:"skipped" metric:"counter seagull_refresh_skipped_total Refreshes skipped for insufficient history."`
+	Failed    uint64 `json:"failed" metric:"counter seagull_refresh_failed_total Refreshes that failed."`
+	Pending   int    `json:"pending" metric:"gauge seagull_refresh_pending Refresh jobs currently queued."`
+}
+
+// Add folds another refresher's snapshot into s, for fleet-wide totals (the
+// fleet's queue depth is the sum of its replicas').
+func (s *RefreshStats) Add(o RefreshStats) {
+	s.Queued += o.Queued
+	s.Coalesced += o.Coalesced
+	s.Dropped += o.Dropped
+	s.Refreshed += o.Refreshed
+	s.Skipped += o.Skipped
+	s.Failed += o.Failed
+	s.Pending += o.Pending
 }
 
 // job is one queued refresh.
@@ -374,8 +368,7 @@ func (r *Refresher) take(j job) {
 
 // RefreshServer retrains one server's stored prediction from live telemetry
 // through the warm pool and republishes the PredictionDoc. The history
-// window replicates the batch pipeline exactly (up to HistoryDays whole days
-// immediately before the predicted day, at least MinDays), so for identical
+// window is the batch pipeline's (pipeline.TrainingWindow), so for identical
 // telemetry the refreshed forecast is bit-identical to a full weekly run.
 func (r *Refresher) RefreshServer(ctx context.Context, region, serverID string, week int) error {
 	r.scratchMu.Lock()
@@ -411,7 +404,7 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	col := r.db.Collection(r.cfg.Collection)
+	col := r.db.Collection(pipeline.PredictionsCollection)
 	docID := fmt.Sprintf("%s/week-%04d", serverID, week)
 	var doc pipeline.PredictionDoc
 	if err := col.Get(region, docID, &doc); err != nil {
@@ -443,8 +436,6 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 	}
 	*scratch = snap.Values
 
-	// Replicate the batch pipeline's training window: whole days up to
-	// HistoryDays immediately before the predicted day, at least MinDays.
 	d := doc.BackupDay.Sub(snap.Start)
 	if d < 0 || d%interval != 0 {
 		return fmt.Errorf("%w: predicted day %s not aligned with live telemetry starting %s",
@@ -454,13 +445,10 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 	if dayIdx > snap.Len() {
 		dayIdx = snap.Len() // history can only use what has arrived
 	}
-	trainPoints := r.cfg.HistoryDays * ppd
-	if dayIdx < trainPoints {
-		trainPoints = dayIdx - dayIdx%ppd // whole days available
-	}
-	if trainPoints < r.cfg.MinDays*ppd {
+	trainPoints, ok := pipeline.TrainingWindow(dayIdx, ppd)
+	if !ok {
 		return fmt.Errorf("%w: %s has %d points before %s, need %d",
-			ErrInsufficientHistory, serverID, dayIdx, doc.BackupDay.Format(time.RFC3339), r.cfg.MinDays*ppd)
+			ErrInsufficientHistory, serverID, dayIdx, doc.BackupDay.Format(time.RFC3339), pipeline.MinTrainDays*ppd)
 	}
 	history, err := snap.View(dayIdx-trainPoints, dayIdx)
 	if err != nil {
@@ -519,7 +507,7 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 func (r *Refresher) RefreshWeek(ctx context.Context, region string, week int) (int, error) {
 	weekSuffix := fmt.Sprintf("/week-%04d", week)
 	var ids []string
-	err := r.db.Collection(r.cfg.Collection).Query(region, func(id string, body json.RawMessage) error {
+	err := r.db.Collection(pipeline.PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
 		if strings.HasSuffix(id, weekSuffix) {
 			ids = append(ids, strings.TrimSuffix(id, weekSuffix))
 		}

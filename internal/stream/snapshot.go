@@ -11,15 +11,14 @@ import (
 	"math"
 	"time"
 
-	"seagull/internal/lake"
 	"seagull/internal/timeseries"
 )
 
 // Ring snapshot/restore: the durability seam of the stream layer. A process
 // restart used to lose every server's live window until telemetry re-fed it;
-// WriteSnapshot serializes the retained rings to any writer (seagull-serve
-// stores them as a lake object on drain) and RestoreSnapshot rebuilds them on
-// startup, so the forecastable state survives restarts.
+// Durability serializes the retained rings shard by shard into lake objects
+// (periodically, and on drain) and RestoreSnapshot rebuilds them on startup,
+// so the forecastable state survives restarts.
 //
 // Only observable ring state is captured: for each server, the filled slots
 // of the live window [max(min, head-Slots), head) plus the head and min
@@ -41,27 +40,16 @@ import (
 // snapshotMagic identifies snapshot format version 1.
 const snapshotMagic = "SGRINGS1"
 
-// SnapshotObject is the conventional lake object name seagull-serve (and the
-// System facade) store ring snapshots under.
-const SnapshotObject = "stream/rings.snap"
-
-// Snapshot errors.
-var (
-	// ErrSnapshotFormat covers a bad magic, geometry mismatch, truncation,
-	// CRC failure or any other malformed snapshot content.
-	ErrSnapshotFormat = errors.New("stream: bad snapshot")
-	// ErrNoSnapshot is returned by LoadSnapshot when the lake holds no
-	// snapshot object — the normal first-boot case.
-	ErrNoSnapshot = errors.New("stream: no snapshot stored")
-)
+// ErrSnapshotFormat covers a bad magic, geometry mismatch, truncation, CRC
+// failure or any other malformed snapshot content.
+var ErrSnapshotFormat = errors.New("stream: bad snapshot")
 
 // snapshotEnd marks the end of the per-server records.
 const snapshotEnd = ^uint32(0)
 
 // ShardSnapshotPrefix is the lake prefix incremental per-shard snapshots live
 // under; shardSnapshotObject names one shard's file. Each file is a complete,
-// self-validating snapshot stream (same format as SnapshotObject) holding
-// just that shard's servers, so RestoreSnapshot reads both kinds and a
+// self-validating snapshot stream holding just that shard's servers, so a
 // damaged shard file degrades only that shard.
 const ShardSnapshotPrefix = "stream/rings/"
 
@@ -83,56 +71,6 @@ func appendShardSnapshot(buf []byte, cfg *Config, sh *shard) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, snapshotEnd)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[base:]))
-}
-
-// crcWriter updates a running CRC-32 with everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc.Write(p[:n])
-	return n, err
-}
-
-// WriteSnapshot serializes every server's live window to w. Shards are
-// serialized one at a time under their read lock, so concurrent appends stay
-// unblocked apart from the shard currently being walked; servers whose first
-// point arrives mid-snapshot may or may not be included (call on drain, after
-// ingestion has stopped, for an exact capture).
-func (g *Ingestor) WriteSnapshot(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := &crcWriter{w: bw, crc: crc32.NewIEEE()}
-	if _, err := io.WriteString(cw, snapshotMagic); err != nil {
-		return err
-	}
-	hdr := [3]int64{int64(g.cfg.Interval), g.cfg.Epoch.UnixNano(), int64(g.cfg.Slots)}
-	if err := binary.Write(cw, binary.LittleEndian, hdr[:]); err != nil {
-		return err
-	}
-	var scratch []byte
-	for i := range g.sh {
-		sh := &g.sh[i]
-		sh.mu.RLock()
-		for id, r := range sh.rings {
-			scratch = appendRingRecord(scratch[:0], id, r, g.cfg.Slots)
-			if _, err := cw.Write(scratch); err != nil {
-				sh.mu.RUnlock()
-				return err
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	if err := binary.Write(cw, binary.LittleEndian, snapshotEnd); err != nil {
-		return err
-	}
-	// The CRC covers everything before it, footer sentinel included.
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // appendRingRecord serializes one server's live window:
@@ -179,9 +117,9 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// RestoreSnapshot rebuilds rings from a snapshot written by WriteSnapshot.
-// The snapshot's ring geometry (interval, epoch, slots) must match the
-// ingestor's. Decoding is two-phase: the whole snapshot is parsed and
+// RestoreSnapshot rebuilds rings from one snapshot stream (a shard file
+// written by Durability). The snapshot's ring geometry (interval, epoch,
+// slots) must match the ingestor's. Decoding is two-phase: the whole snapshot is parsed and
 // CRC-verified first, and only then are rings installed — so a truncated or
 // corrupted snapshot returns ErrSnapshotFormat and leaves the ingestor
 // exactly as it was (a clean cold start, in the restart flow). Servers that
@@ -285,39 +223,4 @@ func (g *Ingestor) RestoreSnapshot(r io.Reader) error {
 		sh.mu.Unlock()
 	}
 	return nil
-}
-
-// SaveSnapshot writes the ingestor's snapshot to the lake under
-// SnapshotObject, atomically (the previous snapshot is replaced only once
-// the new one is fully written).
-func (g *Ingestor) SaveSnapshot(store *lake.Store) error {
-	w, err := store.ObjectWriter(SnapshotObject)
-	if err != nil {
-		return err
-	}
-	if err := g.WriteSnapshot(w); err != nil {
-		if ab, ok := w.(interface{ Abort() }); ok {
-			ab.Abort()
-		} else {
-			w.Close()
-		}
-		return err
-	}
-	return w.Close()
-}
-
-// LoadSnapshot restores the ingestor from the lake's SnapshotObject.
-// ErrNoSnapshot when none is stored (first boot); ErrSnapshotFormat when the
-// stored snapshot is damaged or from a different ring geometry — in both
-// cases the ingestor is untouched and serving cold-starts cleanly.
-func (g *Ingestor) LoadSnapshot(store *lake.Store) error {
-	r, err := store.ObjectReader(SnapshotObject)
-	if err != nil {
-		if errors.Is(err, lake.ErrNotFound) {
-			return ErrNoSnapshot
-		}
-		return err
-	}
-	defer r.Close()
-	return g.RestoreSnapshot(r)
 }

@@ -25,6 +25,31 @@ func snapCfg() Config {
 	}
 }
 
+// shardSnapshots serializes g the way Durability's per-shard writer does: one
+// complete, self-validating snapshot stream per populated shard.
+func shardSnapshots(g *Ingestor) [][]byte {
+	var out [][]byte
+	for i := range g.sh {
+		sh := &g.sh[i]
+		sh.mu.RLock()
+		if len(sh.rings) > 0 {
+			out = append(out, appendShardSnapshot(nil, &g.cfg, sh))
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// restoreShards restores every shard stream into h.
+func restoreShards(t *testing.T, h *Ingestor, snaps [][]byte) {
+	t.Helper()
+	for i, snap := range snaps {
+		if err := h.RestoreSnapshot(bytes.NewReader(snap)); err != nil {
+			t.Fatalf("restore shard stream %d: %v", i, err)
+		}
+	}
+}
+
 // feed appends a deterministic messy workload: several servers, shuffled
 // arrival order, duplicates, gaps and a mid-stream window slide.
 func feed(t *testing.T, g *Ingestor, seed int64) []string {
@@ -67,13 +92,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	restarted := NewIngestor(cfg)
 	servers := feed(t, uninterrupted, 42)
 
-	var buf bytes.Buffer
-	if err := uninterrupted.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := restarted.RestoreSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	restoreShards(t, restarted, shardSnapshots(uninterrupted))
 
 	// Post-restart traffic lands on both: late out-of-order points, fresh
 	// points, duplicates of pre-snapshot slots.
@@ -141,15 +160,13 @@ func forecastFromView(t *testing.T, live timeseries.Series) timeseries.Series {
 func TestSnapshotGeometryMismatch(t *testing.T) {
 	g := NewIngestor(snapCfg())
 	feed(t, g, 7)
-	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	other := snapCfg()
 	other.Interval = time.Minute
 	h := NewIngestor(other)
-	if err := h.RestoreSnapshot(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrSnapshotFormat) {
-		t.Fatalf("err = %v, want ErrSnapshotFormat", err)
+	for _, snap := range shardSnapshots(g) {
+		if err := h.RestoreSnapshot(bytes.NewReader(snap)); !errors.Is(err, ErrSnapshotFormat) {
+			t.Fatalf("err = %v, want ErrSnapshotFormat", err)
+		}
 	}
 	if st := h.Stats(); st.Servers != 0 {
 		t.Fatalf("mismatched restore installed %d servers", st.Servers)
@@ -162,39 +179,39 @@ func TestSnapshotGeometryMismatch(t *testing.T) {
 func TestSnapshotCorruption(t *testing.T) {
 	g := NewIngestor(snapCfg())
 	feed(t, g, 11)
-	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	snaps := shardSnapshots(g)
+	if len(snaps) < 2 {
+		t.Fatalf("feed populated %d shards; the per-shard cases need several", len(snaps))
 	}
-	whole := buf.Bytes()
+	for si, whole := range snaps {
+		cuts := []int{0, 3, len(snapshotMagic), len(snapshotMagic) + 10, len(whole) / 2, len(whole) - 5, len(whole) - 1}
+		for _, cut := range cuts {
+			t.Run(fmt.Sprintf("shard-%d/truncate-%d", si, cut), func(t *testing.T) {
+				h := NewIngestor(snapCfg())
+				err := h.RestoreSnapshot(bytes.NewReader(whole[:cut]))
+				if !errors.Is(err, ErrSnapshotFormat) {
+					t.Fatalf("err = %v, want ErrSnapshotFormat", err)
+				}
+				if st := h.Stats(); st.Servers != 0 {
+					t.Fatalf("truncated restore installed %d servers", st.Servers)
+				}
+			})
+		}
 
-	cuts := []int{0, 3, len(snapshotMagic), len(snapshotMagic) + 10, len(whole) / 2, len(whole) - 5, len(whole) - 1}
-	for _, cut := range cuts {
-		t.Run(fmt.Sprintf("truncate-%d", cut), func(t *testing.T) {
+		// Flip one byte in the middle of the records: the CRC must catch it
+		// (or the structural validation, whichever trips first).
+		t.Run(fmt.Sprintf("shard-%d/bitflip", si), func(t *testing.T) {
+			flipped := append([]byte(nil), whole...)
+			flipped[len(flipped)/2] ^= 0x40
 			h := NewIngestor(snapCfg())
-			err := h.RestoreSnapshot(bytes.NewReader(whole[:cut]))
-			if !errors.Is(err, ErrSnapshotFormat) {
+			if err := h.RestoreSnapshot(bytes.NewReader(flipped)); !errors.Is(err, ErrSnapshotFormat) {
 				t.Fatalf("err = %v, want ErrSnapshotFormat", err)
 			}
 			if st := h.Stats(); st.Servers != 0 {
-				t.Fatalf("truncated restore installed %d servers", st.Servers)
+				t.Fatalf("corrupt restore installed %d servers", st.Servers)
 			}
 		})
 	}
-
-	// Flip one byte in the middle of the records: the CRC must catch it (or
-	// the structural validation, whichever trips first).
-	t.Run("bitflip", func(t *testing.T) {
-		flipped := append([]byte(nil), whole...)
-		flipped[len(flipped)/2] ^= 0x40
-		h := NewIngestor(snapCfg())
-		if err := h.RestoreSnapshot(bytes.NewReader(flipped)); !errors.Is(err, ErrSnapshotFormat) {
-			t.Fatalf("err = %v, want ErrSnapshotFormat", err)
-		}
-		if st := h.Stats(); st.Servers != 0 {
-			t.Fatalf("corrupt restore installed %d servers", st.Servers)
-		}
-	})
 }
 
 // TestSnapshotLiveRingWins: restoring over an ingestor that already has live
@@ -203,17 +220,11 @@ func TestSnapshotLiveRingWins(t *testing.T) {
 	cfg := snapCfg()
 	g := NewIngestor(cfg)
 	feed(t, g, 3)
-	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 
 	h := NewIngestor(cfg)
 	ts := cfg.Epoch.Add(1000 * cfg.Interval)
 	h.Append("srv-a", ts, 77)
-	if err := h.RestoreSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	restoreShards(t, h, shardSnapshots(g))
 	v, ok := h.View("srv-a")
 	if !ok {
 		t.Fatal("no view for srv-a")
@@ -227,27 +238,42 @@ func TestSnapshotLiveRingWins(t *testing.T) {
 	}
 }
 
-// TestSnapshotLakeRoundTrip exercises the lake glue: SaveSnapshot stores the
-// object atomically, LoadSnapshot restores it, first boot sees ErrNoSnapshot.
+// TestSnapshotLakeRoundTrip exercises the lake glue the way a WAL-less
+// deployment runs it: Durability with DisableWAL and no snapshot ticker writes
+// the shard snapshots on drain, Recover restores them, and a first boot over
+// an empty lake recovers nothing and reports no failure.
 func TestSnapshotLakeRoundTrip(t *testing.T) {
 	store, err := lake.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := snapCfg()
+	drainOnly := DurabilityConfig{DisableWAL: true, SnapshotEvery: -1}
 	g := NewIngestor(cfg)
+	d := NewDurability(g, store, drainOnly)
 
-	if err := g.LoadSnapshot(store); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("first boot err = %v, want ErrNoSnapshot", err)
+	rec, err := d.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SnapshotShards != 0 || rec.Servers != 0 || rec.Degraded() {
+		t.Fatalf("first boot recovered %+v, want nothing and no failures", rec)
+	}
+	if err := d.Open(); err != nil {
+		t.Fatal(err)
 	}
 
 	feed(t, g, 5)
-	if err := g.SaveSnapshot(store); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	h := NewIngestor(cfg)
-	if err := h.LoadSnapshot(store); err != nil {
+	rec, err = NewDurability(h, store, drainOnly).Recover()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rec.SnapshotShards != len(shardSnapshots(g)) || rec.Servers != len(g.Servers()) || rec.Degraded() {
+		t.Fatalf("recovered %+v, want %d shard snapshots and %d servers", rec, len(shardSnapshots(g)), len(g.Servers()))
 	}
 	want, _ := g.View("srv-c")
 	got, ok := h.View("srv-c")

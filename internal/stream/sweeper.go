@@ -11,6 +11,7 @@ import (
 
 	"seagull/internal/cosmos"
 	"seagull/internal/obs"
+	"seagull/internal/pipeline"
 	"seagull/internal/simclock"
 )
 
@@ -33,10 +34,6 @@ import (
 type SweeperConfig struct {
 	// Interval is the tick period. Default one minute.
 	Interval time.Duration
-	// Collection is the cosmos collection holding the pipeline's SummaryDocs,
-	// whose (region partition, week id) pairs drive discovery. Default
-	// "summaries".
-	Collection string
 	// Clock paces Run's ticker; nil means the wall clock.
 	Clock simclock.Clock
 	// Tracer, when non-nil, records one "sweep" trace per round with a span
@@ -52,9 +49,6 @@ func (c SweeperConfig) withDefaults() SweeperConfig {
 	if c.Interval <= 0 {
 		c.Interval = time.Minute
 	}
-	if c.Collection == "" {
-		c.Collection = "summaries"
-	}
 	c.Clock = simclock.Or(c.Clock)
 	return c
 }
@@ -62,22 +56,33 @@ func (c SweeperConfig) withDefaults() SweeperConfig {
 // SweeperStats snapshots the sweeper's lifetime counters.
 type SweeperStats struct {
 	// Ticks counts completed sweep rounds (one round visits every region).
-	Ticks uint64 `json:"ticks"`
+	Ticks uint64 `json:"ticks" metric:"counter seagull_sweeper_ticks_total Completed background sweep rounds."`
 	// Regions counts region sweeps across all rounds.
-	Regions uint64 `json:"regions"`
+	Regions uint64 `json:"regions" metric:"counter seagull_sweeper_regions_total Region sweeps across all rounds."`
 	// Drifted counts drifted servers found by background sweeps.
-	Drifted uint64 `json:"drifted"`
+	Drifted uint64 `json:"drifted" metric:"counter seagull_sweeper_drifted_total Drifted servers found by background sweeps."`
 	// Queued counts drifted servers newly queued for refresh.
-	Queued uint64 `json:"queued"`
+	Queued uint64 `json:"queued" metric:"counter seagull_sweeper_queued_total Drifted servers newly queued for refresh."`
 	// Dropped counts drifted servers the full refresh queue rejected — the
 	// backpressure signal; they are re-found on the next tick.
-	Dropped uint64 `json:"dropped"`
+	Dropped uint64 `json:"dropped" metric:"counter seagull_sweeper_dropped_total Drifted servers rejected by a full refresh queue."`
 	// Paused counts rounds skipped because the refresher reported sustained
 	// Dropped backpressure (Refresher.Saturated) — sweeping while the queue
 	// rejects everything only re-finds servers it cannot queue.
-	Paused uint64 `json:"paused"`
+	Paused uint64 `json:"paused" metric:"counter seagull_sweeper_paused_total Sweep rounds skipped under refresh backpressure."`
 	// Errors counts failed region sweeps (kept counting, never fatal).
-	Errors uint64 `json:"errors"`
+	Errors uint64 `json:"errors" metric:"counter seagull_sweeper_errors_total Failed region sweeps."`
+}
+
+// Add folds another sweeper's snapshot into s, for fleet-wide totals.
+func (s *SweeperStats) Add(o SweeperStats) {
+	s.Ticks += o.Ticks
+	s.Regions += o.Regions
+	s.Drifted += o.Drifted
+	s.Queued += o.Queued
+	s.Dropped += o.Dropped
+	s.Paused += o.Paused
+	s.Errors += o.Errors
 }
 
 // Sweeper periodically sweeps the latest summarized week of every region for
@@ -112,7 +117,7 @@ func (s *Sweeper) Interval() time.Duration { return s.cfg.Interval }
 // latestWeek finds the most recent week with a stored summary for region;
 // ok is false when the region has none (nothing to judge yet).
 func (s *Sweeper) latestWeek(region string) (week int, ok bool) {
-	for _, id := range s.db.Collection(s.cfg.Collection).IDs(region) {
+	for _, id := range s.db.Collection(pipeline.SummariesCollection).IDs(region) {
 		rest, found := strings.CutPrefix(id, "week-")
 		if !found {
 			continue
@@ -144,7 +149,7 @@ func (s *Sweeper) SweepOnce(ctx context.Context) error {
 	tr := s.cfg.Tracer.Start("sweep", "")
 	defer func() { s.cfg.Tracer.Finish(tr, 0) }()
 	var firstErr error
-	for _, region := range s.db.Collection(s.cfg.Collection).Partitions() {
+	for _, region := range s.db.Collection(pipeline.SummariesCollection).Partitions() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

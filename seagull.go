@@ -589,18 +589,12 @@ func (s *System) StartSweeper() (stop func()) {
 	return s.sweepStop
 }
 
-// SaveStreamSnapshot serializes the live telemetry rings to the lake
-// (object stream/rings.snap), atomically replacing any previous snapshot —
-// the drain hook that makes the stream layer survive restarts.
-func (s *System) SaveStreamSnapshot() error {
-	return s.Stream().SaveSnapshot(s.Lake)
-}
-
 // NewDurability builds a durability manager binding the system's stream
 // ingestor to its lake: call Recover() before serving, then Start(ctx) to
 // run WAL group commits and incremental snapshots in the background, and
-// Close() on drain. Supersedes the Save/RestoreStreamSnapshot pair for
-// deployments that need bounded loss under hard kills.
+// Close() on drain. With DisableWAL and a negative SnapshotEvery it degrades
+// to drain-only snapshots: Open, then Close writes the rings once on the way
+// down.
 func (s *System) NewDurability(cfg DurabilityConfig) *Durability {
 	if cfg.Namespace == "" {
 		cfg.Namespace = s.cfg.Replica
@@ -611,16 +605,6 @@ func (s *System) NewDurability(cfg DurabilityConfig) *Durability {
 // Replica returns the system's shard name in a region-sharded fleet ("" for
 // a single-process deployment).
 func (s *System) Replica() string { return s.cfg.Replica }
-
-// RestoreStreamSnapshot restores the live telemetry rings from the lake's
-// snapshot object — the startup hook pairing SaveStreamSnapshot.
-// stream.ErrNoSnapshot means no snapshot is stored (first boot);
-// stream.ErrSnapshotFormat means the stored snapshot is damaged or from a
-// different ring geometry. In both cases the ingestor is untouched and the
-// stream layer cold-starts cleanly.
-func (s *System) RestoreStreamSnapshot() error {
-	return s.Stream().LoadSnapshot(s.Lake)
-}
 
 // DashboardSummary returns the aggregated pipeline-run view.
 func (s *System) DashboardSummary() insights.Summary {

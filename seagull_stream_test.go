@@ -129,30 +129,37 @@ func TestStreamAliases(t *testing.T) {
 	var _ seagull.RefreshConfig = stream.RefreshConfig{}
 }
 
-// TestSystemSnapshotRoundTrip drives the durability seam through the facade:
-// ingest into one System, save the ring snapshot on its way down, restore it
-// in a second System over the same data dir, and observe identical live
-// windows.
+// TestSystemSnapshotRoundTrip drives the durability seam through the facade
+// in its simplest deployment — no WAL, snapshots only on drain: ingest into
+// one System, let Durability.Close write the ring snapshots on its way down,
+// recover them in a second System over the same data dir, and observe
+// identical live windows.
 func TestSystemSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	start := time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC)
 	cfg := seagull.SystemConfig{DataDir: dir, Stream: seagull.StreamConfig{Epoch: start}}
 
+	drainOnly := seagull.DurabilityConfig{DisableWAL: true, SnapshotEvery: -1}
+
 	sys1, err := seagull.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dur1 := sys1.NewDurability(drainOnly)
+	if err := dur1.Open(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 500; i++ {
 		sys1.Ingest("s1", start.Add(time.Duration(i)*5*time.Minute), float64(10+i%9))
-	}
-	if err := sys1.SaveStreamSnapshot(); err != nil {
-		t.Fatal(err)
 	}
 	want, ok := sys1.Stream().View("s1")
 	if !ok {
 		t.Fatal("no live view before shutdown")
 	}
 	wantVals := append([]float64(nil), want.Values...)
+	if err := dur1.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := sys1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +169,12 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys2.Close()
-	if err := sys2.RestoreStreamSnapshot(); err != nil {
+	rec, err := sys2.NewDurability(drainOnly).Recover()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rec.SnapshotShards != 1 || rec.Servers != 1 || rec.Degraded() {
+		t.Fatalf("recovered %+v, want one shard snapshot holding one server", rec)
 	}
 	got, ok := sys2.Stream().View("s1")
 	if !ok {
@@ -184,8 +195,12 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys3.Close()
-	if err := sys3.RestoreStreamSnapshot(); err != stream.ErrNoSnapshot {
-		t.Fatalf("restore on first boot = %v, want stream.ErrNoSnapshot", err)
+	rec, err = sys3.NewDurability(drainOnly).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SnapshotShards != 0 || rec.Servers != 0 || rec.Degraded() {
+		t.Fatalf("recover on first boot = %+v, want nothing restored and no failures", rec)
 	}
 }
 
