@@ -314,7 +314,7 @@ func BenchmarkFleetMaterialize(b *testing.B) {
 // benchServePredict measures the core serving path (no HTTP: the network
 // stack would drown the allocation signal) for one deployed model.
 // maxIdle 0 selects the default warm pool; -1 disables pooling, reproducing
-// the v1 model-per-request behaviour as the baseline. newModel may override
+// model-per-request behaviour as the baseline. newModel may override
 // model construction (nil = production defaults).
 func benchServePredict(b *testing.B, model string, maxIdle int, newModel func(name string, seed int64) (forecast.Model, error)) {
 	b.Helper()

@@ -13,7 +13,7 @@
 // POST /v2/predict/batch across shards and merges per-item results in
 // request order, broadcasts ingest sweep clauses, aggregates GET /varz and
 // GET /metrics fleet-wide, and round-robins the stateless endpoints
-// (/v2/advise, /v2/models, /v1/*). Requests to a draining replica are
+// (/v2/advise, /v2/models). Requests to a draining replica are
 // retried with jittered exponential backoff honoring Retry-After
 // (-retry-attempts, -retry-budget) behind a per-replica circuit breaker
 // (-breaker-threshold, -breaker-cooldown).

@@ -1,6 +1,6 @@
 // Command seagull-serve runs Seagull as an actual server: it wires a System
 // (lake, document store, model registry, pipeline, scheduler) behind the
-// serving layer's v1+v2 REST protocol, with a warm model pool, the online
+// serving layer's v2 REST protocol, with a warm model pool, the online
 // telemetry stream (live ingest + drift-triggered refresh), durable ring
 // snapshots, a background drift sweeper, an optional weekly pipeline cron,
 // readiness reporting and graceful shutdown on SIGINT/SIGTERM.
@@ -12,9 +12,9 @@
 //	seagull-serve -addr :8080 -demo -cron    # + recurring weekly runs, no operator
 //	seagull-serve -data ./seagull-data -persist
 //
-// Endpoints: GET /healthz, GET /readyz, GET /varz, POST /v1/predict,
-// GET /v1/models, POST /v2/predict, POST /v2/predict/batch, POST /v2/advise,
-// POST /v2/ingest, GET /v2/models, GET /v2/predictions/{region}/{week}.
+// Endpoints: GET /healthz, GET /readyz, GET /varz, POST /v2/predict,
+// POST /v2/predict/batch, POST /v2/advise, POST /v2/ingest, GET /v2/models,
+// GET /v2/predictions/{region}/{week}.
 // See README.md ("Operations guide") for the full flag and /varz reference.
 //
 // The stream layer (on by default, -stream=false to disable) accepts live
@@ -410,7 +410,7 @@ func serve(ctx context.Context, cfg serveConfig, ln net.Listener, out io.Writer)
 		errCh <- nil
 	}()
 	logger.Info("serving", "addr", ln.Addr().String(),
-		"endpoints", "v1+v2; GET /healthz, GET /readyz, GET /varz, GET /metrics, GET /debug/traces")
+		"endpoints", "v2; GET /healthz, GET /readyz, GET /varz, GET /metrics, GET /debug/traces")
 
 	select {
 	case err := <-errCh:

@@ -10,9 +10,9 @@
 // degradation beats open-loop admission. The limiter here closes that loop:
 //
 //   - Adaptive limit (AIMD, gradient-style). The concurrency limit rises
-//     additively (+IncreasePerDone/limit per completion, the TCP-style probe)
+//     additively (+1/limit per completion, the TCP-style probe)
 //     while observed request latency stays at or under the endpoint's target,
-//     and falls multiplicatively (×DecreaseFactor, at most once per cooldown)
+//     and falls multiplicatively (×0.85, at most once per cooldown)
 //     when completions come in over target. The observed quantity includes
 //     queue wait, so a growing queue pushes the limit down before clients
 //     time out, and the normalized ratio latency/target lets endpoints with
@@ -127,18 +127,29 @@ func (v Verdict) String() string {
 	}
 }
 
+// The AIMD constants. The adaptive limit starts open at MaxInflight and the
+// first overload walks it down.
+const (
+	// minLimit is the floor the multiplicative decrease cannot cross.
+	minLimit = 1
+	// increasePerDone is the additive-increase numerator: each on-target
+	// completion grows the limit by increasePerDone/limit, i.e. roughly +1
+	// per limit-worth of completions.
+	increasePerDone = 1.0
+	// decreaseFactor is the multiplicative decrease applied when a
+	// completion exceeds its target.
+	decreaseFactor = 0.85
+	// shedWindow is how long after a shed/eviction the limiter still reports
+	// itself saturated (the brownout entry signal).
+	shedWindow = time.Second
+)
+
 // Config parameterizes a Limiter. The zero value selects production
 // defaults sized for one serving process.
 type Config struct {
 	// MaxInflight is the hard ceiling on concurrently admitted requests —
 	// the value the adaptive limit can recover to. Default 64.
 	MaxInflight int
-	// MinLimit is the floor the multiplicative decrease cannot cross.
-	// Default 1.
-	MinLimit int
-	// InitialLimit seeds the adaptive limit. Default MaxInflight (start
-	// open; the first overload walks it down).
-	InitialLimit int
 	// Target is the default per-request latency target (queue wait plus
 	// service) that drives the AIMD signal; Endpoint registration may
 	// override it per endpoint. Default 500ms.
@@ -146,21 +157,11 @@ type Config struct {
 	// QueueCap bounds the total waiters across all classes. Default
 	// 2×MaxInflight.
 	QueueCap int
-	// IncreasePerDone is the additive-increase numerator: each on-target
-	// completion grows the limit by IncreasePerDone/limit, i.e. roughly +1
-	// per limit-worth of completions. Default 1.
-	IncreasePerDone float64
-	// DecreaseFactor is the multiplicative decrease applied when a
-	// completion exceeds its target. Default 0.85.
-	DecreaseFactor float64
 	// DecreaseCooldown is the minimum spacing between two multiplicative
 	// decreases, so one slow burst (whose completions all arrive over
 	// target together) counts as one congestion event, not a collapse to
-	// MinLimit. Default: the endpoint-default Target.
+	// minLimit. Default: the endpoint-default Target.
 	DecreaseCooldown time.Duration
-	// ShedWindow is how long after a shed/eviction the limiter still
-	// reports itself saturated (the brownout entry signal). Default 1s.
-	ShedWindow time.Duration
 	// Brownout enables the degraded-fallback verdict. Off, saturated
 	// endpoints with a fallback shed like everyone else.
 	Brownout bool
@@ -176,32 +177,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
 	}
-	if c.MinLimit <= 0 {
-		c.MinLimit = 1
-	}
-	if c.InitialLimit <= 0 {
-		c.InitialLimit = c.MaxInflight
-	}
-	if c.InitialLimit > c.MaxInflight {
-		c.InitialLimit = c.MaxInflight
-	}
 	if c.Target <= 0 {
 		c.Target = 500 * time.Millisecond
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 2 * c.MaxInflight
 	}
-	if c.IncreasePerDone <= 0 {
-		c.IncreasePerDone = 1
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.85
-	}
 	if c.DecreaseCooldown <= 0 {
 		c.DecreaseCooldown = c.Target
-	}
-	if c.ShedWindow <= 0 {
-		c.ShedWindow = time.Second
 	}
 	return c
 }
@@ -257,7 +240,7 @@ func NewLimiter(cfg Config) *Limiter {
 	cfg.Clock = simclock.Or(cfg.Clock)
 	return &Limiter{
 		cfg:       cfg,
-		limit:     float64(cfg.InitialLimit),
+		limit:     float64(cfg.MaxInflight),
 		endpoints: map[string]*Endpoint{},
 	}
 }
@@ -310,7 +293,7 @@ func (l *Limiter) saturatedLocked(now time.Time) bool {
 	if l.queued >= l.cfg.QueueCap/2 {
 		return true
 	}
-	return now.Sub(l.lastShed) < l.cfg.ShedWindow
+	return now.Sub(l.lastShed) < shedWindow
 }
 
 // Brownout reports whether degraded fallbacks should serve: brownout is
@@ -471,17 +454,11 @@ func (l *Limiter) observe(ep *Endpoint, totalNs, serviceNs int64, now time.Time)
 	l.mu.Lock()
 	if over {
 		if now.Sub(l.lastDecrease) >= l.cfg.DecreaseCooldown {
-			l.limit *= l.cfg.DecreaseFactor
-			if l.limit < float64(l.cfg.MinLimit) {
-				l.limit = float64(l.cfg.MinLimit)
-			}
+			l.limit = max(l.limit*decreaseFactor, minLimit)
 			l.lastDecrease = now
 		}
 	} else {
-		l.limit += l.cfg.IncreasePerDone / l.limit
-		if l.limit > float64(l.cfg.MaxInflight) {
-			l.limit = float64(l.cfg.MaxInflight)
-		}
+		l.limit = min(l.limit+increasePerDone/l.limit, float64(l.cfg.MaxInflight))
 	}
 	l.mu.Unlock()
 }

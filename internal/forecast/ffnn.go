@@ -37,15 +37,6 @@ type FFNNConfig struct {
 	// the recorded story — which is why the figure experiments opt in while
 	// the default stays 1.
 	BatchSize int
-	// SamplesPerEpoch bounds how many training windows each epoch visits,
-	// mirroring GluonTS's num_batches_per_epoch: the reference trainer draws
-	// a fixed window budget per epoch rather than sweeping every sliding
-	// position. 0 (the default) visits every window, preserving the
-	// historical trajectory bit-identically; a positive budget rotates
-	// through the shuffled window order across epochs so all windows are
-	// still covered over the run. Only consulted by the minibatched trainer
-	// (BatchSize > 1).
-	SamplesPerEpoch int
 	// Granularity is the internal sampling interval (the network predicts a
 	// full coarse day in one shot). Default 30 minutes.
 	Granularity time.Duration
@@ -329,30 +320,15 @@ func (f *FFNN) trainMinibatch(x []float64, order []int, batch int) {
 	dh := cut(batch * hid)   // hidden gradients, sample-major B×hid
 	ob := cut(batch * outD)  // outputs then output gradients, B×outD
 
-	perEpoch := len(order)
-	if f.cfg.SamplesPerEpoch > 0 && f.cfg.SamplesPerEpoch < perEpoch {
-		perEpoch = f.cfg.SamplesPerEpoch
-	}
 	lr := f.cfg.LearningRate
 	mom := f.cfg.Momentum
-	cursor := 0 // rotates through the shuffled order across epochs
 	for epoch := 0; epoch < f.cfg.Epochs; epoch++ {
 		step := lr / (1 + 0.1*float64(epoch))
-		for off := 0; off < perEpoch; {
-			if cursor == len(order) {
-				cursor = 0
-			}
-			bs := batch
-			if off+bs > perEpoch {
-				bs = perEpoch - off
-			}
-			// A batch never wraps: it shortens at the end of the order so
-			// the tail windows are visited too, then the cursor restarts.
-			if cursor+bs > len(order) {
-				bs = len(order) - cursor
-			}
-			samples := order[cursor : cursor+bs]
-			cursor += bs
+		for off := 0; off < len(order); {
+			// The last batch of an epoch shortens so the tail windows are
+			// visited too.
+			bs := min(batch, len(order)-off)
+			samples := order[off : off+bs]
 			off += bs
 
 			// Gather the batch: inputs feature-major so the forward pass can

@@ -295,32 +295,3 @@ func TestFFNNBatchLargerThanSampleCount(t *testing.T) {
 		}
 	}
 }
-
-// TestFFNNSamplesPerEpochCoversTail exercises the rotating window budget at
-// sizes where the batch cadence does not divide the window count: the
-// cursor must shorten batches at the end of the shuffled order (visiting
-// the tail windows) rather than skipping back to the start.
-func TestFFNNSamplesPerEpochCoversTail(t *testing.T) {
-	// 3 days at 30-minute granularity → 49 windows; batch 5, budget 20.
-	hist := mkDays(3, dailyShape(61))
-	m := NewFFNN(FFNNConfig{Seed: 4, Epochs: 6, BatchSize: 5, SamplesPerEpoch: 20})
-	pred, err := PredictDay(m, hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range pred.Values {
-		if v < 0 || v > 100 || math.IsNaN(v) {
-			t.Fatalf("forecast[%d] = %v", i, v)
-		}
-	}
-	// Deterministic given the seed, like every other trainer path.
-	pred2, err := PredictDay(NewFFNN(FFNNConfig{Seed: 4, Epochs: 6, BatchSize: 5, SamplesPerEpoch: 20}), hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pred.Values {
-		if pred.Values[i] != pred2.Values[i] {
-			t.Fatalf("SamplesPerEpoch path not deterministic at %d", i)
-		}
-	}
-}

@@ -18,7 +18,7 @@ type SSAConfig struct {
 	// Rank is the number of leading singular triples kept for reconstruction
 	// and forecasting. Low ranks smooth harder, which both stabilizes the
 	// recurrence on noisy servers and markedly improves low-load-window
-	// accuracy (see the SSA sweep in EXPERIMENTS.md). Default 8.
+	// accuracy (`seagull-experiments -run fig11bcd`). Default 12.
 	Rank int
 	// Granularity is the internal sampling interval: SSA runs on a coarsened
 	// copy of the series and the forecast is expanded back, which keeps the

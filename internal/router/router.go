@@ -28,8 +28,8 @@
 //   - GET /v2/predictions/{region}/{week}: fanned out and merged by server
 //     (replicas share the document store in-region, but a refresher upserts
 //     only its own shard, so the union is the fleet view).
-//   - POST /v2/advise, /v1/*, GET /v2/models: stateless; round-robin with
-//     failover to the next replica.
+//   - POST /v2/advise, GET /v2/models: stateless; round-robin with failover
+//     to the next replica.
 package router
 
 import (
@@ -167,11 +167,9 @@ func New(cfg Config) (*Router, error) {
 	handle("POST /v2/predict", rt.handlePredict)
 	handle("POST /v2/predict/batch", rt.handleBatch)
 	handle("POST /v2/ingest", rt.handleIngest)
-	handle("POST /v2/advise", rt.forwardJSON("/v2/advise"))
-	handle("GET /v2/models", rt.forwardGet("/v2/models"))
+	handle("POST /v2/advise", rt.forward(http.MethodPost, "/v2/advise"))
+	handle("GET /v2/models", rt.forward(http.MethodGet, "/v2/models"))
 	handle("GET /v2/predictions/{region}/{week}", rt.handlePredictions)
-	handle("POST /v1/predict", rt.forwardJSON("/v1/predict"))
-	handle("GET /v1/models", rt.forwardGet("/v1/models"))
 	rt.mux = mux
 	return rt, nil
 }
@@ -296,6 +294,37 @@ func (rt *Router) observeForward(name string, err error) {
 	}
 }
 
+// reply is one replica's answer to a scattered call.
+type reply[T any] struct {
+	name string
+	val  T
+	err  error
+}
+
+// scatter is the router's one fan-out: it calls every named replica
+// concurrently and returns the replies in the order of names — callers pass
+// shard-map order — so each merge is a serial loop and a pure function of
+// the replies. Traffic passes rt.observeForward as observe; the readiness
+// and varz probes pass nil, because a scrape is not a forward.
+func scatter[T any](names []string, clients map[string]*serving.Client, observe func(string, error),
+	call func(name string, c *serving.Client) (T, error)) []reply[T] {
+	out := make([]reply[T], len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			val, err := call(name, clients[name])
+			if observe != nil {
+				observe(name, err)
+			}
+			out[i] = reply[T]{name: name, val: val, err: err}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write([]byte(`{"status":"ok"}` + "\n"))
@@ -314,22 +343,15 @@ func (rt *Router) Ready(ctx context.Context) ReadyStatus {
 	smap, clients := rt.view()
 	names := smap.Replicas()
 	st := ReadyStatus{Ready: true, Replicas: make(map[string]bool, len(names))}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, name := range names {
-		wg.Add(1)
-		go func(name string, c *serving.Client) {
-			defer wg.Done()
-			ok := c.Ready(ctx)
-			mu.Lock()
-			st.Replicas[name] = ok
-			if !ok {
-				st.Ready = false
-			}
-			mu.Unlock()
-		}(name, clients[name])
+	probes := scatter(names, clients, nil, func(_ string, c *serving.Client) (bool, error) {
+		return c.Ready(ctx), nil
+	})
+	for _, p := range probes {
+		st.Replicas[p.name] = p.val
+		if !p.val {
+			st.Ready = false
+		}
 	}
-	wg.Wait()
 	return st
 }
 

@@ -91,14 +91,6 @@ func newFake(t *testing.T, name string) *fake {
 			},
 		})
 	})
-	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, _ *http.Request) {
-		f.hits.Add(1)
-		_ = json.NewEncoder(w).Encode([]serving.ModelInfo{})
-	})
-	mux.HandleFunc("POST /v1/predict", func(w http.ResponseWriter, _ *http.Request) {
-		f.hits.Add(1)
-		_ = json.NewEncoder(w).Encode(serving.PredictResponse{Model: "fake-" + f.name})
-	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
 	return f
@@ -236,12 +228,6 @@ func TestStatelessFailover(t *testing.T) {
 		}
 		if resp, body := post(t, front.URL+"/v2/advise", `{"predicted_day":{"values":[1]},"customer_start":0}`); resp.StatusCode != 200 || !strings.Contains(body, "keep_current") {
 			t.Fatalf("advise failover: %d %s", resp.StatusCode, body)
-		}
-		if resp, _ := get(t, front.URL+"/v1/models"); resp.StatusCode != 200 {
-			t.Fatalf("v1 models failover: %d", resp.StatusCode)
-		}
-		if resp, _ := post(t, front.URL+"/v1/predict", `{}`); resp.StatusCode != 200 {
-			t.Fatalf("v1 predict failover: %d", resp.StatusCode)
 		}
 	}
 	if fakes[1].hits.Load() == 0 {

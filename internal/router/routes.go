@@ -3,10 +3,11 @@ package router
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"seagull/internal/serving"
 )
@@ -44,10 +45,8 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleBatch splits a batch by item owner, fans the sub-batches out
-// concurrently, and merges per-item results back in request order. A replica
-// failure fails only the items it owned — the other shards' results are
-// unaffected.
+// handleBatch splits a batch by item owner, scatters the sub-batches, and
+// merges per-item results back in request order.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req serving.BatchRequest
 	if !rt.decode(w, r, &req) {
@@ -70,14 +69,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ids[i] = req.Servers[i].ServerID
 	}
 	parts := smap.Split(ids)
+	owners := slices.DeleteFunc(smap.Replicas(), func(name string) bool { return parts[name] == nil })
 
-	out := serving.BatchResponse{Results: make([]serving.BatchItemResult, len(req.Servers))}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for name, idxs := range parts {
-		wg.Add(1)
-		go func(name string, idxs []int) {
-			defer wg.Done()
+	replies := scatter(owners, clients, rt.observeForward,
+		func(name string, c *serving.Client) (serving.BatchResponse, error) {
+			idxs := parts[name]
 			sub := serving.BatchRequest{
 				Scenario: req.Scenario,
 				Region:   req.Region,
@@ -86,39 +82,55 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for j, i := range idxs {
 				sub.Servers[j] = req.Servers[i]
 			}
-			resp, err := clients[name].PredictBatch(r.Context(), sub)
-			rt.observeForward(name, err)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				body := upstreamErrorBody(name, err)
-				for _, i := range idxs {
-					out.Results[i] = serving.BatchItemResult{
-						ServerID: req.Servers[i].ServerID, LLStart: -1, Error: body,
-					}
-				}
-				out.Failed += len(idxs)
-				return
+			return c.PredictBatch(r.Context(), sub)
+		})
+	writeJSON(w, http.StatusOK, mergeBatch(ids, parts, replies))
+}
+
+// mergeBatch folds the shards' replies (in shard-map order) into one response
+// whose results follow the request order of ids. A replica failure fails only
+// the items it owned, each naming the shard; a reply shorter than the
+// sub-batch sent fails the missing items the same way. Model and version come
+// from the first successful shard, and the counts are taken from the merged
+// results, so succeeded + failed == len(ids) whatever a replica claims.
+func mergeBatch(ids []string, parts map[string][]int, replies []reply[serving.BatchResponse]) serving.BatchResponse {
+	out := serving.BatchResponse{Results: make([]serving.BatchItemResult, len(ids))}
+	for _, rep := range replies {
+		idxs := parts[rep.name]
+		results := rep.val.Results
+		// missing is what an item this shard returned no result for fails with.
+		var missing *serving.ErrorBody
+		switch {
+		case rep.err != nil:
+			results, missing = nil, upstreamErrorBody(rep.name, rep.err)
+		case len(results) < len(idxs):
+			missing = &serving.ErrorBody{
+				Code:    serving.CodeInternal,
+				Message: fmt.Sprintf("replica %s answered %d results for %d items", rep.name, len(results), len(idxs)),
 			}
-			if out.Model == "" {
-				out.Model, out.Version = resp.Model, resp.Version
+		}
+		if rep.err == nil && out.Model == "" {
+			out.Model, out.Version = rep.val.Model, rep.val.Version
+		}
+		for j, i := range idxs {
+			if j < len(results) {
+				out.Results[i] = results[j]
+			} else {
+				out.Results[i] = serving.BatchItemResult{ServerID: ids[i], LLStart: -1, Error: missing}
 			}
-			for j, i := range idxs {
-				if j < len(resp.Results) {
-					out.Results[i] = resp.Results[j]
-				}
+			if out.Results[i].Error != nil {
+				out.Failed++
+			} else {
+				out.Succeeded++
 			}
-			out.Succeeded += resp.Succeeded
-			out.Failed += resp.Failed
-		}(name, idxs)
+		}
 	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 // handleIngest splits the batch's series and points by owner, broadcasts the
-// optional sweep clause to every replica (each sweeps its own ring), fans
-// out concurrently, and sums the tallies. Appends are idempotent on every
+// optional sweep clause to every replica (each sweeps its own ring), scatters
+// the sub-batches, and sums the tallies. Appends are idempotent on every
 // replica, so a client that sees an error from a partially-applied fan-out
 // simply re-sends the whole batch.
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -169,52 +181,39 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var mu sync.Mutex
-	var wg sync.WaitGroup
+	owners := slices.DeleteFunc(names, func(name string) bool { return subs[name] == nil })
+	replies := scatter(owners, clients, rt.observeForward,
+		func(name string, c *serving.Client) (serving.IngestResponse, error) {
+			return c.Ingest(r.Context(), *subs[name])
+		})
 	var merged serving.IngestResponse
-	var firstErr error
-	var firstErrName string
-	for name, s := range subs {
-		wg.Add(1)
-		go func(name string, s *serving.IngestRequest) {
-			defer wg.Done()
-			resp, err := clients[name].Ingest(r.Context(), *s)
-			rt.observeForward(name, err)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr, firstErrName = err, name
+	for _, rep := range replies {
+		if rep.err != nil {
+			// Idempotent appends make the whole batch safe to re-send; failing
+			// loudly beats acknowledging points a dead replica never saw.
+			writeUpstream(w, rep.name, rep.err)
+			return
+		}
+		resp := rep.val
+		merged.Accepted += resp.Accepted
+		merged.Duplicates += resp.Duplicates
+		merged.TooOld += resp.TooOld
+		merged.TooNew += resp.TooNew
+		merged.BadValues += resp.BadValues
+		merged.Skipped += resp.Skipped
+		if resp.Sweep != nil {
+			if merged.Sweep == nil {
+				merged.Sweep = &serving.SweepResult{
+					Region: resp.Sweep.Region, Week: resp.Sweep.Week,
 				}
-				return
 			}
-			merged.Accepted += resp.Accepted
-			merged.Duplicates += resp.Duplicates
-			merged.TooOld += resp.TooOld
-			merged.TooNew += resp.TooNew
-			merged.BadValues += resp.BadValues
-			merged.Skipped += resp.Skipped
-			if resp.Sweep != nil {
-				if merged.Sweep == nil {
-					merged.Sweep = &serving.SweepResult{
-						Region: resp.Sweep.Region, Week: resp.Sweep.Week,
-					}
-				}
-				merged.Sweep.Checked += resp.Sweep.Checked
-				merged.Sweep.Drifted += resp.Sweep.Drifted
-				merged.Sweep.Skipped += resp.Sweep.Skipped
-				merged.Sweep.Queued += resp.Sweep.Queued
-				merged.Sweep.Dropped += resp.Sweep.Dropped
-				merged.Sweep.Servers = append(merged.Sweep.Servers, resp.Sweep.Servers...)
-			}
-		}(name, s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		// Idempotent appends make the whole batch safe to re-send; failing
-		// loudly beats acknowledging points a dead replica never saw.
-		writeUpstream(w, firstErrName, firstErr)
-		return
+			merged.Sweep.Checked += resp.Sweep.Checked
+			merged.Sweep.Drifted += resp.Sweep.Drifted
+			merged.Sweep.Skipped += resp.Sweep.Skipped
+			merged.Sweep.Queued += resp.Sweep.Queued
+			merged.Sweep.Dropped += resp.Sweep.Dropped
+			merged.Sweep.Servers = append(merged.Sweep.Servers, resp.Sweep.Servers...)
+		}
 	}
 	if merged.Sweep != nil {
 		sort.Strings(merged.Sweep.Servers)
@@ -233,38 +232,29 @@ func (rt *Router) handlePredictions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	smap, clients := rt.view()
-	names := smap.Replicas()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	var firstErrName string
+	replies := scatter(smap.Replicas(), clients, rt.observeForward,
+		func(_ string, c *serving.Client) (serving.PredictionsResponse, error) {
+			return c.Predictions(r.Context(), region, week)
+		})
 	merged := serving.PredictionsResponse{Region: region, Week: week}
 	seen := map[string]bool{}
-	for _, name := range names {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			resp, err := clients[name].Predictions(r.Context(), region, week)
-			rt.observeForward(name, err)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr, firstErrName = err, name
-				}
-				return
+	var failed *reply[serving.PredictionsResponse]
+	for i, rep := range replies {
+		if rep.err != nil {
+			if failed == nil {
+				failed = &replies[i]
 			}
-			for _, doc := range resp.Predictions {
-				if doc != nil && !seen[doc.ServerID] {
-					seen[doc.ServerID] = true
-					merged.Predictions = append(merged.Predictions, doc)
-				}
+			continue
+		}
+		for _, doc := range rep.val.Predictions {
+			if doc != nil && !seen[doc.ServerID] {
+				seen[doc.ServerID] = true
+				merged.Predictions = append(merged.Predictions, doc)
 			}
-		}(name)
+		}
 	}
-	wg.Wait()
-	if firstErr != nil && len(merged.Predictions) == 0 {
-		writeUpstream(w, firstErrName, firstErr)
+	if failed != nil && len(merged.Predictions) == 0 {
+		writeUpstream(w, failed.name, failed.err)
 		return
 	}
 	sort.Slice(merged.Predictions, func(i, j int) bool {
@@ -273,9 +263,10 @@ func (rt *Router) handlePredictions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// proxy forwards one stateless request body to a replica and relays the
-// JSON response, failing over to the next replica on a retryable error.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path string, body json.RawMessage) {
+// proxy forwards one stateless request (body nil sends none) to a replica
+// and relays the JSON response, failing over to the next replica on a
+// retryable error.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path string, body any) {
 	smap, _ := rt.view()
 	n := smap.N()
 	skip := map[string]bool{}
@@ -286,12 +277,8 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path str
 		if client == nil {
 			break
 		}
-		var in any
-		if body != nil {
-			in = body
-		}
 		var out any
-		err := client.Do(r.Context(), method, path, in, &out)
+		err := client.Do(r.Context(), method, path, body, &out)
 		rt.observeForward(name, err)
 		if err == nil {
 			writeJSON(w, http.StatusOK, out)
@@ -309,20 +296,18 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path str
 	writeUpstream(w, lastName, lastErr)
 }
 
-// forwardJSON builds a handler that relays a POST body round-robin.
-func (rt *Router) forwardJSON(path string) http.HandlerFunc {
+// forward builds a handler that relays a stateless request round-robin; a
+// POST relays its (size-checked, well-formed) JSON body verbatim.
+func (rt *Router) forward(method, path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var raw json.RawMessage
-		if !rt.decode(w, r, &raw) {
-			return
+		var body any
+		if method == http.MethodPost {
+			var raw json.RawMessage
+			if !rt.decode(w, r, &raw) {
+				return
+			}
+			body = raw
 		}
-		rt.proxy(w, r, http.MethodPost, path, raw)
-	}
-}
-
-// forwardGet builds a handler that relays a GET round-robin.
-func (rt *Router) forwardGet(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.proxy(w, r, http.MethodGet, path, nil)
+		rt.proxy(w, r, method, path, body)
 	}
 }

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"net/http"
-	"sync"
 
 	"seagull/internal/obs"
 	"seagull/internal/serving"
@@ -122,30 +121,24 @@ func (rt *Router) FleetVarz(ctx context.Context) FleetVarz {
 		out.Routes[name] = RouteVarz{Count: ep.Count, Errors: ep.Errors}
 	}
 
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, name := range names {
-		wg.Add(1)
-		go func(name string, c *serving.Client) {
-			defer wg.Done()
-			rep := ReplicaVarz{Ready: c.Ready(ctx)}
-			v, err := c.Varz(ctx)
-			if err != nil {
-				rep.Error = err.Error()
-			} else {
-				rep.Varz = &v
-			}
-			rv := rt.replicaVarsFor(name)
-			rep.Forwards, rep.Failures = rv.forwards.Load(), rv.failures.Load()
-			mu.Lock()
-			defer mu.Unlock()
-			out.Replicas[name] = rep
-			if rep.Ready {
-				out.ReadyReplicas++
-			}
-		}(name, clients[name])
+	probes := scatter(names, clients, nil, func(name string, c *serving.Client) (ReplicaVarz, error) {
+		rep := ReplicaVarz{Ready: c.Ready(ctx)}
+		v, err := c.Varz(ctx)
+		if err != nil {
+			rep.Error = err.Error()
+		} else {
+			rep.Varz = &v
+		}
+		rv := rt.replicaVarsFor(name)
+		rep.Forwards, rep.Failures = rv.forwards.Load(), rv.failures.Load()
+		return rep, nil
+	})
+	for _, p := range probes {
+		out.Replicas[p.name] = p.val
+		if p.val.Ready {
+			out.ReadyReplicas++
+		}
 	}
-	wg.Wait()
 	out.Fleet = fleetTotals(out.Replicas)
 	return out
 }

@@ -2,11 +2,9 @@ package serving
 
 import (
 	"context"
-	"errors"
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -67,7 +65,7 @@ func (s *Service) admitted(pattern string, class admission.Class, h, degraded ht
 			degraded(w, r)
 		default:
 			s.logShed(&lastShedLog, "request shed", pattern, tr, res)
-			writeOverload(w, r, class, res)
+			writeOverload(w, class, res)
 		}
 	}
 }
@@ -99,15 +97,9 @@ func retryAfterSeconds(d time.Duration) int {
 
 // writeOverload renders a non-admitted verdict. Shed ingest answers 429
 // (pacing: the client holds buffered telemetry and re-sends), everything
-// else 503; both carry the limiter's computed Retry-After. v1 endpoints keep
-// their flat legacy error shape.
-func writeOverload(w http.ResponseWriter, r *http.Request, class admission.Class, res admission.Result) {
-	v1 := strings.HasPrefix(r.URL.Path, "/v1/")
+// else 503; both carry the limiter's computed Retry-After.
+func writeOverload(w http.ResponseWriter, class admission.Class, res admission.Result) {
 	if res.Verdict == admission.Canceled {
-		if v1 {
-			httpError(w, statusClientClosedRequest, errors.New("request canceled while queued for admission"))
-			return
-		}
 		writeV2Error(w, svcErr(CodeCanceled, statusClientClosedRequest, "request canceled while queued for admission"))
 		return
 	}
@@ -121,10 +113,6 @@ func writeOverload(w http.ResponseWriter, r *http.Request, class admission.Class
 	msg := "overloaded: request shed, retry after the indicated delay"
 	if res.Verdict == admission.ShedDeadline {
 		msg = "overloaded: request could not meet its deadline and was rejected before doing work"
-	}
-	if v1 {
-		httpError(w, status, errors.New(msg))
-		return
 	}
 	writeV2Error(w, svcErr(CodeOverloaded, status, "%s", msg))
 }
@@ -142,7 +130,7 @@ func (s *Service) PredictDegraded(ctx context.Context, req PredictRequestV2) (Pr
 	if serr := s.resolveLiveHistory(&req); serr != nil {
 		return PredictResponseV2{}, serr
 	}
-	if serr := s.validateSeries(req.History, req.Horizon, req.WindowPoints, true); serr != nil {
+	if serr := validateSeries(req.History, req.Horizon, req.WindowPoints); serr != nil {
 		return PredictResponseV2{}, serr
 	}
 	_, v, serr := s.active(req.Scenario, req.Region)
@@ -177,20 +165,4 @@ func (s *Service) PredictDegraded(ctx context.Context, req PredictRequestV2) (Pr
 		LLStart:  llStart,
 		LLAvg:    llAvg,
 	}, nil
-}
-
-func (s *Service) handlePredictDegradedV2(w http.ResponseWriter, r *http.Request) {
-	var req PredictRequestV2
-	if serr := s.decode(w, r, &req); serr != nil {
-		writeV2Error(w, serr)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	resp, serr := s.PredictDegraded(ctx, req)
-	if serr != nil {
-		writeV2Error(w, serr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

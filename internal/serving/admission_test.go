@@ -120,22 +120,6 @@ func TestAdmissionShedsOverloadedWithRetryAfter(t *testing.T) {
 		}
 	}
 
-	// v1 sheds keep the flat legacy error shape.
-	resp = postJSON(t, srv.URL+"/v1/predict", PredictRequest{
-		Scenario: "backup", Region: "r", History: FromSeries(weekHistory()), Horizon: 288,
-	})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("v1 status = %d, want 503", resp.StatusCode)
-	}
-	var flat map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&flat); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if flat["error"] == "" {
-		t.Error("v1 shed must use the flat error shape")
-	}
-
 	// Capacity freed: traffic flows again.
 	release()
 	resp, err = http.Get(srv.URL + "/v2/models")

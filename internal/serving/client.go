@@ -13,12 +13,11 @@ import (
 	"time"
 
 	"seagull/internal/simclock"
-	"seagull/internal/timeseries"
 )
 
-// APIError is a structured error decoded from a v2 error envelope. v1
-// responses and undecodable bodies degrade to CodeInternal with the raw
-// body as the message.
+// APIError is a structured error decoded from a v2 error envelope.
+// Undecodable bodies degrade to CodeInternal with the raw body as the
+// message.
 type APIError struct {
 	Status  int
 	Code    ErrorCode
@@ -67,7 +66,7 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	return c
 }
 
-// Client is the typed Go client for the serving endpoints, v1 and v2.
+// Client is the typed Go client for the serving endpoints.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -96,9 +95,13 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL, HTTP: &http.Client{Timeout: 60 * time.Second}}
 }
 
-// do posts (or gets, when in is nil) JSON and decodes the response into out,
-// converting non-200 responses into *APIError, with retries per c.Retry.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// Do performs one JSON request against path under the client's full retry
+// and circuit-breaker policy: it posts in (or gets, when in is nil) and
+// decodes the response into out, converting non-200 responses into
+// *APIError. in may be any marshalable value (json.RawMessage relays a
+// pre-encoded body verbatim). Every typed method below, and the sharded
+// router's stateless forwards, are built on it.
+func (c *Client) Do(ctx context.Context, method, path string, in, out any) error {
 	var data []byte
 	if in != nil {
 		var err error
@@ -244,49 +247,40 @@ func parseRetryAfter(h string) time.Duration {
 	return 0
 }
 
-// Do performs one JSON request against path under the client's full retry
-// and circuit-breaker policy, decoding the response into out. in may be any
-// marshalable value (json.RawMessage relays a pre-encoded body verbatim);
-// nil sends no body. The sharded router's stateless forwards are built on
-// it.
-func (c *Client) Do(ctx context.Context, method, path string, in, out any) error {
-	return c.do(ctx, method, path, in, out)
-}
-
-// --- v2 methods ---
+// --- typed methods ---
 
 // PredictV2 posts a v2 predict request.
 func (c *Client) PredictV2(ctx context.Context, req PredictRequestV2) (PredictResponseV2, error) {
 	var out PredictResponseV2
-	err := c.do(ctx, http.MethodPost, "/v2/predict", req, &out)
+	err := c.Do(ctx, http.MethodPost, "/v2/predict", req, &out)
 	return out, err
 }
 
 // PredictBatch posts a batch of servers in one call.
 func (c *Client) PredictBatch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
 	var out BatchResponse
-	err := c.do(ctx, http.MethodPost, "/v2/predict/batch", req, &out)
+	err := c.Do(ctx, http.MethodPost, "/v2/predict/batch", req, &out)
 	return out, err
 }
 
 // Advise reviews a customer-selected backup window.
 func (c *Client) Advise(ctx context.Context, req AdviseRequest) (AdviseResponse, error) {
 	var out AdviseResponse
-	err := c.do(ctx, http.MethodPost, "/v2/advise", req, &out)
+	err := c.Do(ctx, http.MethodPost, "/v2/advise", req, &out)
 	return out, err
 }
 
 // ModelsV2 fetches the v2 deployment listing with pool statistics.
 func (c *Client) ModelsV2(ctx context.Context) (ModelsResponseV2, error) {
 	var out ModelsResponseV2
-	err := c.do(ctx, http.MethodGet, "/v2/models", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/v2/models", nil, &out)
 	return out, err
 }
 
 // Predictions fetches the stored pipeline predictions of one (region, week).
 func (c *Client) Predictions(ctx context.Context, region string, week int) (PredictionsResponse, error) {
 	var out PredictionsResponse
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v2/predictions/%s/%d", region, week), nil, &out)
+	err := c.Do(ctx, http.MethodGet, fmt.Sprintf("/v2/predictions/%s/%d", region, week), nil, &out)
 	return out, err
 }
 
@@ -296,14 +290,14 @@ func (c *Client) Predictions(ctx context.Context, region string, week int) (Pred
 // backoff budget as a drain 503, honoring the server's Retry-After pacing.
 func (c *Client) Ingest(ctx context.Context, req IngestRequest) (IngestResponse, error) {
 	var out IngestResponse
-	err := c.do(ctx, http.MethodPost, "/v2/ingest", req, &out)
+	err := c.Do(ctx, http.MethodPost, "/v2/ingest", req, &out)
 	return out, err
 }
 
 // Varz fetches the operational counters document.
 func (c *Client) Varz(ctx context.Context) (Varz, error) {
 	var out Varz
-	err := c.do(ctx, http.MethodGet, "/varz", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/varz", nil, &out)
 	return out, err
 }
 
@@ -315,58 +309,8 @@ func (c *Client) Ready(ctx context.Context) bool {
 	return err == nil
 }
 
-// --- v1 methods (kept for compatibility) ---
-
-// Predict posts a history series to the v1 endpoint and returns the
-// forecast.
-func (c *Client) Predict(scenario, region string, history timeseries.Series, horizon int) (timeseries.Series, PredictResponse, error) {
-	req := PredictRequest{
-		Scenario: scenario, Region: region,
-		History: FromSeries(history), Horizon: horizon,
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return timeseries.Series{}, PredictResponse{}, err
-	}
-	resp, err := c.HTTP.Post(c.BaseURL+"/v1/predict", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return timeseries.Series{}, PredictResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return timeseries.Series{}, PredictResponse{}, fmt.Errorf("serving: %s: %s", resp.Status, bytes.TrimSpace(data))
-	}
-	var pr PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return timeseries.Series{}, PredictResponse{}, err
-	}
-	return pr.Forecast.ToSeries(), pr, nil
-}
-
-// Models fetches the v1 deployment listing.
-func (c *Client) Models() ([]ModelInfo, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/v1/models")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serving: %s", resp.Status)
-	}
-	var out []ModelInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Healthy reports whether the endpoint responds to /healthz.
+// Healthy reports whether the endpoint responds to /healthz; like Ready, a
+// single un-retried probe.
 func (c *Client) Healthy() bool {
-	resp, err := c.HTTP.Get(c.BaseURL + "/healthz")
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	return c.doOnce(context.TODO(), http.MethodGet, "/healthz", nil, nil) == nil
 }

@@ -21,8 +21,7 @@ type PoolConfig struct {
 	// concurrency level that stays warm). Default 4; NewService raises the
 	// default to its batch fan-out width so a whole batch's worker models
 	// re-pool. Negative disables pooling entirely: every checkout builds a
-	// fresh model — the model-per-request behaviour of the v1 handler,
-	// kept for benchmarks and as an escape hatch.
+	// fresh model — model-per-request, kept for the cold benchmarks.
 	MaxIdle int
 	// Seed is the deterministic seed every pooled model instance is built
 	// with, so a warm instance and a fresh instance are interchangeable:

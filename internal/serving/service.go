@@ -30,20 +30,20 @@ import (
 // abandoned by the caller; Go's net/http has no constant for it.
 const statusClientClosedRequest = 499
 
+// maxHorizon bounds the forecast horizon in observations: two weeks at
+// five-minute granularity.
+const maxHorizon = 4032
+
 // ServiceConfig parameterizes the serving layer. The zero value selects
 // production defaults.
 type ServiceConfig struct {
 	// Metrics carries the accuracy constants used by /v2/advise and the
 	// lowest-load windows of predict responses. Zero value → DefaultConfig.
 	Metrics metrics.Config
-	// MaxBodyBytes bounds any request body. Default 64 MiB (the historical
-	// v1 limit).
+	// MaxBodyBytes bounds any request body. Default 64 MiB.
 	MaxBodyBytes int64
 	// MaxBatch bounds the servers in one batch predict call. Default 256.
 	MaxBatch int
-	// MaxHorizon bounds the forecast horizon in observations. Default 4032
-	// (two weeks at five-minute granularity).
-	MaxHorizon int
 	// Timeout is the per-request serving deadline. Default 60s. Negative
 	// disables the deadline (the caller's context still applies).
 	Timeout time.Duration
@@ -76,7 +76,7 @@ type ServiceConfig struct {
 	// points at the ingestor's interval; negative disables the floor.
 	MinLivePoints int
 	// MaxInflight bounds concurrently-executing requests across every
-	// admission-controlled endpoint (all of /v1 and /v2; liveness endpoints
+	// admission-controlled endpoint (all of /v2; liveness endpoints
 	// are exempt). The adaptive limiter starts here and walks the effective
 	// limit down whenever observed latency exceeds the per-class target.
 	// 0 → default 256; negative disables admission control entirely.
@@ -119,9 +119,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 256
 	}
-	if c.MaxHorizon == 0 {
-		c.MaxHorizon = 4032
-	}
 	if c.Timeout == 0 {
 		c.Timeout = 60 * time.Second
 	}
@@ -142,8 +139,8 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 
 // Service is the long-lived serving layer: the v2 prediction protocol
 // (single, batch, advise, model listing, stored predictions) over a warm
-// model pool, plus the v1 endpoints as a compatibility shim. Safe for
-// concurrent use; one Service is meant to serve a process's whole traffic.
+// model pool. Safe for concurrent use; one Service is meant to serve a
+// process's whole traffic.
 type Service struct {
 	reg      *registry.Registry
 	db       *cosmos.DB // optional; nil disables /v2/predictions
@@ -225,16 +222,13 @@ func NewService(reg *registry.Registry, db *cosmos.DB, cfg ServiceConfig) *Servi
 	// bypass admission — a scraper must see an overloaded process.
 	handle("GET /metrics", s.handleMetrics)
 	handle("GET /debug/traces", s.handleTraces)
-	// v1 compatibility shim (see serving.go for the wire types).
-	admit("GET /v1/models", admission.Background, s.handleModelsV1)
-	admit("POST /v1/predict", admission.Predict, s.handlePredictV1)
 	// v2 protocol. /v2/predict is the one brownout-capable route: under
 	// saturation it degrades to the persistent forecast instead of shedding.
 	handle("POST /v2/predict",
-		s.admitted("POST /v2/predict", admission.Predict, s.handlePredictV2, s.handlePredictDegradedV2))
-	admit("POST /v2/predict/batch", admission.Predict, s.handleBatchV2)
-	admit("POST /v2/advise", admission.Background, s.handleAdviseV2)
-	admit("POST /v2/ingest", admission.Ingest, s.handleIngestV2)
+		s.admitted("POST /v2/predict", admission.Predict, jsonRoute(s, s.Predict), jsonRoute(s, s.PredictDegraded)))
+	admit("POST /v2/predict/batch", admission.Predict, jsonRoute(s, s.PredictBatch))
+	admit("POST /v2/advise", admission.Background, jsonRoute(s, s.Advise))
+	admit("POST /v2/ingest", admission.Ingest, jsonRoute(s, s.Ingest))
 	admit("GET /v2/models", admission.Background, s.handleModelsV2)
 	admit("GET /v2/predictions/{region}/{week}", admission.Background, s.handlePredictionsV2)
 	s.mux = mux
@@ -293,15 +287,13 @@ func ctxServiceError(err error) *ServiceError {
 }
 
 // validateSeries checks the common history/horizon invariants.
-// enforceLimits applies the v2 horizon cap; the v1 shim passes false —
-// the legacy endpoint accepted any positive horizon and must keep doing so.
-func (s *Service) validateSeries(history SeriesJSON, horizon, windowPoints int, enforceLimits bool) *ServiceError {
+func validateSeries(history SeriesJSON, horizon, windowPoints int) *ServiceError {
 	if horizon <= 0 {
 		return badRequest("horizon must be positive")
 	}
-	if enforceLimits && horizon > s.cfg.MaxHorizon {
+	if horizon > maxHorizon {
 		return svcErr(CodeTooLarge, http.StatusRequestEntityTooLarge,
-			"horizon %d exceeds the limit of %d observations", horizon, s.cfg.MaxHorizon)
+			"horizon %d exceeds the limit of %d observations", horizon, maxHorizon)
 	}
 	if history.IntervalMin <= 0 || len(history.Values) == 0 {
 		return badRequest("history must be a non-empty series with a positive interval")
@@ -372,11 +364,6 @@ func (s *Service) predictWith(ctx context.Context, tr *obs.Trace, inst *Instance
 	return FromSeries(pred), llStart, llAvg, nil
 }
 
-// Predict serves one forecast through the warm model pool.
-func (s *Service) Predict(ctx context.Context, req PredictRequestV2) (PredictResponseV2, *ServiceError) {
-	return s.predict(ctx, req, true)
-}
-
 // resolveLiveHistory sources a live_history request's training history from
 // the attached ingestor's live window (no-op when the request carries its
 // own history). Shared by the full predict path and the brownout fallback.
@@ -411,11 +398,12 @@ func (s *Service) resolveLiveHistory(req *PredictRequestV2) *ServiceError {
 	return nil
 }
 
-func (s *Service) predict(ctx context.Context, req PredictRequestV2, enforceLimits bool) (PredictResponseV2, *ServiceError) {
+// Predict serves one forecast through the warm model pool.
+func (s *Service) Predict(ctx context.Context, req PredictRequestV2) (PredictResponseV2, *ServiceError) {
 	if serr := s.resolveLiveHistory(&req); serr != nil {
 		return PredictResponseV2{}, serr
 	}
-	if serr := s.validateSeries(req.History, req.Horizon, req.WindowPoints, enforceLimits); serr != nil {
+	if serr := validateSeries(req.History, req.Horizon, req.WindowPoints); serr != nil {
 		return PredictResponseV2{}, serr
 	}
 	target, v, serr := s.active(req.Scenario, req.Region)
@@ -501,7 +489,7 @@ func (s *Service) PredictBatch(ctx context.Context, req BatchRequest) (BatchResp
 			case wm.err != nil:
 				res.Error = &ErrorBody{Code: CodeInternal, Message: wm.err.Error()}
 			default:
-				if serr := s.validateSeries(item.History, item.Horizon, item.WindowPoints, true); serr != nil {
+				if serr := validateSeries(item.History, item.Horizon, item.WindowPoints); serr != nil {
 					res.Error = &ErrorBody{Code: serr.Code, Message: serr.Message}
 					break
 				}
@@ -545,7 +533,7 @@ func (s *Service) PredictBatch(ctx context.Context, req BatchRequest) (BatchResp
 
 // Advise reviews a customer-selected backup window against the predicted
 // lowest-load window (Section 6.2).
-func (s *Service) Advise(req AdviseRequest) (AdviseResponse, *ServiceError) {
+func (s *Service) Advise(_ context.Context, req AdviseRequest) (AdviseResponse, *ServiceError) {
 	if req.PredictedDay.IntervalMin <= 0 || len(req.PredictedDay.Values) == 0 {
 		return AdviseResponse{}, badRequest("predicted_day must be a non-empty series with a positive interval")
 	}
@@ -660,50 +648,25 @@ func (s *Service) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-func (s *Service) handlePredictV2(w http.ResponseWriter, r *http.Request) {
-	var req PredictRequestV2
-	if serr := s.decode(w, r, &req); serr != nil {
-		writeV2Error(w, serr)
-		return
+// jsonRoute is the one POST route: decode the body under the size limit,
+// apply the request deadline, run op, and answer with its reply or the error
+// envelope. Every JSON endpoint is this function over a different op.
+func jsonRoute[Req, Resp any](s *Service, op func(context.Context, Req) (Resp, *ServiceError)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if serr := s.decode(w, r, &req); serr != nil {
+			writeV2Error(w, serr)
+			return
+		}
+		ctx, cancel := s.requestContext(r)
+		defer cancel()
+		resp, serr := op(ctx, req)
+		if serr != nil {
+			writeV2Error(w, serr)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	resp, serr := s.Predict(ctx, req)
-	if serr != nil {
-		writeV2Error(w, serr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleBatchV2(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if serr := s.decode(w, r, &req); serr != nil {
-		writeV2Error(w, serr)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	resp, serr := s.PredictBatch(ctx, req)
-	if serr != nil {
-		writeV2Error(w, serr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleAdviseV2(w http.ResponseWriter, r *http.Request) {
-	var req AdviseRequest
-	if serr := s.decode(w, r, &req); serr != nil {
-		writeV2Error(w, serr)
-		return
-	}
-	resp, serr := s.Advise(req)
-	if serr != nil {
-		writeV2Error(w, serr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleModelsV2(w http.ResponseWriter, _ *http.Request) {

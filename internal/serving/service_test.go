@@ -50,6 +50,17 @@ func TestPredictV2EndToEnd(t *testing.T) {
 	if pred.Len() != 288 {
 		t.Fatalf("forecast len = %d", pred.Len())
 	}
+	// Persistent prev-day forecast equals the last history day, and follows
+	// the history without a gap.
+	last, _ := hist.Day(6)
+	for i := range pred.Values {
+		if pred.Values[i] != last.Values[i] {
+			t.Fatalf("forecast differs from last day at %d", i)
+		}
+	}
+	if !pred.Start.Equal(hist.End()) {
+		t.Errorf("forecast start = %v, want %v", pred.Start, hist.End())
+	}
 	// The server-side LL window must equal a client-side recomputation.
 	ll, err := metrics.LowestLoadWindow(pred, 12)
 	if err != nil {
@@ -89,16 +100,18 @@ func TestPredictBatchEndToEnd(t *testing.T) {
 			{ServerID: "too-short", History: short, Horizon: 288},
 			{ServerID: "b", History: good, Horizon: 288},
 			{ServerID: "bad-horizon", History: good, Horizon: 0},
+			{ServerID: "at-the-cap", History: good, Horizon: maxHorizon},
+			{ServerID: "past-the-cap", History: good, Horizon: maxHorizon + 1},
 		},
 	}
 	resp, err := c.PredictBatch(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Succeeded != 2 || resp.Failed != 2 {
-		t.Fatalf("succeeded=%d failed=%d, want 2/2", resp.Succeeded, resp.Failed)
+	if resp.Succeeded != 3 || resp.Failed != 3 {
+		t.Fatalf("succeeded=%d failed=%d, want 3/3", resp.Succeeded, resp.Failed)
 	}
-	if len(resp.Results) != 4 {
+	if len(resp.Results) != 6 {
 		t.Fatalf("results = %d", len(resp.Results))
 	}
 	// Results arrive in request order with per-item error codes.
@@ -113,6 +126,14 @@ func TestPredictBatchEndToEnd(t *testing.T) {
 	}
 	if e := resp.Results[3].Error; e == nil || e.Code != CodeBadRequest {
 		t.Errorf("results[3].Error = %+v, want %s", resp.Results[3].Error, CodeBadRequest)
+	}
+	// The horizon cap is per item: the cap itself serves, one past it fails
+	// alone with too_large.
+	if r := resp.Results[4]; r.Error != nil || len(r.Forecast.Values) != maxHorizon {
+		t.Errorf("results[4] = %+v, want a %d-point forecast", r.Error, maxHorizon)
+	}
+	if e := resp.Results[5].Error; e == nil || e.Code != CodeTooLarge {
+		t.Errorf("results[5].Error = %+v, want %s", resp.Results[5].Error, CodeTooLarge)
 	}
 	// A batch forecast must equal a single-predict forecast for the same input.
 	single, err := c.PredictV2(context.Background(), PredictRequestV2{
@@ -342,8 +363,12 @@ func TestStructuredErrorCodes(t *testing.T) {
 			Scenario: "backup", Region: "r",
 			History: SeriesJSON{Start: t0, IntervalMin: 5, Values: []float64{1}}, Horizon: 288,
 		}), http.StatusUnprocessableEntity, CodeUntrainable},
-		{"horizon beyond limit", "/v2/predict", mustJSON(PredictRequestV2{
-			Scenario: "backup", Region: "r", History: good, Horizon: 100000,
+		{"zero interval", "/v2/predict", mustJSON(PredictRequestV2{
+			Scenario: "backup", Region: "r",
+			History: SeriesJSON{Start: t0, IntervalMin: 0, Values: []float64{1}}, Horizon: 10,
+		}), http.StatusBadRequest, CodeBadRequest},
+		{"horizon one past the cap", "/v2/predict", mustJSON(PredictRequestV2{
+			Scenario: "backup", Region: "r", History: good, Horizon: maxHorizon + 1,
 		}), http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"unknown deployed model", "/v2/predict", mustJSON(PredictRequestV2{
 			Scenario: "backup", Region: "broken", History: good, Horizon: 288,

@@ -3,16 +3,13 @@
 // shape: a long-lived, concurrency-safe Service carries a warm model pool
 // per (scenario, region, version) — checked-out instances reuse the scratch
 // buffers the models retain across Train calls — and speaks a versioned wire
-// protocol. v2 adds batch prediction, window advice, stored-prediction
-// lookup, structured error codes and request limits; the original v1
-// endpoints keep serving through a thin compatibility shim.
+// protocol: single and batch prediction, window advice, stored-prediction
+// lookup, structured error codes and request limits.
 //
 // Endpoints:
 //
 //	GET  /healthz                          liveness
 //	GET  /readyz                           readiness (flips during drain)
-//	POST /v1/predict                       single forecast (legacy wire format)
-//	GET  /v1/models                        deployment listing (legacy wire format)
 //	POST /v2/predict                       single forecast + lowest-load window
 //	POST /v2/predict/batch                 many servers, fanned across the pool
 //	POST /v2/advise                        customer backup-window review
@@ -33,15 +30,13 @@ package serving
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 
-	"seagull/internal/registry"
 	"seagull/internal/timeseries"
 )
 
-// SeriesJSON is the wire form of a time series (shared by v1 and v2).
+// SeriesJSON is the wire form of a time series.
 type SeriesJSON struct {
 	Start       time.Time `json:"start"`
 	IntervalMin int       `json:"interval_min"`
@@ -58,23 +53,7 @@ func FromSeries(s timeseries.Series) SeriesJSON {
 	return SeriesJSON{Start: s.Start, IntervalMin: int(s.Interval / time.Minute), Values: s.Values}
 }
 
-// PredictRequest is the v1 predict request: one (scenario, region), one
-// history, no batch, no window. Kept wire-compatible forever.
-type PredictRequest struct {
-	Scenario string     `json:"scenario"`
-	Region   string     `json:"region"`
-	History  SeriesJSON `json:"history"`
-	Horizon  int        `json:"horizon"`
-}
-
-// PredictResponse is the v1 predict response.
-type PredictResponse struct {
-	Model    string     `json:"model"`
-	Version  int        `json:"version"`
-	Forecast SeriesJSON `json:"forecast"`
-}
-
-// ModelInfo describes one deployment slot in the models listings.
+// ModelInfo describes one deployment slot in the models listing.
 type ModelInfo struct {
 	Scenario string  `json:"scenario"`
 	Region   string  `json:"region"`
@@ -83,59 +62,8 @@ type ModelInfo struct {
 	Accuracy float64 `json:"accuracy"`
 }
 
-// NewHandler returns the serving endpoint over a registry with default
-// limits and no document store — the historical constructor, now backed by
-// the full Service (v1 and v2 endpoints both).
-func NewHandler(reg *registry.Registry) *Service {
-	return NewService(reg, nil, ServiceConfig{})
-}
-
-// --- v1 compatibility shim ---
-//
-// The v1 handlers translate to the v2 core (same warm pool, same
-// cancellation) but keep the original wire format: flat {"error": "..."}
-// bodies and the original status mapping. The golden test in
-// serving_test.go pins the format.
-
-func (s *Service) handlePredictV1(w http.ResponseWriter, r *http.Request) {
-	var req PredictRequest
-	if serr := s.decode(w, r, &req); serr != nil {
-		if serr.Code == CodeTooLarge {
-			// The original handler truncated oversized bodies at its
-			// LimitReader and reported a 400 decode failure; keep the v1
-			// status class.
-			httpError(w, http.StatusBadRequest, errors.New("decode request: request body too large"))
-			return
-		}
-		httpError(w, serr.Status, errors.New(serr.Message))
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	// enforceLimits=false: v1 accepted any positive horizon.
-	resp, serr := s.predict(ctx, PredictRequestV2{
-		Scenario: req.Scenario, Region: req.Region,
-		History: req.History, Horizon: req.Horizon,
-	}, false)
-	if serr != nil {
-		httpError(w, serr.Status, errors.New(serr.Message))
-		return
-	}
-	writeJSON(w, http.StatusOK, PredictResponse{
-		Model: resp.Model, Version: resp.Version, Forecast: resp.Forecast,
-	})
-}
-
-func (s *Service) handleModelsV1(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.ModelList())
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -1,11 +1,8 @@
 package serving
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,14 +12,6 @@ import (
 )
 
 var t0 = time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC)
-
-func testServer(t *testing.T) (*httptest.Server, *registry.Registry) {
-	t.Helper()
-	reg := registry.New(nil)
-	srv := httptest.NewServer(NewHandler(reg))
-	t.Cleanup(srv.Close)
-	return srv, reg
-}
 
 func weekHistory() timeseries.Series {
 	vals := make([]float64, 7*288)
@@ -37,95 +26,24 @@ func weekHistory() timeseries.Series {
 }
 
 func TestHealthz(t *testing.T) {
-	srv, _ := testServer(t)
+	srv, _, _ := v2Server(t, ServiceConfig{})
 	c := NewClient(srv.URL)
 	if !c.Healthy() {
 		t.Error("endpoint should be healthy")
 	}
-}
-
-func TestPredictEndToEnd(t *testing.T) {
-	srv, reg := testServer(t)
-	reg.Deploy(registry.Target{Scenario: "backup", Region: "westus"}, forecast.NamePersistentPrevDay, "")
-
-	c := NewClient(srv.URL)
-	hist := weekHistory()
-	pred, resp, err := c.Predict("backup", "westus", hist, 288)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Model != forecast.NamePersistentPrevDay || resp.Version != 1 {
-		t.Errorf("resp = %+v", resp)
-	}
-	if pred.Len() != 288 {
-		t.Fatalf("forecast len = %d", pred.Len())
-	}
-	// Persistent prev-day forecast equals the last history day.
-	last, _ := hist.Day(6)
-	for i := range pred.Values {
-		if pred.Values[i] != last.Values[i] {
-			t.Fatalf("forecast differs from last day at %d", i)
-		}
-	}
-	if !pred.Start.Equal(hist.End()) {
-		t.Errorf("forecast start = %v", pred.Start)
-	}
-}
-
-func TestPredictNoDeployment(t *testing.T) {
-	srv, _ := testServer(t)
-	c := NewClient(srv.URL)
-	_, _, err := c.Predict("backup", "nowhere", weekHistory(), 288)
-	if err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("err = %v, want 404", err)
-	}
-}
-
-func TestPredictValidation(t *testing.T) {
-	srv, reg := testServer(t)
-	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, forecast.NamePersistentPrevDay, "")
-
-	post := func(body string) int {
-		resp, err := http.Post(srv.URL+"/v1/predict", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := post("{not json"); code != http.StatusBadRequest {
-		t.Errorf("bad json status = %d", code)
-	}
-	if code := post(`{"scenario":"backup","region":"r","horizon":0,
-		"history":{"start":"2019-12-01T00:00:00Z","interval_min":5,"values":[1]}}`); code != http.StatusBadRequest {
-		t.Errorf("zero horizon status = %d", code)
-	}
-	if code := post(`{"scenario":"backup","region":"r","horizon":10,
-		"history":{"start":"2019-12-01T00:00:00Z","interval_min":0,"values":[1]}}`); code != http.StatusBadRequest {
-		t.Errorf("zero interval status = %d", code)
-	}
-	// Insufficient history → unprocessable.
-	req := PredictRequest{
-		Scenario: "backup", Region: "r", Horizon: 288,
-		History: SeriesJSON{Start: t0, IntervalMin: 5, Values: []float64{1, 2, 3}},
-	}
-	data, _ := json.Marshal(req)
-	resp, err := http.Post(srv.URL+"/v1/predict", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("short history status = %d", resp.StatusCode)
+	srv.Close()
+	if c.Healthy() {
+		t.Error("a closed endpoint must not report healthy")
 	}
 }
 
 func TestModelsListing(t *testing.T) {
-	srv, reg := testServer(t)
+	srv, _, reg := v2Server(t, ServiceConfig{})
 	c := NewClient(srv.URL)
-	models, err := c.Models()
-	if err != nil || len(models) != 0 {
-		t.Errorf("empty registry: %v %v", models, err)
+	ctx := context.Background()
+	resp, err := c.ModelsV2(ctx)
+	if err != nil || len(resp.Models) != 0 {
+		t.Errorf("empty registry: %v %v", resp.Models, err)
 	}
 
 	tgt := registry.Target{Scenario: "backup", Region: "westus"}
@@ -133,10 +51,11 @@ func TestModelsListing(t *testing.T) {
 	_ = reg.RecordAccuracy(tgt, v, 0.99)
 	reg.Deploy(registry.Target{Scenario: "autoscale", Region: "eastus"}, forecast.NameSSA, "")
 
-	models, err = c.Models()
+	resp, err = c.ModelsV2(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	models := resp.Models
 	if len(models) != 2 {
 		t.Fatalf("models = %+v", models)
 	}
@@ -158,23 +77,13 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	srv, _ := testServer(t)
-	resp, err := http.Get(srv.URL + "/v1/predict")
+	srv, _, _ := v2Server(t, ServiceConfig{})
+	resp, err := http.Get(srv.URL + "/v2/predict")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/predict status = %d", resp.StatusCode)
-	}
-}
-
-func TestUnknownDeployedModel(t *testing.T) {
-	srv, reg := testServer(t)
-	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, "no-such-model", "")
-	c := NewClient(srv.URL)
-	_, _, err := c.Predict("backup", "r", weekHistory(), 288)
-	if err == nil || !strings.Contains(err.Error(), "500") {
-		t.Errorf("err = %v, want 500", err)
+		t.Errorf("GET /v2/predict status = %d", resp.StatusCode)
 	}
 }

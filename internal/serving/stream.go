@@ -213,19 +213,3 @@ func (s *Service) Ingest(ctx context.Context, req IngestRequest) (IngestResponse
 	}
 	return resp, nil
 }
-
-func (s *Service) handleIngestV2(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
-	if serr := s.decode(w, r, &req); serr != nil {
-		writeV2Error(w, serr)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	resp, serr := s.Ingest(ctx, req)
-	if serr != nil {
-		writeV2Error(w, serr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}

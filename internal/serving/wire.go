@@ -11,9 +11,7 @@ import (
 //
 //	{"error": {"code": "<machine-readable>", "message": "<human-readable>"}}
 //
-// so clients can branch on the code without parsing prose; the v1 endpoints
-// keep their original flat {"error": "<message>"} shape through the compat
-// shim.
+// so clients can branch on the code without parsing prose.
 
 // ErrorCode is a machine-readable v2 error class.
 type ErrorCode string
@@ -51,8 +49,7 @@ type errorEnvelope struct {
 }
 
 // ServiceError is a service failure with its wire representation: the v2
-// code, the HTTP status, and the human-readable message. The v1 shim reuses
-// Status and Message and drops the code.
+// code, the HTTP status, and the human-readable message.
 type ServiceError struct {
 	Code    ErrorCode
 	Status  int

@@ -18,12 +18,11 @@ import (
 // production defaults.
 type DriftConfig struct {
 	// Metrics carries the Definition 1/2 constants. Zero value → DefaultConfig.
+	// A server counts as drifted when the bucket ratio (Definition 1, live
+	// actuals vs the stored prediction) falls below the Definition 2 accuracy
+	// threshold (0.90): a stored prediction that would no longer be judged
+	// accurate has drifted.
 	Metrics metrics.Config
-	// MinRatio is the bucket ratio (Definition 1, live actuals vs the stored
-	// prediction) below which a server counts as drifted. Default: the
-	// Definition 2 accuracy threshold (0.90) — a stored prediction that would
-	// no longer be judged accurate has drifted.
-	MinRatio float64
 	// MinPoints is the minimum number of live/predicted pairs required to
 	// judge a server at all; with fewer overlapping points the verdict is
 	// "skipped", not "drifted". Default 12 (one hour at five-minute slots).
@@ -33,9 +32,6 @@ type DriftConfig struct {
 func (c DriftConfig) withDefaults() DriftConfig {
 	if c.Metrics == (metrics.Config{}) {
 		c.Metrics = metrics.DefaultConfig()
-	}
-	if c.MinRatio == 0 {
-		c.MinRatio = c.Metrics.AccuracyThreshold
 	}
 	if c.MinPoints == 0 {
 		c.MinPoints = 12
@@ -55,7 +51,7 @@ type Report struct {
 	Region  string `json:"region"`
 	Week    int    `json:"week"`
 	Checked int    `json:"checked"` // stored predictions examined
-	Drifted int    `json:"drifted"` // predictions whose live actuals fell below MinRatio
+	Drifted int    `json:"drifted"` // predictions whose live actuals fell below the accuracy threshold
 	// Skipped counts predictions with too little live overlap to judge.
 	Skipped int `json:"skipped"`
 	// DriftedServers lists the drifted servers' verdicts, worst ratio first.
@@ -128,7 +124,7 @@ func (d *DriftDetector) Sweep(ctx context.Context, region string, week int) (Rep
 			rep.Skipped++
 			return nil
 		}
-		if ratio < d.cfg.MinRatio {
+		if ratio < d.cfg.Metrics.AccuracyThreshold {
 			rep.Drifted++
 			rep.DriftedServers = append(rep.DriftedServers, ServerDrift{
 				ServerID: doc.ServerID, Ratio: ratio, Points: points,

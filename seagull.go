@@ -104,12 +104,12 @@ type (
 	AutoscaleConfig = autoscale.EvalConfig
 
 	// Service is the long-lived, concurrency-safe serving layer: the v2
-	// prediction protocol over a warm model pool, with v1 compatibility.
+	// prediction protocol over a warm model pool.
 	Service = serving.Service
 	// ServiceConfig parameterizes the serving layer (request limits,
 	// deadlines, warm-pool sizing).
 	ServiceConfig = serving.ServiceConfig
-	// Client is the typed Go client for the serving endpoints (v1 and v2).
+	// Client is the typed Go client for the serving endpoints.
 	Client = serving.Client
 
 	// Ingestor is the online telemetry ingestion layer: sharded per-server
@@ -446,8 +446,8 @@ func (s *System) ScheduleBackupsCtx(ctx context.Context, region string, week int
 
 // Service builds a serving layer over the system's registry and document
 // store with the given configuration: the v2 prediction protocol (single,
-// batch, advise, models, stored predictions) with a warm model pool, plus
-// the v1 compatibility endpoints. See internal/serving and DESIGN.md.
+// batch, advise, models, stored predictions) with a warm model pool. See
+// internal/serving and DESIGN.md.
 //
 // The caller owns the returned Service: each one subscribes its warm pool
 // to the registry, so a Service discarded before the System must be

@@ -1,6 +1,7 @@
 package seagull
 
 import (
+	"context"
 	"net/http/httptest"
 	"os"
 	"testing"
@@ -92,12 +93,14 @@ func TestSystemServingHandler(t *testing.T) {
 	fleet := GenerateFleet(FleetConfig{Region: "api", Servers: 1, Weeks: 1, Seed: 2,
 		Mix: Mix{Stable: 1}})
 	hist := fleet.Servers[0].Load()
-	pred, resp, err := client.Predict("backup", "api", hist, 288)
+	resp, err := client.PredictV2(context.Background(), serving.PredictRequestV2{
+		Scenario: "backup", Region: "api", History: serving.FromSeries(hist), Horizon: 288,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Model != ModelPersistentPrevDay || pred.Len() != 288 {
-		t.Errorf("resp=%+v len=%d", resp, pred.Len())
+	if resp.Model != ModelPersistentPrevDay || len(resp.Forecast.Values) != 288 {
+		t.Errorf("model=%q len=%d", resp.Model, len(resp.Forecast.Values))
 	}
 }
 
