@@ -513,7 +513,7 @@ func streamDriftFixture(b *testing.B, servers int) (*stream.DriftDetector, int) 
 			ing.Append(id, day.Add(time.Duration(i)*5*time.Minute), live)
 		}
 	}
-	return stream.NewDriftDetector(ing, db, stream.DriftConfig{}), servers / 2
+	return stream.NewDriftDetector(ing, db), servers / 2
 }
 
 // BenchmarkStreamDriftSweep measures a full drift sweep over 64 stored
@@ -591,14 +591,15 @@ func streamSnapshotFixture(b *testing.B, servers, points int) (*stream.Ingestor,
 	return ing, cfg
 }
 
-// drainOnly is the WAL-less durability a snapshot-only deployment runs:
+// drainOnly is the durability a snapshot-only deployment runs:
 // nothing on a timer, the shard snapshots written when asked (or on Close).
-var drainOnly = stream.DurabilityConfig{DisableWAL: true, SnapshotEvery: -1}
+var drainOnly = stream.DurabilityConfig{SnapshotEvery: -1}
 
 // BenchmarkStreamShardSnapshotWrite measures persisting 64 servers × 2016
 // live points (one week) through the per-shard snapshot writer into the lake
 // — the seagull-serve drain hook. A fresh manager per iteration has seen no
-// shard yet, so every populated shard is rewritten.
+// shard yet, so every populated shard is rewritten; opening and closing its
+// shard logs is set-up, outside the timer.
 func BenchmarkStreamShardSnapshotWrite(b *testing.B) {
 	ing, _ := streamSnapshotFixture(b, 64, 2016)
 	store, err := lake.Open(b.TempDir())
@@ -608,13 +609,20 @@ func BenchmarkStreamShardSnapshotWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		d := stream.NewDurability(ing, store, drainOnly)
 		if err := d.Open(); err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		if n, err := d.SnapshotNow(); err != nil || n == 0 {
 			b.Fatalf("snapshot wrote %d shards: %v", n, err)
 		}
+		b.StopTimer()
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 
@@ -633,6 +641,17 @@ func BenchmarkStreamShardSnapshotRestore(b *testing.B) {
 	}
 	if err := d.Close(); err != nil {
 		b.Fatal(err)
+	}
+	// Leave the snapshots alone in the lake: replaying the empty shard logs
+	// is BenchmarkStreamWALReplay's subject, not this one's.
+	logs, err := store.ListObjects(stream.WALPrefix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range logs {
+		if err := store.RemoveObject(name); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -94,11 +94,8 @@ func main() {
 		snapshot = flag.Bool("snapshot", true,
 			"restore the live telemetry rings from the lake on startup and persist them while running, "+
 				"so the stream window survives restarts (requires -stream; pair with -data for durability)")
-		walOn = flag.Bool("wal", true,
-			"write-ahead-log live telemetry appends so a hard kill loses at most one -wal-commit "+
-				"interval of points (requires -snapshot)")
 		walCommit = flag.Duration("wal-commit", 100*time.Millisecond,
-			"WAL group-commit interval: the bounded-loss δ in restore ≥ T-δ")
+			"WAL group-commit interval: the bounded-loss δ in restore ≥ T-δ (requires -snapshot)")
 		snapInterval = flag.Duration("snapshot-interval", 30*time.Second,
 			"incremental ring-snapshot interval; unchanged shards are skipped (negative = drain-only snapshots)")
 		sweepEvery = flag.Duration("sweep-interval", time.Minute,
@@ -135,7 +132,6 @@ func main() {
 		Brownout:       *brownout,
 		Stream:         *streamOn,
 		Snapshot:       *snapshot,
-		WAL:            *walOn,
 		WALCommit:      *walCommit,
 		SnapshotEvery:  *snapInterval,
 		SweepInterval:  *sweepEvery,
@@ -180,11 +176,10 @@ type serveConfig struct {
 	Brownout bool
 	Stream   bool
 	// Snapshot restores the telemetry rings from the lake on startup and
-	// persists them while running + on drain (stream layer only).
+	// persists them while running + on drain (stream layer only), with a
+	// write-ahead log between snapshots so a hard kill loses at most
+	// WALCommit worth of telemetry.
 	Snapshot bool
-	// WAL write-ahead-logs appends between snapshots so a hard kill loses at
-	// most WALCommit worth of telemetry (requires Snapshot).
-	WAL bool
 	// WALCommit is the WAL group-commit interval — the bounded-loss δ.
 	WALCommit time.Duration
 	// SnapshotEvery is the incremental snapshot cadence (negative disables
@@ -194,10 +189,10 @@ type serveConfig struct {
 	SweepInterval time.Duration
 	// RefreshWorkers bounds concurrent drift retrains (0 = one per CPU).
 	RefreshWorkers int
-	Cron      bool
-	CronEpoch string
-	CronFirst int
-	CronLast  int
+	Cron           bool
+	CronEpoch      string
+	CronFirst      int
+	CronLast       int
 	// LogFormat/LogLevel configure the structured logger ("" = text/info).
 	LogFormat string
 	LogLevel  string
@@ -299,7 +294,6 @@ func serve(ctx context.Context, cfg serveConfig, ln net.Listener, out io.Writer)
 				logger.Info("lake temp sweep removed staging files", "count", n)
 			}
 			dur = sys.NewDurability(seagull.DurabilityConfig{
-				DisableWAL:    !cfg.WAL,
 				CommitEvery:   cfg.WALCommit,
 				SnapshotEvery: cfg.SnapshotEvery,
 			})

@@ -307,7 +307,6 @@ func recoveryServe(t *testing.T, dataDir string) (*seagull.Client, func()) {
 		Timeout:  30 * time.Second,
 		Stream:   true,
 		Snapshot: true,
-		WAL:      true,
 	}
 	done := make(chan error, 1)
 	go func() { done <- serve(ctx, cfg, ln, testWriter{t}) }()
@@ -519,7 +518,6 @@ func runKillChild(dataDir string) {
 		Timeout:       30 * time.Second,
 		Stream:        true,
 		Snapshot:      true,
-		WAL:           true,
 		WALCommit:     25 * time.Millisecond,
 		SnapshotEvery: time.Hour,
 	}

@@ -153,13 +153,13 @@ func main() {
 		vz.Refresh.Refreshed, vz.Pool.Hits, vz.Pool.Misses)
 
 	// Restart recovery: snapshot the live rings to the lake (what
-	// seagull-serve does on drain — here without a WAL, so the one
-	// snapshot Close writes is the whole durable state), then bring up a
-	// second System over the same data dir — its restored live windows
+	// seagull-serve does on drain — here without the background tickers, so
+	// the one snapshot Close writes is the whole durable state), then bring
+	// up a second System over the same data dir — its restored live windows
 	// match the original bit for bit, so forecasts, drift verdicts and
 	// refreshes pick up where the dead process left off instead of waiting
 	// for a month of re-fed telemetry.
-	drainOnly := seagull.DurabilityConfig{DisableWAL: true, SnapshotEvery: -1}
+	drainOnly := seagull.DurabilityConfig{SnapshotEvery: -1}
 	dur := sys.NewDurability(drainOnly)
 	if err := dur.Open(); err != nil {
 		log.Fatal(err)

@@ -152,16 +152,12 @@ type Config struct {
 	MaxInflight int
 	// Target is the default per-request latency target (queue wait plus
 	// service) that drives the AIMD signal; Endpoint registration may
-	// override it per endpoint. Default 500ms.
+	// override it per endpoint. It is also the minimum spacing between two
+	// multiplicative decreases. Default 500ms.
 	Target time.Duration
 	// QueueCap bounds the total waiters across all classes. Default
 	// 2×MaxInflight.
 	QueueCap int
-	// DecreaseCooldown is the minimum spacing between two multiplicative
-	// decreases, so one slow burst (whose completions all arrive over
-	// target together) counts as one congestion event, not a collapse to
-	// minLimit. Default: the endpoint-default Target.
-	DecreaseCooldown time.Duration
 	// Brownout enables the degraded-fallback verdict. Off, saturated
 	// endpoints with a fallback shed like everyone else.
 	Brownout bool
@@ -182,9 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 2 * c.MaxInflight
-	}
-	if c.DecreaseCooldown <= 0 {
-		c.DecreaseCooldown = c.Target
 	}
 	return c
 }
@@ -453,7 +446,11 @@ func (l *Limiter) observe(ep *Endpoint, totalNs, serviceNs int64, now time.Time)
 	over := totalNs > int64(ep.target)
 	l.mu.Lock()
 	if over {
-		if now.Sub(l.lastDecrease) >= l.cfg.DecreaseCooldown {
+		// Two multiplicative decreases are at least one default Target
+		// apart, so one slow burst (whose completions all arrive over
+		// target together) counts as one congestion event, not a collapse
+		// to minLimit.
+		if now.Sub(l.lastDecrease) >= l.cfg.Target {
 			l.limit = max(l.limit*decreaseFactor, minLimit)
 			l.lastDecrease = now
 		}

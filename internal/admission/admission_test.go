@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"seagull/internal/simclock"
 )
 
 // hold admits n requests and returns their tickets (failing the test when
@@ -239,10 +241,9 @@ func TestCancelWhileQueued(t *testing.T) {
 }
 
 func TestAIMDDecreasesOnOverTargetAndRecovers(t *testing.T) {
-	l := NewLimiter(Config{
-		MaxInflight: 16, Target: time.Millisecond,
-		DecreaseCooldown: time.Nanosecond, // every over-target completion may decrease
-	})
+	// The decrease cooldown equals the 1ms target, so every 3ms over-target
+	// completion may decrease.
+	l := NewLimiter(Config{MaxInflight: 16, Target: time.Millisecond})
 	ep := l.Endpoint("p", Predict, 0)
 
 	// Over-target completions walk the limit down multiplicatively.
@@ -273,23 +274,29 @@ func TestAIMDDecreasesOnOverTargetAndRecovers(t *testing.T) {
 }
 
 func TestAIMDDecreaseCooldownBoundsCollapse(t *testing.T) {
-	// With a long cooldown, a burst of slow completions counts as ONE
-	// congestion event: the limit decreases exactly once.
-	l := NewLimiter(Config{
-		MaxInflight: 16, Target: time.Nanosecond, // everything is over target
-		DecreaseCooldown: time.Hour,
-	})
+	// The decrease cooldown is one Target: a burst of slow completions that
+	// all land inside it counts as ONE congestion event, and the limit
+	// decreases exactly once. The next burst, a Target later, is a second
+	// event.
+	clock := simclock.NewSimulated(time.Unix(0, 0).UTC())
+	l := NewLimiter(Config{MaxInflight: 16, Target: time.Second, Clock: clock})
 	ep := l.Endpoint("p", Predict, 0)
-	for i := 0; i < 10; i++ {
-		tk, res := ep.Acquire(context.Background(), false)
-		if res.Verdict != Admitted {
-			t.Fatalf("acquire: %v", res.Verdict)
+	burst := func() {
+		tickets := hold(t, ep, 10)
+		clock.Advance(2 * time.Second) // every completion is over target
+		for _, tk := range tickets {
+			tk.Release()
 		}
-		tk.Release()
 	}
+	burst()
 	want := 16 * 0.85
 	if got := l.Limit(); got < want-0.01 || got > want+0.01 {
 		t.Fatalf("limit = %.2f, want exactly one 0.85 decrease (%.2f)", got, want)
+	}
+	burst()
+	want *= 0.85
+	if got := l.Limit(); got < want-0.01 || got > want+0.01 {
+		t.Fatalf("limit = %.2f after a second burst, want two 0.85 decreases (%.2f)", got, want)
 	}
 }
 

@@ -221,15 +221,16 @@ func clampSpans(n int32) int32 {
 	return n
 }
 
-// TracerConfig parameterizes a Tracer. The zero value retains 512 traces,
-// keeps the 16 slowest, and never emits slow-trace logs.
+// A Tracer retains the ringSize most recent traces (rounded up to a multiple
+// of the stripe count) and keeps the slowestN slowest on its board.
+const (
+	ringSize = 512
+	slowestN = 16
+)
+
+// TracerConfig parameterizes a Tracer. The zero value never emits slow-trace
+// logs.
 type TracerConfig struct {
-	// RingSize is the total retained recent traces, rounded up to a multiple
-	// of the stripe count. Default 512.
-	RingSize int
-	// Slowest is the slowest-N board capacity. Default 16; negative disables
-	// the board.
-	Slowest int
 	// SlowThreshold emits a structured log line with the full span tree for
 	// every trace whose total duration reaches it. 0 disables.
 	SlowThreshold time.Duration
@@ -255,18 +256,9 @@ type Tracer struct {
 	board    board
 }
 
-// NewTracer builds a tracer with cfg's ring geometry.
+// NewTracer builds a tracer.
 func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 512
-	}
-	perStripe := (cfg.RingSize + numStripes - 1) / numStripes
-	if cfg.Slowest == 0 {
-		cfg.Slowest = 16
-	}
-	if cfg.Slowest < 0 {
-		cfg.Slowest = 0
-	}
+	perStripe := (ringSize + numStripes - 1) / numStripes
 	t := &Tracer{cfg: cfg, clock: simclock.Or(cfg.Clock)}
 	if cfg.SlowThreshold > 0 && cfg.Logger == nil {
 		t.cfg.Logger = slog.Default()
@@ -274,7 +266,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	for i := range t.stripes {
 		t.stripes[i].slots = make([]Trace, perStripe)
 	}
-	t.board.entries = make([]boardEntry, cfg.Slowest)
+	t.board.entries = make([]boardEntry, slowestN)
 	return t
 }
 

@@ -98,14 +98,14 @@ func TestTracerNilSafety(t *testing.T) {
 }
 
 func TestRingRecyclesWithoutGrowth(t *testing.T) {
-	tr := NewTracer(TracerConfig{RingSize: 16})
-	for i := 0; i < 1000; i++ {
+	tr := NewTracer(TracerConfig{})
+	for i := 0; i < 4*ringSize; i++ {
 		trace := tr.Start("op", "x")
 		trace.Begin(StageTrain).End()
 		tr.Finish(trace, 200)
 	}
-	if got := len(tr.Recent(1000)); got != 16 {
-		t.Fatalf("ring retained %d traces, want 16", got)
+	if got := len(tr.Recent(4 * ringSize)); got != ringSize {
+		t.Fatalf("ring retained %d traces, want %d", got, ringSize)
 	}
 	if tr.Overruns() != 0 {
 		t.Fatalf("overruns = %d, want 0", tr.Overruns())
@@ -113,9 +113,9 @@ func TestRingRecyclesWithoutGrowth(t *testing.T) {
 }
 
 func TestRingOverrunSkipsInsteadOfCorrupting(t *testing.T) {
-	tr := NewTracer(TracerConfig{RingSize: numStripes}) // one slot per stripe
-	held := make([]*Trace, 0, numStripes)
-	for i := 0; i < numStripes; i++ {
+	tr := NewTracer(TracerConfig{})
+	held := make([]*Trace, 0, ringSize)
+	for i := 0; i < ringSize; i++ {
 		held = append(held, tr.Start("held", "x"))
 	}
 	// Every slot is owned by an unfinished trace: new starts must be skipped.
@@ -126,14 +126,14 @@ func TestRingOverrunSkipsInsteadOfCorrupting(t *testing.T) {
 		t.Fatalf("overruns = %d, want 1", tr.Overruns())
 	}
 	// Active slots must be invisible to renderers.
-	if got := tr.Recent(100); len(got) != 0 {
+	if got := tr.Recent(ringSize); len(got) != 0 {
 		t.Fatalf("Recent exposed %d active traces", len(got))
 	}
 	for _, h := range held {
 		tr.Finish(h, 200)
 	}
-	if got := len(tr.Recent(100)); got != numStripes {
-		t.Fatalf("Recent after finish = %d, want %d", got, numStripes)
+	if got := len(tr.Recent(ringSize)); got != ringSize {
+		t.Fatalf("Recent after finish = %d, want %d", got, ringSize)
 	}
 }
 
@@ -166,18 +166,24 @@ func TestConcurrentSpanRecording(t *testing.T) {
 
 func TestSlowestBoard(t *testing.T) {
 	clock := simclock.NewSimulated(time.Unix(0, 0).UTC())
-	tr := NewTracer(TracerConfig{Slowest: 2, Clock: clock})
-	for _, ms := range []int{5, 1, 9, 3, 7} {
+	tr := NewTracer(TracerConfig{Clock: clock})
+	// Durations 1..3·slowestN ms in a scrambled order; the board keeps the
+	// slowestN longest, slowest first.
+	n := 3 * slowestN
+	for i := 0; i < n; i++ {
+		ms := (i*7)%n + 1 // 7 is coprime with n: every duration exactly once
 		trace := tr.Start("op", "x")
 		clock.Advance(time.Duration(ms) * time.Millisecond)
 		tr.Finish(trace, 200)
 	}
 	slow := tr.Slowest()
-	if len(slow) != 2 {
-		t.Fatalf("board holds %d, want 2", len(slow))
+	if len(slow) != slowestN {
+		t.Fatalf("board holds %d, want %d", len(slow), slowestN)
 	}
-	if slow[0].TotalMs != 9 || slow[1].TotalMs != 7 {
-		t.Fatalf("slowest = %v / %v ms, want 9 / 7", slow[0].TotalMs, slow[1].TotalMs)
+	for i, v := range slow {
+		if want := float64(n - i); v.TotalMs != want {
+			t.Fatalf("slowest[%d] = %v ms, want %v", i, v.TotalMs, want)
+		}
 	}
 }
 

@@ -60,7 +60,9 @@ const (
 var ErrNoData = errors.New("pipeline: no input data")
 
 // Config parameterizes one weekly pipeline run (the "parameter updates" of
-// Section 2.4).
+// Section 2.4). The accuracy constants (Definitions 1–9) are the paper's,
+// metrics.DefaultConfig, and a run ingests that config's HistoryWeeks (3)
+// prior weeks for training and predictability.
 type Config struct {
 	Region string
 	// Week is the 0-based week (relative to the dataset start) whose extract
@@ -71,14 +73,9 @@ type Config struct {
 	ModelName string
 	// Interval is the telemetry granularity; defaults to 5 minutes.
 	Interval time.Duration
-	// HistoryWeeks is how many prior weeks are ingested for training and
-	// predictability; defaults to the metrics config's 3.
-	HistoryWeeks int
 	// Workers bounds the parallel accuracy evaluation; 0 means NumCPU, 1
 	// forces the single-threaded baseline.
 	Workers int
-	// Metrics carries the accuracy constants (Definitions 1–9).
-	Metrics metrics.Config
 	// Seed drives stochastic models.
 	Seed int64
 	// MinFleetAccuracy is the LL-window accuracy below which the run demotes
@@ -93,12 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Interval == 0 {
 		c.Interval = 5 * time.Minute
-	}
-	if c.Metrics == (metrics.Config{}) {
-		c.Metrics = metrics.DefaultConfig()
-	}
-	if c.HistoryWeeks == 0 {
-		c.HistoryWeeks = c.Metrics.HistoryWeeks
 	}
 	return c
 }
@@ -324,7 +315,7 @@ type serverHistory struct {
 // concatenates them per server. It returns the per-server histories and the
 // current week's loads (for validation).
 func (p *Pipeline) ingest(cfg Config) (map[string]*serverHistory, []*extract.ServerLoad, error) {
-	firstWeek := cfg.Week - cfg.HistoryWeeks
+	firstWeek := cfg.Week - metrics.DefaultConfig().HistoryWeeks
 	if firstWeek < 0 {
 		firstWeek = 0
 	}
@@ -388,7 +379,7 @@ func (p *Pipeline) validateWeek(cfg Config, weekLoads []*extract.ServerLoad) (*v
 func (p *Pipeline) extractFeatures(cfg Config, histories map[string]*serverHistory) *classify.Summary {
 	sum := classify.NewSummary()
 	for _, h := range histories {
-		cat, err := classify.Categorize(h.load, h.load.NumDays(), cfg.Metrics)
+		cat, err := classify.Categorize(h.load, h.load.NumDays(), metrics.DefaultConfig())
 		if err != nil {
 			p.Dash.Raise(insights.SevWarning, cfg.Region, StageFeatures, "%s: %v", h.id, err)
 			continue
@@ -517,7 +508,7 @@ func (p *Pipeline) predictServer(cfg Config, h *serverHistory) (*PredictionDoc, 
 	if err != nil {
 		return pdoc, nil
 	}
-	dr, err := metrics.EvaluateDay(trueDay.FillGaps(), pred, w, cfg.Metrics)
+	dr, err := metrics.EvaluateDay(trueDay.FillGaps(), pred, w, metrics.DefaultConfig())
 	if err != nil {
 		return pdoc, nil
 	}
@@ -543,6 +534,7 @@ func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDo
 	predCol := p.DB.Collection(PredictionsCollection)
 	evalCol := p.DB.Collection("evaluations")
 	sumCol := p.DB.Collection(SummariesCollection)
+	historyWeeks := metrics.DefaultConfig().HistoryWeeks
 
 	for _, pd := range preds {
 		if err := predCol.Upsert(cfg.Region, docID(pd.ServerID, pd.Week), pd); err != nil {
@@ -554,7 +546,7 @@ func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDo
 		// this one) were all correct and accurate.
 		predictable := ed.WindowCorrect && ed.WindowAccurate
 		weeksSeen := 1
-		for w := ed.Week - 1; w > ed.Week-cfg.Metrics.HistoryWeeks && predictable; w-- {
+		for w := ed.Week - 1; w > ed.Week-historyWeeks && predictable; w-- {
 			var prev EvalDoc
 			if err := evalCol.Get(cfg.Region, docID(ed.ServerID, w), &prev); err != nil {
 				predictable = false
@@ -563,7 +555,7 @@ func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDo
 			weeksSeen++
 			predictable = prev.WindowCorrect && prev.WindowAccurate
 		}
-		if weeksSeen < cfg.Metrics.HistoryWeeks {
+		if weeksSeen < historyWeeks {
 			predictable = false
 		}
 		ed.Predictable = predictable

@@ -242,7 +242,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.ModelName != forecast.NamePersistentPrevDay {
 		t.Errorf("default model = %q", c.ModelName)
 	}
-	if c.Interval != 5*time.Minute || c.HistoryWeeks != 3 {
+	if c.Interval != 5*time.Minute {
 		t.Errorf("defaults = %+v", c)
 	}
 }

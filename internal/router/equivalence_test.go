@@ -98,7 +98,7 @@ func (w *world) newStack(name string, durable bool) *replicaStack {
 	})
 	cfg := serving.ServiceConfig{
 		Ingestor:    st.ing,
-		Drift:       stream.NewDriftDetector(st.ing, w.db, stream.DriftConfig{}),
+		Drift:       stream.NewDriftDetector(st.ing, w.db),
 		MaxInflight: -1, // determinism over admission dynamics in this suite
 	}
 	if durable {

@@ -117,7 +117,7 @@ func (w *world) newFullStack(name string) *replicaStack {
 		Slots:    (testWeeks + 1) * int(7*24*60/5),
 	})
 	tracer := obs.NewTracer(obs.TracerConfig{})
-	det := stream.NewDriftDetector(st.ing, w.db, stream.DriftConfig{})
+	det := stream.NewDriftDetector(st.ing, w.db)
 	pool := serving.NewModelPool(serving.PoolConfig{})
 	w.t.Cleanup(pool.Bind(w.reg))
 	ref := stream.NewRefresher(st.ing, w.db, w.reg, serving.StreamPool(pool), stream.RefreshConfig{Tracer: tracer})

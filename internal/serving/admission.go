@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -103,9 +102,6 @@ func writeOverload(w http.ResponseWriter, class admission.Class, res admission.R
 		writeV2Error(w, svcErr(CodeCanceled, statusClientClosedRequest, "request canceled while queued for admission"))
 		return
 	}
-	if sec := retryAfterSeconds(res.RetryAfter); sec > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-	}
 	status := http.StatusServiceUnavailable
 	if class == admission.Ingest {
 		status = http.StatusTooManyRequests
@@ -114,7 +110,9 @@ func writeOverload(w http.ResponseWriter, class admission.Class, res admission.R
 	if res.Verdict == admission.ShedDeadline {
 		msg = "overloaded: request could not meet its deadline and was rejected before doing work"
 	}
-	writeV2Error(w, svcErr(CodeOverloaded, status, "%s", msg))
+	serr := svcErr(CodeOverloaded, status, "%s", msg)
+	serr.RetryAfter = res.RetryAfter
+	writeV2Error(w, serr)
 }
 
 // PredictDegraded is the brownout fallback for /v2/predict: the persistent

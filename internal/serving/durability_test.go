@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,8 +91,8 @@ func TestPredictLiveHistoryInsufficient(t *testing.T) {
 	}
 }
 
-// TestPredictLiveHistoryFloorConfig: the floor is tunable and can be
-// disabled.
+// TestPredictLiveHistoryFloorConfig: the floor is exactly one day of
+// observations at the ingestor's interval.
 func TestPredictLiveHistoryFloorConfig(t *testing.T) {
 	db, err := cosmos.Open("")
 	if err != nil {
@@ -100,27 +101,23 @@ func TestPredictLiveHistoryFloorConfig(t *testing.T) {
 	reg := registry.New(nil)
 	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, forecast.NamePersistentPrevDay, "")
 	ing := stream.NewIngestor(stream.Config{Epoch: time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC)})
-	vals := make([]float64, 300)
+	day := int(24 * time.Hour / ing.Interval())
+	vals := make([]float64, day-1)
 	for i := range vals {
 		vals[i] = float64(i % 9)
 	}
 	if _, err := ing.AppendSeries("srv", ing.Epoch(), vals); err != nil {
 		t.Fatal(err)
 	}
+	svc := NewService(reg, db, ServiceConfig{Ingestor: ing})
+	req := PredictRequestV2{Scenario: "backup", Region: "r", ServerID: "srv", LiveHistory: true, Horizon: 10}
 
-	strict := NewService(reg, db, ServiceConfig{Ingestor: ing, MinLivePoints: 400})
-	_, serr := strict.Predict(context.Background(), PredictRequestV2{
-		Scenario: "backup", Region: "r", ServerID: "srv", LiveHistory: true, Horizon: 10,
-	})
-	if serr == nil || serr.Code != CodeInsufficientHistory {
-		t.Fatalf("strict floor err = %v, want insufficient_history", serr)
+	if _, serr := svc.Predict(context.Background(), req); serr == nil || serr.Code != CodeInsufficientHistory {
+		t.Fatalf("one point short of a day: err = %v, want insufficient_history", serr)
 	}
-
-	lax := NewService(reg, db, ServiceConfig{Ingestor: ing, MinLivePoints: -1})
-	if _, serr := lax.Predict(context.Background(), PredictRequestV2{
-		Scenario: "backup", Region: "r", ServerID: "srv", LiveHistory: true, Horizon: 10,
-	}); serr != nil {
-		t.Fatalf("disabled floor err = %v, want success", serr)
+	ing.Append("srv", ing.Epoch().Add(time.Duration(day-1)*ing.Interval()), 1)
+	if _, serr := svc.Predict(context.Background(), req); serr != nil {
+		t.Fatalf("a full day: err = %v, want success", serr)
 	}
 }
 
@@ -162,5 +159,57 @@ func TestVarzDurability(t *testing.T) {
 	}
 	if vz.Durability.Recovered == nil {
 		t.Fatal("varz durability missing the boot recovery outcome")
+	}
+}
+
+// TestIngestRefusedWhenWALCannotFlush: a point whose shard buffer is full and
+// whose log refuses writes is not acknowledged — /v2/ingest answers 503
+// overloaded with Retry-After, and /varz counts the refusal.
+func TestIngestRefusedWhenWALCannotFlush(t *testing.T) {
+	base, err := lake.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := lake.NewFaultStore(base)
+	db, err := cosmos.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing := stream.NewIngestor(stream.Config{Epoch: time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC)})
+	dur := stream.NewDurability(ing, store, stream.DurabilityConfig{
+		SnapshotEvery: -1, CommitEvery: time.Hour, BufferEntries: 4,
+	})
+	if err := dur.Open(); err != nil {
+		t.Fatal(err)
+	}
+	logs, err := store.ListObjects(stream.WALPrefix)
+	if err != nil || len(logs) == 0 {
+		t.Fatalf("shard logs = %v, %v", logs, err)
+	}
+	for _, name := range logs {
+		store.Arm(lake.FaultRule{Name: name, Op: lake.FaultAppend})
+	}
+	svc := NewService(registry.New(nil), db, ServiceConfig{Ingestor: ing, Durability: dur})
+	srv := newTestHTTPServer(t, svc)
+
+	body := `{"servers":[{"server_id":"srv","start":"2019-12-01T00:00:00Z","interval_min":5,"values":[1,2,3,4,5,6]}]}`
+	resp, err := http.Post(srv+"/v2/ingest", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != CodeOverloaded || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("got %d %+v Retry-After=%q, want 503 overloaded with Retry-After",
+			resp.StatusCode, env.Error, resp.Header.Get("Retry-After"))
+	}
+	if st := dur.Stats(); st.Dropped != 1 {
+		t.Fatalf("durability stats = %+v, want the one refused point", st)
+	}
+	if st := ing.Stats(); st.Appended != 4 {
+		t.Fatalf("ingest stats = %+v, want the four buffered points applied and nothing after", st)
 	}
 }

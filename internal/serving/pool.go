@@ -11,32 +11,31 @@ import (
 	"seagull/internal/timeseries"
 )
 
+// The pool keeps at most maxPoolEntries distinct (scenario, region, version)
+// slots warm; the least recently used slot is evicted beyond that. Every
+// pooled instance is built with modelSeed, so a warm instance and a fresh one
+// are interchangeable: all models pin retrain-equals-fresh behaviour in their
+// equivalence tests, and identical seeding removes the remaining degree of
+// freedom.
+const (
+	maxPoolEntries       = 64
+	modelSeed      int64 = 0
+)
+
 // PoolConfig sizes the warm model pool.
 type PoolConfig struct {
-	// MaxEntries bounds how many distinct (scenario, region, version) slots
-	// the pool keeps warm; the least recently used slot is evicted beyond
-	// that. Values below 1 select the default, 64.
-	MaxEntries int
 	// MaxIdle bounds the idle model instances retained per slot (the
 	// concurrency level that stays warm). Default 4; NewService raises the
 	// default to its batch fan-out width so a whole batch's worker models
 	// re-pool. Negative disables pooling entirely: every checkout builds a
 	// fresh model — model-per-request, kept for the cold benchmarks.
 	MaxIdle int
-	// Seed is the deterministic seed every pooled model instance is built
-	// with, so a warm instance and a fresh instance are interchangeable:
-	// all models pin retrain-equals-fresh behaviour in their equivalence
-	// tests, and identical seeding removes the remaining degree of freedom.
-	Seed int64
 	// NewModel overrides model construction (tests inject slow or failing
 	// models). Default forecast.New.
 	NewModel func(name string, seed int64) (forecast.Model, error)
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
-	if c.MaxEntries < 1 {
-		c.MaxEntries = 64
-	}
 	if c.MaxIdle == 0 {
 		c.MaxIdle = 4
 	}
@@ -206,7 +205,7 @@ func (p *ModelPool) Checkout(target registry.Target, version int, modelName stri
 		p.mu.Lock()
 		p.stats.Misses++
 		p.mu.Unlock()
-		m, err := p.cfg.NewModel(modelName, p.cfg.Seed)
+		m, err := p.cfg.NewModel(modelName, modelSeed)
 		if err != nil {
 			return nil, false, err
 		}
@@ -230,7 +229,7 @@ func (p *ModelPool) Checkout(target registry.Target, version int, modelName stri
 	}
 	p.stats.Misses++
 	p.mu.Unlock()
-	m, err := p.cfg.NewModel(modelName, p.cfg.Seed)
+	m, err := p.cfg.NewModel(modelName, modelSeed)
 	if err != nil {
 		return nil, false, err
 	}
@@ -264,7 +263,7 @@ func (p *ModelPool) Return(target registry.Target, version int, inst *Instance) 
 		e := &poolEntry{key: key}
 		el = p.lru.PushFront(e)
 		p.entries[key] = el
-		for p.lru.Len() > p.cfg.MaxEntries {
+		for p.lru.Len() > maxPoolEntries {
 			back := p.lru.Back()
 			evicted := back.Value.(*poolEntry)
 			p.lru.Remove(back)

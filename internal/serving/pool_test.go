@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -53,36 +54,24 @@ func TestPoolMaxIdleBound(t *testing.T) {
 }
 
 func TestPoolLRUEviction(t *testing.T) {
-	p := NewModelPool(PoolConfig{MaxEntries: 2})
-	slot := func(region string) registry.Target {
-		return registry.Target{Scenario: "backup", Region: region}
+	p := NewModelPool(PoolConfig{})
+	slot := func(i int) registry.Target {
+		return registry.Target{Scenario: "backup", Region: fmt.Sprintf("region-%d", i)}
 	}
-	for _, region := range []string{"a", "b", "c"} {
-		m, _, _ := p.Checkout(slot(region), 1, forecast.NamePersistentPrevDay)
-		p.Return(slot(region), 1, m)
+	for i := 0; i <= maxPoolEntries; i++ {
+		m, _, _ := p.Checkout(slot(i), 1, forecast.NamePersistentPrevDay)
+		p.Return(slot(i), 1, m)
 	}
 	st := p.Stats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 2 entries / 1 eviction", st)
+	if st.Entries != maxPoolEntries || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want %d entries / 1 eviction", st, maxPoolEntries)
 	}
-	// "a" was least recently used and must be cold again.
-	if _, hit, _ := p.Checkout(slot("a"), 1, forecast.NamePersistentPrevDay); hit {
+	// The first slot was least recently used and must be cold again.
+	if _, hit, _ := p.Checkout(slot(0), 1, forecast.NamePersistentPrevDay); hit {
 		t.Error("evicted slot must miss")
 	}
-	if _, hit, _ := p.Checkout(slot("c"), 1, forecast.NamePersistentPrevDay); !hit {
+	if _, hit, _ := p.Checkout(slot(maxPoolEntries), 1, forecast.NamePersistentPrevDay); !hit {
 		t.Error("recently used slot must stay warm")
-	}
-}
-
-func TestPoolNegativeMaxEntriesUsesDefault(t *testing.T) {
-	p := NewModelPool(PoolConfig{MaxEntries: -1})
-	inst, _, err := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Return(poolTarget, 1, inst) // must not panic in the eviction loop
-	if st := p.Stats(); st.Entries != 1 || st.Idle != 1 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 

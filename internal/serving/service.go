@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -34,16 +35,16 @@ const statusClientClosedRequest = 499
 // five-minute granularity.
 const maxHorizon = 4032
 
+// maxBatch bounds the servers in one batch predict call.
+const maxBatch = 256
+
 // ServiceConfig parameterizes the serving layer. The zero value selects
-// production defaults.
+// production defaults. /v2/advise judges windows with the paper's accuracy
+// constants (metrics.DefaultConfig), a live_history predict needs at least
+// one day of live points, and a batch carries at most maxBatch servers.
 type ServiceConfig struct {
-	// Metrics carries the accuracy constants used by /v2/advise and the
-	// lowest-load windows of predict responses. Zero value → DefaultConfig.
-	Metrics metrics.Config
 	// MaxBodyBytes bounds any request body. Default 64 MiB.
 	MaxBodyBytes int64
-	// MaxBatch bounds the servers in one batch predict call. Default 256.
-	MaxBatch int
 	// Timeout is the per-request serving deadline. Default 60s. Negative
 	// disables the deadline (the caller's context still applies).
 	Timeout time.Duration
@@ -69,12 +70,6 @@ type ServiceConfig struct {
 	// counters on /varz. The service never drives it — its tickers run in
 	// the owning process.
 	Durability *stream.Durability
-	// MinLivePoints is the floor a server's live window must reach before a
-	// live_history predict will forecast from it; thinner windows fail with
-	// insufficient_history rather than silently serving a worse forecast
-	// (the cold-start symptom after a failed restore). 0 means one day of
-	// points at the ingestor's interval; negative disables the floor.
-	MinLivePoints int
 	// MaxInflight bounds concurrently-executing requests across every
 	// admission-controlled endpoint (all of /v2; liveness endpoints
 	// are exempt). The adaptive limiter starts here and walks the effective
@@ -110,14 +105,8 @@ type ServiceConfig struct {
 }
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
-	if c.Metrics == (metrics.Config{}) {
-		c.Metrics = metrics.DefaultConfig()
-	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 256
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 60 * time.Second
@@ -304,19 +293,6 @@ func validateSeries(history SeriesJSON, horizon, windowPoints int) *ServiceError
 	return nil
 }
 
-// minLivePoints resolves the live_history window floor: the configured value,
-// or one day of observations at the ingestor's interval by default.
-func (s *Service) minLivePoints() int {
-	switch {
-	case s.cfg.MinLivePoints > 0:
-		return s.cfg.MinLivePoints
-	case s.cfg.MinLivePoints < 0 || s.cfg.Ingestor == nil:
-		return 0
-	default:
-		return int(24 * time.Hour / s.cfg.Ingestor.Interval())
-	}
-}
-
 // active resolves the deployment slot serving (scenario, region).
 func (s *Service) active(scenario, region string) (registry.Target, registry.Version, *ServiceError) {
 	target := registry.Target{Scenario: scenario, Region: region}
@@ -389,7 +365,10 @@ func (s *Service) resolveLiveHistory(req *PredictRequestV2) *ServiceError {
 		return svcErr(CodeNotFound, http.StatusNotFound,
 			"no live telemetry for server %q", req.ServerID)
 	}
-	if min := s.minLivePoints(); min > 0 && snap.Len() < min {
+	// A window thinner than one day fails loudly rather than silently
+	// serving a worse forecast (the cold-start symptom after a failed
+	// restore).
+	if min := int(24 * time.Hour / s.cfg.Ingestor.Interval()); snap.Len() < min {
 		return svcErr(CodeInsufficientHistory, http.StatusUnprocessableEntity,
 			"live window for %q spans %d observations, below the %d-observation floor (cold-started window?)",
 			req.ServerID, snap.Len(), min)
@@ -448,9 +427,9 @@ func (s *Service) PredictBatch(ctx context.Context, req BatchRequest) (BatchResp
 		return BatchResponse{}, badRequest("batch must contain at least one server")
 	}
 	batchStart := s.cfg.Clock.Now()
-	if len(req.Servers) > s.cfg.MaxBatch {
+	if len(req.Servers) > maxBatch {
 		return BatchResponse{}, svcErr(CodeTooLarge, http.StatusRequestEntityTooLarge,
-			"batch of %d servers exceeds the limit of %d", len(req.Servers), s.cfg.MaxBatch)
+			"batch of %d servers exceeds the limit of %d", len(req.Servers), maxBatch)
 	}
 	target, v, serr := s.active(req.Scenario, req.Region)
 	if serr != nil {
@@ -541,7 +520,7 @@ func (s *Service) Advise(_ context.Context, req AdviseRequest) (AdviseResponse, 
 		return AdviseResponse{}, badRequest("window_points %d must be within the predicted day of %d observations",
 			req.WindowPoints, len(req.PredictedDay.Values))
 	}
-	adv, err := scheduler.AdviseWindow(req.PredictedDay.ToSeries(), req.CustomerStart, req.WindowPoints, s.cfg.Metrics)
+	adv, err := scheduler.AdviseWindow(req.PredictedDay.ToSeries(), req.CustomerStart, req.WindowPoints, metrics.DefaultConfig())
 	if err != nil {
 		return AdviseResponse{}, badRequest("advise: %v", err)
 	}
@@ -611,21 +590,32 @@ func (s *Service) requestContext(r *http.Request) (context.Context, context.Canc
 	return context.WithTimeout(r.Context(), s.cfg.Timeout)
 }
 
-// decode reads a JSON body under the service's size limit.
+// decode reads a JSON body under the service's size limit. The body is one
+// JSON value, exactly what encoding/json's Unmarshal accepts: trailing data
+// is refused rather than silently ignored.
 func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) *ServiceError {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return svcErr(CodeTooLarge, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return badRequest("decode request: %v", err)
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return nil
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return svcErr(CodeTooLarge, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+	}
+	return badRequest("decode request: %v", err)
 }
 
 func writeV2Error(w http.ResponseWriter, serr *ServiceError) {
+	if sec := retryAfterSeconds(serr.RetryAfter); sec > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(sec))
+	}
 	writeJSON(w, serr.Status, errorEnvelope{Error: ErrorBody{Code: serr.Code, Message: serr.Message}})
 }
 

@@ -314,7 +314,7 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 }
 
 func TestStructuredErrorCodes(t *testing.T) {
-	srv, _, reg := v2Server(t, ServiceConfig{MaxBatch: 2, MaxBodyBytes: 1 << 20})
+	srv, _, reg := v2Server(t, ServiceConfig{MaxBodyBytes: 1 << 20})
 	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, forecast.NamePersistentPrevDay, "")
 	reg.Deploy(registry.Target{Scenario: "backup", Region: "broken"}, "no-such-model", "")
 
@@ -375,7 +375,7 @@ func TestStructuredErrorCodes(t *testing.T) {
 		}), http.StatusInternalServerError, CodeInternal},
 		{"batch beyond limit", "/v2/predict/batch", mustJSON(BatchRequest{
 			Scenario: "backup", Region: "r",
-			Servers: []BatchItem{{Horizon: 1}, {Horizon: 1}, {Horizon: 1}},
+			Servers: make([]BatchItem, maxBatch+1),
 		}), http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"empty batch", "/v2/predict/batch", mustJSON(BatchRequest{
 			Scenario: "backup", Region: "r",

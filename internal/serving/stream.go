@@ -115,7 +115,9 @@ type IngestResponse struct {
 // requested, sweeps one stored week for drift and queues the drifted
 // servers for refresh. ctx is observed between servers and before the
 // sweep; a cancelled call may have ingested a prefix (re-sending is safe —
-// appends are idempotent).
+// appends are idempotent). So may a call whose point the stream layer
+// refused because its write-ahead log could not take it: that answers 503
+// overloaded with Retry-After of one commit interval.
 func (s *Service) Ingest(ctx context.Context, req IngestRequest) (IngestResponse, *ServiceError) {
 	ing := s.cfg.Ingestor
 	if ing == nil {
@@ -156,7 +158,11 @@ func (s *Service) Ingest(ctx context.Context, req IngestRequest) (IngestResponse
 				sum.Skipped++ // lake convention: negative encodes missing
 				continue
 			}
-			sum.Add(ing.Append(sr.ServerID, sr.Start.Add(time.Duration(j)*ing.Interval()), v))
+			st := ing.Append(sr.ServerID, sr.Start.Add(time.Duration(j)*ing.Interval()), v)
+			if st == stream.Refused {
+				return IngestResponse{}, s.walRefused()
+			}
+			sum.Add(st)
 		}
 	}
 	for i := range req.Points {
@@ -173,7 +179,11 @@ func (s *Service) Ingest(ctx context.Context, req IngestRequest) (IngestResponse
 			sum.Skipped++
 			continue
 		}
-		sum.Add(ing.Append(p.ServerID, time.Unix(p.TimeUnix, 0).UTC(), p.Value))
+		st := ing.Append(p.ServerID, time.Unix(p.TimeUnix, 0).UTC(), p.Value)
+		if st == stream.Refused {
+			return IngestResponse{}, s.walRefused()
+		}
+		sum.Add(st)
 	}
 	ingestSpan.End()
 
@@ -212,4 +222,17 @@ func (s *Service) Ingest(ctx context.Context, req IngestRequest) (IngestResponse
 		resp.Sweep = sr
 	}
 	return resp, nil
+}
+
+// walRefused answers a point the stream layer refused because its shard's
+// write-ahead log could not be flushed: nothing from that point on was
+// applied, so the client re-sends the batch after one commit interval (δ).
+func (s *Service) walRefused() *ServiceError {
+	serr := svcErr(CodeOverloaded, http.StatusServiceUnavailable,
+		"overloaded: the write-ahead log could not take the batch; re-send after the indicated delay")
+	serr.RetryAfter = time.Second
+	if d := s.cfg.Durability; d != nil {
+		serr.RetryAfter = time.Duration(d.Stats().DeltaMS * float64(time.Millisecond))
+	}
+	return serr
 }

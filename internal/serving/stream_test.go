@@ -38,7 +38,7 @@ func streamServer(t *testing.T) (*Client, *Service, *registry.Registry, *cosmos.
 	reg := registry.New(nil)
 	epoch := time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC)
 	ing := stream.NewIngestor(stream.Config{Epoch: epoch})
-	det := stream.NewDriftDetector(ing, db, stream.DriftConfig{})
+	det := stream.NewDriftDetector(ing, db)
 	pool := NewModelPool(PoolConfig{})
 	t.Cleanup(pool.Bind(reg))
 	ref := stream.NewRefresher(ing, db, reg, StreamPool(pool), stream.RefreshConfig{})
@@ -296,7 +296,7 @@ func TestVarzSweeper(t *testing.T) {
 	}
 	reg := registry.New(nil)
 	ing := stream.NewIngestor(stream.Config{})
-	det := stream.NewDriftDetector(ing, db, stream.DriftConfig{})
+	det := stream.NewDriftDetector(ing, db)
 	sw := stream.NewSweeper(db, det, nil, stream.SweeperConfig{})
 	svc := NewService(reg, db, ServiceConfig{Ingestor: ing, Drift: det, Sweeper: sw})
 	c := NewClient(newTestHTTPServer(t, svc))

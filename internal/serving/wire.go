@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"net/http"
+	"time"
 
 	"seagull/internal/pipeline"
 )
@@ -49,11 +50,13 @@ type errorEnvelope struct {
 }
 
 // ServiceError is a service failure with its wire representation: the v2
-// code, the HTTP status, and the human-readable message.
+// code, the HTTP status, the human-readable message and, for retryable
+// overloads, the Retry-After hint.
 type ServiceError struct {
-	Code    ErrorCode
-	Status  int
-	Message string
+	Code       ErrorCode
+	Status     int
+	Message    string
+	RetryAfter time.Duration
 }
 
 // Error implements error.

@@ -311,7 +311,7 @@ func (h *harness) build(dir string, liveWeeks int) error {
 		Clock:    h.clock,
 	}
 	h.shadow = stream.NewIngestor(ringCfg)
-	h.sdet = stream.NewDriftDetector(h.shadow, db, stream.DriftConfig{})
+	h.sdet = stream.NewDriftDetector(h.shadow, db)
 	pool := serving.NewModelPool(serving.PoolConfig{})
 	unbind := pool.Bind(h.reg)
 	h.simTracer = obs.NewTracer(obs.TracerConfig{Clock: h.clock})
@@ -329,7 +329,7 @@ func (h *harness) build(dir string, liveWeeks int) error {
 	for _, name := range smap.Replicas() {
 		st := &simStack{name: name}
 		st.ing = stream.NewIngestor(ringCfg)
-		st.det = stream.NewDriftDetector(st.ing, db, stream.DriftConfig{})
+		st.det = stream.NewDriftDetector(st.ing, db)
 		st.ref = stream.NewRefresher(st.ing, db, h.reg, serving.StreamPool(pool), stream.RefreshConfig{
 			Workers: 2,
 			Clock:   h.clock,

@@ -3,8 +3,11 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -525,5 +528,108 @@ func TestWALAppendNoAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm append with WAL = %v allocs/op, want 0", avg)
+	}
+}
+
+// stallStore holds the first staged object write (a snapshot replace) until
+// release is closed, announcing the stall on stalled. The snapshot holds the
+// committer for the whole write, so a stall here is a stalled committer.
+type stallStore struct {
+	*lake.FaultStore
+	stalled, release chan struct{}
+	once             sync.Once
+}
+
+func (s *stallStore) ObjectWriter(name string) (io.WriteCloser, error) {
+	s.once.Do(func() {
+		close(s.stalled)
+		<-s.release
+	})
+	return s.FaultStore.ObjectWriter(name)
+}
+
+// TestDurabilityFullBufferKeepsAckedPoints: while a snapshot write stalls the
+// committer, appenders push more than a full default-size buffer into one
+// shard. A full buffer is flushed by the appender itself once the snapshot
+// finishes — back-pressure, never loss — so after a commit and a hard kill
+// every point answered Appended is recovered.
+func TestDurabilityFullBufferKeepsAckedPoints(t *testing.T) {
+	base, err := lake.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &stallStore{FaultStore: lake.NewFaultStore(base), stalled: make(chan struct{}), release: make(chan struct{})}
+	cfg := Config{Interval: 5 * time.Minute, Epoch: snapCfg().Epoch, Slots: 4096, Shards: 1}
+	g := NewIngestor(cfg)
+	d := NewDurability(g, store, durCfg())
+	if _, err := d.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Open(); err != nil {
+		t.Fatal(err)
+	}
+	at := func(i int) time.Time { return cfg.Epoch.Add(time.Duration(i) * cfg.Interval) }
+	g.Append("seed", at(0), 1) // moves the shard's generation, so the snapshot writes
+
+	snapDone := make(chan error, 1)
+	go func() {
+		_, err := d.SnapshotNow()
+		snapDone <- err
+	}()
+	<-store.stalled
+
+	const appenders, perServer = 3, 2000 // 6000 points > the 4096-entry buffer
+	acked := make([][]bool, appenders)
+	var wg sync.WaitGroup
+	for a := range acked {
+		acked[a] = make([]bool, perServer)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perServer {
+				acked[a][i] = g.Append(fmt.Sprintf("srv-%d", a), at(i), float64(a*perServer+i)) == Appended
+			}
+		}()
+	}
+	sh := &g.sh[0]
+	for full := false; !full; {
+		sh.mu.RLock()
+		full = len(sh.pend) >= cap(sh.pend)
+		sh.mu.RUnlock()
+		time.Sleep(time.Millisecond)
+	}
+	close(store.release)
+	wg.Wait()
+	if err := <-snapDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CommitNow(); err != nil {
+		t.Fatal(err)
+	}
+	// Hard kill: no Close. Recover into a fresh ingestor.
+	got := NewIngestor(cfg)
+	if _, err := NewDurability(got, base, durCfg()).Recover(); err != nil {
+		t.Fatal(err)
+	}
+	n, lost := 0, 0
+	for a := range acked {
+		id := fmt.Sprintf("srv-%d", a)
+		view, _ := got.View(id)
+		for i, ok := range acked[a] {
+			if !ok {
+				continue
+			}
+			n++
+			idx := int(at(i).Sub(view.Start) / cfg.Interval)
+			if idx < 0 || idx >= view.Len() || view.Values[idx] != float64(a*perServer+i) {
+				lost++
+			}
+		}
+	}
+	if n != appenders*perServer || lost != 0 {
+		t.Fatalf("%d of %d acknowledged points lost; %d of %d points acknowledged", lost, n, n, appenders*perServer)
+	}
+	if st := d.Stats(); st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want no refused points", st)
 	}
 }

@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -14,30 +16,10 @@ import (
 	"seagull/internal/timeseries"
 )
 
-// DriftConfig parameterizes drift detection. The zero value selects the
-// production defaults.
-type DriftConfig struct {
-	// Metrics carries the Definition 1/2 constants. Zero value → DefaultConfig.
-	// A server counts as drifted when the bucket ratio (Definition 1, live
-	// actuals vs the stored prediction) falls below the Definition 2 accuracy
-	// threshold (0.90): a stored prediction that would no longer be judged
-	// accurate has drifted.
-	Metrics metrics.Config
-	// MinPoints is the minimum number of live/predicted pairs required to
-	// judge a server at all; with fewer overlapping points the verdict is
-	// "skipped", not "drifted". Default 12 (one hour at five-minute slots).
-	MinPoints int
-}
-
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Metrics == (metrics.Config{}) {
-		c.Metrics = metrics.DefaultConfig()
-	}
-	if c.MinPoints == 0 {
-		c.MinPoints = 12
-	}
-	return c
-}
+// minDriftPoints is the minimum number of live/predicted pairs required to
+// judge a server at all; with fewer overlapping points the verdict is
+// "skipped", not "drifted". One hour at five-minute slots.
+const minDriftPoints = 12
 
 // ServerDrift is one server's sweep verdict.
 type ServerDrift struct {
@@ -75,13 +57,14 @@ func (s *DriftStats) Add(o DriftStats) {
 }
 
 // DriftDetector compares live slots against stored PredictionDocs: a stored
-// prediction whose live actuals score below the accuracy threshold on the
-// Definition 1 bucket ratio has drifted and should be refreshed. Safe for
-// concurrent use; one detector serves every region.
+// prediction whose live actuals score below the Definition 2 accuracy
+// threshold (0.90) on the Definition 1 bucket ratio would no longer be judged
+// accurate — it has drifted and should be refreshed. Both constants come from
+// metrics.DefaultConfig, the definitions the weekly pipeline scores with.
+// Safe for concurrent use; one detector serves every region.
 type DriftDetector struct {
 	ing *Ingestor
 	db  *cosmos.DB
-	cfg DriftConfig
 
 	sweeps  atomic.Uint64
 	checked atomic.Uint64
@@ -91,8 +74,8 @@ type DriftDetector struct {
 
 // NewDriftDetector returns a detector over live telemetry and the document
 // store holding the pipeline's predictions.
-func NewDriftDetector(ing *Ingestor, db *cosmos.DB, cfg DriftConfig) *DriftDetector {
-	return &DriftDetector{ing: ing, db: db, cfg: cfg.withDefaults()}
+func NewDriftDetector(ing *Ingestor, db *cosmos.DB) *DriftDetector {
+	return &DriftDetector{ing: ing, db: db}
 }
 
 // Sweep judges every stored prediction of (region, week) against the live
@@ -103,6 +86,7 @@ func NewDriftDetector(ing *Ingestor, db *cosmos.DB, cfg DriftConfig) *DriftDetec
 // sweep between servers.
 func (d *DriftDetector) Sweep(ctx context.Context, region string, week int) (Report, error) {
 	rep := Report{Region: region, Week: week}
+	threshold := metrics.DefaultConfig().AccuracyThreshold
 	weekSuffix := fmt.Sprintf("/week-%04d", week)
 	err := d.db.Collection(pipeline.PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
 		if !strings.HasSuffix(id, weekSuffix) {
@@ -124,7 +108,7 @@ func (d *DriftDetector) Sweep(ctx context.Context, region string, week int) (Rep
 			rep.Skipped++
 			return nil
 		}
-		if ratio < d.cfg.Metrics.AccuracyThreshold {
+		if ratio < threshold {
 			rep.Drifted++
 			rep.DriftedServers = append(rep.DriftedServers, ServerDrift{
 				ServerID: doc.ServerID, Ratio: ratio, Points: points,
@@ -137,11 +121,7 @@ func (d *DriftDetector) Sweep(ctx context.Context, region string, week int) (Rep
 	}
 	// Worst offenders first, so a bounded refresh queue spends its budget on
 	// the most wrong predictions.
-	for i := 1; i < len(rep.DriftedServers); i++ {
-		for j := i; j > 0 && rep.DriftedServers[j].Ratio < rep.DriftedServers[j-1].Ratio; j-- {
-			rep.DriftedServers[j], rep.DriftedServers[j-1] = rep.DriftedServers[j-1], rep.DriftedServers[j]
-		}
-	}
+	slices.SortStableFunc(rep.DriftedServers, func(a, b ServerDrift) int { return cmp.Compare(a.Ratio, b.Ratio) })
 	d.sweeps.Add(1)
 	d.checked.Add(uint64(rep.Checked))
 	d.drifted.Add(uint64(rep.Drifted))
@@ -186,8 +166,8 @@ func (d *DriftDetector) judge(doc *pipeline.PredictionDoc) (ratio float64, point
 		if err != nil {
 			return
 		}
-		ratio, points, err = metrics.BucketRatioCount(liveDay, predDay, d.cfg.Metrics.Bound)
-		ok = err == nil && points >= d.cfg.MinPoints
+		ratio, points, err = metrics.BucketRatioCount(liveDay, predDay, metrics.DefaultConfig().Bound)
+		ok = err == nil && points >= minDriftPoints
 	})
 	return ratio, points, ok
 }

@@ -58,7 +58,7 @@ func TestDriftSweep(t *testing.T) {
 		}
 	}
 
-	det := NewDriftDetector(g, db, DriftConfig{})
+	det := NewDriftDetector(g, db)
 	rep, err := det.Sweep(context.Background(), region, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestDriftSweepPartialDay(t *testing.T) {
 	g := NewIngestor(testConfig(4096))
 	day := testEpoch.Add(24 * time.Hour)
 	storePrediction(t, db, "r", flatDoc("srv", "r", 0, day, 20))
-	det := NewDriftDetector(g, db, DriftConfig{MinPoints: 24})
+	det := NewDriftDetector(g, db)
 
 	// First two hours match the prediction.
 	for i := 0; i < 24; i++ {
@@ -128,7 +128,7 @@ func TestDriftSweepMisaligned(t *testing.T) {
 	for i := 0; i < 288; i++ {
 		g.Append("srv", testEpoch.Add(24*time.Hour).Add(time.Duration(i)*5*time.Minute), 60)
 	}
-	rep, err := NewDriftDetector(g, db, DriftConfig{}).Sweep(context.Background(), "r", 0)
+	rep, err := NewDriftDetector(g, db).Sweep(context.Background(), "r", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDriftSweepCancel(t *testing.T) {
 	db, _ := cosmos.Open("")
 	g := NewIngestor(testConfig(512))
 	storePrediction(t, db, "r", flatDoc("srv", "r", 0, testEpoch, 20))
-	det := NewDriftDetector(g, db, DriftConfig{})
+	det := NewDriftDetector(g, db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := det.Sweep(ctx, "r", 0); err == nil {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -20,7 +21,10 @@ import (
 // live window to within δ of the moment of death (restore ≥ T-δ). The
 // division of labor:
 //
-//   - Append hot path: buffers accepted points per shard (0 allocs/op).
+//   - Append hot path: buffers accepted points per shard (0 allocs/op). An
+//     append that finds its shard's buffer full flushes that shard inline
+//     first (back-pressure, not loss) and refuses the point only if the
+//     flush fails.
 //   - Maintenance goroutine (one per Durability): flushes buffers to
 //     per-shard WALs every CommitEvery (δ), and every SnapshotEvery rewrites
 //     the shard snapshots whose generation counter moved — then truncates
@@ -53,9 +57,6 @@ type DurabilityConfig struct {
 	// default) keeps the original single-process object names, so existing
 	// lakes restore unchanged.
 	Namespace string
-	// DisableWAL turns off write-ahead logging, leaving periodic snapshots as
-	// the only durability (δ degrades to SnapshotEvery).
-	DisableWAL bool
 	// CommitEvery is the WAL group-commit interval — the δ in restore ≥ T-δ.
 	// Default 100ms.
 	CommitEvery time.Duration
@@ -64,8 +65,10 @@ type DurabilityConfig struct {
 	// Default 30s; negative disables the ticker (snapshots then happen only
 	// on Close or explicit SnapshotNow).
 	SnapshotEvery time.Duration
-	// BufferEntries caps each shard's pending buffer between commits; points
-	// beyond it are dropped and counted, never blocked on. Default 4096.
+	// BufferEntries caps each shard's pending buffer between commits. An
+	// append that finds its shard's buffer full flushes that shard to the log
+	// itself before it is acknowledged, so a larger buffer trades memory for
+	// fewer inline flushes, never for loss. Default 4096.
 	BufferEntries int
 	// Clock paces the group-commit and snapshot tickers; nil means the wall
 	// clock.
@@ -123,6 +126,7 @@ type Durability struct {
 	commitRecords  atomic.Uint64
 	commitBytes    atomic.Uint64
 	commitErrors   atomic.Uint64
+	refused        atomic.Uint64
 	snapshots      atomic.Uint64
 	snapshotErrors atomic.Uint64
 	truncations    atomic.Uint64
@@ -266,31 +270,28 @@ func (d *Durability) restoreObject(name string) error {
 }
 
 // Open arms the ingestor's WAL buffers and opens each shard's log, writing
-// fresh headers where absent. Idempotent. With DisableWAL it only marks the
-// manager open (snapshots need no standing handles).
+// fresh headers where absent. Idempotent.
 func (d *Durability) Open() error {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
 	if d.opened {
 		return nil
 	}
-	if !d.cfg.DisableWAL {
-		d.wals = make([]*shardWAL, len(d.ing.sh))
-		for i := range d.wals {
-			w, err := d.openShardWAL(i)
-			if err != nil {
-				for _, open := range d.wals {
-					if open != nil {
-						open.obj.Close()
-					}
+	d.wals = make([]*shardWAL, len(d.ing.sh))
+	for i := range d.wals {
+		w, err := d.openShardWAL(i)
+		if err != nil {
+			for _, open := range d.wals {
+				if open != nil {
+					open.obj.Close()
 				}
-				d.wals = nil
-				return err
 			}
-			d.wals[i] = w
+			d.wals = nil
+			return err
 		}
-		d.ing.attachWAL(d.cfg.BufferEntries, d.kick)
+		d.wals[i] = w
 	}
+	d.ing.attachWAL(d.cfg.BufferEntries, d.kick, d.flushFull)
 	d.opened = true
 	return nil
 }
@@ -371,7 +372,7 @@ func (d *Durability) maintain(ctx context.Context) {
 func (d *Durability) CommitNow() error {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
-	if !d.opened || d.closed || d.cfg.DisableWAL {
+	if !d.opened || d.closed {
 		return nil
 	}
 	var first error
@@ -381,6 +382,26 @@ func (d *Durability) CommitNow() error {
 		}
 	}
 	return first
+}
+
+// errClosed refuses an inline flush after Close has released the logs.
+var errClosed = errors.New("stream: durability closed")
+
+// flushFull is the append path's flush for a full shard buffer: it takes
+// opMu — so it waits for a running commit or snapshot to finish — and writes
+// shard i's pending entries to its log. An error makes the appender refuse
+// its point, so failures here count the refused points.
+func (d *Durability) flushFull(i int) error {
+	d.opMu.Lock()
+	defer d.opMu.Unlock()
+	err := errClosed
+	if !d.closed {
+		err = d.flushShard(i)
+	}
+	if err != nil {
+		d.refused.Add(1)
+	}
+	return err
 }
 
 // flushShard writes shard i's pending entries to its log. Caller holds opMu.
@@ -471,13 +492,10 @@ func (d *Durability) snapshotLocked() (int, error) {
 // discard a point the snapshot does not cover.
 func (d *Durability) snapshotShard(i int) (bool, error) {
 	sh := &d.ing.sh[i]
-	var w *shardWAL
-	if !d.cfg.DisableWAL {
-		w = d.wals[i]
-	}
+	w := d.wals[i]
 
 	spare := d.spare
-	if w != nil && cap(spare) < d.cfg.BufferEntries {
+	if cap(spare) < d.cfg.BufferEntries {
 		spare = make([]walEntry, 0, d.cfg.BufferEntries)
 	}
 	sh.mu.Lock()
@@ -487,31 +505,26 @@ func (d *Durability) snapshotShard(i int) (bool, error) {
 		return false, nil
 	}
 	buf := appendShardSnapshot(d.scratch[:0], &d.ing.cfg, sh)
-	var pend []walEntry
-	if w != nil {
-		pend = sh.pend
-		sh.pend = spare[:0]
-	}
+	pend := sh.pend
+	sh.pend = spare[:0]
 	sh.mu.Unlock()
 	d.scratch = buf
 
-	if w != nil {
-		if len(pend) > 0 {
-			// The capture covers these entries, but if the snapshot write
-			// below fails they must already be in the log — otherwise a
-			// kill right after would lose them with nothing to replay.
-			// A private buffer: d.scratch holds the snapshot capture.
-			if _, err := d.writeEntries(w, pend, nil); err != nil {
-				d.commitErrors.Add(1)
-				d.ing.requeuePending(i, pend)
-				d.spare = nil
-				return false, err
-			}
-			d.commits.Add(1)
-			d.commitRecords.Add(uint64(len(pend)))
+	if len(pend) > 0 {
+		// The capture covers these entries, but if the snapshot write below
+		// fails they must already be in the log — otherwise a kill right
+		// after would lose them with nothing to replay. A private buffer:
+		// d.scratch holds the snapshot capture.
+		if _, err := d.writeEntries(w, pend, nil); err != nil {
+			d.commitErrors.Add(1)
+			d.ing.requeuePending(i, pend)
+			d.spare = nil
+			return false, err
 		}
-		d.spare = pend
+		d.commits.Add(1)
+		d.commitRecords.Add(uint64(len(pend)))
 	}
+	d.spare = pend
 
 	obj, err := d.store.ObjectWriter(d.objName(shardSnapshotObject(i)))
 	if err == nil {
@@ -533,7 +546,7 @@ func (d *Durability) snapshotShard(i int) (bool, error) {
 	d.snapshots.Add(1)
 	d.lastGen[i] = gen
 
-	if w != nil && w.size > int64(walHeaderLen) {
+	if w.size > int64(walHeaderLen) {
 		if err := w.obj.Truncate(int64(walHeaderLen)); err != nil {
 			// Harmless to leave: replay of covered records is idempotent.
 			return true, nil
@@ -559,21 +572,17 @@ func (d *Durability) Close() error {
 		return nil
 	}
 	var first error
-	if !d.cfg.DisableWAL {
-		for i := range d.wals {
-			if err := d.flushShard(i); err != nil && first == nil {
-				first = err
-			}
+	for i := range d.wals {
+		if err := d.flushShard(i); err != nil && first == nil {
+			first = err
 		}
 	}
 	if _, err := d.snapshotLocked(); err != nil && first == nil {
 		first = err
 	}
-	if !d.cfg.DisableWAL {
-		for _, w := range d.wals {
-			if err := w.obj.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, w := range d.wals {
+		if err := w.obj.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	d.closed = true
@@ -582,13 +591,15 @@ func (d *Durability) Close() error {
 
 // DurabilityStats is the /varz view of the durability layer.
 type DurabilityStats struct {
+	// WAL is always true: an open Durability always writes the log. The
+	// field keeps the /varz and /metrics shapes.
 	WAL           bool    `json:"wal" metric:"gauge seagull_wal_enabled 1 when the write-ahead log is active."`
 	DeltaMS       float64 `json:"delta_ms" metric:"gauge seagull_wal_commit_interval_ms Configured WAL commit interval (delta) in milliseconds."`
 	Commits       uint64  `json:"wal_commits" metric:"counter seagull_wal_commits_total WAL commit cycles."`
 	CommitRecords uint64  `json:"wal_records" metric:"counter seagull_wal_records_total Telemetry records committed to the WAL."`
 	CommitBytes   uint64  `json:"wal_bytes" metric:"counter seagull_wal_bytes_total Bytes committed to the WAL."`
 	CommitErrors  uint64  `json:"wal_errors" metric:"counter seagull_wal_errors_total WAL commit errors."`
-	Dropped       uint64  `json:"wal_dropped" metric:"counter seagull_wal_dropped_total Records dropped by WAL buffer overflow."`
+	Dropped       uint64  `json:"wal_dropped" metric:"counter seagull_wal_dropped_total Points refused unapplied because a full WAL buffer could not be flushed."`
 	Snapshots     uint64  `json:"snapshots" metric:"counter seagull_snapshots_total Incremental snapshots taken."`
 	SnapshotErrs  uint64  `json:"snapshot_errors" metric:"counter seagull_snapshot_errors_total Snapshot failures."`
 	Truncations   uint64  `json:"wal_truncations" metric:"counter seagull_wal_truncations_total WAL truncations after snapshots."`
@@ -615,18 +626,17 @@ func (s *DurabilityStats) Add(o DurabilityStats) {
 
 // Stats assembles a point-in-time durability snapshot.
 func (d *Durability) Stats() DurabilityStats {
-	st := DurabilityStats{
-		WAL:           !d.cfg.DisableWAL,
+	return DurabilityStats{
+		WAL:           true,
 		DeltaMS:       float64(d.cfg.CommitEvery) / float64(time.Millisecond),
 		Commits:       d.commits.Load(),
 		CommitRecords: d.commitRecords.Load(),
 		CommitBytes:   d.commitBytes.Load(),
 		CommitErrors:  d.commitErrors.Load(),
-		Dropped:       d.ing.walOverflow(),
+		Dropped:       d.refused.Load(),
 		Snapshots:     d.snapshots.Load(),
 		SnapshotErrs:  d.snapshotErrors.Load(),
 		Truncations:   d.truncations.Load(),
 		Recovered:     d.rec.Load(),
 	}
-	return st
 }

@@ -198,7 +198,7 @@ func TestDriftTriggersPartialRefresh(t *testing.T) {
 	// Baseline: live telemetry identical to what the pipeline evaluated.
 	clean := stream.NewIngestor(stream.Config{Epoch: f.start, Slots: 8064})
 	f.feed(t, clean, "", time.Time{}, time.Time{}, 0)
-	baseRep, err := stream.NewDriftDetector(clean, f.db, stream.DriftConfig{}).Sweep(ctx, eqRegion, 1)
+	baseRep, err := stream.NewDriftDetector(clean, f.db).Sweep(ctx, eqRegion, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestDriftTriggersPartialRefresh(t *testing.T) {
 	hot := stream.NewIngestor(stream.Config{Epoch: f.start, Slots: 8064})
 	f.feed(t, hot, target.ServerID, target.BackupDay, target.BackupDay.Add(24*time.Hour), 40)
 
-	rep, err := stream.NewDriftDetector(hot, f.db, stream.DriftConfig{}).Sweep(ctx, eqRegion, 1)
+	rep, err := stream.NewDriftDetector(hot, f.db).Sweep(ctx, eqRegion, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 var (
 	ErrBadInterval = errors.New("stream: series interval must match the ingestor slot interval")
 	ErrNoTelemetry = errors.New("stream: no live telemetry for server")
+	ErrRefused     = errors.New("stream: point refused: the write-ahead log could not be flushed")
 )
 
 // Config parameterizes an Ingestor. The zero value selects the production
@@ -35,17 +36,17 @@ type Config struct {
 	// Shards is the number of lock stripes server rings are hashed across;
 	// rounded up to a power of two. Default 16.
 	Shards int
-	// MaxFuture bounds how far past the current wall clock a point's
-	// timestamp may lie. Without it, one bogus far-future point (a client
-	// sending milliseconds where seconds are expected, say) would slide the
-	// server's whole retained window into the future and turn every real
-	// point into a too-old drop. Default one hour (generous clock skew);
-	// negative disables the bound.
-	MaxFuture time.Duration
-	// Clock is the time source MaxFuture is judged against; nil means the
+	// Clock is the time source maxFuture is judged against; nil means the
 	// wall clock. Tests and simulations inject their own.
 	Clock simclock.Clock
 }
+
+// maxFuture bounds how far past the clock a point's timestamp may lie.
+// Without it, one bogus far-future point (a client sending milliseconds where
+// seconds are expected, say) would slide the server's whole retained window
+// into the future and turn every real point into a too-old drop. One hour
+// allows generous clock skew.
+const maxFuture = time.Hour
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -59,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 16
-	}
-	if c.MaxFuture == 0 {
-		c.MaxFuture = time.Hour
 	}
 	c.Clock = simclock.Or(c.Clock)
 	return c
@@ -80,11 +78,15 @@ const (
 	// TooOld: the point predates the server's retained window (or the epoch)
 	// and was dropped.
 	TooOld
-	// TooNew: the point's timestamp lies beyond the wall clock plus
-	// Config.MaxFuture and was dropped before it could poison the ring.
+	// TooNew: the point's timestamp lies more than maxFuture past the clock
+	// and was dropped before it could poison the ring.
 	TooNew
 	// BadValue: the value was NaN or infinite.
 	BadValue
+	// Refused: the shard's WAL buffer was full and flushing it failed, so the
+	// point was not applied. Retryable: appends are idempotent, and the
+	// point is accepted once the log takes writes again.
+	Refused
 )
 
 // String renders the status for diagnostics.
@@ -98,6 +100,8 @@ func (s AppendStatus) String() string {
 		return "too-old"
 	case TooNew:
 		return "too-new"
+	case Refused:
+		return "refused"
 	default:
 		return "bad-value"
 	}
@@ -249,14 +253,14 @@ type shard struct {
 	// WAL hook, armed by Durability. Accepted points are buffered in pend
 	// under mu (append into preallocated capacity — the hot path stays
 	// 0 allocs/op) and flushed to the log by the group committer, which
-	// swaps the slice out rather than copying it. When the buffer fills
-	// between commits the overflow is counted, not blocked on: ingest
-	// latency outranks completeness of the last δ of uncommitted points,
-	// which the bounded-loss guarantee already writes off.
-	walOn      bool
-	pend       []walEntry
-	walDropped uint64
-	walKick    chan struct{}
+	// swaps the slice out rather than copying it. A full buffer is
+	// back-pressure, never loss: the appender flushes the shard itself
+	// through walFlush (waiting out any running snapshot) before it applies
+	// the point, and refuses the point unapplied if that flush fails.
+	walOn    bool
+	pend     []walEntry
+	walKick  chan struct{}
+	walFlush func() error
 }
 
 // Ingestor accepts out-of-order per-server load points and rolls them up
@@ -321,7 +325,7 @@ func (g *Ingestor) Append(serverID string, t time.Time, v float64) AppendStatus 
 		sh.mu.Unlock()
 		return BadValue
 	}
-	if g.cfg.MaxFuture >= 0 && t.Sub(g.cfg.Clock.Now()) > g.cfg.MaxFuture {
+	if t.Sub(g.cfg.Clock.Now()) > maxFuture {
 		sh.mu.Lock()
 		sh.tooNew++
 		sh.mu.Unlock()
@@ -335,6 +339,16 @@ func (g *Ingestor) Append(serverID string, t time.Time, v float64) AppendStatus 
 		return TooOld
 	}
 	sh.mu.Lock()
+	for sh.walOn && len(sh.pend) >= cap(sh.pend) {
+		// The buffer is full: flush it before taking the point, so every
+		// acknowledged point reaches the log. The flush runs under the
+		// committer's lock, so it waits for a running snapshot to finish.
+		sh.mu.Unlock()
+		if err := sh.walFlush(); err != nil {
+			return Refused
+		}
+		sh.mu.Lock()
+	}
 	r := sh.rings[serverID]
 	if r == nil {
 		r = newRing(slot, g.cfg.Slots)
@@ -346,18 +360,14 @@ func (g *Ingestor) Append(serverID string, t time.Time, v float64) AppendStatus 
 		sh.appended++
 		sh.gen++
 		if sh.walOn {
-			if len(sh.pend) < cap(sh.pend) {
-				sh.pend = append(sh.pend, walEntry{id: serverID, slot: slot, val: v})
-				if len(sh.pend) == cap(sh.pend)/2 {
-					// Nudge the committer before the buffer fills; dropping
-					// the nudge is fine — the commit ticker is the backstop.
-					select {
-					case sh.walKick <- struct{}{}:
-					default:
-					}
+			sh.pend = append(sh.pend, walEntry{id: serverID, slot: slot, val: v})
+			if len(sh.pend) == cap(sh.pend)/2 {
+				// Nudge the committer before the buffer fills; dropping the
+				// nudge is fine — the commit ticker is the backstop.
+				select {
+				case sh.walKick <- struct{}{}:
+				default:
 				}
-			} else {
-				sh.walDropped++
 			}
 		}
 	case Duplicate:
@@ -372,7 +382,7 @@ func (g *Ingestor) Append(serverID string, t time.Time, v float64) AppendStatus 
 // replayPut applies one recovered WAL record directly at the ring level. The
 // wall-clock bound is skipped — a replayed point was already accepted once,
 // and judging it against the current clock would drop records near the
-// MaxFuture horizon — but every ring-level verdict still applies, so a record
+// maxFuture horizon — but every ring-level verdict still applies, so a record
 // whose slot is covered by a newer snapshot lands as Duplicate (first write
 // wins) and replay is idempotent. Replayed points are not re-buffered for the
 // WAL (they are already in it) and do not move the process-lifetime ingestion
@@ -397,14 +407,16 @@ func (g *Ingestor) replayPut(serverID string, slot int64, v float64) AppendStatu
 }
 
 // attachWAL arms per-shard pending buffers of the given capacity. kick is
-// nudged (non-blocking) when a buffer reaches half full. Arm before
+// nudged (non-blocking) when a buffer reaches half full; flush(i) writes
+// shard i's buffer to its log when an appender finds it full. Arm before
 // concurrent appends begin.
-func (g *Ingestor) attachWAL(buffer int, kick chan struct{}) {
+func (g *Ingestor) attachWAL(buffer int, kick chan struct{}, flush func(i int) error) {
 	for i := range g.sh {
 		sh := &g.sh[i]
 		sh.mu.Lock()
 		sh.walOn = true
 		sh.walKick = kick
+		sh.walFlush = func() error { return flush(i) }
 		if cap(sh.pend) < buffer {
 			sh.pend = make([]walEntry, 0, buffer)
 		}
@@ -440,19 +452,6 @@ func (g *Ingestor) requeuePending(i int, entries []walEntry) {
 	sh.mu.Unlock()
 }
 
-// walOverflow sums points dropped because a shard's pending buffer was full
-// between commits.
-func (g *Ingestor) walOverflow() uint64 {
-	var n uint64
-	for i := range g.sh {
-		sh := &g.sh[i]
-		sh.mu.RLock()
-		n += sh.walDropped
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // AppendSummary tallies the outcomes of a batch append.
 type AppendSummary struct {
 	Appended   int `json:"appended"`
@@ -485,7 +484,9 @@ func (a *AppendSummary) Add(st AppendStatus) {
 // AppendSeries appends a contiguous run of observations starting at start.
 // The series interval must equal the ingestor's slot interval (points are
 // rolled up by slot, so a mismatched interval would alias). Missing (NaN)
-// observations are skipped — an unfilled slot already reads as missing.
+// observations are skipped — an unfilled slot already reads as missing. A
+// Refused point stops the run with ErrRefused; re-sending the whole series
+// is safe.
 func (g *Ingestor) AppendSeries(serverID string, start time.Time, vals []float64) (AppendSummary, error) {
 	var sum AppendSummary
 	for i, v := range vals {
@@ -493,7 +494,11 @@ func (g *Ingestor) AppendSeries(serverID string, start time.Time, vals []float64
 			sum.Skipped++
 			continue
 		}
-		sum.Add(g.Append(serverID, start.Add(time.Duration(i)*g.cfg.Interval), v))
+		st := g.Append(serverID, start.Add(time.Duration(i)*g.cfg.Interval), v)
+		if st == Refused {
+			return sum, ErrRefused
+		}
+		sum.Add(st)
 	}
 	return sum, nil
 }

@@ -170,15 +170,15 @@ func TestAppendTooNew(t *testing.T) {
 	if st := g.Append("srv", now.Add(30*time.Minute), 22); st != Appended {
 		t.Fatalf("near-future point = %v", st)
 	}
-	if st := g.Stats(); st.TooNew != 1 {
-		t.Fatalf("stats = %+v, want 1 too_new", st)
+	// The bound is inclusive at maxFuture.
+	if st := g.Append("srv", now.Add(maxFuture), 23); st != Appended {
+		t.Fatalf("point at the bound = %v", st)
 	}
-
-	// MaxFuture < 0 disables the bound.
-	cfg.MaxFuture = -1
-	open := NewIngestor(cfg)
-	if st := open.Append("srv", testEpoch.Add(7000*24*time.Hour), 20); st != Appended {
-		t.Fatalf("unbounded ingestor rejected the future point: %v", st)
+	if st := g.Append("srv", now.Add(maxFuture+5*time.Minute), 24); st != TooNew {
+		t.Fatalf("point past the bound = %v, want TooNew", st)
+	}
+	if st := g.Stats(); st.TooNew != 2 {
+		t.Fatalf("stats = %+v, want 2 too_new", st)
 	}
 }
 

@@ -77,15 +77,9 @@ func (p freshPool) Return(registry.Target, int, Instance) {}
 func NewFreshPool(seed int64) Pool { return freshPool{seed: seed} }
 
 // RefreshConfig parameterizes a Refresher. The zero value selects the
-// pipeline's production defaults.
+// pipeline's production defaults: the refresher retrains the active model of
+// the pipeline's backup scenario, through a queue of refreshQueueSize jobs.
 type RefreshConfig struct {
-	// Scenario is the deployment scenario whose active model retrains.
-	// Default: the pipeline's backup scenario.
-	Scenario string
-	// Metrics carries the accuracy constants. Zero value → DefaultConfig.
-	Metrics metrics.Config
-	// QueueSize bounds the pending refresh queue; default 1024.
-	QueueSize int
 	// Workers bounds how many retrains Run and Drain execute concurrently.
 	// Default 1 (serial — the right choice on the single-CPU benchmark
 	// host); multi-core hosts raise it and retrain drifted fleets in
@@ -94,12 +88,6 @@ type RefreshConfig struct {
 	// (region, server, week)) and every retrain is deterministic, which the
 	// drain equivalence test pins.
 	Workers int
-	// SaturationDrops and SaturationWindow define the sustained-backpressure
-	// predicate Saturated(): the queue is saturated while the last
-	// SaturationDrops rejected enqueues all happened within SaturationWindow.
-	// Defaults: 3 drops in 5s. One isolated drop never reads as saturation.
-	SaturationDrops  int
-	SaturationWindow time.Duration
 	// Clock timestamps drops for the saturation window; nil means the wall
 	// clock.
 	Clock simclock.Clock
@@ -112,24 +100,18 @@ type RefreshConfig struct {
 	Logger *slog.Logger
 }
 
+// The refresh queue's bounds. The queue is saturated while the last
+// saturationDrops rejected enqueues all happened within saturationWindow; one
+// isolated drop never reads as saturation.
+const (
+	refreshQueueSize = 1024
+	saturationDrops  = 3
+	saturationWindow = 5 * time.Second
+)
+
 func (c RefreshConfig) withDefaults() RefreshConfig {
-	if c.Scenario == "" {
-		c.Scenario = pipeline.Scenario
-	}
-	if c.Metrics == (metrics.Config{}) {
-		c.Metrics = metrics.DefaultConfig()
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 1024
-	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.SaturationDrops <= 0 {
-		c.SaturationDrops = 3
-	}
-	if c.SaturationWindow <= 0 {
-		c.SaturationWindow = 5 * time.Second
 	}
 	c.Clock = simclock.Or(c.Clock)
 	return c
@@ -167,7 +149,7 @@ type job struct {
 
 // Refresher retrains drifted servers from live telemetry and republishes
 // their PredictionDocs. Refreshes flow through a bounded dedup queue drained
-// by Run (one background worker — retraining is CPU-bound, and the serving
+// by Run or Drain (across Workers — retraining is CPU-bound, and the serving
 // pool hands each checkout exclusive ownership), or synchronously through
 // RefreshServer/RefreshWeek. Safe for concurrent use.
 type Refresher struct {
@@ -176,6 +158,8 @@ type Refresher struct {
 	reg  *registry.Registry
 	pool Pool
 	cfg  RefreshConfig
+
+	workers *parallel.Pool // Run and Drain fan retrains across it
 
 	mu      sync.Mutex
 	jobs    chan job
@@ -188,7 +172,7 @@ type Refresher struct {
 	skipped   atomic.Uint64
 	failed    atomic.Uint64
 
-	// dropTimes is a ring of the last SaturationDrops rejection times,
+	// dropTimes is a ring of the last saturationDrops rejection times,
 	// feeding the Saturated predicate. Drops are rare (queue-full only), so
 	// a small mutex-guarded ring costs nothing on the enqueue happy path.
 	dropMu    sync.Mutex
@@ -209,7 +193,8 @@ func NewRefresher(ing *Ingestor, db *cosmos.DB, reg *registry.Registry, pool Poo
 	}
 	return &Refresher{
 		ing: ing, db: db, reg: reg, pool: pool, cfg: cfg,
-		jobs:    make(chan job, cfg.QueueSize),
+		workers: parallel.NewPool(cfg.Workers),
+		jobs:    make(chan job, refreshQueueSize),
 		pending: map[job]bool{},
 	}
 }
@@ -244,7 +229,7 @@ func (r *Refresher) Enqueue(region, serverID string, week int) (queued bool, err
 // recordDrop folds one queue-full rejection into the saturation ring.
 func (r *Refresher) recordDrop(now time.Time) {
 	r.dropMu.Lock()
-	if len(r.dropTimes) < r.cfg.SaturationDrops {
+	if len(r.dropTimes) < saturationDrops {
 		r.dropTimes = append(r.dropTimes, now)
 	} else {
 		r.dropTimes[r.dropIdx] = now
@@ -254,7 +239,7 @@ func (r *Refresher) recordDrop(now time.Time) {
 }
 
 // Saturated reports sustained refresh-queue backpressure: the last
-// SaturationDrops rejected enqueues all landed within SaturationWindow of
+// saturationDrops rejected enqueues all landed within saturationWindow of
 // now. Consumers use it to yield — the background sweeper pauses its rounds
 // (re-finding drifted servers it cannot queue only churns the detector), and
 // the serving layer treats it as a brownout-entry signal. A single isolated
@@ -263,10 +248,10 @@ func (r *Refresher) recordDrop(now time.Time) {
 func (r *Refresher) Saturated() bool {
 	r.dropMu.Lock()
 	defer r.dropMu.Unlock()
-	if len(r.dropTimes) < r.cfg.SaturationDrops {
+	if len(r.dropTimes) < saturationDrops {
 		return false
 	}
-	cutoff := r.cfg.Clock.Now().Add(-r.cfg.SaturationWindow)
+	cutoff := r.cfg.Clock.Now().Add(-saturationWindow)
 	for _, t := range r.dropTimes {
 		if t.Before(cutoff) {
 			return false
@@ -294,32 +279,21 @@ func (r *Refresher) EnqueueReport(rep Report) (queued, dropped int) {
 	return queued, dropped
 }
 
-// Run drains the refresh queue until ctx is cancelled, fanning retrains
-// across Workers goroutines (each with its own snapshot scratch; the warm
-// pool hands every checkout an exclusive instance, so workers never share
-// model state). Refresh failures are counted, not fatal. Run returns
-// ctx.Err; it is meant to be launched on its own goroutine
+// Run drains the refresh queue until ctx is cancelled: it waits for a job,
+// then retrains it together with everything queued behind it through the
+// same parallel.Pool fan-out Drain uses. Refresh failures are counted, not
+// fatal. Run returns ctx.Err; it is meant to be launched on its own goroutine
 // (seagull.System.StartRefresher does).
 func (r *Refresher) Run(ctx context.Context) error {
-	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []float64
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case j := <-r.jobs:
-					r.take(j)
-					_ = r.refreshCounted(ctx, j.region, j.serverID, j.week, &scratch)
-				}
-			}
-		}()
+	for {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case j := <-r.jobs:
+			r.take(j)
+			_ = r.drain(ctx, []job{j})
+		}
 	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // Drain synchronously processes every job queued at the time of the call,
@@ -330,8 +304,10 @@ func (r *Refresher) Run(ctx context.Context) error {
 // The republished documents are bit-identical to a serial drain — jobs are
 // deduplicated per (region, server, week), touch disjoint documents, and
 // retrain deterministically — which the parallel-equivalence test pins.
-func (r *Refresher) Drain(ctx context.Context) error {
-	var batch []job
+func (r *Refresher) Drain(ctx context.Context) error { return r.drain(ctx, nil) }
+
+// drain claims every queued job on top of batch and retrains them all.
+func (r *Refresher) drain(ctx context.Context, batch []job) error {
 	for {
 		select {
 		case j := <-r.jobs:
@@ -342,15 +318,7 @@ func (r *Refresher) Drain(ctx context.Context) error {
 		}
 		break
 	}
-	if len(batch) == 0 {
-		return ctx.Err()
-	}
-	workers := r.cfg.Workers
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	pool := parallel.NewPool(workers)
-	return parallel.ForEachScratchCtx(ctx, pool, len(batch),
+	return parallel.ForEachScratchCtx(ctx, r.workers, len(batch),
 		func() *[]float64 { return new([]float64) },
 		func(i int, scratch *[]float64) error {
 			j := batch[i]
@@ -419,7 +387,7 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 	}
 	ppd := int(24 * time.Hour / interval)
 
-	target := registry.Target{Scenario: r.cfg.Scenario, Region: region}
+	target := registry.Target{Scenario: pipeline.Scenario, Region: region}
 	v, err := r.reg.Active(target)
 	if err != nil {
 		return err

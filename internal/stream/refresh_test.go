@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -108,7 +109,7 @@ func TestRefreshInsufficientHistory(t *testing.T) {
 
 func TestRefreshQueue(t *testing.T) {
 	g, db, reg, _ := refreshFixture(t, 7)
-	r := NewRefresher(g, db, reg, nil, RefreshConfig{QueueSize: 2})
+	r := NewRefresher(g, db, reg, nil, RefreshConfig{})
 
 	if q, err := r.Enqueue("r", "srv", 1); err != nil || !q {
 		t.Fatalf("first enqueue = (%v, %v)", q, err)
@@ -117,14 +118,17 @@ func TestRefreshQueue(t *testing.T) {
 	if q, err := r.Enqueue("r", "srv", 1); err != nil || q {
 		t.Fatalf("duplicate enqueue = (%v, %v), want coalesce", q, err)
 	}
-	if q, err := r.Enqueue("r", "other", 1); err != nil || !q {
-		t.Fatalf("second enqueue = (%v, %v)", q, err)
+	// Fill the queue with document-less servers.
+	for i := 1; i < refreshQueueSize; i++ {
+		if q, err := r.Enqueue("r", fmt.Sprintf("other-%d", i), 1); err != nil || !q {
+			t.Fatalf("enqueue %d = (%v, %v)", i, q, err)
+		}
 	}
 	if q, err := r.Enqueue("r", "third", 1); !errors.Is(err, ErrQueueFull) || q {
 		t.Fatalf("overflow = (%v, %v), want ErrQueueFull", q, err)
 	}
 	st := r.Stats()
-	if st.Queued != 2 || st.Coalesced != 1 || st.Dropped != 1 || st.Pending != 2 {
+	if st.Queued != refreshQueueSize || st.Coalesced != 1 || st.Dropped != 1 || st.Pending != refreshQueueSize {
 		t.Fatalf("stats = %+v", st)
 	}
 
@@ -132,8 +136,8 @@ func TestRefreshQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = r.Stats()
-	if st.Pending != 0 || st.Refreshed != 1 {
-		// "other" has no stored doc → failed; "srv" refreshes.
+	if st.Pending != 0 || st.Refreshed != 1 || st.Failed != refreshQueueSize-1 {
+		// The fillers have no stored doc → failed; "srv" refreshes.
 		t.Fatalf("after drain: %+v", st)
 	}
 

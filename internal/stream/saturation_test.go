@@ -6,60 +6,61 @@ import (
 	"time"
 
 	"seagull/internal/cosmos"
+	"seagull/internal/simclock"
 )
 
 // saturate fills a refresher's queue and then forces n rejected enqueues
 // (distinct jobs, so none coalesce).
 func saturate(t *testing.T, r *Refresher, n int) {
 	t.Helper()
-	if ok, err := r.Enqueue("region", "filler", 1); !ok || err != nil {
-		t.Fatalf("filler enqueue: ok=%v err=%v", ok, err)
+	for r.Stats().Pending < refreshQueueSize {
+		if ok, err := r.Enqueue("region", "filler", r.Stats().Pending); !ok || err != nil {
+			t.Fatalf("filler enqueue: ok=%v err=%v", ok, err)
+		}
 	}
 	for i := 0; i < n; i++ {
-		if _, err := r.Enqueue("region", "srv", 100+i); err != ErrQueueFull {
+		if _, err := r.Enqueue("region", "srv", 100_000+i); err != ErrQueueFull {
 			t.Fatalf("enqueue %d: err=%v, want ErrQueueFull", i, err)
 		}
 	}
 }
 
 func TestRefresherSaturatedNeedsSustainedDrops(t *testing.T) {
-	r := NewRefresher(nil, nil, nil, nil, RefreshConfig{
-		QueueSize: 1, SaturationDrops: 3, SaturationWindow: time.Minute,
-	})
+	r := NewRefresher(nil, nil, nil, nil, RefreshConfig{})
 	if r.Saturated() {
 		t.Fatal("fresh refresher reads saturated")
 	}
-	// Two drops: below the sustained threshold.
-	saturate(t, r, 2)
+	// One drop short of the sustained threshold.
+	saturate(t, r, saturationDrops-1)
 	if r.Saturated() {
-		t.Fatal("saturated after 2 drops, threshold is 3")
+		t.Fatalf("saturated after %d drops, threshold is %d", saturationDrops-1, saturationDrops)
 	}
-	// Third drop completes the window.
-	if _, err := r.Enqueue("region", "srv", 999); err != ErrQueueFull {
+	// The next drop completes the window.
+	if _, err := r.Enqueue("region", "srv", 999_999); err != ErrQueueFull {
 		t.Fatalf("enqueue: %v, want ErrQueueFull", err)
 	}
 	if !r.Saturated() {
-		t.Fatal("not saturated after 3 drops within the window")
+		t.Fatalf("not saturated after %d drops within the window", saturationDrops)
 	}
-	if got := r.Stats().Dropped; got != 3 {
-		t.Fatalf("Dropped = %d, want 3", got)
+	if got := r.Stats().Dropped; got != saturationDrops {
+		t.Fatalf("Dropped = %d, want %d", got, saturationDrops)
 	}
 }
 
 func TestRefresherSaturationClearsWithWindow(t *testing.T) {
-	r := NewRefresher(nil, nil, nil, nil, RefreshConfig{
-		QueueSize: 1, SaturationDrops: 2, SaturationWindow: 50 * time.Millisecond,
-	})
-	saturate(t, r, 2)
+	clock := simclock.NewSimulated(time.Unix(0, 0).UTC())
+	r := NewRefresher(nil, nil, nil, nil, RefreshConfig{Clock: clock})
+	saturate(t, r, saturationDrops)
 	if !r.Saturated() {
 		t.Fatal("not saturated after a drop burst")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for r.Saturated() {
-		if time.Now().After(deadline) {
-			t.Fatal("saturation never cleared after the window slid past")
-		}
-		time.Sleep(5 * time.Millisecond)
+	clock.Advance(saturationWindow)
+	if !r.Saturated() {
+		t.Fatal("saturation cleared while the burst is still inside the window")
+	}
+	clock.Advance(time.Millisecond)
+	if r.Saturated() {
+		t.Fatal("saturation never cleared after the window slid past")
 	}
 }
 
@@ -68,9 +69,7 @@ func TestSweeperPausesWhileRefresherSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewRefresher(nil, db, nil, nil, RefreshConfig{
-		QueueSize: 1, SaturationDrops: 2, SaturationWindow: time.Minute,
-	})
+	ref := NewRefresher(nil, db, nil, nil, RefreshConfig{})
 	sw := NewSweeper(db, nil, ref, SweeperConfig{})
 
 	// Unsaturated: the round runs (no summaries → zero regions, no error).
@@ -82,7 +81,7 @@ func TestSweeperPausesWhileRefresherSaturated(t *testing.T) {
 	}
 
 	// Saturated: rounds are skipped and counted.
-	saturate(t, ref, 2)
+	saturate(t, ref, saturationDrops)
 	for i := 0; i < 3; i++ {
 		if err := sw.SweepOnce(context.Background()); err != nil {
 			t.Fatalf("paused sweep: %v", err)

@@ -17,11 +17,10 @@ import (
 // snapCfg is a small, deterministic geometry for snapshot tests.
 func snapCfg() Config {
 	return Config{
-		Interval:  5 * time.Minute,
-		Epoch:     time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC),
-		Slots:     4 * 288, // four days
-		Shards:    4,
-		MaxFuture: -1, // synthetic timestamps, no wall-clock guard
+		Interval: 5 * time.Minute,
+		Epoch:    time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC),
+		Slots:    4 * 288, // four days
+		Shards:   4,
 	}
 }
 
@@ -238,17 +237,17 @@ func TestSnapshotLiveRingWins(t *testing.T) {
 	}
 }
 
-// TestSnapshotLakeRoundTrip exercises the lake glue the way a WAL-less
-// deployment runs it: Durability with DisableWAL and no snapshot ticker writes
-// the shard snapshots on drain, Recover restores them, and a first boot over
-// an empty lake recovers nothing and reports no failure.
+// TestSnapshotLakeRoundTrip exercises the lake glue the way a drain-only
+// deployment runs it: Durability with no snapshot ticker writes the shard
+// snapshots on drain, Recover restores them, and a first boot over an empty
+// lake recovers nothing and reports no failure.
 func TestSnapshotLakeRoundTrip(t *testing.T) {
 	store, err := lake.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := snapCfg()
-	drainOnly := DurabilityConfig{DisableWAL: true, SnapshotEvery: -1}
+	drainOnly := DurabilityConfig{SnapshotEvery: -1}
 	g := NewIngestor(cfg)
 	d := NewDurability(g, store, drainOnly)
 

@@ -24,7 +24,7 @@ func TestSweeperEndToEnd(t *testing.T) {
 	// partial-drift test) and run its backup day hot.
 	clean := stream.NewIngestor(stream.Config{Epoch: f.start, Slots: 8064})
 	f.feed(t, clean, "", zeroTime, zeroTime, 0)
-	cleanRep, err := stream.NewDriftDetector(clean, f.db, stream.DriftConfig{}).Sweep(ctx, eqRegion, 1)
+	cleanRep, err := stream.NewDriftDetector(clean, f.db).Sweep(ctx, eqRegion, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSweeperEndToEnd(t *testing.T) {
 
 	hot := stream.NewIngestor(stream.Config{Epoch: f.start, Slots: 8064})
 	f.feed(t, hot, target.ServerID, target.BackupDay, target.BackupDay.Add(24*time.Hour), 40)
-	det := stream.NewDriftDetector(hot, f.db, stream.DriftConfig{})
+	det := stream.NewDriftDetector(hot, f.db)
 	ref := stream.NewRefresher(hot, f.db, f.reg, newWarmPool(t, f), stream.RefreshConfig{Workers: 2})
 	sw := stream.NewSweeper(f.db, det, ref, stream.SweeperConfig{})
 
@@ -85,7 +85,7 @@ func TestSweeperDiscoversLatestWeek(t *testing.T) {
 	f := newEqFixture(t, forecast.NamePersistentPrevDay)
 	ing := stream.NewIngestor(stream.Config{Epoch: f.start, Slots: 8064})
 	f.feed(t, ing, "", zeroTime, zeroTime, 0)
-	det := stream.NewDriftDetector(ing, f.db, stream.DriftConfig{})
+	det := stream.NewDriftDetector(ing, f.db)
 	sw := stream.NewSweeper(f.db, det, nil, stream.SweeperConfig{})
 
 	// Plant decoys: a malformed id in the real region, a summary-free region
@@ -124,7 +124,7 @@ func TestSweeperRunStops(t *testing.T) {
 	f := newEqFixture(t, forecast.NamePersistentPrevDay)
 	ing := stream.NewIngestor(stream.Config{Epoch: f.start, Slots: 8064})
 	f.feed(t, ing, "", zeroTime, zeroTime, 0)
-	det := stream.NewDriftDetector(ing, f.db, stream.DriftConfig{})
+	det := stream.NewDriftDetector(ing, f.db)
 	clock := simclock.NewSimulated(f.start)
 	sw := stream.NewSweeper(f.db, det, nil, stream.SweeperConfig{Interval: time.Minute, Clock: clock})
 

@@ -125,8 +125,8 @@ type (
 	// Refresher retrains drifted servers from live telemetry and
 	// republishes their predictions.
 	Refresher = stream.Refresher
-	// RefreshConfig parameterizes the shared refresher (training window,
-	// queue size, drain concurrency).
+	// RefreshConfig parameterizes the shared refresher (drain concurrency,
+	// clock, tracing, logging).
 	RefreshConfig = stream.RefreshConfig
 	// Sweeper is the background drift loop: it periodically discovers each
 	// region's latest summarized week and sweeps it for drift with zero
@@ -496,7 +496,7 @@ func (s *System) Ingest(serverID string, t time.Time, value float64) AppendStatu
 func (s *System) streamSet() (*Ingestor, *DriftDetector, *Refresher) {
 	s.streamSetOnce.Do(func() {
 		ing := s.Stream()
-		s.drift = stream.NewDriftDetector(ing, s.DB, stream.DriftConfig{})
+		s.drift = stream.NewDriftDetector(ing, s.DB)
 		pool := serving.NewModelPool(serving.PoolConfig{})
 		s.refUnbind = pool.Bind(s.Registry)
 		s.refresher = stream.NewRefresher(ing, s.DB, s.Registry, serving.StreamPool(pool), s.cfg.Refresh)
@@ -523,29 +523,7 @@ func (s *System) Refresher() *Refresher {
 // returns a stop function (also invoked by Close). Repeated calls return
 // the same stop function while the worker runs.
 func (s *System) StartRefresher() (stop func()) {
-	s.refMu.Lock()
-	defer s.refMu.Unlock()
-	if s.refStop != nil {
-		return s.refStop
-	}
-	ref := s.Refresher()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = ref.Run(ctx)
-	}()
-	var once sync.Once
-	s.refStop = func() {
-		once.Do(func() {
-			cancel()
-			<-done
-			s.refMu.Lock()
-			s.refStop = nil
-			s.refMu.Unlock()
-		})
-	}
-	return s.refStop
+	return s.startLoop(&s.refStop, s.Refresher().Run)
 }
 
 // Sweeper returns the system's shared background drift sweeper: each round
@@ -564,37 +542,42 @@ func (s *System) Sweeper() *Sweeper {
 // drains the refresh queue the sweeper fills. Repeated calls return the same
 // stop function while the loop runs.
 func (s *System) StartSweeper() (stop func()) {
+	return s.startLoop(&s.sweepStop, s.Sweeper().Run)
+}
+
+// startLoop runs one background loop on its own goroutine and parks its stop
+// function in *slot; while it runs, repeated starts return that function.
+func (s *System) startLoop(slot *func(), run func(context.Context) error) (stop func()) {
 	s.refMu.Lock()
 	defer s.refMu.Unlock()
-	if s.sweepStop != nil {
-		return s.sweepStop
+	if *slot != nil {
+		return *slot
 	}
-	sw := s.Sweeper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = sw.Run(ctx)
+		_ = run(ctx)
 	}()
 	var once sync.Once
-	s.sweepStop = func() {
+	*slot = func() {
 		once.Do(func() {
 			cancel()
 			<-done
 			s.refMu.Lock()
-			s.sweepStop = nil
+			*slot = nil
 			s.refMu.Unlock()
 		})
 	}
-	return s.sweepStop
+	return *slot
 }
 
 // NewDurability builds a durability manager binding the system's stream
 // ingestor to its lake: call Recover() before serving, then Start(ctx) to
 // run WAL group commits and incremental snapshots in the background, and
-// Close() on drain. With DisableWAL and a negative SnapshotEvery it degrades
-// to drain-only snapshots: Open, then Close writes the rings once on the way
-// down.
+// Close() on drain. With a negative SnapshotEvery and no Start it runs
+// drain-only: Open, then Close flushes the log and writes the rings once on
+// the way down.
 func (s *System) NewDurability(cfg DurabilityConfig) *Durability {
 	if cfg.Namespace == "" {
 		cfg.Namespace = s.cfg.Replica

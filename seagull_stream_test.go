@@ -139,7 +139,7 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 	start := time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC)
 	cfg := seagull.SystemConfig{DataDir: dir, Stream: seagull.StreamConfig{Epoch: start}}
 
-	drainOnly := seagull.DurabilityConfig{DisableWAL: true, SnapshotEvery: -1}
+	drainOnly := seagull.DurabilityConfig{SnapshotEvery: -1}
 
 	sys1, err := seagull.NewSystem(cfg)
 	if err != nil {
