@@ -693,6 +693,9 @@ func BenchmarkStreamSweeper(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineWeek is one weekly RunWeek over 40 servers and two weeks
+// of extracts; at one worker its allocs/op is host-independent, and
+// seagull-bench gates it.
 func BenchmarkPipelineWeek(b *testing.B) {
 	sys, err := seagull.NewSystem(seagull.SystemConfig{DataDir: b.TempDir()})
 	if err != nil {
@@ -707,7 +710,7 @@ func BenchmarkPipelineWeek(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.RunWeek(seagull.PipelineConfig{Region: "bench", Week: 1})
+		res, err := sys.RunWeek(seagull.PipelineConfig{Region: "bench", Week: 1, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,16 +32,16 @@ import (
 	"time"
 )
 
-// defaultBench covers the hot-path micro-benchmarks plus the headline figure
-// benchmark the acceptance numbers track. SSA/FFNN appear in both their
-// default-config and fast-path variants; fleet generation in lazy and
-// materialize-all forms.
+// defaultBench covers the hot-path micro-benchmarks, the headline figure
+// benchmark the acceptance numbers track and one weekly pipeline run.
+// SSA/FFNN appear in both their default-config and fast-path variants; fleet
+// generation in lazy and materialize-all forms.
 const defaultBench = "BenchmarkARIMATrain|BenchmarkSolveRidge|BenchmarkPoolForEach|" +
 	"BenchmarkSSATrainInfer|BenchmarkSSATrainInferRandomized|" +
 	"BenchmarkFFNNTrainInfer|BenchmarkFFNNTrainInferBatched|" +
 	"BenchmarkPersistentForecastTrainInfer|BenchmarkFleetGeneration|" +
 	"BenchmarkFleetMaterialize|" +
-	"BenchmarkFig11aTrainInfer|" +
+	"BenchmarkFig11aTrainInfer|BenchmarkPipelineWeek|" +
 	"BenchmarkServePredict|BenchmarkServeBatch|" +
 	"BenchmarkTracedPredict|BenchmarkMetricsRender|" +
 	"BenchmarkStreamIngest|BenchmarkStreamDriftSweep|BenchmarkStreamRefresh|" +

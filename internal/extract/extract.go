@@ -3,7 +3,9 @@
 // telemetry and stores this data in Azure Data Lake Store". Here the raw
 // telemetry is the simulated fleet; the extraction writes one CSV object per
 // region per week into the lake, and the ingestion side reads such an object
-// back into per-server series for the pipeline.
+// back into per-server series for the pipeline — in one scan that builds
+// each server's series in place and can hand every row to a visitor (the
+// pipeline's row validation) on the way.
 //
 // Concurrency: extraction and ingestion are stateless functions over the
 // lake; distinct (region, week) objects may be processed concurrently.
@@ -127,34 +129,46 @@ func (s *ServerLoad) WindowPoints() int {
 // server id. Interval is the telemetry granularity of the dataset (5 minutes
 // for PostgreSQL/MySQL servers). Negative CPU readings become missing points.
 func Ingest(store *lake.Store, region string, week int, interval time.Duration) ([]*ServerLoad, error) {
+	return IngestVisit(store, region, week, interval, nil)
+}
+
+// IngestVisit is Ingest that also hands every row of its one scan, in file
+// order, to visit (when non-nil) — how Data Validation checks the rows of
+// the extract the pipeline trains on without reading it a second time.
+func IngestVisit(store *lake.Store, region string, week int, interval time.Duration, visit func(lake.Row)) ([]*ServerLoad, error) {
 	r, err := store.Reader(Dataset, region, week)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
 
-	type acc struct {
-		sl    *ServerLoad
-		times []int64
-		vals  []float64
-	}
-	byServer := map[string]*acc{}
+	step := int64(interval / time.Minute)
+	weekPoints := int(7 * 24 * 60 / max(step, 1))
+	byServer := map[string]*serverAcc{}
+	var cur *serverAcc
 	err = lake.ScanRows(r, func(row lake.Row) error {
-		a, ok := byServer[row.ServerID]
-		if !ok {
-			a = &acc{sl: &ServerLoad{
-				ServerID:    row.ServerID,
-				BackupStart: time.Unix(row.BackupStartMin*60, 0).UTC(),
-				BackupEnd:   time.Unix(row.BackupEndMin*60, 0).UTC(),
-			}}
-			byServer[row.ServerID] = a
+		if visit != nil {
+			visit(row)
 		}
-		a.times = append(a.times, row.TimestampMin)
+		if cur == nil || cur.sl.ServerID != row.ServerID {
+			if cur = byServer[row.ServerID]; cur == nil {
+				cur = &serverAcc{
+					sl: &ServerLoad{
+						ServerID:    row.ServerID,
+						BackupStart: time.Unix(row.BackupStartMin*60, 0).UTC(),
+						BackupEnd:   time.Unix(row.BackupEndMin*60, 0).UTC(),
+					},
+					first: row.TimestampMin,
+					vals:  make([]float64, 0, weekPoints),
+				}
+				byServer[row.ServerID] = cur
+			}
+		}
 		v := row.CPUPct
 		if v < 0 {
 			v = timeseries.Missing
 		}
-		a.vals = append(a.vals, v)
+		cur.add(row.TimestampMin, v, step)
 		return nil
 	})
 	if err != nil {
@@ -162,30 +176,65 @@ func Ingest(store *lake.Store, region string, week int, interval time.Duration) 
 	}
 
 	out := make([]*ServerLoad, 0, len(byServer))
-	step := int64(interval / time.Minute)
 	for _, a := range byServer {
-		// Rows arrive time-ordered per server from ExtractWeek, but re-check
-		// and place by timestamp to tolerate shuffled files.
-		first, last := a.times[0], a.times[0]
-		for _, t := range a.times {
-			if t < first {
-				first = t
-			}
-			if t > last {
-				last = t
-			}
+		if a.times != nil {
+			a.place(step)
 		}
-		n := int((last-first)/step) + 1
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = timeseries.Missing
-		}
-		for i, t := range a.times {
-			vals[(t-first)/step] = a.vals[i]
-		}
-		a.sl.Load = timeseries.New(time.Unix(first*60, 0).UTC(), interval, vals)
+		a.sl.Load = timeseries.New(time.Unix(a.first*60, 0).UTC(), interval, a.vals)
 		out = append(out, a.sl)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ServerID < out[j].ServerID })
 	return out, nil
+}
+
+// serverAcc builds one server's series as its rows arrive.
+type serverAcc struct {
+	sl    *ServerLoad
+	first int64 // timestamp of vals[0]
+	vals  []float64
+	// times is nil while every row lands on the grid at or after the
+	// server's first row, which is how ExtractWeek writes; vals is then the
+	// series itself. The first row before that or off the grid turns vals
+	// into (times[i], vals[i]) pairs for place.
+	times []int64
+}
+
+// add records one observation; later rows for the same slot win.
+func (a *serverAcc) add(t int64, v float64, step int64) {
+	if a.times == nil {
+		if d := t - a.first; d >= 0 && d%step == 0 {
+			i := int(d / step)
+			for len(a.vals) <= i {
+				a.vals = append(a.vals, timeseries.Missing)
+			}
+			a.vals[i] = v
+			return
+		}
+		// Every slot becomes a pair, gaps included: a gap's Missing pair
+		// precedes all later rows, so it can be overwritten but never
+		// overwrites.
+		a.times = make([]int64, len(a.vals))
+		for i := range a.times {
+			a.times[i] = a.first + int64(i)*step
+		}
+	}
+	a.times = append(a.times, t)
+	a.vals = append(a.vals, v)
+}
+
+// place lays the (time, value) pairs of a shuffled or off-grid file out on
+// the grid of the server's earliest timestamp, later rows winning.
+func (a *serverAcc) place(step int64) {
+	first, last := a.times[0], a.times[0]
+	for _, t := range a.times {
+		first, last = min(first, t), max(last, t)
+	}
+	vals := make([]float64, int((last-first)/step)+1)
+	for i := range vals {
+		vals[i] = timeseries.Missing
+	}
+	for i, t := range a.times {
+		vals[(t-first)/step] = a.vals[i]
+	}
+	a.first, a.vals, a.times = first, vals, nil
 }

@@ -1,6 +1,10 @@
 package extract
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -186,5 +190,116 @@ func TestIngestMissingObject(t *testing.T) {
 	store := testStore(t)
 	if _, err := Ingest(store, "ghost", 0, 5*time.Minute); err == nil {
 		t.Error("missing extract should error")
+	}
+}
+
+// referenceIngest is the placement Ingest used before it built series in
+// place: collect every row's (time, value), then lay the values out on the
+// grid of each server's earliest timestamp, later rows winning.
+func referenceIngest(t *testing.T, data []byte, interval time.Duration) map[string]timeseries.Series {
+	t.Helper()
+	type acc struct {
+		times []int64
+		vals  []float64
+	}
+	by := map[string]*acc{}
+	err := lake.ScanRows(bytes.NewReader(data), func(row lake.Row) error {
+		a := by[row.ServerID]
+		if a == nil {
+			a = &acc{}
+			by[row.ServerID] = a
+		}
+		v := row.CPUPct
+		if v < 0 {
+			v = timeseries.Missing
+		}
+		a.times, a.vals = append(a.times, row.TimestampMin), append(a.vals, v)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := int64(interval / time.Minute)
+	out := map[string]timeseries.Series{}
+	for id, a := range by {
+		first, last := a.times[0], a.times[0]
+		for _, ts := range a.times {
+			first, last = min(first, ts), max(last, ts)
+		}
+		vals := make([]float64, (last-first)/step+1)
+		for i := range vals {
+			vals[i] = timeseries.Missing
+		}
+		for i, ts := range a.times {
+			vals[(ts-first)/step] = a.vals[i]
+		}
+		out[id] = timeseries.New(time.Unix(first*60, 0).UTC(), interval, vals)
+	}
+	return out
+}
+
+// Ingest's in-place series match the old collect-then-place layout on
+// shuffled, duplicated, gapped and off-grid files.
+func TestIngestMatchesPlacementReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	store := testStore(t)
+	for trial := 0; trial < 300; trial++ {
+		var rows []lake.Row
+		for s := 0; s < 1+rng.Intn(3); s++ {
+			base := int64(rng.Intn(1000))
+			n := 1 + rng.Intn(40)
+			for i := 0; i < n; i++ {
+				ts := base + int64(i*5)
+				switch rng.Intn(8) {
+				case 0:
+					ts -= int64(rng.Intn(60)) // before the block's start, or a regression
+				case 1:
+					ts += int64(1 + rng.Intn(4)) // off the 5-minute grid
+				case 2:
+					ts += int64(5 * rng.Intn(10)) // gap or duplicate further on
+				}
+				rows = append(rows, lake.Row{ServerID: fmt.Sprintf("s%d", s), TimestampMin: ts,
+					CPUPct: float64(rng.Intn(2000)-100) / 10, BackupStartMin: 10, BackupEndMin: 40})
+			}
+		}
+		if rng.Intn(2) == 0 {
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		}
+		var buf bytes.Buffer
+		if err := lake.WriteRows(&buf, rows); err != nil {
+			t.Fatal(err)
+		}
+		w, err := store.Writer(Dataset, "ref", trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := referenceIngest(t, buf.Bytes(), 5*time.Minute)
+		loads, err := Ingest(store, "ref", trial, 5*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(loads) != len(want) {
+			t.Fatalf("trial %d: %d servers, want %d", trial, len(loads), len(want))
+		}
+		for _, sl := range loads {
+			got, exp := sl.Load.Values, want[sl.ServerID].Values
+			if !sl.Load.Start.Equal(want[sl.ServerID].Start) {
+				t.Fatalf("trial %d %s: starts %v, want %v", trial, sl.ServerID, sl.Load.Start, want[sl.ServerID].Start)
+			}
+			if len(got) != len(exp) {
+				t.Fatalf("trial %d %s: %d points, want %d", trial, sl.ServerID, len(got), len(exp))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(exp[i]) {
+					t.Fatalf("trial %d %s point %d: %v, want %v", trial, sl.ServerID, i, got[i], exp[i])
+				}
+			}
+		}
 	}
 }

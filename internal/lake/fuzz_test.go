@@ -21,8 +21,36 @@ func FuzzParseRow(f *testing.F) {
 	f.Add("srv,9223372036854775807,0.001,0,0")
 	f.Add("srv,1,NaN,3,4")
 	f.Add(Header)
+	// Shapes on either side of parseRow's fast path.
+	f.Add("srv,+5,1e3,-0,007")
+	f.Add("srv,1,-0.000,3,4")
+	f.Add("srv,1,.5,3,4")
+	f.Add("srv,1,5.,3,4")
+	f.Add("srv,1,.,3,4")
+	f.Add("srv,1,-,3,4")
+	f.Add("srv,1,123456789012345,3,4")
+	f.Add("srv,1,1234567890123456,3,4")
+	f.Add("srv,1,0.1234567890123456789,3,4")
+	f.Add("srv,1,1.2.3,3,4")
+	f.Add("srv,999999999999999999,1,-999999999999999999,4")
+	f.Add("srv,9999999999999999999,1,3,4")
+	f.Add("srv,1,2,3,4\r")
 
 	f.Fuzz(func(t *testing.T, line string) {
+		// The byte parser agrees with the strconv reference on acceptance,
+		// error text and every field, the CPU bit for bit.
+		want, wantErr := ParseRow(line)
+		got := Row{ServerID: "previous"}
+		gotErr := parseRow([]byte(line), &got)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("%q: parseRow err %v, ParseRow err %v", line, gotErr, wantErr)
+		}
+		if wantErr == nil && (got.ServerID != want.ServerID || got.TimestampMin != want.TimestampMin ||
+			math.Float64bits(got.CPUPct) != math.Float64bits(want.CPUPct) ||
+			got.BackupStartMin != want.BackupStartMin || got.BackupEndMin != want.BackupEndMin) {
+			t.Fatalf("%q: parseRow %+v, ParseRow %+v", line, got, want)
+		}
+
 		row, err := ParseRow(line)
 		if err != nil {
 			return

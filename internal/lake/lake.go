@@ -6,6 +6,10 @@
 // The paper's input files "contain server identifier, timestamp in minutes,
 // average user CPU load percentage per five minutes, default backup start
 // and end timestamps"; Row and the CSV codec implement exactly that layout.
+// ScanRows decodes an extract in one pass without per-row allocations: rows
+// in the shape the extraction writes take a byte-level fast path that is
+// bit-identical to strconv, and any other line falls back to ParseRow, the
+// strconv reference.
 //
 // Beyond the weekly extracts, the lake stores named auxiliary objects (see
 // object.go) — notably the stream layer's ring snapshots — with atomic
@@ -20,6 +24,7 @@ package lake
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -199,7 +204,9 @@ func AppendRow(buf []byte, r *Row) []byte {
 	return append(buf, '\n')
 }
 
-// ParseRow decodes one CSV line (no trailing newline).
+// ParseRow decodes one CSV line (no trailing newline). It is the strconv
+// reference ScanRows falls back to, so acceptance, values and error text are
+// ParseRow's.
 func ParseRow(line string) (Row, error) {
 	var r Row
 	fields := strings.Split(line, ",")
@@ -223,30 +230,134 @@ func ParseRow(line string) (Row, error) {
 	return r, nil
 }
 
+// parseRow decodes line into r. Rows of the shape ExtractWeek writes —
+// optionally '-'-signed decimal digits, a CPU with at most 15 digits and no
+// exponent — are decoded in place without allocating, and r.ServerID is kept
+// while the server does not change; every other line goes to ParseRow.
+func parseRow(line []byte, r *Row) error {
+	var f [5][]byte
+	rest := line
+	for i := range 4 {
+		j := bytes.IndexByte(rest, ',')
+		if j < 0 {
+			return parseRowSlow(line, r)
+		}
+		f[i], rest = rest[:j], rest[j+1:]
+	}
+	if bytes.IndexByte(rest, ',') >= 0 {
+		return parseRowSlow(line, r)
+	}
+	f[4] = rest
+	ts, ok1 := parseInt(f[1])
+	cpu, ok2 := parseCPU(f[2])
+	bs, ok3 := parseInt(f[3])
+	be, ok4 := parseInt(f[4])
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		return parseRowSlow(line, r)
+	}
+	if string(f[0]) != r.ServerID {
+		r.ServerID = string(f[0])
+	}
+	r.TimestampMin, r.CPUPct, r.BackupStartMin, r.BackupEndMin = ts, cpu, bs, be
+	return nil
+}
+
+func parseRowSlow(line []byte, r *Row) error {
+	row, err := ParseRow(string(line))
+	if err == nil {
+		*r = row
+	}
+	return err
+}
+
+// parseDigits decodes an optionally '-'-signed run of 1 to maxDigits decimal
+// digits, with at most one '.' when dotOK: m is the digits read as one
+// integer and frac the number of them after the '.'.
+func parseDigits(b []byte, maxDigits int, dotOK bool) (m uint64, frac int, neg, ok bool) {
+	neg = len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	digits, dot := 0, false
+	for _, c := range b {
+		switch {
+		case c >= '0' && c <= '9':
+			m = m*10 + uint64(c-'0')
+			digits++
+			if dot {
+				frac++
+			}
+		case c == '.' && dotOK && !dot:
+			dot = true
+		default:
+			return 0, 0, false, false
+		}
+	}
+	return m, frac, neg, digits > 0 && digits <= maxDigits
+}
+
+// parseInt decodes an optionally '-'-signed integer of at most 18 digits,
+// which cannot overflow an int64.
+func parseInt(b []byte) (int64, bool) {
+	m, _, neg, ok := parseDigits(b, 18, false)
+	if neg {
+		return -int64(m), ok
+	}
+	return int64(m), ok
+}
+
+// pow10 holds the powers of ten up to 10^15, all exact in a float64.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// parseCPU decodes an optionally '-'-signed decimal of at most 15 digits
+// without exponent. The digits form an integer m < 10^15 < 2^53 and the k
+// fraction digits a divisor 10^k, both exact in a float64, so m / 10^k is the
+// correctly rounded value of the decimal — bit-identical to
+// strconv.ParseFloat, whose own exact fast path this is.
+func parseCPU(b []byte) (float64, bool) {
+	m, frac, neg, ok := parseDigits(b, 15, true)
+	if !ok {
+		return 0, false
+	}
+	v := float64(m) / pow10[frac]
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// maxLine caps one extract line; the scan buffer starts at 64 KiB and grows
+// up to it.
+const maxLine = 1 << 20
+
 // ScanRows reads a CSV extract, invoking fn per row. It verifies the header
-// and stops at the first malformed row, returning its error.
+// and stops at the first malformed or over-long line, returning its error
+// with the line number.
 func ScanRows(r io.Reader, fn func(Row) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return err
+			return fmt.Errorf("line 1: %w", err)
 		}
 		return fmt.Errorf("lake: empty file")
 	}
-	if got := sc.Text(); got != Header {
+	if got := sc.Bytes(); string(got) != Header {
 		return fmt.Errorf("lake: bad header %q", got)
 	}
 	line := 1
+	var row Row
 	for sc.Scan() {
 		line++
-		row, err := ParseRow(sc.Text())
-		if err != nil {
+		if err := parseRow(sc.Bytes(), &row); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
 		}
 		if err := fn(row); err != nil {
 			return err
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("line %d: %w", line+1, err)
+	}
+	return nil
 }

@@ -1,9 +1,13 @@
 package lake
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -170,6 +174,56 @@ func TestScanRowsReportsLineNumbers(t *testing.T) {
 	err := ScanRows(strings.NewReader(data), func(Row) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("err = %v, want line number", err)
+	}
+}
+
+// The extract's whole CPU domain — the missing sentinel and 0.000 through
+// 100.000 as ExtractWeek formats them — decodes bit-identically to
+// strconv.ParseFloat.
+func TestParseCPUExhaustiveDomain(t *testing.T) {
+	check := func(v float64) {
+		text := strconv.AppendFloat(nil, v, 'f', 3, 64)
+		got, ok := parseCPU(text)
+		want, err := strconv.ParseFloat(string(text), 64)
+		if !ok || err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: parseCPU %v (ok %v), ParseFloat %v (err %v)", text, got, ok, want, err)
+		}
+	}
+	check(-1)
+	for milli := 0; milli <= 100_000; milli++ {
+		check(float64(milli) / 1000)
+	}
+}
+
+func TestScanRowsOverlongLineReportsLineNumber(t *testing.T) {
+	data := Header + "\nsrv,100,1.0,0,0\n" + strings.Repeat("x", maxLine+1) + "\n"
+	rows := 0
+	err := ScanRows(strings.NewReader(data), func(Row) error { rows++; return nil })
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "line 3") || rows != 1 {
+		t.Errorf("err = %v after %d rows, want bufio.ErrTooLong at line 3 after 1 row", err, rows)
+	}
+}
+
+// A well-formed extract scans without per-row allocations.
+func TestScanRowsAllocationFree(t *testing.T) {
+	rows := make([]Row, 2000)
+	for i := range rows {
+		rows[i] = Row{ServerID: fmt.Sprintf("srv-%d", i/500), TimestampMin: int64(i * 5),
+			CPUPct: float64(i%1000) / 10, BackupStartMin: 10, BackupEndMin: 20}
+	}
+	var buf bytes.Buffer
+	if err := WriteRows(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := ScanRows(bytes.NewReader(data), func(Row) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The scanner and its buffer, plus one ServerID string per server block.
+	if allocs > 10 {
+		t.Errorf("ScanRows of %d rows made %.0f allocations", len(rows), allocs)
 	}
 }
 

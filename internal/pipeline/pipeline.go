@@ -214,9 +214,12 @@ func (p *Pipeline) RunWeek(ctx context.Context, cfg Config) (*Result, error) {
 		return fail(StageIngestion, err)
 	}
 
-	// --- Ingestion: current week plus trailing history weeks. ---
+	// --- Ingestion: current week plus trailing history weeks; the current
+	// week's rows are schema-checked by the same scan. ---
 	t := time.Now()
-	histories, weekLoads, err := p.ingest(cfg)
+	schema := validate.DefaultSchema()
+	rows := validate.NewRowChecker(schema)
+	histories, weekLoads, err := p.ingest(cfg, rows.Check)
 	record(StageIngestion, time.Since(t))
 	if err != nil {
 		return fail(StageIngestion, err)
@@ -226,16 +229,16 @@ func (p *Pipeline) RunWeek(ctx context.Context, cfg Config) (*Result, error) {
 		res.Rows += sl.Load.Len()
 	}
 
-	// --- Validation: raw extract re-scan plus ingested-series checks. ---
+	// --- Validation: the row report plus ingested-series checks. ---
 	if err := ctx.Err(); err != nil {
 		return fail(StageValidation, err)
 	}
 	t = time.Now()
-	rep, err := p.validateWeek(cfg, weekLoads)
+	rep := rows.Finish(nil)
+	loadRep := validate.ValidateLoads(weekLoads, schema, int(7*24*time.Hour/cfg.Interval))
+	rep.Anomalies = append(rep.Anomalies, loadRep.Anomalies...)
+	rep.Valid = rep.Valid && loadRep.Valid
 	record(StageValidation, time.Since(t))
-	if err != nil {
-		return fail(StageValidation, err)
-	}
 	res.Validation = rep
 	if !rep.Valid {
 		p.Dash.Raise(insights.SevWarning, cfg.Region, StageValidation,
@@ -312,9 +315,10 @@ type serverHistory struct {
 }
 
 // ingest loads the current week plus up to HistoryWeeks prior weeks and
-// concatenates them per server. It returns the per-server histories and the
-// current week's loads (for validation).
-func (p *Pipeline) ingest(cfg Config) (map[string]*serverHistory, []*extract.ServerLoad, error) {
+// concatenates them per server, handing the current week's rows to check as
+// they are scanned. It returns the per-server histories and the current
+// week's loads (for validation).
+func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverHistory, []*extract.ServerLoad, error) {
 	firstWeek := cfg.Week - metrics.DefaultConfig().HistoryWeeks
 	if firstWeek < 0 {
 		firstWeek = 0
@@ -322,7 +326,11 @@ func (p *Pipeline) ingest(cfg Config) (map[string]*serverHistory, []*extract.Ser
 	histories := map[string]*serverHistory{}
 	var weekLoads []*extract.ServerLoad
 	for w := firstWeek; w <= cfg.Week; w++ {
-		loads, err := extract.Ingest(p.Store, cfg.Region, w, cfg.Interval)
+		var visit func(lake.Row)
+		if w == cfg.Week {
+			visit = check
+		}
+		loads, err := extract.IngestVisit(p.Store, cfg.Region, w, cfg.Interval, visit)
 		if err != nil {
 			if errors.Is(err, lake.ErrNotFound) && w != cfg.Week {
 				continue // older weeks may predate the dataset
@@ -353,26 +361,6 @@ func (p *Pipeline) ingest(cfg Config) (map[string]*serverHistory, []*extract.Ser
 		return nil, nil, ErrNoData
 	}
 	return histories, weekLoads, nil
-}
-
-// validateWeek re-scans the raw extract against the schema and checks the
-// ingested series.
-func (p *Pipeline) validateWeek(cfg Config, weekLoads []*extract.ServerLoad) (*validate.Report, error) {
-	rd, err := p.Store.Reader(extract.Dataset, cfg.Region, cfg.Week)
-	if err != nil {
-		return nil, err
-	}
-	defer rd.Close()
-	schema := validate.DefaultSchema()
-	rowRep, err := validate.ValidateRows(rd, schema)
-	if err != nil {
-		return nil, err
-	}
-	weekPoints := int(7 * 24 * time.Hour / cfg.Interval)
-	loadRep := validate.ValidateLoads(weekLoads, schema, weekPoints)
-	rowRep.Anomalies = append(rowRep.Anomalies, loadRep.Anomalies...)
-	rowRep.Valid = rowRep.Valid && loadRep.Valid
-	return rowRep, nil
 }
 
 // extractFeatures classifies every server on its concatenated history.
@@ -537,7 +525,7 @@ func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDo
 	historyWeeks := metrics.DefaultConfig().HistoryWeeks
 
 	for _, pd := range preds {
-		if err := predCol.Upsert(cfg.Region, docID(pd.ServerID, pd.Week), pd); err != nil {
+		if err := predCol.Upsert(cfg.Region, DocID(pd.ServerID, pd.Week), pd); err != nil {
 			return summary, err
 		}
 	}
@@ -548,7 +536,7 @@ func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDo
 		weeksSeen := 1
 		for w := ed.Week - 1; w > ed.Week-historyWeeks && predictable; w-- {
 			var prev EvalDoc
-			if err := evalCol.Get(cfg.Region, docID(ed.ServerID, w), &prev); err != nil {
+			if err := evalCol.Get(cfg.Region, DocID(ed.ServerID, w), &prev); err != nil {
 				predictable = false
 				break
 			}
@@ -559,7 +547,7 @@ func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDo
 			predictable = false
 		}
 		ed.Predictable = predictable
-		if err := evalCol.Upsert(cfg.Region, docID(ed.ServerID, ed.Week), ed); err != nil {
+		if err := evalCol.Upsert(cfg.Region, DocID(ed.ServerID, ed.Week), ed); err != nil {
 			return summary, err
 		}
 		summary.Add(metrics.DayResult{
@@ -598,7 +586,9 @@ func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDo
 	return summary, nil
 }
 
-func docID(serverID string, week int) string {
+// DocID is the one id rule for a server's per-week documents in the
+// predictions and evaluations collections: "<serverID>/week-NNNN".
+func DocID(serverID string, week int) string {
 	return fmt.Sprintf("%s/week-%04d", serverID, week)
 }
 

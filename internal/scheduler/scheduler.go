@@ -22,6 +22,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -127,9 +128,15 @@ func (s *Scheduler) ScheduleWeek(ctx context.Context, region string, week int) (
 	predCol := s.DB.Collection(pipeline.PredictionsCollection)
 	evalCol := s.DB.Collection("evaluations")
 	var decisions []Decision
+	// The region's partition holds every stored week; skipping other weeks'
+	// ids before decoding keeps the cost to this week's documents.
+	weekSuffix := pipeline.DocID("", week)
 	err := predCol.Query(region, func(id string, body json.RawMessage) error {
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		if !strings.HasSuffix(id, weekSuffix) {
+			return nil
 		}
 		var pd pipeline.PredictionDoc
 		if err := json.Unmarshal(body, &pd); err != nil {
@@ -151,7 +158,7 @@ func (s *Scheduler) ScheduleWeek(ctx context.Context, region string, week int) (
 		}
 		// Predictability as of the previous completed week.
 		var prev pipeline.EvalDoc
-		if err := evalCol.Get(region, fmt.Sprintf("%s/week-%04d", pd.ServerID, week-1), &prev); err == nil && prev.Predictable {
+		if err := evalCol.Get(region, pipeline.DocID(pd.ServerID, week-1), &prev); err == nil && prev.Predictable {
 			d.Source = SourcePredicted
 			d.Start = pd.BackupDay.Add(time.Duration(pd.LLStart*pd.IntervalMin) * time.Minute)
 		}

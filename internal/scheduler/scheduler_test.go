@@ -2,6 +2,8 @@ package scheduler
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,5 +216,36 @@ func TestOffsetInDay(t *testing.T) {
 	}
 	if got := offsetInDay(day.Add(-time.Hour), day, 5*time.Minute); got != 0 {
 		t.Errorf("negative offset = %d, want 0", got)
+	}
+}
+
+// ScheduleWeek decodes only its own week's predictions: the decisions, and
+// their order, are the same whether the region's partition holds every
+// stored week or just the scheduled one — and another week's document is
+// never decoded, even when it would not decode.
+func TestScheduleWeekIgnoresOtherWeeks(t *testing.T) {
+	s, _, _ := fixture(t, 20)
+	ctx := context.Background()
+	all, err := s.ScheduleWeek(ctx, "sched", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predCol := s.DB.Collection(pipeline.PredictionsCollection)
+	if err := predCol.Upsert("sched", pipeline.DocID("srv-undecodable", 1), "not a prediction"); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range predCol.IDs("sched") {
+		if !strings.HasSuffix(id, pipeline.DocID("", 3)) && id != pipeline.DocID("srv-undecodable", 1) {
+			if err := predCol.Delete("sched", id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	one, err := s.ScheduleWeek(ctx, "sched", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) == 0 || !reflect.DeepEqual(all, one) {
+		t.Errorf("decisions differ:\nall weeks stored: %+v\none week stored:  %+v", all, one)
 	}
 }

@@ -555,12 +555,12 @@ func (s *Service) StoredPredictions(region string, week int) ([]*pipeline.Predic
 		return nil, svcErr(CodeNotFound, http.StatusNotFound, "no document store attached to this service")
 	}
 	var docs []*pipeline.PredictionDoc
-	// The pipeline keys predictions as "<serverID>/week-%04d"; matching the
+	// The pipeline keys predictions by pipeline.DocID; matching the
 	// id suffix first avoids unmarshalling every other week's documents in
 	// a region partition that accumulates weeks. The decoded Week is still
 	// checked, so a foreign id scheme degrades to a filter, not a wrong
 	// answer.
-	weekSuffix := fmt.Sprintf("/week-%04d", week)
+	weekSuffix := pipeline.DocID("", week)
 	err := s.db.Collection(pipeline.PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
 		if !strings.HasSuffix(id, weekSuffix) {
 			return nil

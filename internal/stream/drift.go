@@ -87,7 +87,7 @@ func NewDriftDetector(ing *Ingestor, db *cosmos.DB) *DriftDetector {
 func (d *DriftDetector) Sweep(ctx context.Context, region string, week int) (Report, error) {
 	rep := Report{Region: region, Week: week}
 	threshold := metrics.DefaultConfig().AccuracyThreshold
-	weekSuffix := fmt.Sprintf("/week-%04d", week)
+	weekSuffix := pipeline.DocID("", week)
 	err := d.db.Collection(pipeline.PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
 		if !strings.HasSuffix(id, weekSuffix) {
 			return nil

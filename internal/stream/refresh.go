@@ -373,7 +373,7 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 		return err
 	}
 	col := r.db.Collection(pipeline.PredictionsCollection)
-	docID := fmt.Sprintf("%s/week-%04d", serverID, week)
+	docID := pipeline.DocID(serverID, week)
 	var doc pipeline.PredictionDoc
 	if err := col.Get(region, docID, &doc); err != nil {
 		if errors.Is(err, cosmos.ErrNotFound) {
@@ -473,7 +473,7 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 // pipeline.RunWeek — and returns how many servers were refreshed. Servers
 // with insufficient live history are skipped, not fatal.
 func (r *Refresher) RefreshWeek(ctx context.Context, region string, week int) (int, error) {
-	weekSuffix := fmt.Sprintf("/week-%04d", week)
+	weekSuffix := pipeline.DocID("", week)
 	var ids []string
 	err := r.db.Collection(pipeline.PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
 		if strings.HasSuffix(id, weekSuffix) {

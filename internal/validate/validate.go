@@ -4,10 +4,14 @@
 // paper cites — plus per-server telemetry quality checks (gaps, duplicates,
 // coverage).
 //
-// Concurrency: validation is stateless and safe to run concurrently per
-// (region, week); reports are plain values. Validation never mutates its
-// input — a validated extract trains on exactly the bytes that were
-// checked.
+// The row checks run as a RowChecker on a scan: the pipeline hands it the
+// rows of the same read that ingests the week (extract.IngestVisit), so a
+// validated extract trains on exactly the bytes that were checked;
+// ValidateRows is that checker over a scan of its own.
+//
+// Concurrency: validation keeps no shared state and is safe to run
+// concurrently per (region, week); a RowChecker belongs to one scan, and
+// reports are plain values. Validation never mutates its input.
 package validate
 
 import (
@@ -140,60 +144,85 @@ func (r *Report) add(a Anomaly) {
 }
 
 // ValidateRows checks one extract stream against the schema: header, field
-// bounds, per-server duplicate timestamps and ordering.
+// bounds, per-server duplicate timestamps and ordering. It is one scan
+// feeding a RowChecker.
 func ValidateRows(rd io.Reader, schema Schema) (*Report, error) {
-	rep := &Report{}
-	var (
-		curServer string
-		lastTS    int64
-		seen      = map[string]bool{} // servers completed (detects interleaving)
-	)
+	c := NewRowChecker(schema)
 	err := lake.ScanRows(rd, func(row lake.Row) error {
-		rep.Rows++
-		if row.ServerID == "" {
-			rep.add(Anomaly{Kind: KindSchema, Detail: "empty server id"})
-		}
-		if row.CPUPct != schema.MissingSentinel && (row.CPUPct < schema.MinCPU || row.CPUPct > schema.MaxCPU) {
-			rep.add(Anomaly{Kind: KindBound, ServerID: row.ServerID,
-				Detail: fmt.Sprintf("cpu %.3f outside [%.1f,%.1f]", row.CPUPct, schema.MinCPU, schema.MaxCPU)})
-		}
-		if schema.MaxTimestamp > 0 && (row.TimestampMin < schema.MinTimestamp || row.TimestampMin > schema.MaxTimestamp) {
-			rep.add(Anomaly{Kind: KindBound, ServerID: row.ServerID,
-				Detail: fmt.Sprintf("timestamp %d outside schema span", row.TimestampMin)})
-		}
-		if row.ServerID != curServer {
-			if seen[row.ServerID] {
-				rep.add(Anomaly{Kind: KindOrder, ServerID: row.ServerID,
-					Detail: "server block interleaved"})
-			}
-			if curServer != "" {
-				seen[curServer] = true
-			}
-			curServer = row.ServerID
-			rep.Servers++
-			lastTS = row.TimestampMin
-			return nil
-		}
-		if row.TimestampMin == lastTS {
-			rep.add(Anomaly{Kind: KindDuplicate, ServerID: row.ServerID,
-				Detail: fmt.Sprintf("duplicate timestamp %d", row.TimestampMin)})
-		} else if row.TimestampMin < lastTS {
-			rep.add(Anomaly{Kind: KindOrder, ServerID: row.ServerID,
-				Detail: fmt.Sprintf("timestamp %d after %d", row.TimestampMin, lastTS)})
-		}
-		lastTS = row.TimestampMin
+		c.Check(row)
 		return nil
 	})
-	if err != nil {
+	return c.Finish(err), nil
+}
+
+// RowChecker checks extract rows against a schema as a scan delivers them,
+// so the read that ingests an extract can also validate it.
+type RowChecker struct {
+	schema    Schema
+	rep       Report
+	curServer string
+	lastTS    int64
+	seen      map[string]bool // servers completed (detects interleaving)
+}
+
+// NewRowChecker returns a checker with an empty report.
+func NewRowChecker(schema Schema) *RowChecker {
+	return &RowChecker{schema: schema, seen: map[string]bool{}}
+}
+
+// Check applies the per-row checks to the next row of the scan.
+func (c *RowChecker) Check(row lake.Row) {
+	s, rep := &c.schema, &c.rep
+	rep.Rows++
+	if row.ServerID == "" {
+		rep.add(Anomaly{Kind: KindSchema, Detail: "empty server id"})
+	}
+	// Written so that NaN, which no comparison admits, is out of bounds.
+	if row.CPUPct != s.MissingSentinel && !(row.CPUPct >= s.MinCPU && row.CPUPct <= s.MaxCPU) {
+		rep.add(Anomaly{Kind: KindBound, ServerID: row.ServerID,
+			Detail: fmt.Sprintf("cpu %.3f outside [%.1f,%.1f]", row.CPUPct, s.MinCPU, s.MaxCPU)})
+	}
+	if s.MaxTimestamp > 0 && (row.TimestampMin < s.MinTimestamp || row.TimestampMin > s.MaxTimestamp) {
+		rep.add(Anomaly{Kind: KindBound, ServerID: row.ServerID,
+			Detail: fmt.Sprintf("timestamp %d outside schema span", row.TimestampMin)})
+	}
+	if row.ServerID != c.curServer {
+		if c.seen[row.ServerID] {
+			rep.add(Anomaly{Kind: KindOrder, ServerID: row.ServerID,
+				Detail: "server block interleaved"})
+		}
+		if c.curServer != "" {
+			c.seen[c.curServer] = true
+		}
+		c.curServer = row.ServerID
+		rep.Servers++
+		c.lastTS = row.TimestampMin
+		return
+	}
+	if row.TimestampMin == c.lastTS {
+		rep.add(Anomaly{Kind: KindDuplicate, ServerID: row.ServerID,
+			Detail: fmt.Sprintf("duplicate timestamp %d", row.TimestampMin)})
+	} else if row.TimestampMin < c.lastTS {
+		rep.add(Anomaly{Kind: KindOrder, ServerID: row.ServerID,
+			Detail: fmt.Sprintf("timestamp %d after %d", row.TimestampMin, c.lastTS)})
+	}
+	c.lastTS = row.TimestampMin
+}
+
+// Finish closes the check and returns its report. scanErr is the scan's own
+// error, if any.
+func (c *RowChecker) Finish(scanErr error) *Report {
+	rep := &c.rep
+	if scanErr != nil {
 		// A malformed row is a schema anomaly, not a hard error: record it so
 		// the incident manager can alert with context.
-		rep.add(Anomaly{Kind: KindSchema, Detail: err.Error()})
+		rep.add(Anomaly{Kind: KindSchema, Detail: scanErr.Error()})
 	}
 	if rep.Rows == 0 {
 		rep.add(Anomaly{Kind: KindEmpty, Detail: "extract contains no rows"})
 	}
 	rep.Valid = len(rep.Anomalies) == 0
-	return rep, nil
+	return rep
 }
 
 // ValidateLoads checks ingested per-server series: missing-data ratio,

@@ -269,3 +269,16 @@ func TestAnomalyCap(t *testing.T) {
 		t.Error("capped report must still be invalid")
 	}
 }
+
+// NaN parses as a float but is no load: it is a bound anomaly, not a silent
+// missing point (the schema's missing sentinel is -1).
+func TestValidateNaNCPUIsBoundAnomaly(t *testing.T) {
+	data := lake.Header + "\na,100,10.000,0,10\na,105,NaN,0,10\n"
+	rep, err := ValidateRows(strings.NewReader(data), DefaultSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Valid || len(rep.Anomalies) != 1 || rep.Anomalies[0].Kind != KindBound || rep.Anomalies[0].ServerID != "a" {
+		t.Errorf("NaN cpu: valid=%v anomalies=%+v, want one bound anomaly on a", rep.Valid, rep.Anomalies)
+	}
+}
