@@ -9,6 +9,12 @@
 // whole iteration, so callbacks must not write back into the same
 // collection). Durability: writes are applied in memory and persisted by
 // Flush; a persistent DB reloads every collection on Open.
+//
+// Stored bodies are immutable: every write installs a freshly marshalled
+// slice and nothing writes a stored body in place, so a body handed out by
+// Query or Dump keeps its bytes after the document is rewritten or deleted.
+// Readers may rely on this to recognise an unchanged document by its slice
+// (stream.DriftDetector reuses decoded predictions this way).
 package cosmos
 
 import (
@@ -22,11 +28,8 @@ import (
 	"sync"
 )
 
-// Common errors.
-var (
-	ErrNotFound = errors.New("cosmos: document not found")
-	ErrConflict = errors.New("cosmos: document already exists")
-)
+// ErrNotFound reports a missing document.
+var ErrNotFound = errors.New("cosmos: document not found")
 
 // Document is a stored item: a partition key, an id unique within the
 // partition, and an arbitrary JSON-serializable body.
@@ -167,18 +170,6 @@ func (c *Collection) Upsert(partition, id string, v any) error {
 	}
 	part[id] = body
 	return nil
-}
-
-// Insert stores v under (partition, id) and fails with ErrConflict when the
-// document already exists.
-func (c *Collection) Insert(partition, id string, v any) error {
-	c.mu.Lock()
-	exists := c.docs[partition][id] != nil
-	c.mu.Unlock()
-	if exists {
-		return fmt.Errorf("%w: %s/%s", ErrConflict, partition, id)
-	}
-	return c.Upsert(partition, id, v)
 }
 
 // Get unmarshals the document at (partition, id) into out.

@@ -47,14 +47,36 @@ func TestGetNotFound(t *testing.T) {
 	}
 }
 
-func TestInsertConflict(t *testing.T) {
+// TestQueryBodyOutlivesWrites pins the contract readers rely on to
+// recognise an unchanged document by its slice: a body handed out by Query
+// keeps its bytes after the same id is rewritten — with a body of the same
+// length — or deleted, and the rewrite is handed out as a different slice.
+func TestQueryBodyOutlivesWrites(t *testing.T) {
 	db, _ := Open("")
 	c := db.Collection("x")
-	if err := c.Insert("p", "id", doc{}); err != nil {
+	body := func() json.RawMessage {
+		var out json.RawMessage
+		if err := c.Query("p", func(_ string, b json.RawMessage) error { out = b; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	_ = c.Upsert("p", "id", doc{Name: "a", Value: 1})
+	first := body()
+	saved := string(first)
+	_ = c.Upsert("p", "id", doc{Name: "b", Value: 2})
+	second := body()
+	if len(second) != len(first) || string(second) == saved {
+		t.Fatalf("rewrite should differ at equal length: %s vs %s", second, saved)
+	}
+	if &second[0] == &first[0] {
+		t.Fatal("rewrite reused the old body's slice")
+	}
+	if err := c.Delete("p", "id"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert("p", "id", doc{}); !errors.Is(err, ErrConflict) {
-		t.Errorf("err = %v", err)
+	if string(first) != saved || string(second) != `{"name":"b","value":2}` {
+		t.Fatalf("handed-out bodies changed: %s, %s", first, second)
 	}
 }
 

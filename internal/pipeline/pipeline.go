@@ -323,6 +323,7 @@ func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverH
 	if firstWeek < 0 {
 		firstWeek = 0
 	}
+	weekPoints := int(7 * 24 * time.Hour / cfg.Interval)
 	histories := map[string]*serverHistory{}
 	var weekLoads []*extract.ServerLoad
 	for w := firstWeek; w <= cfg.Week; w++ {
@@ -343,7 +344,10 @@ func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverH
 		for _, sl := range loads {
 			h := histories[sl.ServerID]
 			if h == nil {
-				h = &serverHistory{id: sl.ServerID, load: sl.Load}
+				// Size the history once for every week still to come, so the
+				// later weeks append in place.
+				vals := append(make([]float64, 0, (cfg.Week-w+1)*weekPoints), sl.Load.Values...)
+				h = &serverHistory{id: sl.ServerID, load: timeseries.New(sl.Load.Start, sl.Load.Interval, vals)}
 				histories[sl.ServerID] = h
 			} else {
 				// Append, bridging any gap between weeks with missing points.

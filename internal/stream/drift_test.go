@@ -2,7 +2,11 @@ package stream
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,5 +150,176 @@ func TestDriftSweepCancel(t *testing.T) {
 	cancel()
 	if _, err := det.Sweep(ctx, "r", 0); err == nil {
 		t.Fatal("cancelled sweep should fail")
+	}
+}
+
+// TestDriftSweepSameLengthRewrite: a stored prediction rewritten with a body
+// of the same length — one digit changed — is decoded again and judged on its
+// new values, and an unchanged one is not decoded twice.
+func TestDriftSweepSameLengthRewrite(t *testing.T) {
+	db, _ := cosmos.Open("")
+	g := NewIngestor(testConfig(4096))
+	day := testEpoch.Add(24 * time.Hour)
+	// 12 live points at 20 — exactly enough to judge. With two predicted
+	// slots at 50 the bucket ratio is 10/12 < 0.90 (drifted); with one it
+	// is 11/12 (accurate).
+	for i := 0; i < minDriftPoints; i++ {
+		g.Append("srv", day.Add(time.Duration(i)*5*time.Minute), 20)
+	}
+	hot, cool := flatDoc("srv", "r", 0, day, 20), flatDoc("srv", "r", 0, day, 20)
+	hot.Values[0], hot.Values[1] = 50, 50
+	cool.Values[0] = 50
+	hb, _ := json.Marshal(hot)
+	cb, _ := json.Marshal(cool)
+	if len(hb) != len(cb) {
+		t.Fatalf("bodies differ in length: %d vs %d", len(hb), len(cb))
+	}
+
+	det := NewDriftDetector(g, db)
+	sweep := func(wantDrifted int) Report {
+		t.Helper()
+		rep, err := det.Sweep(context.Background(), "r", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Checked != 1 || rep.Drifted != wantDrifted {
+			t.Fatalf("report = %+v, want 1 checked / %d drifted", rep, wantDrifted)
+		}
+		return rep
+	}
+	storePrediction(t, db, "r", hot)
+	if rep := sweep(1); rep.DriftedServers[0].Ratio != 10.0/12 {
+		t.Fatalf("hot verdict = %+v, want ratio 10/12", rep.DriftedServers[0])
+	}
+	sweep(1)
+	if got := det.Stats().Decoded; got != 1 {
+		t.Fatalf("decoded = %d after two sweeps of one unchanged doc, want 1", got)
+	}
+	storePrediction(t, db, "r", cool)
+	sweep(0)
+	if got := det.Stats().Decoded; got != 2 {
+		t.Fatalf("decoded = %d after a same-length rewrite, want 2", got)
+	}
+}
+
+// TestDriftSweepReuseMatchesFresh is the reuse rule as a property: over
+// random interleavings of same- and different-length upserts, deletes, live
+// appends and sweeps of two weeks, every sweep reports exactly what a
+// freshly built detector reports, and decodes exactly the documents of the
+// swept week written since the previous sweep (all of them when the
+// previous sweep was of another week).
+func TestDriftSweepReuseMatchesFresh(t *testing.T) {
+	const region = "r"
+	day := testEpoch.Add(24 * time.Hour)
+	servers := []string{"s0", "s1", "s2", "s3", "s4", "s5"}
+	levels := []float64{20, 30, 60, 5, 100.5} // swapping two-digit levels keeps a body's length
+	ctx := context.Background()
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db, _ := cosmos.Open("")
+		g := NewIngestor(testConfig(4096))
+		det := NewDriftDetector(g, db)
+		coll := db.Collection(pipeline.PredictionsCollection)
+		stored := map[string]int{} // id -> week
+		written := map[string]bool{}
+		lastWeek := -1
+		for op := 0; op < 200; op++ {
+			srv := servers[rng.Intn(len(servers))]
+			week := 1 + rng.Intn(2)
+			id := pipeline.DocID(srv, week)
+			switch r := rng.Intn(10); {
+			case r < 4:
+				doc := flatDoc(srv, region, week, day, levels[rng.Intn(len(levels))])
+				doc.Values[rng.Intn(len(doc.Values))] = levels[rng.Intn(len(levels))]
+				storePrediction(t, db, region, doc)
+				stored[id], written[id] = week, true
+			case r < 5:
+				if _, ok := stored[id]; ok {
+					if err := coll.Delete(region, id); err != nil {
+						t.Fatal(err)
+					}
+					delete(stored, id)
+				}
+			case r < 8:
+				for n := rng.Intn(30); n > 0; n-- {
+					g.Append(srv, day.Add(time.Duration(rng.Intn(288))*5*time.Minute), levels[rng.Intn(len(levels))])
+				}
+			default:
+				want := uint64(0)
+				for id, w := range stored {
+					if w == week && (written[id] || lastWeek != week) {
+						want++
+					}
+				}
+				before := det.Stats().Decoded
+				got, err := det.Sweep(ctx, region, week)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewDriftDetector(g, db).Sweep(ctx, region, week)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, fresh) {
+					t.Fatalf("seed %d op %d: reused report %+v, fresh %+v", seed, op, got, fresh)
+				}
+				if d := det.Stats().Decoded - before; d != want {
+					t.Fatalf("seed %d op %d: sweep of week %d decoded %d docs, want %d", seed, op, week, d, want)
+				}
+				clear(written)
+				lastWeek = week
+			}
+		}
+	}
+}
+
+// TestDriftSweepConcurrentWrites: two sweepers share one region's decoded
+// predictions while a writer keeps rewriting them (run under -race); once
+// the writer stops, a sweep agrees with a fresh detector.
+func TestDriftSweepConcurrentWrites(t *testing.T) {
+	db, _ := cosmos.Open("")
+	g := NewIngestor(testConfig(4096))
+	day := testEpoch.Add(24 * time.Hour)
+	for s := 0; s < 8; s++ {
+		for i := 0; i < 288; i++ {
+			g.Append(fmt.Sprintf("srv-%d", s), day.Add(time.Duration(i)*5*time.Minute), 20)
+		}
+	}
+	det := NewDriftDetector(g, db)
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := det.Sweep(ctx, "r", 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 400; i++ {
+		storePrediction(t, db, "r", flatDoc(fmt.Sprintf("srv-%d", i%8), "r", 0, day, float64(20+40*(i%2))))
+	}
+	close(stop)
+	wg.Wait()
+	got, err := det.Sweep(ctx, "r", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewDriftDetector(g, db).Sweep(ctx, "r", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || got.Checked != 8 {
+		t.Fatalf("after concurrent writes: report %+v, fresh %+v", got, want)
 	}
 }
