@@ -207,22 +207,6 @@ func BenchmarkFFNNTrainInfer(b *testing.B) {
 	}
 }
 
-// BenchmarkFFNNTrainInferBatched measures the fused minibatched trainer at
-// the experiments' fast-profile configuration (accuracy equivalence recorded
-// in TestFFNNBatchedAccuracyEquivalent).
-func BenchmarkFFNNTrainInferBatched(b *testing.B) {
-	hist := benchHistory(7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := forecast.NewFFNN(forecast.FFNNConfig{
-			Seed: 1, Epochs: 5, BatchSize: 8, LearningRate: 0.1,
-		})
-		if _, err := forecast.PredictDay(m, hist); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkARIMATrain isolates the ARIMA order search — the dominant cost of
 // fig11a and every experiment that trains per-server models. The config
 // mirrors modelFactory's ScaleSmall settings.
@@ -341,13 +325,10 @@ func benchServePredict(b *testing.B, model string, maxIdle int, newModel func(na
 	}
 }
 
-// fastFFNN is the experiments' fast trainer profile (equivalence recorded in
-// TestFFNNBatchedAccuracyEquivalent); the serve benchmarks use it so the
-// measured quantity is serving overhead, not 25 epochs of SGD.
+// fastFFNN is a short-epoch trainer profile; the serve benchmarks use it so
+// the measured quantity is serving overhead, not 25 epochs of SGD.
 func fastFFNN(_ string, seed int64) (forecast.Model, error) {
-	return forecast.NewFFNN(forecast.FFNNConfig{
-		Seed: seed, Epochs: 5, BatchSize: 8, LearningRate: 0.1,
-	}), nil
+	return forecast.NewFFNN(forecast.FFNNConfig{Seed: seed, Epochs: 5}), nil
 }
 
 func BenchmarkServePredictSSA(b *testing.B)     { benchServePredict(b, forecast.NameSSA, 0, nil) }

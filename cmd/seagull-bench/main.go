@@ -34,11 +34,11 @@ import (
 
 // defaultBench covers the hot-path micro-benchmarks, the headline figure
 // benchmark the acceptance numbers track and one weekly pipeline run.
-// SSA/FFNN appear in both their default-config and fast-path variants; fleet
+// SSA appears in both its exact and randomized-SVD variants; fleet
 // generation in lazy and materialize-all forms.
 const defaultBench = "BenchmarkARIMATrain|BenchmarkSolveRidge|BenchmarkPoolForEach|" +
 	"BenchmarkSSATrainInfer|BenchmarkSSATrainInferRandomized|" +
-	"BenchmarkFFNNTrainInfer|BenchmarkFFNNTrainInferBatched|" +
+	"BenchmarkFFNNTrainInfer|" +
 	"BenchmarkPersistentForecastTrainInfer|BenchmarkFleetGeneration|" +
 	"BenchmarkFleetMaterialize|" +
 	"BenchmarkFig11aTrainInfer|BenchmarkPipelineWeek|" +

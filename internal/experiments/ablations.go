@@ -160,7 +160,7 @@ func runAblationThreshold(o Options) ([]Table, error) {
 	fleet := cachedFleet(simulate.Config{
 		Region: "ab-thresh", Servers: n, Weeks: 4, Seed: o.Seed,
 	})
-	factory := modelFactory(forecast.NamePersistentPrevDay, o.Seed, false, 1)
+	factory := modelFactory(forecast.NamePersistentPrevDay, o.Seed, false)
 	pool := parallel.NewPool(o.Workers)
 	t := Table{
 		Caption: "Ablation — bucket-ratio accuracy threshold (Definition 2)",
@@ -193,7 +193,7 @@ func runAblationHistory(o Options) ([]Table, error) {
 		Region: "ab-hist", Servers: n, Weeks: 6, Seed: o.Seed,
 		Mix: simulate.Mix{Stable: 0.5, Daily: 0.1, NoPattern: 0.4},
 	})
-	factory := modelFactory(forecast.NamePersistentPrevDay, o.Seed, false, 1)
+	factory := modelFactory(forecast.NamePersistentPrevDay, o.Seed, false)
 	mcfg := metrics.DefaultConfig()
 	// Evaluate weeks 1..5: five results per server, so even the 4-week gate
 	// has a full history window before the final (week 5) outcome.
@@ -274,7 +274,7 @@ func runAblationPFVariants(o Options) ([]Table, error) {
 		})
 		row := []any{cl.name}
 		for _, v := range variants {
-			factory := modelFactory(v, o.Seed, false, 1)
+			factory := modelFactory(v, o.Seed, false)
 			evals, err := evaluateFleet(fleet, factory, []int{2, 3}, mcfg, pool)
 			if err != nil {
 				return nil, err

@@ -85,7 +85,7 @@ func runFig11a(o Options) ([]Table, error) {
 	}
 
 	for _, name := range models {
-		factory := modelFactory(name, o.Seed, fast, 1)
+		factory := modelFactory(name, o.Seed, fast)
 		row := []any{name}
 		for _, n := range counts {
 			start := time.Now()
@@ -98,11 +98,9 @@ func runFig11a(o Options) ([]Table, error) {
 	}
 
 	// ARIMA is measured once at the smallest count — the paper excluded it
-	// because the six-parameter order search does not scale. With fewer
-	// servers than pool workers, the spare workers spill into each server's
-	// candidate order grid (selection stays bit-identical to sequential).
+	// because the six-parameter order search does not scale.
 	arimaN := counts[0]
-	factory := modelFactory(forecast.NameARIMA, o.Seed, fast, gridSpill(pool.Workers(), arimaN))
+	factory := modelFactory(forecast.NameARIMA, o.Seed, fast)
 	start := time.Now()
 	if err := trainInfer(arimaN, factory); err != nil {
 		return nil, fmt.Errorf("fig11a arima: %w", err)
@@ -149,7 +147,7 @@ func runFig11bcd(o Options) ([]Table, error) {
 	}
 
 	for _, name := range models {
-		factory := modelFactory(name, o.Seed, fast, 1)
+		factory := modelFactory(name, o.Seed, fast)
 		rb, rc, rd := []any{name}, []any{name}, []any{name}
 		for _, fleet := range regions {
 			evals, err := evaluateFleet(fleet, factory, weeks, mcfg, pool)

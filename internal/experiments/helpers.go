@@ -13,21 +13,11 @@ import (
 
 // modelFactory returns a constructor for fresh model instances. fast selects
 // reduced fitting budgets so small-scale runs stay quick; relative cost
-// ordering between models is preserved. The fast profiles opt into the
-// equivalence-tested fast paths the production defaults keep off: the
-// minibatched FFNN trainer (accuracy equivalence recorded in
-// TestFFNNBatchedAccuracyEquivalent) and SSA's randomized trajectory SVD
-// (≤1e-6 forecast equivalence, TestSSARandomizedMatchesJacobi).
-// arimaGridWorkers parallelizes each ARIMA order search — pass
-// gridSpill(poolWorkers, servers) so spare pool capacity spills into the
-// candidate grid when the server partition count is below the pool width.
-func modelFactory(name string, seed int64, fast bool, arimaGridWorkers int) func() (forecast.Model, error) {
+// ordering between models is preserved. The fast SSA profile opts into the
+// randomized trajectory SVD the production default keeps off (≤1e-6
+// forecast equivalence, TestSSARandomizedMatchesJacobi).
+func modelFactory(name string, seed int64, fast bool) func() (forecast.Model, error) {
 	if !fast {
-		if name == forecast.NameARIMA && arimaGridWorkers > 1 {
-			return func() (forecast.Model, error) {
-				return forecast.NewARIMA(forecast.ARIMAConfig{GridWorkers: arimaGridWorkers}), nil
-			}
-		}
 		return func() (forecast.Model, error) { return forecast.New(name, seed) }
 	}
 	return func() (forecast.Model, error) {
@@ -37,34 +27,15 @@ func modelFactory(name string, seed int64, fast bool, arimaGridWorkers int) func
 				Seed: seed, Iterations: 200, Samples: 200,
 			}), nil
 		case forecast.NameFFNN:
-			return forecast.NewFFNN(forecast.FFNNConfig{
-				Seed: seed, Epochs: 8, BatchSize: 8, LearningRate: 0.1,
-			}), nil
+			return forecast.NewFFNN(forecast.FFNNConfig{Seed: seed, Epochs: 8}), nil
 		case forecast.NameSSA:
 			return forecast.NewSSA(forecast.SSAConfig{RandomizedSVD: true, Seed: seed}), nil
 		case forecast.NameARIMA:
-			return forecast.NewARIMA(forecast.ARIMAConfig{
-				MaxP: 1, MaxQ: 1, SearchBudget: 60, GridWorkers: arimaGridWorkers,
-			}), nil
+			return forecast.NewARIMA(forecast.ARIMAConfig{MaxP: 1, MaxQ: 1, SearchBudget: 60}), nil
 		default:
 			return forecast.New(name, seed)
 		}
 	}
-}
-
-// gridSpill implements the adaptive grid-parallelism policy: when the number
-// of server partitions is below the pool width (fig11a's 10-server ARIMA row
-// on a many-core box), the spare workers spill into each server's candidate
-// order grid. The selected model is identical to the sequential search, so
-// the policy is purely a latency lever.
-func gridSpill(poolWorkers, servers int) int {
-	if servers <= 0 || poolWorkers <= servers {
-		return 1
-	}
-	// Ceiling division: any spare capacity engages the grid (16 workers over
-	// 10 servers → 2 grid workers each); the brief oversubscription is
-	// cheaper than idling the spare workers for the whole row.
-	return (poolWorkers + servers - 1) / servers
 }
 
 // fleetCache memoizes generated fleets by exact config. Experiments and the

@@ -26,7 +26,7 @@ func runSec53(o Options) ([]Table, error) {
 	nFleet := pick(o, 300, 2500)
 	weeks := []int{1, 2, 3}
 	mcfg := metrics.DefaultConfig()
-	factory := modelFactory(forecast.NamePersistentPrevDay, o.Seed, false, 1)
+	factory := modelFactory(forecast.NamePersistentPrevDay, o.Seed, false)
 	pool := parallel.NewPool(o.Workers)
 
 	// (1) Servers whose load is stable or follows a pattern (Section 5.3.2).

@@ -24,53 +24,40 @@ import (
 // Python original — the paper's cost ordering is recorded in the fig11a
 // Paper field rather than reproduced.
 type AdditiveConfig struct {
-	// Changepoints is the number of potential trend changepoints, uniformly
-	// placed over the first 80% of the history. Default 20.
-	Changepoints int
-	// DailyOrder is the Fourier order of the daily seasonality. Default 8.
-	DailyOrder int
-	// WeeklyOrder is the Fourier order of the weekly seasonality. Default 3.
-	WeeklyOrder int
 	// Iterations of batch gradient descent. Default 1500.
 	Iterations int
-	// LearningRate for gradient descent. Default 0.3.
-	LearningRate float64
-	// Ridge is the L2 penalty on all coefficients except the intercept.
-	// Default 0.05.
-	Ridge float64
 	// Samples is the number of Monte-Carlo trajectories drawn at inference
 	// for uncertainty; the forecast is their mean. Default 3000.
 	Samples int
-	// TrainDays limits how much trailing history is used. Default 14.
-	TrainDays int
 	// Seed drives the Monte-Carlo sampling.
 	Seed int64
 }
 
+// Additive model constants: the design (trend changepoints and seasonal
+// Fourier orders), the optimizer and the history window.
+const (
+	// additiveChangepoints is the number of potential trend changepoints,
+	// uniformly placed over the first 80% of the history.
+	additiveChangepoints = 20
+	// additiveDailyOrder is the Fourier order of the daily seasonality.
+	additiveDailyOrder = 8
+	// additiveWeeklyOrder is the Fourier order of the weekly seasonality.
+	additiveWeeklyOrder = 3
+	// additiveLearningRate is the gradient-descent step.
+	additiveLearningRate = 0.3
+	// additiveRidge is the L2 penalty on all coefficients except the
+	// intercept.
+	additiveRidge = 0.05
+	// additiveTrainDays limits how much trailing history is used.
+	additiveTrainDays = 14
+)
+
 func (c AdditiveConfig) withDefaults() AdditiveConfig {
-	if c.Changepoints == 0 {
-		c.Changepoints = 20
-	}
-	if c.DailyOrder == 0 {
-		c.DailyOrder = 8
-	}
-	if c.WeeklyOrder == 0 {
-		c.WeeklyOrder = 3
-	}
 	if c.Iterations == 0 {
 		c.Iterations = 1500
 	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 0.3
-	}
-	if c.Ridge == 0 {
-		c.Ridge = 0.05
-	}
 	if c.Samples == 0 {
 		c.Samples = 3000
-	}
-	if c.TrainDays == 0 {
-		c.TrainDays = 14
 	}
 	return c
 }
@@ -102,7 +89,7 @@ type Additive struct {
 	gramBuf   []float64
 	cBuf      []float64
 	gradBuf   []float64
-	dayTab    []float64 // daily Fourier block per slot-of-day, ppd×2·DailyOrder
+	dayTab    []float64 // daily Fourier block per slot-of-day, ppd×2·additiveDailyOrder
 	rowBuf    []float64
 	pointBuf  []float64
 	accBuf    []float64
@@ -120,7 +107,7 @@ func (a *Additive) Name() string { return NameAdditive }
 
 // featureDim returns the width of the design matrix.
 func (a *Additive) featureDim() int {
-	return 2 + a.cfg.Changepoints + 2*a.cfg.DailyOrder + 2*a.cfg.WeeklyOrder
+	return 2 + additiveChangepoints + 2*additiveDailyOrder + 2*additiveWeeklyOrder
 }
 
 // features fills row with the design features for absolute observation index
@@ -142,11 +129,11 @@ func (a *Additive) features(row []float64, t int) {
 		}
 		k++
 	}
-	nd := 2 * a.cfg.DailyOrder
+	nd := 2 * additiveDailyOrder
 	copy(row[k:k+nd], a.dayTab[(t%a.ppd)*nd:(t%a.ppd+1)*nd])
 	k += nd
 	week := 2 * math.Pi * float64(t%(7*a.ppd)) / float64(7*a.ppd)
-	for o := 1; o <= a.cfg.WeeklyOrder; o++ {
+	for o := 1; o <= additiveWeeklyOrder; o++ {
 		row[k] = math.Sin(float64(o) * week)
 		row[k+1] = math.Cos(float64(o) * week)
 		k += 2
@@ -156,7 +143,7 @@ func (a *Additive) features(row []float64, t int) {
 // buildDayTable fills the slot-of-day Fourier table with exactly the
 // expressions features historically evaluated per row.
 func (a *Additive) buildDayTable() {
-	nd := 2 * a.cfg.DailyOrder
+	nd := 2 * additiveDailyOrder
 	if cap(a.dayTab) < a.ppd*nd {
 		a.dayTab = make([]float64, a.ppd*nd)
 	}
@@ -165,7 +152,7 @@ func (a *Additive) buildDayTable() {
 		day := 2 * math.Pi * float64(s) / float64(a.ppd)
 		row := a.dayTab[s*nd : (s+1)*nd]
 		k := 0
-		for o := 1; o <= a.cfg.DailyOrder; o++ {
+		for o := 1; o <= additiveDailyOrder; o++ {
 			row[k] = math.Sin(float64(o) * day)
 			row[k+1] = math.Cos(float64(o) * day)
 			k += 2
@@ -181,8 +168,8 @@ func (a *Additive) Train(history timeseries.Series) error {
 		return err
 	}
 	ppd := h.PointsPerDay()
-	if h.NumDays() > a.cfg.TrainDays {
-		h, err = h.Slice(h.Len()-a.cfg.TrainDays*ppd, h.Len())
+	if h.NumDays() > additiveTrainDays {
+		h, err = h.Slice(h.Len()-additiveTrainDays*ppd, h.Len())
 		if err != nil {
 			return err
 		}
@@ -196,12 +183,12 @@ func (a *Additive) Train(history timeseries.Series) error {
 	// is unaffected because Train never consumes the stream.
 	a.rng.Seed(a.cfg.Seed ^ 0x9a0ff37)
 
-	if cap(a.cpTimes) < a.cfg.Changepoints {
-		a.cpTimes = make([]float64, a.cfg.Changepoints)
+	if cap(a.cpTimes) < additiveChangepoints {
+		a.cpTimes = make([]float64, additiveChangepoints)
 	}
-	a.cpTimes = a.cpTimes[:a.cfg.Changepoints]
+	a.cpTimes = a.cpTimes[:additiveChangepoints]
 	for i := range a.cpTimes {
-		a.cpTimes[i] = 0.8 * float64(i+1) / float64(a.cfg.Changepoints+1)
+		a.cpTimes[i] = 0.8 * float64(i+1) / float64(additiveChangepoints+1)
 	}
 	a.buildDayTable()
 
@@ -260,7 +247,7 @@ func (a *Additive) Train(history timeseries.Series) error {
 		a.gradBuf = make([]float64, p)
 	}
 	grad := a.gradBuf[:p]
-	lr := a.cfg.LearningRate
+	lr := additiveLearningRate
 	for it := 0; it < a.cfg.Iterations; it++ {
 		for j := 0; j < p; j++ {
 			row := gram.Data[j*p : (j+1)*p]
@@ -274,7 +261,7 @@ func (a *Additive) Train(history timeseries.Series) error {
 		for j := range beta {
 			g := grad[j] * inv
 			if j > 0 {
-				g += a.cfg.Ridge * beta[j] * inv
+				g += additiveRidge * beta[j] * inv
 			}
 			beta[j] -= lr * g
 		}
@@ -294,7 +281,7 @@ func (a *Additive) Train(history timeseries.Series) error {
 		sse += d * d
 	}
 	a.residual = math.Sqrt(sse / float64(n))
-	a.cpGrowth = append(a.cpGrowth[:0], beta[2:2+a.cfg.Changepoints]...)
+	a.cpGrowth = append(a.cpGrowth[:0], beta[2:2+additiveChangepoints]...)
 	a.trained = true
 	return nil
 }

@@ -68,8 +68,8 @@ func TestAdditiveGramTrainerMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.NumDays() > m.cfg.TrainDays {
-			h, err = h.Slice(h.Len()-m.cfg.TrainDays*h.PointsPerDay(), h.Len())
+		if h.NumDays() > additiveTrainDays {
+			h, err = h.Slice(h.Len()-additiveTrainDays*h.PointsPerDay(), h.Len())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestAdditiveGramTrainerMatchesReference(t *testing.T) {
 		for i, v := range h.Values {
 			y[i] = v / 100
 		}
-		want := refAdditiveGD(design, y, n, p, m.cfg.Iterations, m.cfg.LearningRate, m.cfg.Ridge)
+		want := refAdditiveGD(design, y, n, p, m.cfg.Iterations, additiveLearningRate, additiveRidge)
 
 		if len(m.beta) != len(want) {
 			t.Fatalf("beta length %d != %d", len(m.beta), len(want))

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"seagull/internal/linalg"
-	"seagull/internal/parallel"
 	"seagull/internal/timeseries"
 )
 
@@ -19,27 +18,25 @@ import (
 type ARIMAConfig struct {
 	// MaxP/MaxQ bound the non-seasonal AR and MA orders. Default 3.
 	MaxP, MaxQ int
-	// MaxD bounds the non-seasonal differencing order. Default 1.
-	MaxD int
-	// MaxSP/MaxSQ bound the seasonal AR and MA orders. Default 1.
-	MaxSP, MaxSQ int
-	// MaxSD bounds the seasonal differencing order. Default 1.
-	MaxSD int
-	// Granularity is the internal sampling interval. Default 15 minutes; the
-	// season length is one day at this granularity.
-	Granularity time.Duration
-	// TrainDays limits how much trailing history is used. Default 7.
-	TrainDays int
 	// SearchBudget is the maximum number of CSS objective evaluations per
 	// candidate order during the pattern-search refinement. Default 400.
 	SearchBudget int
-	// GridWorkers parallelizes the candidate order grid across a worker pool
-	// with per-worker scratch buffers; the selected model is identical to the
-	// sequential search. Default 1 (sequential) — the experiments already
-	// parallelize across servers, so grid parallelism is opt-in for
-	// single-server and interactive use.
-	GridWorkers int
 }
+
+// ARIMA model constants: the remaining order bounds and the sampling.
+const (
+	// arimaMaxD bounds the non-seasonal differencing order.
+	arimaMaxD = 1
+	// arimaMaxSP and arimaMaxSQ bound the seasonal AR and MA orders.
+	arimaMaxSP, arimaMaxSQ = 1, 1
+	// arimaMaxSD bounds the seasonal differencing order.
+	arimaMaxSD = 1
+	// arimaGranularity is the internal sampling interval; the season length
+	// is one day at this granularity.
+	arimaGranularity = 15 * time.Minute
+	// arimaTrainDays limits how much trailing history is used.
+	arimaTrainDays = 7
+)
 
 func (c ARIMAConfig) withDefaults() ARIMAConfig {
 	if c.MaxP == 0 {
@@ -48,29 +45,8 @@ func (c ARIMAConfig) withDefaults() ARIMAConfig {
 	if c.MaxQ == 0 {
 		c.MaxQ = 3
 	}
-	if c.MaxD == 0 {
-		c.MaxD = 1
-	}
-	if c.MaxSP == 0 {
-		c.MaxSP = 1
-	}
-	if c.MaxSQ == 0 {
-		c.MaxSQ = 1
-	}
-	if c.MaxSD == 0 {
-		c.MaxSD = 1
-	}
-	if c.Granularity == 0 {
-		c.Granularity = 15 * time.Minute
-	}
-	if c.TrainDays == 0 {
-		c.TrainDays = 7
-	}
 	if c.SearchBudget == 0 {
 		c.SearchBudget = 400
-	}
-	if c.GridWorkers <= 0 {
-		c.GridWorkers = 1
 	}
 	return c
 }
@@ -115,8 +91,7 @@ type ARIMA struct {
 	// scratch carries the design/residual/solver buffers across candidates
 	// within one Train and across Train calls, so a model reused as a
 	// per-worker arena fits its whole grid without per-candidate (or
-	// per-server) allocations. The parallel grid path still creates one
-	// scratch per grid worker.
+	// per-server) allocations.
 	scratch fitScratch
 }
 
@@ -137,7 +112,7 @@ func (a *ARIMA) Order() string { return a.order.String() }
 // AIC returns the selected model's Akaike information criterion.
 func (a *ARIMA) AIC() float64 { return a.aic }
 
-// fitScratch holds the per-worker buffers the candidate fits reuse, so the
+// fitScratch holds the buffers the candidate fits reuse, so the
 // grid search does no per-candidate design-matrix or residual allocations.
 // The zero value is ready to use; buffers grow on demand.
 type fitScratch struct {
@@ -194,23 +169,21 @@ func (s *fitScratch) searchVecs(k int) (best, cand []float64) {
 // The differenced series and the Hannan–Rissanen long-AR innovations depend
 // only on the differencing pair (d, sd), so they are computed once per pair
 // and shared by the full (p,q,P,Q) sub-grid instead of being recomputed for
-// every one of the up-to-512 candidates. Candidate fits reuse per-worker
-// scratch buffers and may run in parallel (GridWorkers); selection iterates
-// the canonical candidate order with strict AIC improvement, so the chosen
-// model is bit-identical to the sequential search.
+// every one of the up-to-512 candidates. Candidate fits reuse the model's
+// scratch buffers.
 func (a *ARIMA) Train(history timeseries.Series) error {
 	h, err := prepare(history, 3)
 	if err != nil {
 		return err
 	}
 	ppd := h.PointsPerDay()
-	if h.NumDays() > a.cfg.TrainDays {
-		h, err = h.Slice(h.Len()-a.cfg.TrainDays*ppd, h.Len())
+	if h.NumDays() > arimaTrainDays {
+		h, err = h.Slice(h.Len()-arimaTrainDays*ppd, h.Len())
 		if err != nil {
 			return err
 		}
 	}
-	coarse, factor, err := resampleTo(h, a.cfg.Granularity)
+	coarse, factor, err := resampleTo(h, arimaGranularity)
 	if err != nil {
 		return err
 	}
@@ -219,91 +192,53 @@ func (a *ARIMA) Train(history timeseries.Series) error {
 	season := coarse.PointsPerDay()
 
 	// Hoisted per-(d,sd) state.
-	nDS := (a.cfg.MaxD + 1) * (a.cfg.MaxSD + 1)
+	nDS := (arimaMaxD + 1) * (arimaMaxSD + 1)
 	ws := make([][]float64, nDS)
 	initResids := make([][]float64, nDS)
-	hoist := &a.scratch
-	for d := 0; d <= a.cfg.MaxD; d++ {
-		for sd := 0; sd <= a.cfg.MaxSD; sd++ {
-			idx := d*(a.cfg.MaxSD+1) + sd
+	scratch := &a.scratch
+	for d := 0; d <= arimaMaxD; d++ {
+		for sd := 0; sd <= arimaMaxSD; sd++ {
+			idx := d*(arimaMaxSD+1) + sd
 			w := differenceAll(x, d, sd, season)
 			ws[idx] = w
-			initResids[idx] = longARResiduals(w, minInt(24, len(w)/4), season, hoist)
+			initResids[idx] = longARResiduals(w, minInt(24, len(w)/4), season, scratch)
 		}
 	}
 
-	// Enumerate candidates in the canonical nested-loop order; tie-breaking by
-	// strict AIC improvement then matches the sequential search exactly.
-	type candidate struct {
-		o  arimaOrder
-		ds int
-	}
-	gridCap := (a.cfg.MaxP + 1) * (a.cfg.MaxD + 1) * (a.cfg.MaxQ + 1) *
-		(a.cfg.MaxSP + 1) * (a.cfg.MaxSD + 1) * (a.cfg.MaxSQ + 1)
-	cands := make([]candidate, 0, gridCap)
+	// Fit every candidate in the canonical nested-loop order; the first
+	// strictly best AIC wins.
+	bestAIC := math.Inf(1)
+	var best arimaOrder
+	var bestCoeffs, bestW []float64
 	for p := 0; p <= a.cfg.MaxP; p++ {
-		for d := 0; d <= a.cfg.MaxD; d++ {
+		for d := 0; d <= arimaMaxD; d++ {
 			for q := 0; q <= a.cfg.MaxQ; q++ {
-				for sp := 0; sp <= a.cfg.MaxSP; sp++ {
-					for sd := 0; sd <= a.cfg.MaxSD; sd++ {
-						for sq := 0; sq <= a.cfg.MaxSQ; sq++ {
+				for sp := 0; sp <= arimaMaxSP; sp++ {
+					for sd := 0; sd <= arimaMaxSD; sd++ {
+						for sq := 0; sq <= arimaMaxSQ; sq++ {
 							o := arimaOrder{p, d, q, sp, sd, sq}
 							if o.numCoeffs() == 1 && d == 0 && sd == 0 {
 								continue // pure-intercept model carries no signal
 							}
-							cands = append(cands, candidate{o, d*(a.cfg.MaxSD+1) + sd})
+							ds := d*(arimaMaxSD+1) + sd
+							coeffs, aic, ok := a.fit(o, ws[ds], initResids[ds], season, scratch)
+							if ok && aic < bestAIC {
+								bestAIC, best, bestCoeffs, bestW = aic, o, coeffs, ws[ds]
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-
-	type result struct {
-		ok     bool
-		aic    float64
-		coeffs []float64
-	}
-	results := make([]result, len(cands))
-	fitOne := func(i int, s *fitScratch) error {
-		c := cands[i]
-		coeffs, aic, ok := a.fit(c.o, ws[c.ds], initResids[c.ds], season, s)
-		if ok {
-			results[i] = result{ok: true, aic: aic, coeffs: coeffs}
-		}
-		return nil
-	}
-	if a.cfg.GridWorkers > 1 && len(cands) > 1 {
-		pool := parallel.NewPool(a.cfg.GridWorkers)
-		if err := parallel.ForEachScratch(pool, len(cands),
-			func() *fitScratch { return new(fitScratch) }, fitOne); err != nil {
-			return err
-		}
-	} else {
-		for i := range cands {
-			if err := fitOne(i, hoist); err != nil {
-				return err
-			}
-		}
-	}
-
-	bestAIC := math.Inf(1)
-	bestIdx := -1
-	for i, r := range results {
-		if r.ok && r.aic < bestAIC {
-			bestAIC, bestIdx = r.aic, i
-		}
-	}
-	if bestIdx < 0 {
+	if bestCoeffs == nil {
 		return fmt.Errorf("%w: no ARIMA candidate could be fitted", ErrNeedHistory)
 	}
-	best := cands[bestIdx].o
-	bestW := ws[cands[bestIdx].ds]
 	residFull := make([]float64, len(bestW))
-	cssInto(best, bestW, season, results[bestIdx].coeffs, residFull)
+	cssInto(best, bestW, season, bestCoeffs, residFull)
 
 	a.order = best
-	a.coeffs = results[bestIdx].coeffs
+	a.coeffs = bestCoeffs
 	a.w = bestW
 	a.resid = residFull[best.burnIn(season):]
 	a.season = season

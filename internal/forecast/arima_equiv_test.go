@@ -13,8 +13,8 @@ import (
 // This file preserves the pre-optimization ARIMA implementation — the naive
 // per-candidate recomputation with row-allocating design matrices — as a
 // reference, and asserts the optimized hot path (hoisted per-(d,sd) state,
-// flat scratch-backed buffers, optional parallel grid) selects the identical
-// model and produces identical numbers.
+// flat scratch-backed buffers) selects the identical model and produces
+// identical numbers.
 
 // refLongARResiduals is the seed implementation of longARResiduals.
 func refLongARResiduals(w []float64, m, season int) []float64 {
@@ -164,11 +164,11 @@ func refSelect(cfg ARIMAConfig, x []float64, season int) (arimaOrder, []float64,
 	var best arimaOrder
 	var bestCoeffs, bestW, bestResid []float64
 	for p := 0; p <= cfg.MaxP; p++ {
-		for d := 0; d <= cfg.MaxD; d++ {
+		for d := 0; d <= arimaMaxD; d++ {
 			for q := 0; q <= cfg.MaxQ; q++ {
-				for sp := 0; sp <= cfg.MaxSP; sp++ {
-					for sd := 0; sd <= cfg.MaxSD; sd++ {
-						for sq := 0; sq <= cfg.MaxSQ; sq++ {
+				for sp := 0; sp <= arimaMaxSP; sp++ {
+					for sd := 0; sd <= arimaMaxSD; sd++ {
+						for sq := 0; sq <= arimaMaxSQ; sq++ {
 							o := arimaOrder{p, d, q, sp, sd, sq}
 							if o.numCoeffs() == 1 && d == 0 && sd == 0 {
 								continue
@@ -217,20 +217,20 @@ func equivSeries(seed int64, days int) timeseries.Series {
 
 // coarseFor replicates Train's preamble so the reference search sees exactly
 // the series the optimized path fits.
-func coarseFor(t *testing.T, cfg ARIMAConfig, hist timeseries.Series) ([]float64, int) {
+func coarseFor(t *testing.T, hist timeseries.Series) ([]float64, int) {
 	t.Helper()
 	h, err := prepare(hist, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ppd := h.PointsPerDay()
-	if h.NumDays() > cfg.TrainDays {
-		h, err = h.Slice(h.Len()-cfg.TrainDays*ppd, h.Len())
+	if h.NumDays() > arimaTrainDays {
+		h, err = h.Slice(h.Len()-arimaTrainDays*ppd, h.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	coarse, _, err := resampleTo(h, cfg.Granularity)
+	coarse, _, err := resampleTo(h, arimaGranularity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +240,9 @@ func coarseFor(t *testing.T, cfg ARIMAConfig, hist timeseries.Series) ([]float64
 
 func equivConfigs() []ARIMAConfig {
 	return []ARIMAConfig{
-		{MaxP: 1, MaxQ: 1, SearchBudget: 60},              // the experiments' fast config
-		{MaxP: 2, MaxQ: 1, MaxSP: 1, SearchBudget: 120},   // a mid-size grid
-		{MaxP: 1, MaxQ: 2, Granularity: 30 * time.Minute}, // coarser season, default budget
+		{MaxP: 1, MaxQ: 1, SearchBudget: 60},  // the experiments' fast config
+		{MaxP: 2, MaxQ: 1, SearchBudget: 120}, // a mid-size grid
+		{MaxP: 1, MaxQ: 2},                    // default budget
 	}
 }
 
@@ -270,7 +270,7 @@ func TestARIMAOptimizedMatchesReference(t *testing.T) {
 			if err := m.Train(hist); err != nil {
 				t.Fatalf("cfg=%+v seed=%d: %v", cfg, seed, err)
 			}
-			x, season := coarseFor(t, m.cfg, hist)
+			x, season := coarseFor(t, hist)
 			order, coeffs, resid, w, aic, ok := refSelect(m.cfg, x, season)
 			if !ok {
 				t.Fatalf("cfg=%+v seed=%d: reference found no candidate", cfg, seed)
@@ -301,44 +301,6 @@ func TestARIMAOptimizedMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			sliceClose(t, "forecast", fc.Values, fcRef.Values, 1e-9)
-		}
-	}
-}
-
-// TestARIMAParallelGridMatchesSequential requires the parallel candidate grid
-// to select the identical model as the sequential search.
-func TestARIMAParallelGridMatchesSequential(t *testing.T) {
-	for _, cfg := range equivConfigs() {
-		for seed := int64(1); seed <= 2; seed++ {
-			hist := equivSeries(seed, 7)
-			seq := NewARIMA(cfg)
-			if err := seq.Train(hist); err != nil {
-				t.Fatal(err)
-			}
-			parCfg := cfg
-			parCfg.GridWorkers = 4
-			par := NewARIMA(parCfg)
-			if err := par.Train(hist); err != nil {
-				t.Fatal(err)
-			}
-			if seq.order != par.order {
-				t.Fatalf("cfg=%+v seed=%d: parallel order %v != sequential %v",
-					cfg, seed, par.order, seq.order)
-			}
-			if seq.aic != par.aic {
-				t.Fatalf("cfg=%+v seed=%d: parallel aic %v != sequential %v",
-					cfg, seed, par.aic, seq.aic)
-			}
-			sliceClose(t, "coeffs", par.coeffs, seq.coeffs, 0)
-			fs, err := seq.Forecast(288)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fp, err := par.Forecast(288)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sliceClose(t, "forecast", fp.Values, fs.Values, 0)
 		}
 	}
 }

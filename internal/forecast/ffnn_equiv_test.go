@@ -5,39 +5,37 @@ import (
 	"math/rand"
 	"testing"
 
-	"seagull/internal/metrics"
 	"seagull/internal/timeseries"
 )
 
-// Equivalence tests for the FFNN trainer rework: the default BatchSize=1
-// path must reproduce the historical per-sample SGD loop bit for bit, a
-// retrained (worker-arena) model must match a fresh one exactly, and the
-// minibatched path must match per-sample training on forecast accuracy.
+// Equivalence tests for the FFNN trainer: it must reproduce the historical
+// per-sample SGD loop bit for bit, and a retrained (worker-arena) model must
+// match a fresh one exactly.
 
 // refFFNNTrain is a frozen copy of the historical per-sample training loop
-// (pre-minibatch, pre-buffer-reuse), kept as the bit-identity reference. It
-// returns the trained weights for history at the given config.
+// (pre-buffer-reuse), kept as the bit-identity reference. It returns the
+// trained weights for history at the given config.
 func refFFNNTrain(t *testing.T, cfg FFNNConfig, history timeseries.Series) (w1, b1, w2, b2, context []float64) {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	h, err := prepare(history, cfg.ContextDays+1)
+	h, err := prepare(history, ffnnContextDays+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ppd := h.PointsPerDay()
-	if h.NumDays() > cfg.TrainDays {
-		h, err = h.Slice(h.Len()-cfg.TrainDays*ppd, h.Len())
+	if h.NumDays() > ffnnTrainDays {
+		h, err = h.Slice(h.Len()-ffnnTrainDays*ppd, h.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	coarse, _, err := resampleTo(h, cfg.Granularity)
+	coarse, _, err := resampleTo(h, ffnnGranularity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coarse = coarse.FillGaps()
 	cppd := coarse.PointsPerDay()
-	inDim := cfg.ContextDays * cppd
+	inDim := ffnnContextDays * cppd
 	outDim := cppd
 
 	x := make([]float64, coarse.Len())
@@ -58,17 +56,17 @@ func refFFNNTrain(t *testing.T, cfg FFNNConfig, history timeseries.Series) (w1, 
 		}
 		return w
 	}
-	w1 = refInit(inDim*cfg.Hidden, inDim)
-	b1 = make([]float64, cfg.Hidden)
-	w2 = refInit(cfg.Hidden*outDim, cfg.Hidden)
+	w1 = refInit(inDim*ffnnHidden, inDim)
+	b1 = make([]float64, ffnnHidden)
+	w2 = refInit(ffnnHidden*outDim, ffnnHidden)
 	b2 = make([]float64, outDim)
 
 	vw1 := make([]float64, len(w1))
 	vb1 := make([]float64, len(b1))
 	vw2 := make([]float64, len(w2))
 	vb2 := make([]float64, len(b2))
-	hidden := make([]float64, cfg.Hidden)
-	dHidden := make([]float64, cfg.Hidden)
+	hidden := make([]float64, ffnnHidden)
+	dHidden := make([]float64, ffnnHidden)
 	out := make([]float64, outDim)
 	dOut := make([]float64, outDim)
 
@@ -80,7 +78,7 @@ func refFFNNTrain(t *testing.T, cfg FFNNConfig, history timeseries.Series) (w1, 
 			if xi == 0 {
 				continue
 			}
-			row := w1[i*cfg.Hidden : (i+1)*cfg.Hidden]
+			row := w1[i*ffnnHidden : (i+1)*ffnnHidden]
 			for k, w := range row {
 				hidden[k] += xi * w
 			}
@@ -103,8 +101,8 @@ func refFFNNTrain(t *testing.T, cfg FFNNConfig, history timeseries.Series) (w1, 
 	}
 
 	order := rng.Perm(nSamples)
-	lr := cfg.LearningRate
-	mom := cfg.Momentum
+	lr := ffnnLearningRate
+	mom := ffnnMomentum
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		step := lr / (1 + 0.1*float64(epoch))
 		for _, s := range order {
@@ -141,9 +139,9 @@ func refFFNNTrain(t *testing.T, cfg FFNNConfig, history timeseries.Series) (w1, 
 					if dh == 0 {
 						continue
 					}
-					v := mom*vw1[i*cfg.Hidden+k] - step*dh*xi
-					vw1[i*cfg.Hidden+k] = v
-					w1[i*cfg.Hidden+k] += v
+					v := mom*vw1[i*ffnnHidden+k] - step*dh*xi
+					vw1[i*ffnnHidden+k] = v
+					w1[i*ffnnHidden+k] += v
 				}
 			}
 			for k := range dHidden {
@@ -168,14 +166,13 @@ func equalFloats(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestFFNNBatch1BitIdenticalToOldLoop pins the default path to the
-// historical trainer exactly — weights and context must be equal bit for
+// TestFFNNBatch1BitIdenticalToOldLoop pins the trainer to the historical
+// loop exactly — weights and context must be equal bit for
 // bit, not just close.
 func TestFFNNBatch1BitIdenticalToOldLoop(t *testing.T) {
 	for _, cfg := range []FFNNConfig{
 		{Seed: 1},
 		{Seed: 7, Epochs: 5},
-		{Seed: 3, Hidden: 20, Epochs: 8},
 	} {
 		hist := mkDays(7, dailyShape(cfg.Seed+100))
 		w1, b1, w2, b2, context := refFFNNTrain(t, cfg, hist)
@@ -193,105 +190,25 @@ func TestFFNNBatch1BitIdenticalToOldLoop(t *testing.T) {
 }
 
 // TestFFNNRetrainMatchesFresh pins the worker-arena contract: retraining a
-// used model must equal training a fresh one, for both trainer paths.
+// used model must equal training a fresh one.
 func TestFFNNRetrainMatchesFresh(t *testing.T) {
-	for _, cfg := range []FFNNConfig{{Seed: 5}, {Seed: 5, BatchSize: 16}} {
-		reused := NewFFNN(cfg)
-		if _, err := PredictDay(reused, mkDays(9, dailyShape(31))); err != nil {
-			t.Fatal(err)
-		}
-		hist := mkDays(7, dailyShape(32))
-		predReused, err := PredictDay(reused, hist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		predFresh, err := PredictDay(NewFFNN(cfg), hist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range predFresh.Values {
-			if predReused.Values[i] != predFresh.Values[i] {
-				t.Fatalf("batch=%d: retrained model diverges from fresh at %d",
-					cfg.BatchSize, i)
-			}
-		}
+	cfg := FFNNConfig{Seed: 5}
+	reused := NewFFNN(cfg)
+	if _, err := PredictDay(reused, mkDays(9, dailyShape(31))); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestFFNNBatchedAccuracyEquivalent is the recorded accuracy-equivalence
-// story for the minibatched trainer, at the exact configuration the figure
-// experiments opt into (BatchSize 8, the linearly scaled 0.1 learning rate):
-// on daily-pattern servers the batched network must predict the held-out day
-// with the same mean bucket-ratio accuracy as per-sample SGD (within 1.5%),
-// never lose more than three of the 48 half-hour buckets on any one server,
-// and agree with per-sample forecasts in absolute level.
-func TestFFNNBatchedAccuracyEquivalent(t *testing.T) {
-	const seeds = 5
-	worstGap, worstDev := 0.0, 0.0
-	sum1, sumB := 0.0, 0.0
-	for seed := int64(1); seed <= seeds; seed++ {
-		hist := mkDays(14, dailyShape(seed))
-		full := mkDays(15, dailyShape(seed))
-		target, _ := full.Day(14)
-
-		p1, err := PredictDay(NewFFNN(FFNNConfig{Seed: seed}), hist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := PredictDay(NewFFNN(FFNNConfig{Seed: seed, BatchSize: 8, LearningRate: 0.1}), hist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := metrics.BucketRatio(target, p1, metrics.DefaultBound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := metrics.BucketRatio(target, pb, metrics.DefaultBound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum1 += r1
-		sumB += rb
-		if gap := r1 - rb; gap > worstGap {
-			worstGap = gap
-		}
-		// Mean absolute deviation between the two forecasts, in load points.
-		dev := 0.0
-		for i := range p1.Values {
-			dev += math.Abs(p1.Values[i] - pb.Values[i])
-		}
-		dev /= float64(p1.Len())
-		if dev > worstDev {
-			worstDev = dev
-		}
-	}
-	if meanGap := (sum1 - sumB) / seeds; meanGap > 0.015 {
-		t.Errorf("batched FFNN loses %.4f mean bucket ratio vs per-sample (allowed 0.015)", meanGap)
-	}
-	if worstGap > 3.0/48 {
-		t.Errorf("batched FFNN loses %.4f bucket ratio on one server (allowed %.4f)",
-			worstGap, 3.0/48)
-	}
-	if worstDev > 6 {
-		t.Errorf("batched forecast deviates %.2f load points on average (allowed 6)", worstDev)
-	}
-}
-
-// TestFFNNBatchLargerThanSampleCount degenerates gracefully to full-batch
-// gradient descent.
-func TestFFNNBatchLargerThanSampleCount(t *testing.T) {
-	hist := mkDays(3, dailyShape(41))
-	m := NewFFNN(FFNNConfig{Seed: 2, BatchSize: 100000, Epochs: 5})
-	pred, err := PredictDay(m, hist)
+	hist := mkDays(7, dailyShape(32))
+	predReused, err := PredictDay(reused, hist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.Len() != 288 {
-		t.Fatalf("forecast len %d", pred.Len())
+	predFresh, err := PredictDay(NewFFNN(cfg), hist)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range pred.Values {
-		if v < 0 || v > 100 || math.IsNaN(v) {
-			t.Fatalf("forecast[%d] = %v", i, v)
+	for i := range predFresh.Values {
+		if predReused.Values[i] != predFresh.Values[i] {
+			t.Fatalf("retrained model diverges from fresh at %d", i)
 		}
 	}
 }

@@ -12,11 +12,17 @@
 // repeated training is allocation-lean; give each goroutine its own
 // instance (the serving pool and the experiment worker arenas do).
 // Equivalence guarantees, all pinned by *_equiv_test.go: retraining a
-// retained model equals training a fresh one bit for bit; the fast paths
-// (SSA randomized SVD, FFNN minibatching) are opt-in and pinned against the
-// exact/historical loops; models advertising InferenceDeterministic produce
-// identical forecasts from identical trained state, which lets servers skip
-// retrains on byte-identical histories.
+// retained model equals training a fresh one bit for bit; each model has
+// one trainer, pinned against its historical loop, and the one opt-in fast
+// path (SSA's randomized SVD) is pinned against the exact decomposition;
+// models advertising InferenceDeterministic produce identical forecasts from
+// identical trained state, which lets servers skip retrains on
+// byte-identical histories. golden_test.go pins every deployed forecast.
+//
+// Configuration: each model's config holds only what a caller varies — the
+// fitting budget (epochs, iterations, samples, search bounds), the seed and
+// SSA's SVD choice. Shapes, optimizer settings, sampling granularity and
+// history windows are package constants.
 package forecast
 
 import (

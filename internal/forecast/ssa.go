@@ -8,66 +8,47 @@ import (
 	"seagull/internal/timeseries"
 )
 
+// SSA model constants.
+const (
+	// ssaWindowDays is the embedding window in days; the window must cover
+	// the longest period to be captured (one day).
+	ssaWindowDays = 1
+	// ssaRank is the number of leading singular triples kept for
+	// reconstruction and forecasting. Low ranks smooth harder, which both
+	// stabilizes the recurrence on noisy servers and markedly improves
+	// low-load-window accuracy (`seagull-experiments -run fig11bcd`).
+	ssaRank = 12
+	// ssaGranularity is the internal sampling interval: SSA runs on a
+	// coarsened copy of the series and the forecast is expanded back, which
+	// keeps the trajectory-matrix SVD cheap.
+	ssaGranularity = 30 * time.Minute
+	// ssaTrainDays limits how much trailing history is used.
+	ssaTrainDays = 7
+	// ssaOversample is the number of extra randomized-SVD sketch columns
+	// beyond ssaRank. It is deliberately deep: it pushes the sketch boundary
+	// below the noise shelf of load spectra, which is what lets the subspace
+	// iteration resolve the trailing kept triples to forecasting tolerance.
+	ssaOversample = 24
+	// ssaPowerIters is the number of subspace-iteration rounds sharpening
+	// the randomized sketch.
+	ssaPowerIters = 6
+)
+
 // SSAConfig configures the singular spectrum analysis forecaster — the
 // stand-in for NimbusML's SsaForecaster (Section 5.1), which the paper uses
 // "to transform forecasts".
 type SSAConfig struct {
-	// WindowDays is the SSA embedding window expressed in days; the window
-	// must cover the longest period to be captured, so ≥ 1. Default 1 (one day).
-	WindowDays int
-	// Rank is the number of leading singular triples kept for reconstruction
-	// and forecasting. Low ranks smooth harder, which both stabilizes the
-	// recurrence on noisy servers and markedly improves low-load-window
-	// accuracy (`seagull-experiments -run fig11bcd`). Default 12.
-	Rank int
-	// Granularity is the internal sampling interval: SSA runs on a coarsened
-	// copy of the series and the forecast is expanded back, which keeps the
-	// trajectory-matrix SVD cheap. Default 30 minutes.
-	Granularity time.Duration
-	// TrainDays limits how much trailing history is used. Default 7.
-	TrainDays int
 	// RandomizedSVD switches the trajectory-matrix decomposition to the
-	// seeded randomized range-finder SVD, which extracts only the Rank
-	// leading triples from a Rank+Oversample sketch of the window-side Gram
-	// matrix instead of running full Jacobi sweeps over every column pair.
-	// At the default sketch settings the resulting forecasts match the exact
-	// decomposition to ≤1e-6 (see TestSSARandomizedMatchesJacobi) at a
-	// fraction of the cost. Default false (exact Jacobi).
+	// seeded randomized range-finder SVD, which extracts only the ssaRank
+	// leading triples from a ssaRank+ssaOversample sketch of the window-side
+	// Gram matrix instead of running full Jacobi sweeps over every column
+	// pair. The resulting forecasts match the exact decomposition to ≤1e-6
+	// (see TestSSARandomizedMatchesJacobi) at a fraction of the cost.
+	// Default false (exact Jacobi).
 	RandomizedSVD bool
-	// Oversample is the number of extra sketch columns beyond Rank when
-	// RandomizedSVD is set. The default is deliberately deep (24): it pushes
-	// the sketch boundary below the noise shelf of load spectra, which is
-	// what lets the subspace iteration resolve the trailing kept triples to
-	// forecasting tolerance. Default 24.
-	Oversample int
-	// PowerIters is the number of subspace-iteration rounds sharpening the
-	// randomized sketch. Default 6.
-	PowerIters int
 	// Seed drives the randomized range finder's Gaussian test matrix; the
 	// decomposition is deterministic for a fixed seed. Default 0.
 	Seed int64
-}
-
-func (c SSAConfig) withDefaults() SSAConfig {
-	if c.WindowDays == 0 {
-		c.WindowDays = 1
-	}
-	if c.Rank == 0 {
-		c.Rank = 12
-	}
-	if c.Granularity == 0 {
-		c.Granularity = 30 * time.Minute
-	}
-	if c.TrainDays == 0 {
-		c.TrainDays = 7
-	}
-	if c.Oversample == 0 {
-		c.Oversample = 24
-	}
-	if c.PowerIters == 0 {
-		c.PowerIters = 6
-	}
-	return c
 }
 
 // SSA is a singular-spectrum-analysis forecaster: it embeds the series into
@@ -95,8 +76,8 @@ type SSA struct {
 	svdScratch linalg.SVDScratch
 }
 
-// NewSSA returns an SSA forecaster with cfg (zero fields take defaults).
-func NewSSA(cfg SSAConfig) *SSA { return &SSA{cfg: cfg.withDefaults()} }
+// NewSSA returns an SSA forecaster with cfg.
+func NewSSA(cfg SSAConfig) *SSA { return &SSA{cfg: cfg} }
 
 // DeterministicInference implements InferenceDeterministic: the linear
 // recurrence consumes only the coefficients and tail Train established.
@@ -105,32 +86,30 @@ func (s *SSA) DeterministicInference() bool { return true }
 // Name implements Model.
 func (s *SSA) Name() string { return NameSSA }
 
-// Train implements Model: decompose the trailing TrainDays of history and
+// Train implements Model: decompose the trailing ssaTrainDays of history and
 // derive the recurrence coefficients.
 func (s *SSA) Train(history timeseries.Series) error {
-	h, err := prepare(history, min(s.cfg.TrainDays, 3))
+	h, err := prepare(history, 3)
 	if err != nil {
 		return err
 	}
-	// Use at most TrainDays of trailing history.
+	// Use at most ssaTrainDays of trailing history.
 	ppd := h.PointsPerDay()
-	if h.NumDays() > s.cfg.TrainDays {
-		h, err = h.Slice(h.Len()-s.cfg.TrainDays*ppd, h.Len())
+	if h.NumDays() > ssaTrainDays {
+		h, err = h.Slice(h.Len()-ssaTrainDays*ppd, h.Len())
 		if err != nil {
 			return err
 		}
 	}
-	coarse, factor, err := resampleTo(h, s.cfg.Granularity)
+	coarse, factor, err := resampleTo(h, ssaGranularity)
 	if err != nil {
 		return err
 	}
 	coarse = coarse.FillGaps()
 	x := coarse.Values
 	cppd := coarse.PointsPerDay()
-	l := s.cfg.WindowDays * cppd
-	if l >= len(x) {
-		l = len(x) / 2
-	}
+	// At least three days of history under a one-day window: K > L always.
+	l := ssaWindowDays * cppd
 	if l < 2 {
 		return fmt.Errorf("%w: series too short for SSA window", ErrNeedHistory)
 	}
@@ -147,15 +126,15 @@ func (s *SSA) Train(history timeseries.Series) error {
 
 	var svd *linalg.SVD
 	if s.cfg.RandomizedSVD {
-		svd, err = linalg.RandomizedSVDScratch(&hankel, s.cfg.Rank,
-			s.cfg.Oversample, s.cfg.PowerIters, s.cfg.Seed, &s.svdScratch)
+		svd, err = linalg.RandomizedSVDScratch(&hankel, ssaRank,
+			ssaOversample, ssaPowerIters, s.cfg.Seed, &s.svdScratch)
 	} else {
 		svd, err = linalg.ComputeSVDScratch(&hankel, &s.svdScratch)
 	}
 	if err != nil {
 		return err
 	}
-	rank := min(s.cfg.Rank, len(svd.S))
+	rank := min(ssaRank, len(svd.S))
 	// Drop numerically zero triples.
 	for rank > 1 && svd.S[rank-1] < 1e-10*svd.S[0] {
 		rank--

@@ -89,23 +89,3 @@ func TestSSARetrainMatchesFresh(t *testing.T) {
 		}
 	}
 }
-
-// TestSSALargeWindowSmallHistory exercises the K < L trajectory shape, where
-// the tail anti-diagonals are K-term sums rather than (N-t)-term sums.
-func TestSSALargeWindowSmallHistory(t *testing.T) {
-	hist := ssaTestSeries(13, 3)
-	for _, cfg := range []SSAConfig{{WindowDays: 2}, {WindowDays: 2, RandomizedSVD: true}} {
-		pred, err := PredictDay(NewSSA(cfg), hist)
-		if err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		if pred.Len() != 288 {
-			t.Fatalf("cfg %+v: forecast len %d", cfg, pred.Len())
-		}
-		for i, v := range pred.Values {
-			if v < 0 || v > 100 || math.IsNaN(v) {
-				t.Fatalf("cfg %+v: forecast[%d] = %v", cfg, i, v)
-			}
-		}
-	}
-}

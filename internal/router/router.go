@@ -364,11 +364,9 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, st)
 }
 
-// decode reads a bounded JSON body.
+// decode reads a bounded JSON body of exactly one value.
 func (rt *Router) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(into); err != nil {
+	if err := serving.DecodeBody(w, r, rt.cfg.MaxBodyBytes, into); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, serving.CodeTooLarge,

@@ -229,6 +229,9 @@ func TestStatelessFailover(t *testing.T) {
 		if resp, body := post(t, front.URL+"/v2/advise", `{"predicted_day":{"values":[1]},"customer_start":0}`); resp.StatusCode != 200 || !strings.Contains(body, "keep_current") {
 			t.Fatalf("advise failover: %d %s", resp.StatusCode, body)
 		}
+		if resp, body := post(t, front.URL+"/v2/predict", `{"history":{"values":[1]}}`); resp.StatusCode != 200 || !strings.Contains(body, "fake-shard-b") {
+			t.Fatalf("stateless predict failover: %d %s", resp.StatusCode, body)
+		}
 	}
 	if fakes[1].hits.Load() == 0 {
 		t.Fatal("surviving replica saw no traffic")
@@ -333,6 +336,44 @@ func TestBodyTooLarge(t *testing.T) {
 	resp, body := post(t, front.URL+"/v2/predict", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(body, "too_large") {
 		t.Fatalf("oversized body: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestTrailingDataRefused: a body is exactly one JSON value on the router as
+// on a replica, so data after the value answers 400 and reaches no replica.
+func TestTrailingDataRefused(t *testing.T) {
+	fakes, _, front := newFakeFleet(t, 2, nil)
+	for path, body := range map[string]string{
+		"/v2/predict":       `{"history":{"values":[1]}} trailing`,
+		"/v2/predict/batch": `{"servers":[{"server_id":"s1"}]} {}`,
+		"/v2/ingest":        `{"points":[{"server_id":"s1","value":1}]} trailing`,
+		"/v2/advise":        `{"predicted_day":{"values":[1]},"customer_start":0} 1`,
+	} {
+		resp, got := post(t, front.URL+path, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, "bad_request") {
+			t.Errorf("%s with trailing data: %d %s", path, resp.StatusCode, got)
+		}
+	}
+	for _, f := range fakes {
+		if n := f.hits.Load(); n != 0 {
+			t.Errorf("%s saw %d requests with trailing data", f.name, n)
+		}
+	}
+}
+
+// TestRelayCopiesReplyBytes: a relayed predict or advise answers with the
+// replica's reply bytes, field order included.
+func TestRelayCopiesReplyBytes(t *testing.T) {
+	fakes, _, front := newFakeFleet(t, 1, nil)
+	for path, body := range map[string]string{
+		"/v2/predict": `{"server_id":"srv-1","history":{"values":[1]}}`,
+		"/v2/advise":  `{"predicted_day":{"values":[1]},"customer_start":0}`,
+	} {
+		_, want := post(t, fakes[0].srv.URL+path, body)
+		resp, got := post(t, front.URL+path, body)
+		if resp.StatusCode != 200 || got != want {
+			t.Errorf("%s: router answered %d %q, replica %q", path, resp.StatusCode, got, want)
+		}
 	}
 }
 

@@ -18,31 +18,34 @@ import (
 
 // handlePredict routes one predict to the owner of its server ID. A request
 // without a server ID carries its own history and is stateless — any replica
-// serves it identically, so it round-robins.
+// serves it identically, so it round-robins with failover. Only the routing
+// fields are read; the body the client sent is what the replica receives.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req serving.PredictRequestV2
-	if !rt.decode(w, r, &req) {
+	var body json.RawMessage
+	if !rt.decode(w, r, &body) {
 		return
 	}
-	var name string
-	var client *serving.Client
-	if req.ServerID != "" {
-		name, client = rt.ownerClient(req.ServerID)
-	} else {
-		if req.LiveHistory {
+	var route struct {
+		ServerID    string `json:"server_id"`
+		LiveHistory bool   `json:"live_history"`
+	}
+	if err := json.Unmarshal(body, &route); err != nil {
+		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "malformed JSON: "+err.Error())
+		return
+	}
+	if route.ServerID == "" {
+		if route.LiveHistory {
 			writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
 				"live_history requires server_id: the live window lives on the owning replica")
 			return
 		}
-		name, client = rt.nextClient(nil)
-	}
-	resp, err := client.PredictV2(r.Context(), req)
-	rt.observeForward(name, err)
-	if err != nil {
-		writeUpstream(w, name, err)
+		rt.proxy(w, r, http.MethodPost, "/v2/predict", body)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	name, client := rt.ownerClient(route.ServerID)
+	if err := rt.relay(w, r, name, client, http.MethodPost, "/v2/predict", body); err != nil {
+		writeUpstream(w, name, err)
+	}
 }
 
 // handleBatch splits a batch by item owner, scatters the sub-batches, and
@@ -263,9 +266,24 @@ func (rt *Router) handlePredictions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// proxy forwards one stateless request (body nil sends none) to a replica
-// and relays the JSON response, failing over to the next replica on a
-// retryable error.
+// relay sends one request to a replica and, on success, copies the
+// replica's JSON reply to w byte for byte.
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, name string, client *serving.Client,
+	method, path string, body any) error {
+	var out json.RawMessage
+	err := client.Do(r.Context(), method, path, body, &out)
+	rt.observeForward(name, err)
+	if err == nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(append(out, '\n'))
+	}
+	return err
+}
+
+// proxy forwards one stateless request (body nil sends none) round-robin
+// and relays the reply, failing over to the next replica on a retryable
+// error.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path string, body any) {
 	smap, _ := rt.view()
 	n := smap.N()
@@ -277,11 +295,8 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path str
 		if client == nil {
 			break
 		}
-		var out any
-		err := client.Do(r.Context(), method, path, body, &out)
-		rt.observeForward(name, err)
+		err := rt.relay(w, r, name, client, method, path, body)
 		if err == nil {
-			writeJSON(w, http.StatusOK, out)
 			return
 		}
 		lastName, lastErr = name, err

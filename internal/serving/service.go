@@ -590,19 +590,30 @@ func (s *Service) requestContext(r *http.Request) (context.Context, context.Canc
 	return context.WithTimeout(r.Context(), s.cfg.Timeout)
 }
 
-// decode reads a JSON body under the service's size limit. The body is one
-// JSON value, exactly what encoding/json's Unmarshal accepts: trailing data
-// is refused rather than silently ignored.
-func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) *ServiceError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	err := dec.Decode(v)
-	if err == nil {
-		if _, err = dec.Token(); err == io.EOF {
-			return nil
-		}
+// DecodeBody reads the request body as exactly one JSON value into v, under
+// a limit of maxBytes. Trailing data after the value is refused rather than
+// silently ignored — the body is what encoding/json's Unmarshal accepts. An
+// over-limit body fails with an *http.MaxBytesError. Replicas and the router
+// both decode with it, so the two tiers refuse the same bodies.
+func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
 		if err == nil {
 			err = errors.New("trailing data after the JSON value")
 		}
+		return err
+	}
+	return nil
+}
+
+// decode reads a JSON body under the service's size limit.
+func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) *ServiceError {
+	err := DecodeBody(w, r, s.cfg.MaxBodyBytes, v)
+	if err == nil {
+		return nil
 	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
