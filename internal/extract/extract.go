@@ -48,7 +48,7 @@ func ExtractWeek(store *lake.Store, fleet *simulate.Fleet, week int) (int, error
 	if err != nil {
 		return 0, err
 	}
-	defer w.Close()
+	defer w.Abort() // a failed extraction publishes nothing; a no-op after Close
 
 	if _, err := fmt.Fprintln(w, lake.Header); err != nil {
 		return 0, err

@@ -12,10 +12,10 @@
 // strconv reference.
 //
 // Beyond the weekly extracts, the lake stores named auxiliary objects (see
-// object.go) — notably the stream layer's ring snapshots — with atomic
-// replace semantics: an object write is staged and renamed into place on
-// Close, so readers never observe a torn object and a crash mid-write
-// leaves the previous version intact.
+// object.go) — notably the stream layer's ring snapshots. Both have atomic
+// replace semantics: a write is staged and renamed into place on Close, so
+// readers never observe a torn extract or object and a failed write leaves
+// the previous version intact.
 //
 // Concurrency: a Store is safe for concurrent use as far as the underlying
 // file system is — distinct objects never interfere, and concurrent writers
@@ -59,32 +59,46 @@ func (s *Store) Path(dataset, region string, week int) string {
 	return filepath.Join(s.root, dataset, region, fmt.Sprintf("week-%04d.csv", week))
 }
 
-// Writer opens a buffered writer for the object, creating partitions as
-// needed. The caller must Close it.
-func (s *Store) Writer(dataset, region string, week int) (io.WriteCloser, error) {
+// Writer opens a buffered writer for the extract of (dataset, region, week),
+// creating partitions as needed. Like an object write, the extract is staged
+// beside its final path and renamed into place on Close, so a reader never
+// sees a torn extract and Abort leaves the previous one intact; a staging
+// file a crash leaves behind is reclaimed by SweepTempObjects. The rename is
+// not fsynced: an extract can be derived again from telemetry. The caller
+// must Close or Abort it.
+func (s *Store) Writer(dataset, region string, week int) (*ExtractWriter, error) {
 	p := s.Path(dataset, region, week)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return nil, fmt.Errorf("lake: create partition: %w", err)
 	}
-	f, err := os.Create(p)
+	staged, err := stage(p, false)
 	if err != nil {
-		return nil, fmt.Errorf("lake: create object: %w", err)
+		return nil, err
 	}
-	return &bufWriteCloser{Writer: bufio.NewWriterSize(f, 1<<20), f: f}, nil
+	return &ExtractWriter{Writer: bufio.NewWriterSize(staged, 1<<20), staged: staged}, nil
 }
 
-type bufWriteCloser struct {
+// ExtractWriter is a staged extract write: Close publishes it whole, Abort
+// drops it. Either is a no-op after the other.
+type ExtractWriter struct {
 	*bufio.Writer
-	f *os.File
+	staged *objectWriter
 }
 
-func (b *bufWriteCloser) Close() error {
-	if err := b.Flush(); err != nil {
-		b.f.Close()
+// Close flushes the extract and publishes it.
+func (w *ExtractWriter) Close() error {
+	if w.staged.done {
+		return nil
+	}
+	if err := w.Flush(); err != nil {
+		w.staged.Abort()
 		return err
 	}
-	return b.f.Close()
+	return w.staged.Close()
 }
+
+// Abort drops the staged extract, leaving any previous one in place.
+func (w *ExtractWriter) Abort() { w.staged.Abort() }
 
 // Reader opens the object for reading. The caller must Close it.
 func (s *Store) Reader(dataset, region string, week int) (io.ReadCloser, error) {

@@ -60,6 +60,83 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExtractRewriteIsAtomic: rewriting an extract never exposes a partial
+// one. A reader opened mid-rewrite reads the old extract whole, an aborted
+// rewrite leaves the old bytes in place, and the staging file it used is
+// gone; a rewrite that completes replaces the extract on Close.
+func TestExtractRewriteIsAtomic(t *testing.T) {
+	s := tempStore(t)
+	write := func(data string) io.WriteCloser {
+		t.Helper()
+		w, err := s.Writer("ds", "westus", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(w, data); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	read := func() string {
+		t.Helper()
+		r, err := s.Reader("ds", "westus", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		data, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	old := Header + "\na,1,2.000,3,4\n"
+	if err := write(old).Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	flush := func(w io.WriteCloser) {
+		t.Helper()
+		if f, ok := w.(interface{ Flush() error }); ok {
+			if err := f.Flush(); err != nil { // push the partial rewrite to disk
+				t.Fatal(err)
+			}
+		}
+	}
+	w := write(Header + "\nb,")
+	flush(w)
+	if got := read(); got != old {
+		t.Fatalf("reader during a rewrite read %q, want the old extract %q", got, old)
+	}
+	ab, ok := w.(interface{ Abort() })
+	if !ok {
+		t.Fatal("extract writer cannot abort a rewrite")
+	}
+	ab.Abort()
+	if got := read(); got != old {
+		t.Fatalf("after an aborted rewrite the extract is %q, want %q", got, old)
+	}
+	if n, err := s.SweepTempObjects(); n != 0 || err != nil {
+		t.Fatalf("aborted rewrite left %d staging files (%v)", n, err)
+	}
+
+	// A rewrite a crash cut short is invisible and swept like an object's.
+	flush(write("torn"))
+	if weeks, err := s.Weeks("ds", "westus"); err != nil || len(weeks) != 1 {
+		t.Fatalf("Weeks = %v, %v; want [1]", weeks, err)
+	}
+	if n, err := s.SweepTempObjects(); n != 1 || err != nil {
+		t.Fatalf("SweepTempObjects = %d, %v; want 1", n, err)
+	}
+
+	if err := write("new\n").Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != "new\n" {
+		t.Fatalf("completed rewrite reads %q", got)
+	}
+}
+
 func TestReaderNotFound(t *testing.T) {
 	s := tempStore(t)
 	if _, err := s.Reader("ds", "nowhere", 0); !errors.Is(err, ErrNotFound) {

@@ -60,7 +60,17 @@ func (s *Store) ObjectPath(name string) string {
 type objectWriter struct {
 	f     *os.File
 	final string
+	sync  bool // fsync before the rename, so a crash cannot publish a torn file
 	done  bool
+}
+
+// stage opens a staging file beside final.
+func stage(final string, sync bool) (*objectWriter, error) {
+	f, err := os.CreateTemp(filepath.Dir(final), filepath.Base(final)+objectTempSuffix+"*")
+	if err != nil {
+		return nil, fmt.Errorf("lake: stage object: %w", err)
+	}
+	return &objectWriter{f: f, final: final, sync: sync}, nil
 }
 
 func (w *objectWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
@@ -70,10 +80,12 @@ func (w *objectWriter) Close() error {
 		return nil
 	}
 	w.done = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		os.Remove(w.f.Name())
-		return fmt.Errorf("lake: sync object: %w", err)
+	if w.sync {
+		if err := w.f.Sync(); err != nil {
+			w.f.Close()
+			os.Remove(w.f.Name())
+			return fmt.Errorf("lake: sync object: %w", err)
+		}
 	}
 	if err := w.f.Close(); err != nil {
 		os.Remove(w.f.Name())
@@ -110,11 +122,7 @@ func (s *Store) ObjectWriter(name string) (io.WriteCloser, error) {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return nil, fmt.Errorf("lake: create object dir: %w", err)
 	}
-	f, err := os.CreateTemp(filepath.Dir(p), filepath.Base(p)+objectTempSuffix+"*")
-	if err != nil {
-		return nil, fmt.Errorf("lake: stage object: %w", err)
-	}
-	return &objectWriter{f: f, final: p}, nil
+	return stage(p, true)
 }
 
 // ObjectReader opens the named object for reading; ErrNotFound when it does

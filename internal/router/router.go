@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -367,16 +368,39 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 // decode reads a bounded JSON body of exactly one value.
 func (rt *Router) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	if err := serving.DecodeBody(w, r, rt.cfg.MaxBodyBytes, into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, serving.CodeTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "malformed JSON: "+err.Error())
+		rt.badBody(w, err)
 		return false
 	}
 	return true
+}
+
+// readBody reads a bounded body whole, for a route that relays the bytes it
+// received.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	if err != nil {
+		rt.badBody(w, err)
+		return nil, false
+	}
+	return body, true
+}
+
+// badBody answers a body that could not be read or decoded: 413 over the
+// size limit, 400 otherwise.
+func (rt *Router) badBody(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, serving.CodeTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "malformed JSON: "+err.Error())
+}
+
+// upstreamContext is r's context carrying the request's ID — the one the
+// instrument echoed or minted on w — so every replica call forwards it.
+func upstreamContext(w http.ResponseWriter, r *http.Request) context.Context {
+	return serving.WithRequestID(r.Context(), w.Header().Get("X-Request-Id"))
 }
 
 // writeUpstream translates an upstream call failure into a response. A

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -28,9 +29,30 @@ type fake struct {
 	name string
 	srv  *httptest.Server
 	hits atomic.Uint64 // traffic-bearing requests (not readyz/varz)
+
+	mu       sync.Mutex
+	lastBody string // body of the last predict or advise
+	lastID   string // X-Request-Id of the last traffic-bearing request
 }
 
-func newFake(t *testing.T, name string) *fake {
+// record notes one traffic-bearing request and returns its body.
+func (f *fake) record(r *http.Request) []byte {
+	f.hits.Add(1)
+	body, _ := io.ReadAll(r.Body)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.lastBody, f.lastID = string(body), r.Header.Get("X-Request-Id")
+	return body
+}
+
+// seen returns the last recorded body and request ID.
+func (f *fake) seen() (body, id string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.lastBody, f.lastID
+}
+
+func newFake(t testing.TB, name string) *fake {
 	t.Helper()
 	f := &fake{name: name}
 	mux := http.NewServeMux()
@@ -41,17 +63,15 @@ func newFake(t *testing.T, name string) *fake {
 		_ = json.NewEncoder(w).Encode(serving.Varz{})
 	})
 	mux.HandleFunc("POST /v2/predict", func(w http.ResponseWriter, r *http.Request) {
-		f.hits.Add(1)
 		var req serving.PredictRequestV2
-		_ = json.NewDecoder(r.Body).Decode(&req)
+		_ = json.Unmarshal(f.record(r), &req)
 		_ = json.NewEncoder(w).Encode(serving.PredictResponseV2{
 			ServerID: req.ServerID, Model: "fake-" + f.name,
 		})
 	})
 	mux.HandleFunc("POST /v2/predict/batch", func(w http.ResponseWriter, r *http.Request) {
-		f.hits.Add(1)
 		var req serving.BatchRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
+		_ = json.Unmarshal(f.record(r), &req)
 		out := serving.BatchResponse{Model: "fake-" + f.name, Succeeded: len(req.Servers)}
 		for _, s := range req.Servers {
 			out.Results = append(out.Results, serving.BatchItemResult{
@@ -61,9 +81,8 @@ func newFake(t *testing.T, name string) *fake {
 		_ = json.NewEncoder(w).Encode(out)
 	})
 	mux.HandleFunc("POST /v2/ingest", func(w http.ResponseWriter, r *http.Request) {
-		f.hits.Add(1)
 		var req serving.IngestRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
+		_ = json.Unmarshal(f.record(r), &req)
 		resp := serving.IngestResponse{Accepted: len(req.Points)}
 		if req.Sweep != nil {
 			resp.Sweep = &serving.SweepResult{
@@ -78,7 +97,7 @@ func newFake(t *testing.T, name string) *fake {
 		_ = json.NewEncoder(w).Encode(serving.ModelsResponseV2{})
 	})
 	mux.HandleFunc("POST /v2/advise", func(w http.ResponseWriter, r *http.Request) {
-		f.hits.Add(1)
+		f.record(r)
 		_ = json.NewEncoder(w).Encode(serving.AdviseResponse{KeepCurrent: true})
 	})
 	mux.HandleFunc("GET /v2/predictions/{region}/{week}", func(w http.ResponseWriter, r *http.Request) {
@@ -98,7 +117,7 @@ func newFake(t *testing.T, name string) *fake {
 
 // newFakeFleet builds n scripted replicas and a fail-fast router (single
 // attempt, breaker off unless asked) fronting them.
-func newFakeFleet(t *testing.T, n int, mod func(*router.Config)) ([]*fake, *router.Router, *httptest.Server) {
+func newFakeFleet(t testing.TB, n int, mod func(*router.Config)) ([]*fake, *router.Router, *httptest.Server) {
 	t.Helper()
 	fakes := make([]*fake, n)
 	cfg := router.Config{
@@ -124,7 +143,7 @@ func newFakeFleet(t *testing.T, n int, mod func(*router.Config)) ([]*fake, *rout
 	return fakes, rt, front
 }
 
-func post(t *testing.T, url, body string) (*http.Response, string) {
+func post(t testing.TB, url, body string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -377,6 +396,79 @@ func TestRelayCopiesReplyBytes(t *testing.T) {
 	}
 }
 
+// TestRelayForwardsRequestBytes: a relayed predict or advise reaches the
+// replica as the bytes the client sent — whitespace and an unescaped '<'
+// included — whether routed to the owner or round-robined.
+func TestRelayForwardsRequestBytes(t *testing.T) {
+	fakes, rt, front := newFakeFleet(t, 2, nil)
+	id := ownedBy(t, rt, "shard-b")
+	for _, c := range []struct{ path, body string }{
+		{"/v2/predict", `{ "server_id" : "` + id + `", "region":"<west>", "history":{"values":[1, 2.50]} }` + "\n"},
+		{"/v2/predict", `{"scenario" : "a<b",  "history":{"values":[ 1e3 ]}}`},
+		{"/v2/advise", `{"predicted_day" : {"values":[1 ,2]}, "customer_start":0, "note":"<x>"}`},
+	} {
+		resp, got := post(t, front.URL+c.path, c.body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: %d %s", c.path, resp.StatusCode, got)
+		}
+		var relayed []string
+		for _, f := range fakes {
+			if body, _ := f.seen(); body == c.body {
+				relayed = append(relayed, f.name)
+			}
+		}
+		if len(relayed) == 0 {
+			a, _ := fakes[0].seen()
+			b, _ := fakes[1].seen()
+			t.Errorf("%s: no replica received %q byte for byte (saw %q, %q)", c.path, c.body, a, b)
+		}
+	}
+}
+
+// FuzzRouterPredict posts arbitrary bytes to the router's /v2/predict over
+// a fake fleet. Whatever the bytes, the router never answers 500, never
+// answers 200 to a body encoding/json rejects for its routing fields, and a
+// replica it relays to receives exactly the bytes that were posted.
+func FuzzRouterPredict(f *testing.F) {
+	for _, seed := range []string{
+		`{"server_id":"srv-1","history":{"values":[1, 2]}}`,
+		`{ "history" : {"values":[1]}, "region":"<r>" }`,
+		`{"history":{"values":[1]}} trailing`,
+		`{"live_history":true}`,
+		`{"server_id":7}`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	fakes, _, front := newFakeFleet(f, 2, nil)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := make([]uint64, len(fakes))
+		for i, fk := range fakes {
+			before[i] = fk.hits.Load()
+		}
+		resp, got := post(t, front.URL+"/v2/predict", string(body))
+		if resp.StatusCode == http.StatusInternalServerError {
+			t.Fatalf("answered 500: %s", got)
+		}
+		var route struct {
+			ServerID    string `json:"server_id"`
+			LiveHistory bool   `json:"live_history"`
+		}
+		if err := json.Unmarshal(body, &route); err != nil && resp.StatusCode == http.StatusOK {
+			t.Fatalf("answered 200 to a body encoding/json rejects (%v)", err)
+		}
+		for i, fk := range fakes {
+			if fk.hits.Load() == before[i] {
+				continue
+			}
+			if seen, _ := fk.seen(); seen != string(body) {
+				t.Fatalf("%s received %q, want the posted %q", fk.name, seen, body)
+			}
+		}
+	})
+}
+
 // TestBatchFailureConfinedAndBreaker is satellite drain/retry semantics: a
 // replica killed mid-batch fails only its own items, repeated traffic trips
 // its breaker, and a rejoin restores full coverage with no remapping.
@@ -588,9 +680,10 @@ func TestFleetVarzAndMetrics(t *testing.T) {
 
 // TestRoutedRequestCarriesRequestID: the router accounts requests with the
 // same instrument as a replica, so a routed request echoes the caller's
-// X-Request-Id — or gets one minted — exactly like a direct one.
+// X-Request-Id — or gets one minted — exactly like a direct one, and every
+// replica the request reaches sees that same ID.
 func TestRoutedRequestCarriesRequestID(t *testing.T) {
-	_, rt, front := newFakeFleet(t, 2, nil)
+	fakes, rt, front := newFakeFleet(t, 2, nil)
 	body := fmt.Sprintf(`{"server_id":%q,"live_history":true,"horizon":1}`, ownedBy(t, rt, "shard-a"))
 
 	req, err := http.NewRequest("POST", front.URL+"/v2/predict", strings.NewReader(body))
@@ -611,8 +704,35 @@ func TestRoutedRequestCarriesRequestID(t *testing.T) {
 		t.Fatalf("X-Request-Id echo = %q, want follow-me-3", got)
 	}
 
+	if _, got := fakes[0].seen(); got != "follow-me-3" {
+		t.Fatalf("replica saw X-Request-Id %q, want the client's follow-me-3", got)
+	}
+
 	minted, _ := post(t, front.URL+"/v2/predict", body)
-	if minted.Header.Get("X-Request-Id") == "" {
+	id := minted.Header.Get("X-Request-Id")
+	if id == "" {
 		t.Fatal("routed request without an ID got none minted")
+	}
+	if _, got := fakes[0].seen(); got != id {
+		t.Fatalf("replica saw X-Request-Id %q, want the minted %q", got, id)
+	}
+
+	// The fan-outs carry the ID to every replica they reach.
+	batch := fmt.Sprintf(`{"servers":[{"server_id":%q},{"server_id":%q}]}`,
+		ownedBy(t, rt, "shard-a"), ownedBy(t, rt, "shard-b"))
+	req, err = http.NewRequest("POST", front.URL+"/v2/predict/batch", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "fan-out-4")
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	for _, f := range fakes {
+		if _, got := f.seen(); got != "fan-out-4" {
+			t.Errorf("%s saw X-Request-Id %q on the batch, want fan-out-4", f.name, got)
+		}
 	}
 }

@@ -19,10 +19,11 @@ import (
 // handlePredict routes one predict to the owner of its server ID. A request
 // without a server ID carries its own history and is stateless — any replica
 // serves it identically, so it round-robins with failover. Only the routing
-// fields are read; the body the client sent is what the replica receives.
+// fields are read, in the one pass that also validates the body; the bytes
+// the client sent are what the replica receives.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var body json.RawMessage
-	if !rt.decode(w, r, &body) {
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
 	var route struct {
@@ -30,7 +31,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		LiveHistory bool   `json:"live_history"`
 	}
 	if err := json.Unmarshal(body, &route); err != nil {
-		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "malformed JSON: "+err.Error())
+		rt.badBody(w, err)
 		return
 	}
 	if route.ServerID == "" {
@@ -73,6 +74,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	parts := smap.Split(ids)
 	owners := slices.DeleteFunc(smap.Replicas(), func(name string) bool { return parts[name] == nil })
+	ctx := upstreamContext(w, r)
 
 	replies := scatter(owners, clients, rt.observeForward,
 		func(name string, c *serving.Client) (serving.BatchResponse, error) {
@@ -85,7 +87,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for j, i := range idxs {
 				sub.Servers[j] = req.Servers[i]
 			}
-			return c.PredictBatch(r.Context(), sub)
+			return c.PredictBatch(ctx, sub)
 		})
 	writeJSON(w, http.StatusOK, mergeBatch(ids, parts, replies))
 }
@@ -185,9 +187,10 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	owners := slices.DeleteFunc(names, func(name string) bool { return subs[name] == nil })
+	ctx := upstreamContext(w, r)
 	replies := scatter(owners, clients, rt.observeForward,
 		func(name string, c *serving.Client) (serving.IngestResponse, error) {
-			return c.Ingest(r.Context(), *subs[name])
+			return c.Ingest(ctx, *subs[name])
 		})
 	var merged serving.IngestResponse
 	for _, rep := range replies {
@@ -235,9 +238,10 @@ func (rt *Router) handlePredictions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	smap, clients := rt.view()
+	ctx := upstreamContext(w, r)
 	replies := scatter(smap.Replicas(), clients, rt.observeForward,
 		func(_ string, c *serving.Client) (serving.PredictionsResponse, error) {
-			return c.Predictions(r.Context(), region, week)
+			return c.Predictions(ctx, region, week)
 		})
 	merged := serving.PredictionsResponse{Region: region, Week: week}
 	seen := map[string]bool{}
@@ -266,17 +270,17 @@ func (rt *Router) handlePredictions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// relay sends one request to a replica and, on success, copies the
-// replica's JSON reply to w byte for byte.
+// relay sends one request to a replica with body as it is (nil sends none)
+// and, on success, copies the replica's JSON reply to w byte for byte.
 func (rt *Router) relay(w http.ResponseWriter, r *http.Request, name string, client *serving.Client,
-	method, path string, body any) error {
+	method, path string, body json.RawMessage) error {
 	var out json.RawMessage
-	err := client.Do(r.Context(), method, path, body, &out)
+	err := client.Do(upstreamContext(w, r), method, path, body, &out)
 	rt.observeForward(name, err)
 	if err == nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(append(out, '\n'))
+		_, _ = w.Write(out)
 	}
 	return err
 }
@@ -284,7 +288,7 @@ func (rt *Router) relay(w http.ResponseWriter, r *http.Request, name string, cli
 // proxy forwards one stateless request (body nil sends none) round-robin
 // and relays the reply, failing over to the next replica on a retryable
 // error.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path string, body any) {
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path string, body json.RawMessage) {
 	smap, _ := rt.view()
 	n := smap.N()
 	skip := map[string]bool{}
@@ -315,13 +319,16 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path str
 // POST relays its (size-checked, well-formed) JSON body verbatim.
 func (rt *Router) forward(method, path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var body any
+		var body []byte
 		if method == http.MethodPost {
-			var raw json.RawMessage
-			if !rt.decode(w, r, &raw) {
+			var ok bool
+			if body, ok = rt.readBody(w, r); !ok {
 				return
 			}
-			body = raw
+			if !json.Valid(body) {
+				writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "malformed JSON: not exactly one JSON value")
+				return
+			}
 		}
 		rt.proxy(w, r, method, path, body)
 	}

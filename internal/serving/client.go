@@ -98,12 +98,17 @@ func NewClient(baseURL string) *Client {
 // Do performs one JSON request against path under the client's full retry
 // and circuit-breaker policy: it posts in (or gets, when in is nil) and
 // decodes the response into out, converting non-200 responses into
-// *APIError. in may be any marshalable value (json.RawMessage relays a
-// pre-encoded body verbatim). Every typed method below, and the sharded
-// router's stateless forwards, are built on it.
+// *APIError. in may be any marshalable value; a json.RawMessage is sent
+// verbatim, and a *json.RawMessage out receives the reply bytes as read.
+// Every typed method below, and the sharded router's relays, are built on
+// it.
 func (c *Client) Do(ctx context.Context, method, path string, in, out any) error {
 	var data []byte
-	if in != nil {
+	switch in := in.(type) {
+	case nil:
+	case json.RawMessage:
+		data = in
+	default:
 		var err error
 		if data, err = json.Marshal(in); err != nil {
 			return err
@@ -201,6 +206,9 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, o
 	if data != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if id, _ := ctx.Value(requestIDKey{}).(string); id != "" {
+		req.Header.Set("X-Request-Id", id)
+	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return err
@@ -209,10 +217,24 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, o
 	if resp.StatusCode != http.StatusOK {
 		return decodeAPIError(resp)
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *json.RawMessage:
+		*out, err = io.ReadAll(resp.Body)
+		return err
+	default:
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+type requestIDKey struct{}
+
+// WithRequestID returns ctx carrying a request ID that every request the
+// client sends under it forwards as X-Request-Id, so a replica's logs and
+// traces join the caller's.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
 // decodeAPIError reads a failed response into an *APIError, preferring the

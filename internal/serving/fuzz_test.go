@@ -3,6 +3,7 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -52,6 +53,46 @@ func FuzzJSONRoutes(f *testing.F) {
 			}
 			if err := json.Unmarshal(body, route.wire()); err != nil && status == http.StatusOK {
 				t.Fatalf("%s answered 200 to a body encoding/json rejects (%v)", route.path, err)
+			}
+		}
+	})
+}
+
+// FuzzFloats holds Floats to encoding/json: decoding a document into a
+// Floats field and into a []float64 field must give the same error (or
+// none), the same nil-ness and length, and bit-identical values, into an
+// empty destination and into one pre-filled past its length.
+func FuzzFloats(f *testing.F) {
+	for _, seed := range []string{`[]`, `null`, `[1e400]`, `[-0]`, `[1,null]`, `[1,"a"]`, `[4.9e-324]`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		doc := append(append([]byte(`{"v":`), data...), '}')
+		for _, prefill := range []func() []float64{
+			func() []float64 { return nil },
+			func() []float64 { return []float64{7, 8, 9, 10, 11, 12}[:3] },
+		} {
+			var want struct {
+				V []float64 `json:"v"`
+			}
+			var got struct {
+				V Floats `json:"v"`
+			}
+			want.V, got.V = prefill(), prefill()
+			wantErr, gotErr := json.Unmarshal(doc, &want), json.Unmarshal(doc, &got)
+			if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
+				t.Fatalf("%q: Floats error %v, []float64 error %v", doc, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if (want.V == nil) != (got.V == nil) || len(want.V) != len(got.V) {
+				t.Fatalf("%q: Floats %#v, []float64 %#v", doc, got.V, want.V)
+			}
+			for i := range want.V {
+				if math.Float64bits(want.V[i]) != math.Float64bits(got.V[i]) {
+					t.Fatalf("%q: element %d is %v, []float64 has %v", doc, i, got.V[i], want.V[i])
+				}
 			}
 		}
 	})

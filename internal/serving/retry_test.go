@@ -2,7 +2,9 @@ package serving
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -219,5 +221,30 @@ func TestClientRetryBudgetMidBackoff(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Fatalf("exhaustion took %v, want well under the un-budgeted backoff total", elapsed)
+	}
+}
+
+// TestDoRawMessageVerbatim: a json.RawMessage argument reaches the server
+// byte for byte (neither compacted nor HTML-escaped), and a
+// *json.RawMessage result receives the reply bytes as they were read.
+func TestDoRawMessageVerbatim(t *testing.T) {
+	const reply = `{"b" : "<c>"}` + "\n"
+	var got atomic.Value
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		got.Store(string(body))
+		io.WriteString(w, reply)
+	}))
+	defer srv.Close()
+	var out json.RawMessage
+	in := json.RawMessage(`{"a" : "<b>"}`)
+	if err := NewClient(srv.URL).Do(context.Background(), http.MethodPost, "/x", in, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got.Load() != string(in) {
+		t.Errorf("server received %q, want %q", got.Load(), in)
+	}
+	if string(out) != reply {
+		t.Errorf("reply %q, want %q", out, reply)
 	}
 }

@@ -29,8 +29,10 @@
 package serving
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"time"
 
 	"seagull/internal/timeseries"
@@ -40,7 +42,70 @@ import (
 type SeriesJSON struct {
 	Start       time.Time `json:"start"`
 	IntervalMin int       `json:"interval_min"`
-	Values      []float64 `json:"values"`
+	Values      Floats    `json:"values"`
+}
+
+// Floats is the wire form of a float array, decoded without reflection: an
+// array of plain numbers goes element by element to strconv.ParseFloat, the
+// call encoding/json makes per number, and every other shape (null, a
+// non-number element, a number out of float64 range) goes to encoding/json
+// itself, so values, nil-ness and errors are exactly those of []float64.
+// Encoding is []float64's.
+type Floats []float64
+
+// UnmarshalJSON implements json.Unmarshaler. It relies on encoding/json
+// having validated data, as json.Unmarshal and json.Decoder do before they
+// call it.
+func (f *Floats) UnmarshalJSON(data []byte) error {
+	fallback := func() error { return json.Unmarshal(data, (*[]float64)(f)) }
+	if len(data) < 2 || data[0] != '[' || data[len(data)-1] != ']' {
+		return fallback()
+	}
+	// Like encoding/json, reuse the destination's backing array; *f is set
+	// only on success, so the fallback sees the destination as it was.
+	out := (*f)[:0]
+	if n := bytes.Count(data, []byte{','}) + 1; cap(out) < n {
+		out = make([]float64, 0, n)
+	}
+	for i := 1; ; {
+		for isSpace(data[i]) {
+			i++
+		}
+		if data[i] == ']' && len(out) == 0 {
+			break
+		}
+		start := i
+		for isNumberByte(data[i]) {
+			i++
+		}
+		v, err := strconv.ParseFloat(string(data[start:i]), 64)
+		if start == i || err != nil {
+			return fallback()
+		}
+		out = append(out, v)
+		for isSpace(data[i]) {
+			i++
+		}
+		if data[i] == ']' {
+			break
+		}
+		if data[i] != ',' {
+			return fallback()
+		}
+		i++
+	}
+	if len(out) == 0 {
+		out = []float64{} // encoding/json decodes [] to an empty, non-nil slice
+	}
+	*f = out
+	return nil
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// isNumberByte reports whether c can occur in a JSON number.
+func isNumberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
 // ToSeries converts the wire form into a Series.

@@ -57,7 +57,7 @@ type IngestSeries struct {
 	ServerID    string    `json:"server_id"`
 	Start       time.Time `json:"start"`
 	IntervalMin int       `json:"interval_min"`
-	Values      []float64 `json:"values"`
+	Values      Floats    `json:"values"`
 }
 
 // IngestPoint is one standalone observation.
