@@ -18,8 +18,9 @@
 //     live_history — the live window lives in the owner's rings); requests
 //     without a server_id are stateless and round-robin across replicas.
 //   - POST /v2/predict/batch: split by item owner, fanned out concurrently,
-//     per-item results merged back in request order. A replica failure
-//     fails only its own items.
+//     per-item results merged back in request order. An unavailable replica
+//     fails only its own items; one that refuses its items (a 4xx) answers
+//     the whole batch.
 //   - POST /v2/ingest: servers and points split by owner; the optional
 //     sweep clause broadcasts to every replica (each sweeps its own ring);
 //     tallies are summed.
@@ -30,14 +31,19 @@
 //     only its own shard, so the union is the fleet view).
 //   - POST /v2/advise, GET /v2/models: stateless; round-robin with failover
 //     to the next replica.
+//
+// The router decodes no request. json.Valid checks each body, and one scan
+// (scan.go) reads its routing fields; a routed predict goes upstream as
+// received, and each owner of a batch or ingest receives its items' bytes
+// as received.
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -365,24 +371,25 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, st)
 }
 
-// decode reads a bounded JSON body of exactly one value.
-func (rt *Router) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := serving.DecodeBody(w, r, rt.cfg.MaxBodyBytes, into); err != nil {
-		rt.badBody(w, err)
-		return false
-	}
-	return true
-}
+// maxPresize bounds the buffer a declared Content-Length reserves before any
+// body byte arrives. The declaration is the client's word alone: a client
+// that declares a large body and then stalls holds no more than this.
+const maxPresize = 1 << 20
 
 // readBody reads a bounded body whole, for a route that relays the bytes it
-// received.
+// received. A declared Content-Length sizes the buffer, up to maxPresize, so
+// a body of up to a mebibyte is not copied through ever larger buffers as
+// it arrives; a larger one grows as its bytes come.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		body.Grow(int(min(n, rt.cfg.MaxBodyBytes, maxPresize)) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)); err != nil {
 		rt.badBody(w, err)
 		return nil, false
 	}
-	return body, true
+	return body.Bytes(), true
 }
 
 // badBody answers a body that could not be read or decoded: 413 over the
@@ -425,6 +432,14 @@ func writeUpstream(w http.ResponseWriter, replica string, err error) {
 	}
 	writeError(w, http.StatusServiceUnavailable, serving.CodeOverloaded,
 		fmt.Sprintf("replica %s unavailable: %v", replica, err))
+}
+
+// definitive reports whether err is a replica's refusal of the request
+// itself — a structured 4xx other than 429, such as a bad request or a
+// missing deployment — rather than a sign that the replica is unavailable.
+func definitive(err error) bool {
+	var api *serving.APIError
+	return errors.As(err, &api) && api.Status < 500 && api.Status != http.StatusTooManyRequests
 }
 
 // upstreamErrorBody is writeUpstream's per-item form for batch merges.

@@ -19,8 +19,10 @@ import (
 	"testing"
 
 	"seagull/internal/pipeline"
+	"seagull/internal/registry"
 	"seagull/internal/router"
 	"seagull/internal/serving"
+	"seagull/internal/stream"
 )
 
 // fake is a scripted replica: it answers the serving wire protocol with
@@ -380,6 +382,35 @@ func TestTrailingDataRefused(t *testing.T) {
 	}
 }
 
+// TestRepeatedSplitArrayRoutesItemBytes: given a split array twice, the last
+// one wins and each of its items is routed by its own bytes, which are all
+// its owner receives. An item whose bytes name no server_id answers the
+// router's 400 and reaches no replica, though encoding/json would have
+// merged it into the earlier array's item at the same index.
+func TestRepeatedSplitArrayRoutesItemBytes(t *testing.T) {
+	fakes, _, front := newFakeFleet(t, 2, nil)
+	for path, c := range map[string]struct{ body, want string }{
+		"/v2/ingest": {
+			`{"points":[{"server_id":"a","v":1}],"points":[{"t_unix":2}]}`,
+			"points[0]: server_id is required",
+		},
+		"/v2/predict/batch": {
+			`{"servers":[{"server_id":"a"},{"server_id":"b"}],"servers":[{"horizon":1}]}`,
+			"servers[0]: server_id is required",
+		},
+	} {
+		resp, got := post(t, front.URL+path, c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, c.want) {
+			t.Errorf("%s: %d %s; want 400 %q", path, resp.StatusCode, got, c.want)
+		}
+	}
+	for _, f := range fakes {
+		if n := f.hits.Load(); n != 0 {
+			t.Errorf("%s saw %d requests", f.name, n)
+		}
+	}
+}
+
 // TestRelayCopiesReplyBytes: a relayed predict or advise answers with the
 // replica's reply bytes, field order included.
 func TestRelayCopiesReplyBytes(t *testing.T) {
@@ -398,18 +429,66 @@ func TestRelayCopiesReplyBytes(t *testing.T) {
 
 // TestRelayForwardsRequestBytes: a relayed predict or advise reaches the
 // replica as the bytes the client sent — whitespace and an unescaped '<'
-// included — whether routed to the owner or round-robined.
+// included — whether routed to the owner or round-robined. A split batch or
+// ingest reaches each owner as its items' bytes as sent, in request order,
+// after the members the router does not split (scenario, region, the
+// broadcast sweep), also as sent; the router adds only the wrapper.
 func TestRelayForwardsRequestBytes(t *testing.T) {
 	fakes, rt, front := newFakeFleet(t, 2, nil)
 	id := ownedBy(t, rt, "shard-b")
-	for _, c := range []struct{ path, body string }{
-		{"/v2/predict", `{ "server_id" : "` + id + `", "region":"<west>", "history":{"values":[1, 2.50]} }` + "\n"},
-		{"/v2/predict", `{"scenario" : "a<b",  "history":{"values":[ 1e3 ]}}`},
-		{"/v2/advise", `{"predicted_day" : {"values":[1 ,2]}, "customer_start":0, "note":"<x>"}`},
+	idA, idB := ownedBy(t, rt, "shard-a"), id
+	itemA := `{ "history" : {"values":[1 ,2]}, "server_id":"` + idA + `", "note":"<a>" }`
+	itemA2 := `{"server_id" : "` + idA + `","horizon":1}`
+	itemB := `{"horizon":2,  "server_id":"` + idB + `"}`
+	pointA := `{"v" : 1.50, "server_id":"` + idA + `","t_unix":60}`
+	pointB := `{"server_id":"` + idB + `", "t_unix":120 ,"v":2}`
+	sweep := `"sweep" : { "week":1, "region":"<w>" }`
+	for _, c := range []struct {
+		path, body string
+		// want is the body each replica must receive; nil means the body
+		// as posted, at whichever replica the route chose.
+		want map[string]string
+	}{
+		{"/v2/predict", `{ "server_id" : "` + id + `", "region":"<west>", "history":{"values":[1, 2.50]} }` + "\n", nil},
+		{"/v2/predict", `{"scenario" : "a<b",  "history":{"values":[ 1e3 ]}}`, nil},
+		{"/v2/advise", `{"predicted_day" : {"values":[1 ,2]}, "customer_start":0, "note":"<x>"}`, nil},
+		{
+			"/v2/predict/batch",
+			`{ "scenario" : "a<b", "servers" : [ ` + itemA + ` , ` + itemB + `,` + itemA2 + ` ], "region":"r" }`,
+			map[string]string{
+				"shard-a": `{"scenario" : "a<b","region":"r","servers":[` + itemA + `,` + itemA2 + `]}`,
+				"shard-b": `{"scenario" : "a<b","region":"r","servers":[` + itemB + `]}`,
+			},
+		},
+		{
+			"/v2/ingest",
+			`{"points":[` + pointB + `, ` + pointA + `], ` + sweep + `, "servers" : [` + itemB + `]}`,
+			map[string]string{
+				"shard-a": `{` + sweep + `,"points":[` + pointA + `]}`,
+				"shard-b": `{` + sweep + `,"servers":[` + itemB + `],"points":[` + pointB + `]}`,
+			},
+		},
+		{
+			// A sweep reaches a replica that owns no item of the batch.
+			"/v2/ingest",
+			`{` + sweep + `,"points":[` + pointA + `]}`,
+			map[string]string{
+				"shard-a": `{` + sweep + `,"points":[` + pointA + `]}`,
+				"shard-b": `{` + sweep + `}`,
+			},
+		},
 	} {
 		resp, got := post(t, front.URL+c.path, c.body)
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s: %d %s", c.path, resp.StatusCode, got)
+		}
+		if c.want != nil {
+			for _, f := range fakes {
+				if body, _ := f.seen(); body != c.want[f.name] {
+					t.Errorf("%s: %s received\n%s\nwant\n%s", c.path, f.name, body, c.want[f.name])
+				}
+			}
+			continue
 		}
 		var relayed []string
 		for _, f := range fakes {
@@ -422,6 +501,107 @@ func TestRelayForwardsRequestBytes(t *testing.T) {
 			b, _ := fakes[1].seen()
 			t.Errorf("%s: no replica received %q byte for byte (saw %q, %q)", c.path, c.body, a, b)
 		}
+	}
+}
+
+// TestBatchOverLimitRefused: a routed batch over serving.MaxBatch answers
+// exactly what one replica answers it, before any fan-out. Split across two
+// owners, each sub-batch would pass its replica's limit.
+func TestBatchOverLimitRefused(t *testing.T) {
+	fakes, rt, front := newFakeFleet(t, 2, nil)
+	ids := make([]string, 300)
+	items := make([]string, len(ids))
+	for i := range ids {
+		ids[i] = fmt.Sprintf("srv-%04d", i)
+		items[i] = `{"server_id":"` + ids[i] + `"}`
+	}
+	if parts := rt.Map().Split(ids); len(parts) != 2 || len(parts["shard-a"]) > serving.MaxBatch || len(parts["shard-b"]) > serving.MaxBatch {
+		t.Fatalf("the test needs both shards under the limit, got %d and %d of %d",
+			len(parts["shard-a"]), len(parts["shard-b"]), len(ids))
+	}
+	body := `{"scenario":"backup","region":"r","servers":[` + strings.Join(items, ",") + `]}`
+
+	replica := httptest.NewServer(serving.NewService(registry.New(nil), nil, serving.ServiceConfig{}).Handler())
+	defer replica.Close()
+	wantResp, want := post(t, replica.URL+"/v2/predict/batch", body)
+	resp, got := post(t, front.URL+"/v2/predict/batch", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || resp.StatusCode != wantResp.StatusCode || got != want {
+		t.Fatalf("router answered %d %s; one replica answers %d %s", resp.StatusCode, got, wantResp.StatusCode, want)
+	}
+	for _, f := range fakes {
+		if n := f.hits.Load(); n != 0 {
+			t.Errorf("%s saw %d requests for an over-limit batch", f.name, n)
+		}
+	}
+}
+
+// newServingFleet mounts n real serving replicas behind a router: each has
+// its own ingest rings, and all share one registry deploying pf-prev-day to
+// ("backup", "r").
+func newServingFleet(t *testing.T, n int) ([]*stream.Ingestor, *router.Router, *httptest.Server) {
+	t.Helper()
+	reg := registry.New(nil)
+	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, "pf-prev-day", "test")
+	cfg := router.Config{
+		Seed:    7,
+		Retry:   serving.RetryConfig{MaxAttempts: 1},
+		Breaker: serving.BreakerConfig{Threshold: -1},
+	}
+	ings := make([]*stream.Ingestor, n)
+	for i := range ings {
+		ings[i] = stream.NewIngestor(stream.Config{})
+		svc := serving.NewService(reg, nil, serving.ServiceConfig{Ingestor: ings[i], MaxInflight: -1})
+		srv := httptest.NewServer(svc.Handler())
+		t.Cleanup(func() { srv.Close(); svc.Close() })
+		cfg.Replicas = append(cfg.Replicas, router.Replica{Name: fmt.Sprintf("shard-%c", 'a'+i), BaseURL: srv.URL})
+	}
+	rt, err := router.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	return ings, rt, front
+}
+
+// TestRoutedItemErrors pins what a malformed item answers now that its
+// bytes reach its owner undecoded by the router. A batch still answers 400
+// bad_request, with the owner's message. An ingest answers its owner's 400
+// while the other owners may already have applied their well-formed points,
+// which a corrected re-send then counts as duplicates — as one process
+// already does when a later item of a batch is refused.
+func TestRoutedItemErrors(t *testing.T) {
+	ings, rt, front := newServingFleet(t, 2)
+	idA, idB := ownedBy(t, rt, "shard-a"), ownedBy(t, rt, "shard-b")
+
+	batch := `{"scenario":"backup","region":"r","servers":[` +
+		`{"server_id":"` + idA + `","horizon":1,"history":{"start":"2024-01-01T00:00:00Z","interval_min":5,"values":[1,2,3]}},` +
+		`{"server_id":"` + idB + `","horizon":"x"}]}`
+	resp, out := post(t, front.URL+"/v2/predict/batch", batch)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out, `"bad_request"`) || !strings.Contains(out, "horizon") {
+		t.Fatalf("ill-typed batch item: %d %s", resp.StatusCode, out)
+	}
+
+	const slot = 1_699_999_800 // a five-minute boundary
+	ingest := func(vB string) (*http.Response, string) {
+		return post(t, front.URL+"/v2/ingest", fmt.Sprintf(
+			`{"points":[{"server_id":%q,"t_unix":%d,"v":1},{"server_id":%q,"t_unix":%d,"v":%s}]}`,
+			idA, slot, idB, slot, vB))
+	}
+	resp, out = ingest(`"x"`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out, `"bad_request"`) {
+		t.Fatalf("ill-typed ingest item: %d %s", resp.StatusCode, out)
+	}
+	if a, b := ings[0].Stats().Appended, ings[1].Stats().Appended; a != 1 || b != 0 {
+		t.Fatalf("after the refused ingest shard-a appended %d, shard-b %d; want 1 and 0", a, b)
+	}
+	resp, out = ingest(`2`)
+	var ir serving.IngestResponse
+	if err := json.Unmarshal([]byte(out), &ir); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("corrected re-send: %d %s", resp.StatusCode, out)
+	}
+	if ir.Accepted != 1 || ir.Duplicates != 1 {
+		t.Fatalf("corrected re-send accepted %d, duplicates %d; want 1 and 1", ir.Accepted, ir.Duplicates)
 	}
 }
 

@@ -2,7 +2,6 @@ package router
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -19,23 +18,20 @@ import (
 // handlePredict routes one predict to the owner of its server ID. A request
 // without a server ID carries its own history and is stateless — any replica
 // serves it identically, so it round-robins with failover. Only the routing
-// fields are read, in the one pass that also validates the body; the bytes
-// the client sent are what the replica receives.
+// fields are read, in the one scan every traffic route makes; the bytes the
+// client sent are what the replica receives.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	var route struct {
-		ServerID    string `json:"server_id"`
-		LiveHistory bool   `json:"live_history"`
-	}
-	if err := json.Unmarshal(body, &route); err != nil {
+	route, err := scanBody(body, predictRoute)
+	if err != nil {
 		rt.badBody(w, err)
 		return
 	}
-	if route.ServerID == "" {
-		if route.LiveHistory {
+	if route.serverID == "" {
+		if route.liveHistory {
 			writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
 				"live_history requires server_id: the live window lives on the owning replica")
 			return
@@ -43,53 +39,70 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		rt.proxy(w, r, http.MethodPost, "/v2/predict", body)
 		return
 	}
-	name, client := rt.ownerClient(route.ServerID)
+	name, client := rt.ownerClient(route.serverID)
 	if err := rt.relay(w, r, name, client, http.MethodPost, "/v2/predict", body); err != nil {
 		writeUpstream(w, name, err)
 	}
 }
 
-// handleBatch splits a batch by item owner, scatters the sub-batches, and
-// merges per-item results back in request order.
+// handleBatch splits a batch by item owner, sends each owner its items'
+// bytes as received, and merges per-item results back in request order. A
+// replica that refuses its sub-batch outright (a 4xx other than 429 — say,
+// an ill-typed item) answers the whole request, as one replica would have;
+// an unavailable replica fails only its own items.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req serving.BatchRequest
-	if !rt.decode(w, r, &req) {
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Servers) == 0 {
+	route, err := scanBody(body, batchRoute)
+	if err != nil {
+		rt.badBody(w, err)
+		return
+	}
+	ids := route.servers.ids
+	switch {
+	case len(ids) == 0:
 		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "batch must contain at least one server")
 		return
+	case len(ids) > serving.MaxBatch:
+		// Split across owners, every sub-batch could pass a replica's limit.
+		writeError(w, http.StatusRequestEntityTooLarge, serving.CodeTooLarge,
+			fmt.Sprintf("batch of %d servers exceeds the limit of %d", len(ids), serving.MaxBatch))
+		return
 	}
-	for i := range req.Servers {
-		if req.Servers[i].ServerID == "" {
-			writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
-				"servers["+strconv.Itoa(i)+"]: server_id is required")
-			return
-		}
+	if missingID(w, "servers", ids) {
+		return
 	}
 	smap, clients := rt.view()
-	ids := make([]string, len(req.Servers))
-	for i := range req.Servers {
-		ids[i] = req.Servers[i].ServerID
-	}
 	parts := smap.Split(ids)
 	owners := slices.DeleteFunc(smap.Replicas(), func(name string) bool { return parts[name] == nil })
 	ctx := upstreamContext(w, r)
 
 	replies := scatter(owners, clients, rt.observeForward,
 		func(name string, c *serving.Client) (serving.BatchResponse, error) {
-			idxs := parts[name]
-			sub := serving.BatchRequest{
-				Scenario: req.Scenario,
-				Region:   req.Region,
-				Servers:  make([]serving.BatchItem, len(idxs)),
-			}
-			for j, i := range idxs {
-				sub.Servers[j] = req.Servers[i]
-			}
-			return c.PredictBatch(ctx, sub)
+			var out serving.BatchResponse
+			err := c.Do(ctx, http.MethodPost, "/v2/predict/batch", route.subBody(body, parts[name], nil), &out)
+			return out, err
 		})
+	for _, rep := range replies {
+		if definitive(rep.err) {
+			writeUpstream(w, rep.name, rep.err)
+			return
+		}
+	}
 	writeJSON(w, http.StatusOK, mergeBatch(ids, parts, replies))
+}
+
+// missingID answers 400 and reports true when an item of the named array
+// has no server_id to route it by.
+func missingID(w http.ResponseWriter, name string, ids []string) bool {
+	i := slices.Index(ids, "")
+	if i >= 0 {
+		writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
+			name+"["+strconv.Itoa(i)+"]: server_id is required")
+	}
+	return i >= 0
 }
 
 // mergeBatch folds the shards' replies (in shard-map order) into one response
@@ -133,64 +146,42 @@ func mergeBatch(ids []string, parts map[string][]int, replies []reply[serving.Ba
 	return out
 }
 
-// handleIngest splits the batch's series and points by owner, broadcasts the
-// optional sweep clause to every replica (each sweeps its own ring), scatters
-// the sub-batches, and sums the tallies. Appends are idempotent on every
-// replica, so a client that sees an error from a partially-applied fan-out
-// simply re-sends the whole batch.
+// handleIngest splits the batch's series and points by owner, sends each
+// owner its items' bytes as received, broadcasts the optional sweep clause
+// to every replica (each sweeps its own ring), and sums the tallies.
+// Appends are idempotent on every replica, so a client that sees an error
+// from a partially-applied fan-out simply re-sends the whole batch.
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req serving.IngestRequest
-	if !rt.decode(w, r, &req) {
+	body, ok := rt.readBody(w, r)
+	if !ok {
+		return
+	}
+	route, err := scanBody(body, ingestRoute)
+	if err != nil {
+		rt.badBody(w, err)
+		return
+	}
+	if missingID(w, "servers", route.servers.ids) || missingID(w, "points", route.points.ids) {
 		return
 	}
 	smap, clients := rt.view()
-	names := smap.Replicas()
-	subs := make(map[string]*serving.IngestRequest, len(names))
-	sub := func(name string) *serving.IngestRequest {
-		s, ok := subs[name]
-		if !ok {
-			s = &serving.IngestRequest{Sweep: req.Sweep}
-			subs[name] = s
-		}
-		return s
-	}
-	for i := range req.Servers {
-		sr := &req.Servers[i]
-		if sr.ServerID == "" {
-			writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
-				"servers["+strconv.Itoa(i)+"]: server_id is required")
-			return
-		}
-		s := sub(smap.Owner(sr.ServerID))
-		s.Servers = append(s.Servers, *sr)
-	}
-	for i := range req.Points {
-		p := &req.Points[i]
-		if p.ServerID == "" {
-			writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
-				"points["+strconv.Itoa(i)+"]: server_id is required")
-			return
-		}
-		s := sub(smap.Owner(p.ServerID))
-		s.Points = append(s.Points, *p)
-	}
-	if req.Sweep != nil {
-		// The sweep must cover every shard, including those this batch
-		// carried no points for.
-		for _, name := range names {
-			sub(name)
-		}
-	}
-	if len(subs) == 0 {
+	series, points := smap.Split(route.servers.ids), smap.Split(route.points.ids)
+	// The sweep must cover every shard, including those this batch carried
+	// no points for.
+	owners := slices.DeleteFunc(smap.Replicas(), func(name string) bool {
+		return !route.sweep && series[name] == nil && points[name] == nil
+	})
+	if len(owners) == 0 {
 		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "ingest batch must contain at least one point")
 		return
 	}
 
-	owners := slices.DeleteFunc(names, func(name string) bool { return subs[name] == nil })
 	ctx := upstreamContext(w, r)
 	replies := scatter(owners, clients, rt.observeForward,
 		func(name string, c *serving.Client) (serving.IngestResponse, error) {
-			return c.Ingest(ctx, *subs[name])
+			var out serving.IngestResponse
+			err := c.Do(ctx, http.MethodPost, "/v2/ingest", route.subBody(body, series[name], points[name]), &out)
+			return out, err
 		})
 	var merged serving.IngestResponse
 	for _, rep := range replies {
@@ -304,10 +295,8 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path str
 			return
 		}
 		lastName, lastErr = name, err
-		var api *serving.APIError
-		if errors.As(err, &api) && api.Status < 500 && api.Status != http.StatusTooManyRequests {
-			// Definitive answer (bad request, not found): no point failing
-			// over, every replica would agree.
+		if definitive(err) {
+			// No point failing over: every replica would agree.
 			break
 		}
 		skip[name] = true

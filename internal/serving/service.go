@@ -35,13 +35,15 @@ const statusClientClosedRequest = 499
 // five-minute granularity.
 const maxHorizon = 4032
 
-// maxBatch bounds the servers in one batch predict call.
-const maxBatch = 256
+// MaxBatch bounds the servers in one batch predict call. The router holds a
+// routed batch to it before splitting, so the limit is the fleet's as well
+// as each replica's.
+const MaxBatch = 256
 
 // ServiceConfig parameterizes the serving layer. The zero value selects
 // production defaults. /v2/advise judges windows with the paper's accuracy
 // constants (metrics.DefaultConfig), a live_history predict needs at least
-// one day of live points, and a batch carries at most maxBatch servers.
+// one day of live points, and a batch carries at most MaxBatch servers.
 type ServiceConfig struct {
 	// MaxBodyBytes bounds any request body. Default 64 MiB.
 	MaxBodyBytes int64
@@ -427,9 +429,9 @@ func (s *Service) PredictBatch(ctx context.Context, req BatchRequest) (BatchResp
 		return BatchResponse{}, badRequest("batch must contain at least one server")
 	}
 	batchStart := s.cfg.Clock.Now()
-	if len(req.Servers) > maxBatch {
+	if len(req.Servers) > MaxBatch {
 		return BatchResponse{}, svcErr(CodeTooLarge, http.StatusRequestEntityTooLarge,
-			"batch of %d servers exceeds the limit of %d", len(req.Servers), maxBatch)
+			"batch of %d servers exceeds the limit of %d", len(req.Servers), MaxBatch)
 	}
 	target, v, serr := s.active(req.Scenario, req.Region)
 	if serr != nil {
@@ -590,30 +592,24 @@ func (s *Service) requestContext(r *http.Request) (context.Context, context.Canc
 	return context.WithTimeout(r.Context(), s.cfg.Timeout)
 }
 
-// DecodeBody reads the request body as exactly one JSON value into v, under
-// a limit of maxBytes. Trailing data after the value is refused rather than
-// silently ignored — the body is what encoding/json's Unmarshal accepts. An
-// over-limit body fails with an *http.MaxBytesError. Replicas and the router
-// both decode with it, so the two tiers refuse the same bodies.
-func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		if err == nil {
+// decode reads the request body as exactly one JSON value into v, under the
+// service's size limit. Trailing data after the value is refused rather than
+// silently ignored — the body is what encoding/json's Unmarshal accepts.
+// Every route of the service decodes with it. The router does not: it reads
+// only routing fields, with a scan that accepts exactly what json.Unmarshal
+// into its routing structs accepts, and leaves the rest of each body to the
+// replica that decodes it here.
+func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) *ServiceError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		_, err = dec.Token()
+		switch err {
+		case io.EOF:
+			return nil
+		case nil:
 			err = errors.New("trailing data after the JSON value")
 		}
-		return err
-	}
-	return nil
-}
-
-// decode reads a JSON body under the service's size limit.
-func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) *ServiceError {
-	err := DecodeBody(w, r, s.cfg.MaxBodyBytes, v)
-	if err == nil {
-		return nil
 	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {

@@ -375,7 +375,7 @@ func TestStructuredErrorCodes(t *testing.T) {
 		}), http.StatusInternalServerError, CodeInternal},
 		{"batch beyond limit", "/v2/predict/batch", mustJSON(BatchRequest{
 			Scenario: "backup", Region: "r",
-			Servers: make([]BatchItem, maxBatch+1),
+			Servers: make([]BatchItem, MaxBatch+1),
 		}), http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"empty batch", "/v2/predict/batch", mustJSON(BatchRequest{
 			Scenario: "backup", Region: "r",
