@@ -39,8 +39,8 @@
 //     persistent-model forecast, trading accuracy for availability.
 //
 // The accept fast path takes one mutex and allocates nothing; waiters
-// allocate only on the queue path. BenchmarkAdmissionAccept pins the
-// zero-alloc guarantee.
+// allocate only on the queue path. The AdmissionAccept row of the root
+// package's allocation ceilings pins the zero-alloc guarantee.
 package admission
 
 import (

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sections 3, 5, 6 and Appendix A) on the synthetic substrate.
 // Each experiment is a named, parameterized run that produces tables
-// comparable to the paper's figures; cmd/seagull-experiments renders them
-// and bench_test.go wraps them as benchmarks.
+// comparable to the paper's figures; cmd/seagull-experiments renders and
+// times them.
 //
 // Concurrency: experiments share bounded parallel.Pool workers with
 // per-worker model arenas (one scratch-retaining model set per worker, no

@@ -38,11 +38,11 @@ func modelFactory(name string, seed int64, fast bool) func() (forecast.Model, er
 	}
 }
 
-// fleetCache memoizes generated fleets by exact config. Experiments and the
-// figure benchmarks regenerate identical fleets every run/iteration; the
-// cached fleet (lazily materialized, read-only by convention) makes repeat
-// runs skip both the metadata generation and — thanks to per-server
-// sync.Once materialization — the telemetry synthesis they already paid for.
+// fleetCache memoizes generated fleets by exact config. Experiments
+// regenerate identical fleets on every run; the cached fleet (lazily
+// materialized, read-only by convention) makes repeat runs skip both the
+// metadata generation and — thanks to per-server sync.Once materialization
+// — the telemetry synthesis they already paid for.
 //
 // The cache is a bounded LRU: a long-lived process sweeping many regions
 // (seagull-serve sharing a binary with the experiments, or a full-scale

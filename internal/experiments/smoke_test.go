@@ -4,7 +4,7 @@ import "testing"
 
 // TestAllExperimentsRun executes every registered experiment at small scale
 // and validates the produced tables are well-formed. This is the integration
-// gate for cmd/seagull-experiments and bench_test.go.
+// gate for cmd/seagull-experiments.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; slow")

@@ -19,10 +19,10 @@ func ContextWithTrace(ctx context.Context, tr *Trace) context.Context {
 }
 
 // TraceRef is the allocation-free trace carrier: bind one ref into a context
-// once, then point it at the current request's trace with Set. Benchmarks
-// and tight request loops use it to keep tracing inside the warm-predict
-// allocation budget — context.WithValue costs an allocation per call, Set
-// costs none.
+// once, then point it at the current request's trace with Set. Tight
+// request loops (and the TracedPredict allocation ceiling) use it to keep
+// tracing inside the warm-predict allocation budget — context.WithValue
+// costs an allocation per call, Set costs none.
 type TraceRef struct{ p atomic.Pointer[Trace] }
 
 // Set points the ref at tr (nil detaches).

@@ -17,32 +17,21 @@ import (
 // are interchangeable: all models pin retrain-equals-fresh behaviour in their
 // equivalence tests, and identical seeding removes the remaining degree of
 // freedom.
+//
+// Each slot keeps at most defaultMaxIdle idle instances (the concurrency
+// level that stays warm); NewService raises the bound to its batch fan-out
+// width so a whole batch's worker models re-pool.
 const (
 	maxPoolEntries       = 64
+	defaultMaxIdle       = 4
 	modelSeed      int64 = 0
 )
 
-// PoolConfig sizes the warm model pool.
+// PoolConfig configures the warm model pool.
 type PoolConfig struct {
-	// MaxIdle bounds the idle model instances retained per slot (the
-	// concurrency level that stays warm). Default 4; NewService raises the
-	// default to its batch fan-out width so a whole batch's worker models
-	// re-pool. Negative disables pooling entirely: every checkout builds a
-	// fresh model — model-per-request, kept for the cold benchmarks.
-	MaxIdle int
 	// NewModel overrides model construction (tests inject slow or failing
 	// models). Default forecast.New.
 	NewModel func(name string, seed int64) (forecast.Model, error)
-}
-
-func (c PoolConfig) withDefaults() PoolConfig {
-	if c.MaxIdle == 0 {
-		c.MaxIdle = 4
-	}
-	if c.NewModel == nil {
-		c.NewModel = forecast.New
-	}
-	return c
 }
 
 // poolKey identifies one warm slot: a deployment target at a specific
@@ -165,10 +154,11 @@ func (s *PoolStats) Add(o PoolStats) {
 // retain across Train calls (PR 2's retrain-equals-fresh guarantee) instead
 // of reallocating them per request. Safe for concurrent use.
 type ModelPool struct {
-	mu      sync.Mutex
-	cfg     PoolConfig
-	entries map[poolKey]*list.Element // value: *poolEntry
-	lru     *list.List                // front = most recently used slot
+	mu       sync.Mutex
+	newModel func(name string, seed int64) (forecast.Model, error)
+	maxIdle  int                       // idle instances retained per slot
+	entries  map[poolKey]*list.Element // value: *poolEntry
+	lru      *list.List                // front = most recently used slot
 	// gens counts invalidations per target; instances checked out under an
 	// older generation are dropped on Return instead of resurrecting a
 	// stale slot.
@@ -177,12 +167,20 @@ type ModelPool struct {
 }
 
 // NewModelPool returns an empty pool.
-func NewModelPool(cfg PoolConfig) *ModelPool {
+func NewModelPool(cfg PoolConfig) *ModelPool { return newModelPool(cfg, defaultMaxIdle) }
+
+// newModelPool returns an empty pool that keeps up to maxIdle idle
+// instances per slot.
+func newModelPool(cfg PoolConfig, maxIdle int) *ModelPool {
+	if cfg.NewModel == nil {
+		cfg.NewModel = forecast.New
+	}
 	return &ModelPool{
-		cfg:     cfg.withDefaults(),
-		entries: map[poolKey]*list.Element{},
-		lru:     list.New(),
-		gens:    map[targetKey]uint64{},
+		newModel: cfg.NewModel,
+		maxIdle:  maxIdle,
+		entries:  map[poolKey]*list.Element{},
+		lru:      list.New(),
+		gens:     map[targetKey]uint64{},
 	}
 }
 
@@ -201,16 +199,6 @@ func (p *ModelPool) Bind(reg *registry.Registry) (unbind func()) {
 // The caller must hand the instance back with Return when done (also on
 // error paths), or drop it on the floor — the pool does not track it.
 func (p *ModelPool) Checkout(target registry.Target, version int, modelName string) (inst *Instance, hit bool, err error) {
-	if p.cfg.MaxIdle < 0 {
-		p.mu.Lock()
-		p.stats.Misses++
-		p.mu.Unlock()
-		m, err := p.cfg.NewModel(modelName, modelSeed)
-		if err != nil {
-			return nil, false, err
-		}
-		return newInstance(m), false, nil
-	}
 	key := poolKey{scenario: target.Scenario, region: target.Region, version: version}
 	p.mu.Lock()
 	gen := p.gens[targetKey{scenario: target.Scenario, region: target.Region}]
@@ -229,7 +217,7 @@ func (p *ModelPool) Checkout(target registry.Target, version int, modelName stri
 	}
 	p.stats.Misses++
 	p.mu.Unlock()
-	m, err := p.cfg.NewModel(modelName, modelSeed)
+	m, err := p.newModel(modelName, modelSeed)
 	if err != nil {
 		return nil, false, err
 	}
@@ -239,13 +227,13 @@ func (p *ModelPool) Checkout(target registry.Target, version int, modelName stri
 }
 
 // Return hands an instance back to its slot. Instances whose target was
-// invalidated while they were out, and instances beyond the slot's MaxIdle,
+// invalidated while they were out, and instances beyond the slot's idle bound,
 // are dropped. A slot that was merely LRU-evicted in the meantime is
 // recreated — the instance is still valid for its version, so re-pooling it
 // is harmless LRU churn, unlike an invalidation, where re-pooling would
 // serve a stale deployment.
 func (p *ModelPool) Return(target registry.Target, version int, inst *Instance) {
-	if inst == nil || p.cfg.MaxIdle < 0 {
+	if inst == nil {
 		return
 	}
 	key := poolKey{scenario: target.Scenario, region: target.Region, version: version}
@@ -272,7 +260,7 @@ func (p *ModelPool) Return(target registry.Target, version int, inst *Instance) 
 		}
 	}
 	e := el.Value.(*poolEntry)
-	if len(e.idle) < p.cfg.MaxIdle {
+	if len(e.idle) < p.maxIdle {
 		e.idle = append(e.idle, inst)
 	}
 }

@@ -43,11 +43,11 @@ func TestPoolVersionIsPartOfTheKey(t *testing.T) {
 }
 
 func TestPoolMaxIdleBound(t *testing.T) {
-	p := NewModelPool(PoolConfig{MaxIdle: 1})
+	p := newModelPool(PoolConfig{}, 1)
 	m1, _, _ := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
 	m2, _, _ := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
 	p.Return(poolTarget, 1, m1)
-	p.Return(poolTarget, 1, m2) // beyond MaxIdle: dropped
+	p.Return(poolTarget, 1, m2) // beyond the idle bound: dropped
 	if st := p.Stats(); st.Idle != 1 {
 		t.Errorf("idle = %d, want 1", st.Idle)
 	}
@@ -72,22 +72,6 @@ func TestPoolLRUEviction(t *testing.T) {
 	}
 	if _, hit, _ := p.Checkout(slot(maxPoolEntries), 1, forecast.NamePersistentPrevDay); !hit {
 		t.Error("recently used slot must stay warm")
-	}
-}
-
-func TestPoolDisabled(t *testing.T) {
-	p := NewModelPool(PoolConfig{MaxIdle: -1})
-	m1, hit, err := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
-	if err != nil || hit {
-		t.Fatalf("hit=%v err=%v", hit, err)
-	}
-	p.Return(poolTarget, 1, m1)
-	m2, hit, _ := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
-	if hit || m1 == m2 {
-		t.Error("disabled pool must build a fresh model per checkout")
-	}
-	if st := p.Stats(); st.Entries != 0 || st.Idle != 0 {
-		t.Errorf("disabled pool stats = %+v", st)
 	}
 }
 

@@ -52,7 +52,7 @@ type ServiceConfig struct {
 	Timeout time.Duration
 	// Workers bounds the batch fan-out concurrency. 0 means NumCPU.
 	Workers int
-	// Pool sizes the warm model pool.
+	// Pool configures the warm model pool.
 	Pool PoolConfig
 	// MaxIngestPoints bounds the telemetry points in one /v2/ingest call.
 	// Default 1<<20 (one million — ~8 MiB of values, inside the body limit).
@@ -98,7 +98,7 @@ type ServiceConfig struct {
 	// propagated via X-Request-Id. Nil disables tracing; the hot path then
 	// pays a single context lookup. Span recording is allocation-free, so a
 	// traced warm predict stays inside the untraced allocation budget (the
-	// alloc gate pins this).
+	// root package's TestAllocCeilings pins this).
 	Tracer *obs.Tracer
 	// Logger receives structured operational logs: admission sheds and
 	// brownout serves (rate-limited to one line per second per endpoint).
@@ -152,22 +152,19 @@ type Service struct {
 // and subscribes the warm pool to the registry's deployment changes.
 func NewService(reg *registry.Registry, db *cosmos.DB, cfg ServiceConfig) *Service {
 	cfg = cfg.withDefaults()
-	if cfg.Pool.MaxIdle == 0 {
-		// A batch checks out one instance per fan-out worker; the per-slot
-		// idle bound must cover that width or every batch on a many-core
-		// host would discard most of the trained instances it returns.
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		cfg.Pool.MaxIdle = max(4, workers)
+	// A batch checks out one instance per fan-out worker; the per-slot idle
+	// bound must cover that width or every batch on a many-core host would
+	// discard most of the trained instances it returns.
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
 	cfg.Clock = simclock.Or(cfg.Clock)
 	s := &Service{
 		reg:     reg,
 		db:      db,
 		cfg:     cfg,
-		pool:    NewModelPool(cfg.Pool),
+		pool:    newModelPool(cfg.Pool, max(defaultMaxIdle, workers)),
 		workers: parallel.NewPool(cfg.Workers),
 		tracer:  cfg.Tracer,
 		logger:  obs.LoggerOr(cfg.Logger),

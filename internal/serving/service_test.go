@@ -154,7 +154,7 @@ func TestPredictBatchEndToEnd(t *testing.T) {
 // the warm pool must hand out exclusive instances, never sharing one model
 // across goroutines.
 func TestConcurrentServing(t *testing.T) {
-	srv, svc, reg := v2Server(t, ServiceConfig{Workers: 4, Pool: PoolConfig{MaxIdle: 2}})
+	srv, svc, reg := v2Server(t, ServiceConfig{Workers: 4})
 	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, forecast.NamePersistentPrevDay, "")
 	c := NewClient(srv.URL)
 	ctx := context.Background()
