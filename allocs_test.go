@@ -1,7 +1,7 @@
 //go:build !race
 
 // The race detector adds allocations of its own (StreamRefresh measures 27
-// allocs per op without it and 35 with it, PipelineWeek 1,247 and 1,626), so
+// allocs per op without it and 42 with it, PipelineWeek 1,238 and 1,597), so
 // the ceilings hold for the normal build only and `go test -race` skips this
 // file.
 
