@@ -86,9 +86,9 @@ var allocCases = []allocCase{
 	{"StreamDriftSweep", 16, streamDriftSweepCase},                  // 15 measured: decoded predictions reused
 	{"StreamRefresh", 29, streamRefreshCase},                        // 27 measured: one refresh through the warm pool
 	{"StreamSweeper", 18, streamSweeperCase},                        // 17 measured: one background round
-	{"StreamShardSnapshotWrite", 492, streamSnapshotWriteCase},      // 448 measured: open, snapshot 64 servers, close
+	{"StreamShardSnapshotWrite", 324, streamSnapshotWriteCase},      // 295 measured: open, snapshot 64 servers, close
 	{"StreamShardSnapshotRestore", 1054, streamSnapshotRestoreCase}, // 959 measured: 64 servers from snapshots
-	{"StreamWALReplay", 81544, streamWALReplayCase},                 // 74,131 measured: 36,864 log records
+	{"StreamWALReplay", 297, streamWALReplayCase},                   // 270 measured: 36,864 log records
 
 	// The weekly batch and admission control.
 	{"PipelineWeek", 1361, pipelineWeekCase},    // 1,238 measured: RunWeek over 40 servers
@@ -517,7 +517,7 @@ func openLake(tb testing.TB) *lake.Store {
 
 // streamSnapshotWriteCase persists 64 servers × 2016 live points (one week)
 // through a fresh durability manager, which has seen no shard yet and so
-// rewrites every populated one: open the shard logs, snapshot, close.
+// rewrites every populated one: open the log, snapshot, close.
 func streamSnapshotWriteCase(tb testing.TB) func() {
 	ing, _ := streamSnapshotFixture(64, 2016)
 	store := openLake(tb)
@@ -547,7 +547,7 @@ func streamSnapshotRestoreCase(tb testing.TB) func() {
 	if err := d.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	// Only the snapshots stay: replaying shard logs is StreamWALReplay's row.
+	// Only the snapshots stay: replaying the log is StreamWALReplay's row.
 	logs, err := store.ListObjects(stream.WALPrefix)
 	if err != nil {
 		tb.Fatal(err)
@@ -565,7 +565,7 @@ func streamSnapshotRestoreCase(tb testing.TB) func() {
 	}
 }
 
-// streamWALReplayCase recovers the shard logs of a hard-killed server
+// streamWALReplayCase recovers the log of a hard-killed server
 // (64 servers × 576 points, never snapshotted) into a cold ingestor.
 func streamWALReplayCase(tb testing.TB) func() {
 	store := openLake(tb)

@@ -177,24 +177,22 @@ func TestDurabilityTornTail(t *testing.T) {
 	if err := d.CommitNow(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear every shard log's tail the way a mid-write kill would: a few raw
-	// bytes of a frame that never finished.
-	for i := range g.sh {
-		f, err := os.OpenFile(store.ObjectPath(walObject(i)), os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe}); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	// Tear the log's tail the way a mid-write kill would: a few raw bytes of
+	// a frame that never finished.
+	f, err := os.OpenFile(store.ObjectPath(walLog), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 	got, rec := recoverFresh(t, store)
 	if rec.Degraded() {
 		t.Fatalf("torn tails must not degrade: %v", rec.Failures)
 	}
-	if rec.TornTails != len(g.sh) || rec.WALRecords != 300 {
-		t.Fatalf("recovery = %+v, want %d torn tails and all 300 committed records", rec, len(g.sh))
+	if rec.TornTails != 1 || rec.WALRecords != 300 {
+		t.Fatalf("recovery = %+v, want 1 torn tail and all 300 committed records", rec)
 	}
 	requireSameViews(t, ref, got)
 }
@@ -221,18 +219,9 @@ func TestDurabilityKillDuringWALAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Arm ENOSPC a little into the next batch, on the server's shard log.
-	shardIdx := -1
-	for i := range g.sh {
-		if _, ok := g.sh[i].rings["srv-enospc"]; ok {
-			shardIdx = i
-		}
-	}
-	if shardIdx < 0 {
-		t.Fatal("server shard not found")
-	}
+	// Arm ENOSPC a little into the next batch, on the log.
 	enospc := errors.New("no space left on device")
-	store.Arm(lake.FaultRule{Name: walObject(shardIdx), Op: lake.FaultAppend, Offset: 37, Err: enospc})
+	store.Arm(lake.FaultRule{Name: walLog, Op: lake.FaultAppend, Offset: 37, Err: enospc})
 
 	feedN(g, "srv-enospc", 200, 100)
 	feedN(full, "srv-enospc", 200, 100)
@@ -254,9 +243,9 @@ func TestDurabilityKillDuringWALAppend(t *testing.T) {
 	}
 	requireSameViews(t, prefix, got)
 
-	// The disk clears; the requeued batch commits on the next cycle with
-	// zero loss.
-	store.Disarm(walObject(shardIdx), lake.FaultAppend)
+	// The disk clears; the still-buffered batch commits on the next cycle
+	// with zero loss.
+	store.Disarm(walLog, lake.FaultAppend)
 	if err := d.CommitNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,15 +323,9 @@ func TestDurabilityKillDuringReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shardIdx := -1
-	for i := range g.sh {
-		if _, ok := g.sh[i].rings["srv-replay"]; ok {
-			shardIdx = i
-		}
-	}
 	ioErr := errors.New("read timeout")
 	faulty := lake.NewFaultStore(base)
-	faulty.Arm(lake.FaultRule{Name: walObject(shardIdx), Op: lake.FaultRead, Offset: int64(walHeaderLen) + 500, Err: ioErr})
+	faulty.Arm(lake.FaultRule{Name: walLog, Op: lake.FaultRead, Offset: int64(walHeaderLen) + 500, Err: ioErr})
 
 	killed := NewIngestor(snapCfg())
 	rec, err := NewDurability(killed, faulty, durCfg()).Recover()
@@ -429,14 +412,12 @@ func TestDurabilityCleanClose(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range g.sh {
-		fi, err := os.Stat(store.ObjectPath(walObject(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() != int64(walHeaderLen) {
-			t.Fatalf("WAL %d is %d bytes after drain, want bare header (%d)", i, fi.Size(), walHeaderLen)
-		}
+	fi, err := os.Stat(store.ObjectPath(walLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(walHeaderLen) {
+		t.Fatalf("WAL is %d bytes after drain, want bare header (%d)", fi.Size(), walHeaderLen)
 	}
 	got, rec := recoverFresh(t, store)
 	if rec.Degraded() || rec.WALRecords != 0 {
@@ -559,8 +540,8 @@ func TestDurabilityFullBufferKeepsAckedPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := &stallStore{FaultStore: lake.NewFaultStore(base), stalled: make(chan struct{}), release: make(chan struct{})}
-	cfg := Config{Interval: 5 * time.Minute, Epoch: snapCfg().Epoch, Slots: 4096, Shards: 1}
-	g := NewIngestor(cfg)
+	cfg := Config{Interval: 5 * time.Minute, Epoch: snapCfg().Epoch, Slots: 4096}
+	g := newIngestor(cfg, 1)
 	d := NewDurability(g, store, durCfg())
 	if _, err := d.Recover(); err != nil {
 		t.Fatal(err)

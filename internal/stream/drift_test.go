@@ -41,7 +41,7 @@ func TestDriftSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewIngestor(testConfig(4096))
+	g := newIngestor(testConfig(4096), 4)
 	const region = "westus"
 	day := testEpoch.Add(7 * 24 * time.Hour)
 
@@ -94,7 +94,7 @@ func TestDriftSweep(t *testing.T) {
 // accumulate — the "react to live load" loop.
 func TestDriftSweepPartialDay(t *testing.T) {
 	db, _ := cosmos.Open("")
-	g := NewIngestor(testConfig(4096))
+	g := newIngestor(testConfig(4096), 4)
 	day := testEpoch.Add(24 * time.Hour)
 	storePrediction(t, db, "r", flatDoc("srv", "r", 0, day, 20))
 	det := NewDriftDetector(g, db)
@@ -126,7 +126,7 @@ func TestDriftSweepPartialDay(t *testing.T) {
 // same verdict the refresher gives the same input.
 func TestDriftSweepMisaligned(t *testing.T) {
 	db, _ := cosmos.Open("")
-	g := NewIngestor(testConfig(4096))
+	g := newIngestor(testConfig(4096), 4)
 	day := testEpoch.Add(24*time.Hour + time.Minute) // off the 5-minute grid
 	storePrediction(t, db, "r", flatDoc("srv", "r", 0, day, 20))
 	for i := 0; i < 288; i++ {
@@ -143,7 +143,7 @@ func TestDriftSweepMisaligned(t *testing.T) {
 
 func TestDriftSweepCancel(t *testing.T) {
 	db, _ := cosmos.Open("")
-	g := NewIngestor(testConfig(512))
+	g := newIngestor(testConfig(512), 4)
 	storePrediction(t, db, "r", flatDoc("srv", "r", 0, testEpoch, 20))
 	det := NewDriftDetector(g, db)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -158,7 +158,7 @@ func TestDriftSweepCancel(t *testing.T) {
 // new values, and an unchanged one is not decoded twice.
 func TestDriftSweepSameLengthRewrite(t *testing.T) {
 	db, _ := cosmos.Open("")
-	g := NewIngestor(testConfig(4096))
+	g := newIngestor(testConfig(4096), 4)
 	day := testEpoch.Add(24 * time.Hour)
 	// 12 live points at 20 — exactly enough to judge. With two predicted
 	// slots at 50 the bucket ratio is 10/12 < 0.90 (drifted); with one it
@@ -217,7 +217,7 @@ func TestDriftSweepReuseMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db, _ := cosmos.Open("")
-		g := NewIngestor(testConfig(4096))
+		g := newIngestor(testConfig(4096), 4)
 		det := NewDriftDetector(g, db)
 		coll := db.Collection(pipeline.PredictionsCollection)
 		stored := map[string]int{} // id -> week
@@ -278,7 +278,7 @@ func TestDriftSweepReuseMatchesFresh(t *testing.T) {
 // the writer stops, a sweep agrees with a fresh detector.
 func TestDriftSweepConcurrentWrites(t *testing.T) {
 	db, _ := cosmos.Open("")
-	g := NewIngestor(testConfig(4096))
+	g := newIngestor(testConfig(4096), 4)
 	day := testEpoch.Add(24 * time.Hour)
 	for s := 0; s < 8; s++ {
 		for i := 0; i < 288; i++ {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,15 +23,16 @@ import (
 // division of labor:
 //
 //   - Append hot path: buffers accepted points per shard (0 allocs/op). An
-//     append that finds its shard's buffer full flushes that shard inline
+//     append that finds its shard's buffer full commits the log inline
 //     first (back-pressure, not loss) and refuses the point only if the
-//     flush fails.
-//   - Maintenance goroutine (one per Durability): flushes buffers to
-//     per-shard WALs every CommitEvery (δ), and every SnapshotEvery rewrites
-//     the shard snapshots whose generation counter moved — then truncates
-//     those shards' WALs, which the fresh snapshot now covers.
+//     commit fails.
+//   - Maintenance goroutine (one per Durability): every CommitEvery (δ) it
+//     frames every shard's buffer into the one log with one write and one
+//     fsync. Every SnapshotEvery it runs a snapshot round: commit, rewrite
+//     the shard snapshots whose generation counter moved, then truncate the
+//     log once, which the snapshots now cover.
 //   - Recover (boot): restores every per-shard snapshot, then replays every
-//     WAL; first-write-wins ring puts make the overlap idempotent. A file
+//     log; first-write-wins ring puts make the overlap idempotent. A file
 //     that fails to restore is skipped — recovery salvages everything else
 //     and reports the failure so serving can declare itself degraded rather
 //     than silently cold-start.
@@ -66,9 +68,9 @@ type DurabilityConfig struct {
 	// on Close or explicit SnapshotNow).
 	SnapshotEvery time.Duration
 	// BufferEntries caps each shard's pending buffer between commits. An
-	// append that finds its shard's buffer full flushes that shard to the log
-	// itself before it is acknowledged, so a larger buffer trades memory for
-	// fewer inline flushes, never for loss. Default 4096.
+	// append that finds its shard's buffer full commits the log itself
+	// before it is acknowledged, so a larger buffer trades memory for fewer
+	// inline commits, never for loss. Default 4096.
 	BufferEntries int
 	// Clock paces the group-commit and snapshot tickers; nil means the wall
 	// clock.
@@ -89,14 +91,6 @@ func (c DurabilityConfig) withDefaults() DurabilityConfig {
 	return c
 }
 
-// shardWAL is one shard's open log handle. size tracks the last known-good
-// durable length so a failed append can be rolled back to a clean frame
-// boundary (torn frames then only ever come from real crashes, at the tail).
-type shardWAL struct {
-	obj  lake.AppendObject
-	size int64
-}
-
 // Durability owns the WAL + incremental-snapshot lifecycle for one Ingestor
 // over one store. Construct with NewDurability, then Recover (boot), Open or
 // Start, and Close on drain.
@@ -106,15 +100,20 @@ type Durability struct {
 	cfg   DurabilityConfig
 
 	// opMu serializes maintenance operations (commit, snapshot, open,
-	// close): they share the scratch buffers below and each shard's WAL
-	// handle. The append hot path never takes it.
-	opMu    sync.Mutex
-	opened  bool
-	closed  bool
-	wals    []*shardWAL
+	// close): they share the scratch buffers below and the log handle. The
+	// append hot path never takes it.
+	opMu   sync.Mutex
+	opened bool
+	closed bool
+	log    lake.AppendObject
+	// logSize is the log's last known-good durable length, so a failed
+	// commit rolls back to a clean frame boundary (torn frames then only
+	// ever come from real crashes, at the tail).
+	logSize int64
+	legacy  []string // per-shard logs of the old layout that Recover listed
 	lastGen []uint64
-	spare   []walEntry // commit swap buffer, recycled through takePending
-	scratch []byte     // frame/snapshot serialization buffer
+	framed  []int  // per-shard entry counts of the commit in flight
+	scratch []byte // frame/snapshot serialization buffer
 
 	kick   chan struct{}
 	stop   context.CancelFunc
@@ -141,6 +140,7 @@ func NewDurability(ing *Ingestor, store ObjectStore, cfg DurabilityConfig) *Dura
 		store:   store,
 		cfg:     cfg.withDefaults(),
 		lastGen: make([]uint64, len(ing.sh)),
+		framed:  make([]int, len(ing.sh)),
 		kick:    make(chan struct{}, 1),
 	}
 }
@@ -165,8 +165,9 @@ type RecoveryStats struct {
 	SnapshotShards int `json:"snapshot_shards"`
 	// Servers counts servers live after restore + replay.
 	Servers int `json:"servers"`
-	// WALFiles counts shard logs replayed; WALRecords the points they
-	// re-applied; WALDuplicates the points a snapshot already covered.
+	// WALFiles counts logs replayed (the log, plus any per-shard logs an
+	// older lake left); WALRecords the points they re-applied;
+	// WALDuplicates the points a snapshot already covered.
 	WALFiles      int `json:"wal_files"`
 	WALRecords    int `json:"wal_records"`
 	WALDuplicates int `json:"wal_duplicates"`
@@ -197,11 +198,11 @@ func (r RecoveryStats) String() string {
 }
 
 // Recover restores the ingestor from the store: every per-shard snapshot
-// first, then every WAL replayed over it. Per-shard recovery is embarrassingly
-// parallel, so files are processed concurrently. A file that fails to
-// restore is recorded in Failures and skipped — everything else is still
-// salvaged, no partial object is ever installed, and the error surface is
-// the returned stats, not an abort. Call once, on boot, before Open/Start.
+// first, then every log replayed over it. Files are processed concurrently.
+// A file that fails to restore is recorded in Failures and skipped —
+// everything else is still salvaged, no partial object is ever installed,
+// and the error surface is the returned stats, not an abort. Call once, on
+// boot, before Open/Start.
 func (d *Durability) Recover() (RecoveryStats, error) {
 	var rec RecoveryStats
 	var mu sync.Mutex // guards rec across the parallel file workers
@@ -226,6 +227,11 @@ func (d *Durability) Recover() (RecoveryStats, error) {
 	logs, err := d.store.ListObjects(d.objName(WALPrefix))
 	if err != nil {
 		return rec, fmt.Errorf("stream: list WALs: %w", err)
+	}
+	for _, name := range logs {
+		if name != d.objName(walLog) {
+			d.legacy = append(d.legacy, name)
+		}
 	}
 	pool.ForEach(len(logs), func(i int) error {
 		r, err := d.store.ObjectReader(logs[i])
@@ -254,7 +260,7 @@ func (d *Durability) Recover() (RecoveryStats, error) {
 	// Recovered state counts as snapshotted-at-gen-current only after the
 	// next snapshot cycle actually writes it; leave lastGen at zero so every
 	// populated shard is captured on the first cycle (and its replayed WAL
-	// records are truncated away only then).
+	// records are truncated or deleted only then).
 	d.rec.Store(&rec)
 	return rec, nil
 }
@@ -269,69 +275,44 @@ func (d *Durability) restoreObject(name string) error {
 	return d.ing.RestoreSnapshot(r)
 }
 
-// Open arms the ingestor's WAL buffers and opens each shard's log, writing
-// fresh headers where absent. Idempotent.
+// Open arms the ingestor's WAL buffers and opens the log, writing a fresh
+// header if it is absent or undersized. An existing log is trusted (Recover
+// already consumed and validated it — and even if stale bytes survived,
+// replay's CRC framing contains them). Idempotent.
 func (d *Durability) Open() error {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
 	if d.opened {
 		return nil
 	}
-	d.wals = make([]*shardWAL, len(d.ing.sh))
-	for i := range d.wals {
-		w, err := d.openShardWAL(i)
-		if err != nil {
-			for _, open := range d.wals {
-				if open != nil {
-					open.obj.Close()
-				}
-			}
-			d.wals = nil
-			return err
-		}
-		d.wals[i] = w
+	log, err := d.store.ObjectAppender(d.objName(walLog))
+	if err != nil {
+		return fmt.Errorf("stream: open WAL: %w", err)
 	}
+	size, err := log.Size()
+	if err == nil && size < int64(walHeaderLen) {
+		size = int64(walHeaderLen)
+		if err = log.Truncate(0); err == nil {
+			_, err = log.Write(appendWALHeader(nil, &d.ing.cfg))
+		}
+		if err == nil {
+			err = log.Sync()
+		}
+	}
+	if err != nil {
+		log.Close()
+		return fmt.Errorf("stream: open WAL: %w", err)
+	}
+	d.log, d.logSize = log, size
 	d.ing.attachWAL(d.cfg.BufferEntries, d.kick, d.flushFull)
 	d.opened = true
 	return nil
 }
 
-// openShardWAL opens shard i's log. An empty or undersized log gets a fresh
-// header; an existing one is trusted (Recover already consumed and validated
-// it — and even if stale bytes survived, replay's CRC framing contains them).
-func (d *Durability) openShardWAL(i int) (*shardWAL, error) {
-	obj, err := d.store.ObjectAppender(d.objName(walObject(i)))
-	if err != nil {
-		return nil, fmt.Errorf("stream: open WAL %d: %w", i, err)
-	}
-	size, err := obj.Size()
-	if err != nil {
-		obj.Close()
-		return nil, fmt.Errorf("stream: size WAL %d: %w", i, err)
-	}
-	if size < int64(walHeaderLen) {
-		if err := obj.Truncate(0); err != nil {
-			obj.Close()
-			return nil, fmt.Errorf("stream: reset WAL %d: %w", i, err)
-		}
-		hdr := appendWALHeader(nil, &d.ing.cfg)
-		if _, err := obj.Write(hdr); err != nil {
-			obj.Close()
-			return nil, fmt.Errorf("stream: write WAL header %d: %w", i, err)
-		}
-		if err := obj.Sync(); err != nil {
-			obj.Close()
-			return nil, fmt.Errorf("stream: sync WAL header %d: %w", i, err)
-		}
-		size = int64(walHeaderLen)
-	}
-	return &shardWAL{obj: obj, size: size}, nil
-}
-
 // Start opens the manager and launches the maintenance goroutine: WAL group
 // commits every CommitEvery (sooner when a shard buffer passes half full),
 // incremental snapshots every SnapshotEvery. It stops when ctx is canceled;
-// Close then performs the final flush.
+// Close then runs the final snapshot round.
 func (d *Durability) Start(ctx context.Context) error {
 	if err := d.Open(); err != nil {
 		return err
@@ -366,37 +347,31 @@ func (d *Durability) maintain(ctx context.Context) {
 	}
 }
 
-// CommitNow group-commits every shard's pending points to its WAL and syncs.
-// Errors are counted and the affected entries requeued for the next cycle;
-// the first error is returned (tests assert on it, serve logs it).
+// CommitNow group-commits every shard's pending points to the log with one
+// write and one sync. On error the entries stay buffered for the next cycle;
+// the error is returned (tests assert on it, serve logs it).
 func (d *Durability) CommitNow() error {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
 	if !d.opened || d.closed {
 		return nil
 	}
-	var first error
-	for i := range d.wals {
-		if err := d.flushShard(i); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return d.commitLocked()
 }
 
-// errClosed refuses an inline flush after Close has released the logs.
+// errClosed refuses an inline commit after Close has released the log.
 var errClosed = errors.New("stream: durability closed")
 
-// flushFull is the append path's flush for a full shard buffer: it takes
-// opMu — so it waits for a running commit or snapshot to finish — and writes
-// shard i's pending entries to its log. An error makes the appender refuse
-// its point, so failures here count the refused points.
-func (d *Durability) flushFull(i int) error {
+// flushFull is the append path's commit for a full shard buffer: it takes
+// opMu — so it waits for a running commit or snapshot round to finish — and
+// commits the log. An error makes the appender refuse its point, so failures
+// here count the refused points.
+func (d *Durability) flushFull() error {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
 	err := errClosed
 	if !d.closed {
-		err = d.flushShard(i)
+		err = d.commitLocked()
 	}
 	if err != nil {
 		d.refused.Add(1)
@@ -404,60 +379,57 @@ func (d *Durability) flushFull(i int) error {
 	return err
 }
 
-// flushShard writes shard i's pending entries to its log. Caller holds opMu.
-func (d *Durability) flushShard(i int) error {
-	pend := d.ing.takePending(i, d.spare, d.cfg.BufferEntries)
-	if len(pend) == 0 {
-		d.spare = pend
+// commitLocked frames every shard's pending entries into one buffer, writes
+// it to the log and syncs. Entries leave their shard buffers only after the
+// sync. On failure the log is rolled back to its last known-good size, so a
+// store hiccup never leaves a mid-file torn frame that would poison every
+// record after it, and every entry stays buffered. Caller holds opMu.
+func (d *Durability) commitLocked() error {
+	buf, records := d.scratch[:0], 0
+	for i := range d.ing.sh {
+		buf, d.framed[i] = d.ing.framePending(i, buf)
+		records += d.framed[i]
+	}
+	d.scratch = buf
+	if records == 0 {
 		return nil
 	}
-	var err error
-	d.scratch, err = d.writeEntries(d.wals[i], pend, d.scratch)
+	_, err := d.log.Write(buf)
+	if err == nil {
+		err = d.log.Sync()
+	}
 	if err != nil {
 		d.commitErrors.Add(1)
-		// Put the batch back so the next cycle retries it: a transient
-		// store error must not silently void the δ guarantee.
-		d.ing.requeuePending(i, pend)
-		d.spare = nil // pend is now owned by the shard again
+		// Trim any partial frame; if even the rollback fails, replay's CRC
+		// framing still contains the damage.
+		_ = d.log.Truncate(d.logSize)
 		return err
 	}
+	d.logSize += int64(len(buf))
+	for i, n := range d.framed {
+		if n > 0 {
+			d.ing.dropCommitted(i, n)
+		}
+	}
 	d.commits.Add(1)
-	d.commitRecords.Add(uint64(len(pend)))
-	d.spare = pend
+	d.commitRecords.Add(uint64(records))
+	d.commitBytes.Add(uint64(len(buf)))
 	return nil
 }
 
-// writeEntries appends entries to w as frames and syncs, serializing into buf
-// (returned grown, for reuse). On failure the log is rolled back to its last
-// known-good size, so a store hiccup never leaves a mid-file torn frame that
-// would poison every record after it.
-func (d *Durability) writeEntries(w *shardWAL, entries []walEntry, buf []byte) ([]byte, error) {
-	buf = buf[:0]
-	for _, e := range entries {
-		buf = appendWALFrame(buf, e)
-	}
-	_, werr := w.obj.Write(buf)
-	if werr == nil {
-		werr = w.obj.Sync()
-	}
-	if werr != nil {
-		// Trim any partial frame; if even the rollback fails, the reopen
-		// path (or replay's CRC) still contains the damage.
-		if terr := w.obj.Truncate(w.size); terr == nil {
-			d.truncations.Add(1)
-		}
-		return buf, werr
-	}
-	w.size += int64(len(buf))
-	d.commitBytes.Add(uint64(len(buf)))
-	return buf, nil
-}
-
-// SnapshotNow writes an incremental snapshot: every shard whose generation
-// counter moved since its last snapshot is re-serialized and atomically
-// replaced; unchanged shards cost nothing. Each successfully snapshotted
-// shard's WAL is truncated back to its header — everything in it is now
-// covered. Returns how many shards were written, and the first error.
+// SnapshotNow runs one snapshot round. It commits, then re-serializes and
+// atomically replaces every shard whose generation counter moved since its
+// last snapshot; unchanged shards cost nothing. Returns how many shards were
+// written, and the first error.
+//
+// Only when the commit and every replace succeeded does the round truncate
+// the log to its header and delete the old layout's per-shard logs. That is
+// safe against a kill at any line: the commit puts every buffered point in
+// the log before any capture, each capture covers every logged point of its
+// shard, and a shard whose generation has not moved has logged nothing since
+// its last capture. Points arriving after a capture stay buffered (no one
+// else writes the log under opMu), so truncation never discards a point no
+// snapshot covers.
 func (d *Durability) SnapshotNow() (int, error) {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
@@ -468,63 +440,46 @@ func (d *Durability) snapshotLocked() (int, error) {
 	if !d.opened || d.closed {
 		return 0, nil
 	}
+	first := d.commitLocked()
+	clean := first == nil
 	wrote := 0
-	var first error
 	for i := range d.ing.sh {
 		ok, err := d.snapshotShard(i)
 		if ok {
 			wrote++
 		}
-		if err != nil && first == nil {
-			first = err
+		if err != nil {
+			clean = false
+			if first == nil {
+				first = err
+			}
 		}
 	}
-	return wrote, first
+	if !clean {
+		return wrote, first
+	}
+	// A failed truncation is harmless to leave: replay of covered records is
+	// idempotent.
+	if d.logSize > int64(walHeaderLen) && d.log.Truncate(int64(walHeaderLen)) == nil {
+		d.logSize = int64(walHeaderLen)
+		d.truncations.Add(1)
+	}
+	d.legacy = slices.DeleteFunc(d.legacy, func(name string) bool { return d.store.RemoveObject(name) == nil })
+	return wrote, nil
 }
 
-// snapshotShard captures and persists one shard. Caller holds opMu.
-//
-// Ordering is what makes this safe against a kill at any line: pending WAL
-// entries swapped out together with the ring capture are flushed to the log
-// BEFORE the snapshot replace, and the log is truncated only AFTER the
-// replace succeeds. Points arriving after the capture only accumulate in the
-// shard buffer (no one else writes the log file), so truncation can never
-// discard a point the snapshot does not cover.
+// snapshotShard captures one shard whose generation moved and atomically
+// replaces its snapshot object. Caller holds opMu.
 func (d *Durability) snapshotShard(i int) (bool, error) {
 	sh := &d.ing.sh[i]
-	w := d.wals[i]
-
-	spare := d.spare
-	if cap(spare) < d.cfg.BufferEntries {
-		spare = make([]walEntry, 0, d.cfg.BufferEntries)
-	}
-	sh.mu.Lock()
+	sh.mu.RLock()
 	gen := sh.gen
 	if gen == d.lastGen[i] {
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 		return false, nil
 	}
-	buf := appendShardSnapshot(d.scratch[:0], &d.ing.cfg, sh)
-	pend := sh.pend
-	sh.pend = spare[:0]
-	sh.mu.Unlock()
-	d.scratch = buf
-
-	if len(pend) > 0 {
-		// The capture covers these entries, but if the snapshot write below
-		// fails they must already be in the log — otherwise a kill right
-		// after would lose them with nothing to replay. A private buffer:
-		// d.scratch holds the snapshot capture.
-		if _, err := d.writeEntries(w, pend, nil); err != nil {
-			d.commitErrors.Add(1)
-			d.ing.requeuePending(i, pend)
-			d.spare = nil
-			return false, err
-		}
-		d.commits.Add(1)
-		d.commitRecords.Add(uint64(len(pend)))
-	}
-	d.spare = pend
+	d.scratch = appendShardSnapshot(d.scratch[:0], &d.ing.cfg, sh)
+	sh.mu.RUnlock()
 
 	obj, err := d.store.ObjectWriter(d.objName(shardSnapshotObject(i)))
 	if err == nil {
@@ -538,28 +493,19 @@ func (d *Durability) snapshotShard(i int) (bool, error) {
 		}
 	}
 	if err != nil {
-		// The replace failed atomically: the previous snapshot and the WAL
-		// (which now holds everything since it) still reconstruct the shard.
+		// The replace failed atomically: the previous snapshot and the log
+		// (which the round does not truncate) still reconstruct the shard.
 		d.snapshotErrors.Add(1)
 		return false, fmt.Errorf("stream: snapshot shard %d: %w", i, err)
 	}
 	d.snapshots.Add(1)
 	d.lastGen[i] = gen
-
-	if w.size > int64(walHeaderLen) {
-		if err := w.obj.Truncate(int64(walHeaderLen)); err != nil {
-			// Harmless to leave: replay of covered records is idempotent.
-			return true, nil
-		}
-		w.size = int64(walHeaderLen)
-		d.truncations.Add(1)
-	}
 	return true, nil
 }
 
-// Close stops the maintenance goroutine, performs a final commit + snapshot
-// (so a clean drain loses nothing at all), and closes the shard logs. The
-// manager cannot be reused after Close.
+// Close stops the maintenance goroutine, runs a final snapshot round (so a
+// clean drain loses nothing at all, even when the log refuses the final
+// commit) and closes the log. The manager cannot be reused after Close.
 func (d *Durability) Close() error {
 	if d.stop != nil {
 		d.stop()
@@ -571,19 +517,9 @@ func (d *Durability) Close() error {
 		d.closed = true
 		return nil
 	}
-	var first error
-	for i := range d.wals {
-		if err := d.flushShard(i); err != nil && first == nil {
-			first = err
-		}
-	}
-	if _, err := d.snapshotLocked(); err != nil && first == nil {
+	_, first := d.snapshotLocked()
+	if err := d.log.Close(); err != nil && first == nil {
 		first = err
-	}
-	for _, w := range d.wals {
-		if err := w.obj.Close(); err != nil && first == nil {
-			first = err
-		}
 	}
 	d.closed = true
 	return first

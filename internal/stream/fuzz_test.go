@@ -23,12 +23,11 @@ import (
 // fuzzGeometry is the fixed ring geometry every fuzz ingestor shares — the
 // decoders reject any other geometry, which is itself a path worth fuzzing.
 func fuzzIngestor() *Ingestor {
-	return NewIngestor(Config{
+	return newIngestor(Config{
 		Interval: 5 * time.Minute,
 		Epoch:    time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC),
 		Slots:    64,
-		Shards:   1, // one shard stream then holds every ring
-	})
+	}, 1) // one shard stream then holds every ring
 }
 
 // fuzzSnapshotBytes builds a small valid shard snapshot of two live rings.
@@ -67,7 +66,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		"crc-flipped": snapFlip,
 		"header-only": valid[:len(snapshotMagic)+3*8],
 		"wrong-geometry": func() []byte {
-			g := NewIngestor(Config{Interval: time.Minute, Epoch: time.Unix(0, 0), Slots: 8, Shards: 1})
+			g := newIngestor(Config{Interval: time.Minute, Epoch: time.Unix(0, 0), Slots: 8}, 1)
 			g.replayPut("srv-a", 1, 1)
 			return shardSnapshots(g)[0]
 		}(),

@@ -19,8 +19,8 @@ var (
 )
 
 // Config parameterizes an Ingestor. The zero value selects the production
-// defaults: five-minute slots (the paper's telemetry granularity), four weeks
-// of retained history per server, and sixteen lock stripes.
+// defaults: five-minute slots (the paper's telemetry granularity) and four
+// weeks of retained history per server.
 type Config struct {
 	// Interval is the slot granularity every point rolls up to; it must match
 	// the granularity the pipeline trains at. Default five minutes.
@@ -33,9 +33,6 @@ type Config struct {
 	// slot advances, slots older than the trailing window fall off. Default
 	// 8064 (four weeks at five-minute granularity).
 	Slots int
-	// Shards is the number of lock stripes server rings are hashed across;
-	// rounded up to a power of two. Default 16.
-	Shards int
 	// Clock is the time source maxFuture is judged against; nil means the
 	// wall clock. Tests and simulations inject their own.
 	Clock simclock.Clock
@@ -57,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Slots <= 0 {
 		c.Slots = 4 * 7 * 24 * 12 // four weeks of five-minute slots
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
 	}
 	c.Clock = simclock.Or(c.Clock)
 	return c
@@ -252,11 +246,11 @@ type shard struct {
 
 	// WAL hook, armed by Durability. Accepted points are buffered in pend
 	// under mu (append into preallocated capacity — the hot path stays
-	// 0 allocs/op) and flushed to the log by the group committer, which
-	// swaps the slice out rather than copying it. A full buffer is
-	// back-pressure, never loss: the appender flushes the shard itself
-	// through walFlush (waiting out any running snapshot) before it applies
-	// the point, and refuses the point unapplied if that flush fails.
+	// 0 allocs/op). The group committer frames them into the log and drops
+	// them only once the log is synced. A full buffer is back-pressure, never
+	// loss: the appender commits the log itself through walFlush (waiting out
+	// any running snapshot round) before it applies the point, and refuses
+	// the point unapplied if that commit fails.
 	walOn    bool
 	pend     []walEntry
 	walKick  chan struct{}
@@ -273,14 +267,13 @@ type Ingestor struct {
 	sh   []shard
 }
 
-// NewIngestor returns an empty ingestor.
-func NewIngestor(cfg Config) *Ingestor {
-	cfg = cfg.withDefaults()
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	g := &Ingestor{cfg: cfg, mask: uint32(n - 1), sh: make([]shard, n)}
+// NewIngestor returns an empty ingestor with sixteen lock stripes.
+func NewIngestor(cfg Config) *Ingestor { return newIngestor(cfg, 16) }
+
+// newIngestor returns an empty ingestor over stripes lock stripes, a power of
+// two.
+func newIngestor(cfg Config, stripes int) *Ingestor {
+	g := &Ingestor{cfg: cfg.withDefaults(), mask: uint32(stripes - 1), sh: make([]shard, stripes)}
 	for i := range g.sh {
 		g.sh[i].rings = map[string]*serverRing{}
 	}
@@ -340,9 +333,9 @@ func (g *Ingestor) Append(serverID string, t time.Time, v float64) AppendStatus 
 	}
 	sh.mu.Lock()
 	for sh.walOn && len(sh.pend) >= cap(sh.pend) {
-		// The buffer is full: flush it before taking the point, so every
-		// acknowledged point reaches the log. The flush runs under the
-		// committer's lock, so it waits for a running snapshot to finish.
+		// The buffer is full: commit the log before taking the point, so
+		// every acknowledged point reaches it. The commit runs under the
+		// committer's lock, so it waits for a running snapshot round.
 		sh.mu.Unlock()
 		if err := sh.walFlush(); err != nil {
 			return Refused
@@ -407,16 +400,16 @@ func (g *Ingestor) replayPut(serverID string, slot int64, v float64) AppendStatu
 }
 
 // attachWAL arms per-shard pending buffers of the given capacity. kick is
-// nudged (non-blocking) when a buffer reaches half full; flush(i) writes
-// shard i's buffer to its log when an appender finds it full. Arm before
-// concurrent appends begin.
-func (g *Ingestor) attachWAL(buffer int, kick chan struct{}, flush func(i int) error) {
+// nudged (non-blocking) when a buffer reaches half full; flush commits the
+// log when an appender finds its shard's buffer full. Arm before concurrent
+// appends begin.
+func (g *Ingestor) attachWAL(buffer int, kick chan struct{}, flush func() error) {
 	for i := range g.sh {
 		sh := &g.sh[i]
 		sh.mu.Lock()
 		sh.walOn = true
 		sh.walKick = kick
-		sh.walFlush = func() error { return flush(i) }
+		sh.walFlush = flush
 		if cap(sh.pend) < buffer {
 			sh.pend = make([]walEntry, 0, buffer)
 		}
@@ -424,31 +417,25 @@ func (g *Ingestor) attachWAL(buffer int, kick chan struct{}, flush func(i int) e
 	}
 }
 
-// takePending swaps shard i's pending WAL entries out for spare (reset to
-// length zero, grown to at least minCap so the shard never receives an
-// undersized buffer), returning the buffered entries. The committer hands
-// the previous batch back as the next spare, so steady-state commits
-// allocate nothing.
-func (g *Ingestor) takePending(i int, spare []walEntry, minCap int) []walEntry {
-	if cap(spare) < minCap {
-		spare = make([]walEntry, 0, minCap)
-	}
+// framePending appends shard i's pending WAL entries to buf as frames,
+// returning the grown buffer and how many entries it framed. The entries stay
+// buffered until dropCommitted, so a failed commit loses none of them.
+func (g *Ingestor) framePending(i int, buf []byte) ([]byte, int) {
 	sh := &g.sh[i]
-	sh.mu.Lock()
-	pend := sh.pend
-	sh.pend = spare[:0]
-	sh.mu.Unlock()
-	return pend
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for _, e := range sh.pend {
+		buf = appendWALFrame(buf, e)
+	}
+	return buf, len(sh.pend)
 }
 
-// requeuePending puts entries back at the front of shard i's pending buffer
-// after a failed WAL flush, so they are retried on the next commit. May
-// exceed the configured buffer capacity (correctness over the bound on the
-// error path).
-func (g *Ingestor) requeuePending(i int, entries []walEntry) {
+// dropCommitted removes shard i's first n pending entries, which a synced
+// commit framed. Entries buffered since keep their order.
+func (g *Ingestor) dropCommitted(i, n int) {
 	sh := &g.sh[i]
 	sh.mu.Lock()
-	sh.pend = append(entries, sh.pend...)
+	sh.pend = sh.pend[:copy(sh.pend, sh.pend[n:])]
 	sh.mu.Unlock()
 }
 

@@ -14,7 +14,7 @@ import (
 var testEpoch = time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC)
 
 func testConfig(slots int) Config {
-	return Config{Interval: 5 * time.Minute, Epoch: testEpoch, Slots: slots, Shards: 4}
+	return Config{Interval: 5 * time.Minute, Epoch: testEpoch, Slots: slots}
 }
 
 type point struct {
@@ -61,7 +61,7 @@ func TestAppendOrderInvariance(t *testing.T) {
 		})
 	}
 
-	sorted := NewIngestor(testConfig(4096))
+	sorted := newIngestor(testConfig(4096), 4)
 	for _, p := range pts {
 		if st := sorted.Append("srv", p.t, p.v); st != Appended {
 			t.Fatalf("sorted append at %s: %v", p.t, st)
@@ -77,7 +77,7 @@ func TestAppendOrderInvariance(t *testing.T) {
 	}
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
-	chaos := NewIngestor(testConfig(4096))
+	chaos := newIngestor(testConfig(4096), 4)
 	for _, p := range shuffled {
 		if st := chaos.Append("srv", p.t, p.v); st != Appended && st != Duplicate {
 			t.Fatalf("shuffled append at %s: %v", p.t, st)
@@ -102,7 +102,7 @@ func TestAppendOrderInvariance(t *testing.T) {
 // points behind the retained window are dropped as too old.
 func TestAppendWindowEviction(t *testing.T) {
 	const slots = 100
-	g := NewIngestor(testConfig(slots))
+	g := newIngestor(testConfig(slots), 4)
 	at := func(i int) time.Time { return testEpoch.Add(time.Duration(i) * 5 * time.Minute) }
 
 	// Fill well past capacity, forcing several shifts.
@@ -150,7 +150,7 @@ func TestAppendTooNew(t *testing.T) {
 	now := testEpoch.Add(7 * 24 * time.Hour)
 	cfg := testConfig(500)
 	cfg.Clock = simclock.NewSimulated(now)
-	g := NewIngestor(cfg)
+	g := newIngestor(cfg, 4)
 
 	for i := 0; i < 100; i++ {
 		g.Append("srv", now.Add(time.Duration(i-100)*5*time.Minute), 20)
@@ -186,7 +186,7 @@ func TestAppendTooNew(t *testing.T) {
 // window and restarts cleanly at the new head.
 func TestAppendForwardJump(t *testing.T) {
 	const slots = 50
-	g := NewIngestor(testConfig(slots))
+	g := newIngestor(testConfig(slots), 4)
 	at := func(i int) time.Time { return testEpoch.Add(time.Duration(i) * 5 * time.Minute) }
 	for i := 0; i < 10; i++ {
 		g.Append("srv", at(i), float64(i))
@@ -212,7 +212,7 @@ func TestAppendForwardJump(t *testing.T) {
 // TestSnapshotMatchesView: the stable copy equals the zero-copy view and
 // reuses the caller's buffer.
 func TestSnapshotMatchesView(t *testing.T) {
-	g := NewIngestor(testConfig(500))
+	g := newIngestor(testConfig(500), 4)
 	for i := 0; i < 300; i++ {
 		if i%7 == 3 {
 			continue
@@ -246,7 +246,7 @@ func TestSnapshotMatchesView(t *testing.T) {
 // mismatched intervals at the caller (serving) layer; here the summary adds
 // up.
 func TestAppendSeries(t *testing.T) {
-	g := NewIngestor(testConfig(500))
+	g := newIngestor(testConfig(500), 4)
 	vals := []float64{1, 2, timeseries.Missing, 4, 5}
 	sum, err := g.AppendSeries("srv", testEpoch, vals)
 	if err != nil {
@@ -270,7 +270,7 @@ func TestAppendSeries(t *testing.T) {
 // run under -race in CI. Totals must add up exactly: every delivery is
 // either appended or a duplicate.
 func TestConcurrentAppend(t *testing.T) {
-	g := NewIngestor(testConfig(2048))
+	g := newIngestor(testConfig(2048), 4)
 	ids := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	const perWorker = 2000
 	const workers = 8

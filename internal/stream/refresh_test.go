@@ -23,7 +23,7 @@ func refreshFixture(t *testing.T, days int) (*Ingestor, *cosmos.DB, *registry.Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewIngestor(testConfig(8064))
+	g := newIngestor(testConfig(8064), 4)
 	reg := registry.New(nil)
 	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, forecast.NamePersistentPrevDay, "test")
 

@@ -20,7 +20,6 @@ func snapCfg() Config {
 		Interval: 5 * time.Minute,
 		Epoch:    time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC),
 		Slots:    4 * 288, // four days
-		Shards:   4,
 	}
 }
 
@@ -87,8 +86,8 @@ func feed(t *testing.T, g *Ingestor, seed int64) []string {
 // uninterrupted run, including appends that continue after the restore.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	cfg := snapCfg()
-	uninterrupted := NewIngestor(cfg)
-	restarted := NewIngestor(cfg)
+	uninterrupted := newIngestor(cfg, 4)
+	restarted := newIngestor(cfg, 4)
 	servers := feed(t, uninterrupted, 42)
 
 	restoreShards(t, restarted, shardSnapshots(uninterrupted))
@@ -157,11 +156,11 @@ func forecastFromView(t *testing.T, live timeseries.Series) timeseries.Series {
 // TestSnapshotGeometryMismatch: a snapshot from a different ring geometry is
 // refused rather than aliased onto the wrong slot grid.
 func TestSnapshotGeometryMismatch(t *testing.T) {
-	g := NewIngestor(snapCfg())
+	g := newIngestor(snapCfg(), 4)
 	feed(t, g, 7)
 	other := snapCfg()
 	other.Interval = time.Minute
-	h := NewIngestor(other)
+	h := newIngestor(other, 4)
 	for _, snap := range shardSnapshots(g) {
 		if err := h.RestoreSnapshot(bytes.NewReader(snap)); !errors.Is(err, ErrSnapshotFormat) {
 			t.Fatalf("err = %v, want ErrSnapshotFormat", err)
@@ -176,7 +175,7 @@ func TestSnapshotGeometryMismatch(t *testing.T) {
 // fail cleanly with ErrSnapshotFormat and leave the ingestor untouched — a
 // damaged snapshot means a cold start, never a panic or a half-restore.
 func TestSnapshotCorruption(t *testing.T) {
-	g := NewIngestor(snapCfg())
+	g := newIngestor(snapCfg(), 4)
 	feed(t, g, 11)
 	snaps := shardSnapshots(g)
 	if len(snaps) < 2 {
@@ -186,7 +185,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		cuts := []int{0, 3, len(snapshotMagic), len(snapshotMagic) + 10, len(whole) / 2, len(whole) - 5, len(whole) - 1}
 		for _, cut := range cuts {
 			t.Run(fmt.Sprintf("shard-%d/truncate-%d", si, cut), func(t *testing.T) {
-				h := NewIngestor(snapCfg())
+				h := newIngestor(snapCfg(), 4)
 				err := h.RestoreSnapshot(bytes.NewReader(whole[:cut]))
 				if !errors.Is(err, ErrSnapshotFormat) {
 					t.Fatalf("err = %v, want ErrSnapshotFormat", err)
@@ -202,7 +201,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		t.Run(fmt.Sprintf("shard-%d/bitflip", si), func(t *testing.T) {
 			flipped := append([]byte(nil), whole...)
 			flipped[len(flipped)/2] ^= 0x40
-			h := NewIngestor(snapCfg())
+			h := newIngestor(snapCfg(), 4)
 			if err := h.RestoreSnapshot(bytes.NewReader(flipped)); !errors.Is(err, ErrSnapshotFormat) {
 				t.Fatalf("err = %v, want ErrSnapshotFormat", err)
 			}
@@ -217,10 +216,10 @@ func TestSnapshotCorruption(t *testing.T) {
 // telemetry for a server keeps the live ring.
 func TestSnapshotLiveRingWins(t *testing.T) {
 	cfg := snapCfg()
-	g := NewIngestor(cfg)
+	g := newIngestor(cfg, 4)
 	feed(t, g, 3)
 
-	h := NewIngestor(cfg)
+	h := newIngestor(cfg, 4)
 	ts := cfg.Epoch.Add(1000 * cfg.Interval)
 	h.Append("srv-a", ts, 77)
 	restoreShards(t, h, shardSnapshots(g))
@@ -248,7 +247,7 @@ func TestSnapshotLakeRoundTrip(t *testing.T) {
 	}
 	cfg := snapCfg()
 	drainOnly := DurabilityConfig{SnapshotEvery: -1}
-	g := NewIngestor(cfg)
+	g := newIngestor(cfg, 4)
 	d := NewDurability(g, store, drainOnly)
 
 	rec, err := d.Recover()
@@ -266,7 +265,7 @@ func TestSnapshotLakeRoundTrip(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h := NewIngestor(cfg)
+	h := newIngestor(cfg, 4)
 	rec, err = NewDurability(h, store, drainOnly).Recover()
 	if err != nil {
 		t.Fatal(err)

@@ -11,17 +11,18 @@ import (
 	"time"
 )
 
-// Per-shard write-ahead log: the first half of the bounded-loss guarantee.
-// Accepted points buffer in their shard, and the group committer appends them
-// as CRC-framed records and fsyncs — so after a hard kill, everything older
-// than the last commit (at most the commit interval δ ago) is on disk.
-// Replay happens on boot after snapshot restore; ring puts are first-write-
-// wins, so records a snapshot already covers land as duplicates and the
-// WAL/snapshot overlap never needs to be exact. Each successful shard
-// snapshot truncates that shard's log back to its header, keeping the logs
-// small.
+// Write-ahead log: the first half of the bounded-loss guarantee. Accepted
+// points buffer in their shard, and the group committer frames every shard's
+// buffer into one CRC-framed write on one log and fsyncs once — so after a
+// hard kill, everything older than the last commit (at most the commit
+// interval δ ago) is on disk. Every frame carries its server id, so replay
+// re-derives the shard. Replay happens on boot after snapshot restore; ring
+// puts are first-write-wins, so records a snapshot already covers land as
+// duplicates and the WAL/snapshot overlap never needs to be exact. A snapshot
+// round whose commit and replaces all succeed truncates the log back to its
+// header, keeping it small.
 //
-// Layout per object (little-endian throughout):
+// Layout (little-endian throughout):
 //
 //	magic "SGWALOG1" | u64 interval | u64 epochUnixNano | u64 slots   (header)
 //	repeated frames: u32 payloadLen | payload | u32 crc32(payload)
@@ -31,13 +32,13 @@ import (
 // at the first frame that is short or fails its CRC and keeps everything
 // before it. Corruption never panics and never installs a partial record.
 
-// WALPrefix is the lake prefix shard logs live under; walObject names one
-// shard's log.
-const WALPrefix = "stream/wal/"
-
-func walObject(shard int) string {
-	return fmt.Sprintf("%sshard-%04d.wal", WALPrefix, shard)
-}
+// WALPrefix is the lake prefix the log lives under. walLog names the log;
+// older lakes may also hold one log per shard (shard-NNNN.wal) here, which
+// Recover replays and the first clean snapshot round deletes.
+const (
+	WALPrefix = "stream/wal/"
+	walLog    = WALPrefix + "log.wal"
+)
 
 // walMagic identifies WAL format version 1.
 const walMagic = "SGWALOG1"
@@ -82,7 +83,7 @@ type walReplay struct {
 	torn       bool // stopped at a short or CRC-failing tail frame
 }
 
-// replayWAL reads one shard log and applies its records to the ingestor.
+// replayWAL reads one log and applies its records to the ingestor.
 // Geometry mismatch or a missing header returns ErrWALFormat (the caller
 // treats the file as unusable); a torn tail is normal crash residue — replay
 // keeps everything before it and reports torn. A read error from the
@@ -108,9 +109,10 @@ func (g *Ingestor) replayWAL(r io.Reader) (walReplay, error) {
 			ErrWALFormat, interval, epoch, slots, g.cfg.Interval, g.cfg.Epoch.UnixNano(), g.cfg.Slots)
 	}
 
+	var lenBuf [4]byte // outside the loop: it escapes into io.ReadFull
 	var frame []byte
+	var id string
 	for {
-		var lenBuf [4]byte
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			if err == io.EOF {
 				return rep, nil // clean end of log
@@ -150,7 +152,9 @@ func (g *Ingestor) replayWAL(r io.Reader) (walReplay, error) {
 			rep.torn = true
 			return rep, nil
 		}
-		id := string(payload[4 : 4+idLen])
+		if idBytes := payload[4 : 4+idLen]; string(idBytes) != id {
+			id = string(idBytes) // commits frame each shard in append order, so ids repeat
+		}
 		slot := int64(binary.LittleEndian.Uint64(payload[4+idLen : 12+idLen]))
 		val := math.Float64frombits(binary.LittleEndian.Uint64(payload[12+idLen : 20+idLen]))
 		switch g.replayPut(id, slot, val) {

@@ -116,7 +116,7 @@ type (
 	// slot rings accepting out-of-order points, with zero-copy live views.
 	Ingestor = stream.Ingestor
 	// StreamConfig parameterizes the ingestor (slot interval, epoch,
-	// retained window, shard count).
+	// retained window).
 	StreamConfig = stream.Config
 	// DriftDetector compares live telemetry against stored predictions.
 	DriftDetector = stream.DriftDetector
@@ -137,7 +137,7 @@ type (
 	// AppendStatus reports what happened to one ingested point.
 	AppendStatus = stream.AppendStatus
 	// Durability is the bounded-loss persistence manager for the stream
-	// layer: a group-committed per-shard WAL plus periodic incremental ring
+	// layer: one group-committed WAL plus periodic incremental ring
 	// snapshots, replayed on boot so a hard kill loses at most one commit
 	// interval of telemetry.
 	Durability = stream.Durability
