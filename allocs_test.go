@@ -34,6 +34,7 @@ import (
 	"seagull/internal/lake"
 	"seagull/internal/linalg"
 	"seagull/internal/metrics"
+	"seagull/internal/modelpool"
 	"seagull/internal/obs"
 	"seagull/internal/parallel"
 	"seagull/internal/registry"
@@ -282,7 +283,7 @@ func fastFFNN(_ string, seed int64) (forecast.Model, error) {
 // lowest-load window.
 func servePredictCase(model string, newModel func(string, int64) (forecast.Model, error)) func(testing.TB) func() {
 	return func(tb testing.TB) func() {
-		svc := benchService(model, serving.ServiceConfig{Pool: serving.PoolConfig{NewModel: newModel}})
+		svc := benchService(model, serving.ServiceConfig{Pool: modelpool.Config{NewModel: newModel}})
 		req := benchPredictRequest()
 		ctx := context.Background()
 		return func() {
@@ -450,9 +451,9 @@ func streamRefreshCase(tb testing.TB) func() {
 	if err := db.Collection("predictions").Upsert("bench", "bench-srv/week-0001", doc); err != nil {
 		tb.Fatal(err)
 	}
-	pool := serving.NewModelPool(serving.PoolConfig{})
+	pool := modelpool.New(modelpool.Config{}, modelpool.DefaultMaxIdle)
 	tb.Cleanup(pool.Bind(reg))
-	ref := stream.NewRefresher(ing, db, reg, serving.StreamPool(pool), stream.RefreshConfig{})
+	ref := stream.NewRefresher(ing, db, reg, pool, stream.RefreshConfig{})
 	ctx := context.Background()
 	return func() {
 		if err := ref.RefreshServer(ctx, "bench", "bench-srv", 1); err != nil {

@@ -83,7 +83,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request serving deadline")
 		maxInflight = flag.Int("max-inflight", 0,
 			"adaptive admission control: ceiling on concurrently served requests "+
-				"(0 = default 256; negative disables admission entirely)")
+				"(0 = default 256; admission control is always on)")
 		latencyTarget = flag.Duration("latency-target", 0,
 			"admission latency target for predict traffic (ingest 2x, background 4x); the "+
 				"limiter backs off when served latency exceeds it (0 = default 500ms)")
@@ -167,7 +167,7 @@ type serveConfig struct {
 	Grace   time.Duration
 	Timeout time.Duration
 	// MaxInflight caps concurrently served requests under the adaptive
-	// admission limiter (0 = service default; negative disables admission).
+	// admission limiter (0 = service default; negative is refused).
 	MaxInflight int
 	// LatencyTarget is the admission AIMD target for predict traffic.
 	LatencyTarget time.Duration
@@ -211,6 +211,12 @@ func serve(ctx context.Context, cfg serveConfig, ln net.Listener, out io.Writer)
 		// Without -data the system owns a temp dir and removes it on Close,
 		// which would silently delete the "durable" store on shutdown.
 		return fmt.Errorf("-persist requires -data: a temporary data directory is removed on shutdown")
+	}
+	if cfg.MaxInflight < 0 {
+		// The service reads a negative ceiling as its default; an operator's
+		// stale -1 kill switch must fail loudly, not silently become 256.
+		return fmt.Errorf("-max-inflight must not be negative (got %d): admission control is always on; 0 selects the default",
+			cfg.MaxInflight)
 	}
 	logger, err := obs.NewLogger(out, cfg.LogFormat, cfg.LogLevel)
 	if err != nil {
@@ -313,21 +319,15 @@ func serve(ctx context.Context, cfg serveConfig, ln net.Listener, out io.Writer)
 		}
 	}
 	svc := sys.Service(svcCfg)
-	if cfg.MaxInflight >= 0 {
-		maxIn, target := cfg.MaxInflight, cfg.LatencyTarget
-		if maxIn == 0 {
-			maxIn = 256 // serving default
-		}
-		if target == 0 {
-			target = 500 * time.Millisecond // serving default
-		}
-		mode := "shed"
-		if cfg.Brownout {
-			mode = "brownout"
-		}
-		logger.Info("admission control enabled",
-			"max_inflight", maxIn, "latency_target", target, "saturated_predicts", mode)
+	mode := "shed"
+	if cfg.Brownout {
+		mode = "brownout"
 	}
+	adm := svc.VarzSnapshot().Admission
+	logger.Info("admission control enabled",
+		"max_inflight", adm.MaxInflight,
+		"latency_target_ms", adm.Endpoints["POST /v2/predict"].TargetMs,
+		"saturated_predicts", mode)
 	if rec.Degraded() {
 		// Keep serving what survived, but say so on /readyz and /varz: live
 		// windows touched by the failed objects are cold-started, so their

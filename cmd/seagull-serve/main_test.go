@@ -203,6 +203,21 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestServeRejectsNegativeMaxInflight: serve refuses a negative
+// -max-inflight with an error naming the flag, instead of letting the
+// service read it as the default ceiling.
+func TestServeRejectsNegativeMaxInflight(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	err = serve(context.Background(), serveConfig{MaxInflight: -1}, ln, testWriter{t})
+	if err == nil || !strings.Contains(err.Error(), "-max-inflight") {
+		t.Fatalf("serve = %v, want an error naming -max-inflight", err)
+	}
+}
+
 // TestServeBackgroundSweep: the self-driving loop. With -sweep-interval set,
 // the server discovers the demo pipeline's stored week on its own, sweeps it
 // against live telemetry and retrains the drifted server — the client only

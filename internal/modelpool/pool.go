@@ -1,4 +1,9 @@
-package serving
+// Package modelpool keeps trained forecasting models warm between uses. The
+// serving layer checks instances out per request and the stream refresher per
+// drift retrain; both go through the same Pool type, so a retrain reuses the
+// scratch buffers a model retains across Train calls and loses its warm slots
+// on the same registry changes as serving traffic.
+package modelpool
 
 import (
 	"container/list"
@@ -11,24 +16,24 @@ import (
 	"seagull/internal/timeseries"
 )
 
-// The pool keeps at most maxPoolEntries distinct (scenario, region, version)
+// The pool keeps at most maxEntries distinct (scenario, region, version)
 // slots warm; the least recently used slot is evicted beyond that. Every
 // pooled instance is built with modelSeed, so a warm instance and a fresh one
 // are interchangeable: all models pin retrain-equals-fresh behaviour in their
 // equivalence tests, and identical seeding removes the remaining degree of
 // freedom.
-//
-// Each slot keeps at most defaultMaxIdle idle instances (the concurrency
-// level that stays warm); NewService raises the bound to its batch fan-out
-// width so a whole batch's worker models re-pool.
 const (
-	maxPoolEntries       = 64
-	defaultMaxIdle       = 4
-	modelSeed      int64 = 0
+	maxEntries       = 64
+	modelSeed  int64 = 0
 )
 
-// PoolConfig configures the warm model pool.
-type PoolConfig struct {
+// DefaultMaxIdle is the per-slot idle bound of a refresher's pool: the
+// concurrency level that stays warm. The serving layer raises it to its batch
+// fan-out width so a whole batch's worker models re-pool.
+const DefaultMaxIdle = 4
+
+// Config configures a warm model pool.
+type Config struct {
 	// NewModel overrides model construction (tests inject slow or failing
 	// models). Default forecast.New.
 	NewModel func(name string, seed int64) (forecast.Model, error)
@@ -129,8 +134,8 @@ type poolEntry struct {
 	idle []*Instance
 }
 
-// PoolStats is a point-in-time snapshot of pool effectiveness.
-type PoolStats struct {
+// Stats is a point-in-time snapshot of pool effectiveness.
+type Stats struct {
 	Entries       int    `json:"entries" metric:"gauge seagull_pool_entries Warm-pool slots currently resident."`
 	Idle          int    `json:"idle" metric:"gauge seagull_pool_idle Idle model instances across warm-pool slots."`
 	Hits          uint64 `json:"hits" metric:"counter seagull_pool_hits_total Checkouts served from a warm instance."`
@@ -140,7 +145,7 @@ type PoolStats struct {
 }
 
 // Add folds another pool's snapshot into s, for fleet-wide totals.
-func (s *PoolStats) Add(o PoolStats) {
+func (s *Stats) Add(o Stats) {
 	s.Entries += o.Entries
 	s.Idle += o.Idle
 	s.Hits += o.Hits
@@ -149,11 +154,11 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.Invalidations += o.Invalidations
 }
 
-// ModelPool keeps trained model instances warm per (scenario, region,
-// version) so repeated serving requests reuse the scratch buffers the models
-// retain across Train calls (PR 2's retrain-equals-fresh guarantee) instead
-// of reallocating them per request. Safe for concurrent use.
-type ModelPool struct {
+// Pool keeps trained model instances warm per (scenario, region, version) so
+// repeated requests and retrains reuse the scratch buffers the models retain
+// across Train calls (the retrain-equals-fresh guarantee) instead of
+// reallocating them each time. Safe for concurrent use.
+type Pool struct {
 	mu       sync.Mutex
 	newModel func(name string, seed int64) (forecast.Model, error)
 	maxIdle  int                       // idle instances retained per slot
@@ -163,19 +168,15 @@ type ModelPool struct {
 	// older generation are dropped on Return instead of resurrecting a
 	// stale slot.
 	gens  map[targetKey]uint64
-	stats PoolStats
+	stats Stats
 }
 
-// NewModelPool returns an empty pool.
-func NewModelPool(cfg PoolConfig) *ModelPool { return newModelPool(cfg, defaultMaxIdle) }
-
-// newModelPool returns an empty pool that keeps up to maxIdle idle
-// instances per slot.
-func newModelPool(cfg PoolConfig, maxIdle int) *ModelPool {
+// New returns an empty pool that keeps up to maxIdle idle instances per slot.
+func New(cfg Config, maxIdle int) *Pool {
 	if cfg.NewModel == nil {
 		cfg.NewModel = forecast.New
 	}
-	return &ModelPool{
+	return &Pool{
 		newModel: cfg.NewModel,
 		maxIdle:  maxIdle,
 		entries:  map[poolKey]*list.Element{},
@@ -189,7 +190,7 @@ func newModelPool(cfg PoolConfig, maxIdle int) *ModelPool {
 // request arriving after a deployment never trains a stale model name. The
 // returned unbind removes the subscription; a pool that does not outlive
 // the registry must be unbound or it stays pinned by the watcher.
-func (p *ModelPool) Bind(reg *registry.Registry) (unbind func()) {
+func (p *Pool) Bind(reg *registry.Registry) (unbind func()) {
 	return reg.Watch(p.Invalidate)
 }
 
@@ -198,7 +199,7 @@ func (p *ModelPool) Bind(reg *registry.Registry) (unbind func()) {
 // is idle and builds a deterministic fresh one otherwise; hit reports which.
 // The caller must hand the instance back with Return when done (also on
 // error paths), or drop it on the floor — the pool does not track it.
-func (p *ModelPool) Checkout(target registry.Target, version int, modelName string) (inst *Instance, hit bool, err error) {
+func (p *Pool) Checkout(target registry.Target, version int, modelName string) (inst *Instance, hit bool, err error) {
 	key := poolKey{scenario: target.Scenario, region: target.Region, version: version}
 	p.mu.Lock()
 	gen := p.gens[targetKey{scenario: target.Scenario, region: target.Region}]
@@ -232,7 +233,7 @@ func (p *ModelPool) Checkout(target registry.Target, version int, modelName stri
 // recreated — the instance is still valid for its version, so re-pooling it
 // is harmless LRU churn, unlike an invalidation, where re-pooling would
 // serve a stale deployment.
-func (p *ModelPool) Return(target registry.Target, version int, inst *Instance) {
+func (p *Pool) Return(target registry.Target, version int, inst *Instance) {
 	if inst == nil {
 		return
 	}
@@ -251,7 +252,7 @@ func (p *ModelPool) Return(target registry.Target, version int, inst *Instance) 
 		e := &poolEntry{key: key}
 		el = p.lru.PushFront(e)
 		p.entries[key] = el
-		for p.lru.Len() > maxPoolEntries {
+		for p.lru.Len() > maxEntries {
 			back := p.lru.Back()
 			evicted := back.Value.(*poolEntry)
 			p.lru.Remove(back)
@@ -269,7 +270,7 @@ func (p *ModelPool) Return(target registry.Target, version int, inst *Instance) 
 // including instances currently checked out, which Return discards instead
 // of re-pooling. Wired to registry.Watch by Bind, and callable directly
 // (e.g. after mutating a model's configuration out of band).
-func (p *ModelPool) Invalidate(target registry.Target) {
+func (p *Pool) Invalidate(target registry.Target) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.gens[targetKey{scenario: target.Scenario, region: target.Region}]++
@@ -283,7 +284,7 @@ func (p *ModelPool) Invalidate(target registry.Target) {
 }
 
 // Stats returns a snapshot of pool effectiveness counters.
-func (p *ModelPool) Stats() PoolStats {
+func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.stats

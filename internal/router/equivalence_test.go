@@ -97,9 +97,8 @@ func (w *world) newStack(name string, durable bool) *replicaStack {
 		Slots:    (testWeeks + 1) * int(7*24*time.Hour/testSlot),
 	})
 	cfg := serving.ServiceConfig{
-		Ingestor:    st.ing,
-		Drift:       stream.NewDriftDetector(st.ing, w.db),
-		MaxInflight: -1, // determinism over admission dynamics in this suite
+		Ingestor: st.ing,
+		Drift:    stream.NewDriftDetector(st.ing, w.db),
 	}
 	if durable {
 		st.dur = stream.NewDurability(st.ing, w.store, stream.DurabilityConfig{

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"seagull/internal/modelpool"
 	"seagull/internal/obs"
 	"seagull/internal/router"
 	"seagull/internal/serving"
@@ -118,9 +119,9 @@ func (w *world) newFullStack(name string) *replicaStack {
 	})
 	tracer := obs.NewTracer(obs.TracerConfig{})
 	det := stream.NewDriftDetector(st.ing, w.db)
-	pool := serving.NewModelPool(serving.PoolConfig{})
+	pool := modelpool.New(modelpool.Config{}, modelpool.DefaultMaxIdle)
 	w.t.Cleanup(pool.Bind(w.reg))
-	ref := stream.NewRefresher(st.ing, w.db, w.reg, serving.StreamPool(pool), stream.RefreshConfig{Tracer: tracer})
+	ref := stream.NewRefresher(st.ing, w.db, w.reg, pool, stream.RefreshConfig{Tracer: tracer})
 	sw := stream.NewSweeper(w.db, det, ref, stream.SweeperConfig{Tracer: tracer})
 	st.dur = stream.NewDurability(st.ing, w.store, stream.DurabilityConfig{Namespace: name, SnapshotEvery: -1})
 	if _, err := st.dur.Recover(); err != nil {

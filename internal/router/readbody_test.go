@@ -8,6 +8,14 @@ import (
 	"testing"
 )
 
+// LowerMaxBodyBytes lowers the router's body limit to n until t ends, for
+// tests outside the package.
+func LowerMaxBodyBytes(t testing.TB, n int64) {
+	old := maxBodyBytes
+	maxBodyBytes = n
+	t.Cleanup(func() { maxBodyBytes = old })
+}
+
 // TestReadBodyPresizeBounded: a request that declares the largest body the
 // router accepts and then sends a few bytes makes the router allocate about
 // maxPresize for it, not the declared size. (The bound allows for the copy
@@ -20,7 +28,7 @@ func TestReadBodyPresizeBounded(t *testing.T) {
 	}
 	const sent = `{"points":[]}`
 	r := httptest.NewRequest(http.MethodPost, "/v2/ingest", strings.NewReader(sent))
-	r.ContentLength = rt.cfg.MaxBodyBytes
+	r.ContentLength = maxBodyBytes
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	body, ok := rt.readBody(httptest.NewRecorder(), r)
@@ -30,6 +38,6 @@ func TestReadBodyPresizeBounded(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 4*maxPresize {
 		t.Fatalf("a %d-byte body declared as %d bytes allocated %d bytes; want at most %d",
-			len(sent), rt.cfg.MaxBodyBytes, n, 4*maxPresize)
+			len(sent), maxBodyBytes, n, 4*maxPresize)
 	}
 }

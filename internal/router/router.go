@@ -62,7 +62,8 @@ type Replica struct {
 }
 
 // Config parameterizes a Router. The zero value of the optional fields
-// selects production defaults.
+// selects production defaults. Inbound bodies are bounded by the replicas'
+// own limit, serving.MaxBodyBytes.
 type Config struct {
 	// Seed fixes the shard map. Every router (and every tool that needs to
 	// compute ownership offline) must share it.
@@ -74,13 +75,11 @@ type Config struct {
 	// restart.
 	Retry serving.RetryConfig
 	// Breaker parameterizes the per-replica, per-path circuit breaker; the
-	// zero value opens after 5 consecutive retryable failures with a 1s
-	// cooldown. Threshold < 0 disables it.
+	// zero value opens after 5 consecutive retryable failures with the
+	// client's default cooldown. Threshold < 0 disables it.
 	Breaker serving.BreakerConfig
 	// HTTP is the upstream transport; nil builds one with a 60s timeout.
 	HTTP *http.Client
-	// MaxBodyBytes bounds inbound request bodies. Default 64 MiB.
-	MaxBodyBytes int64
 	// Clock paces retries, breaker cooldowns and uptime; nil means the wall
 	// clock.
 	Clock simclock.Clock
@@ -98,14 +97,8 @@ func (c Config) withDefaults() Config {
 	} else if c.Breaker.Threshold < 0 {
 		c.Breaker.Threshold = 0
 	}
-	if c.Breaker.Cooldown <= 0 {
-		c.Breaker.Cooldown = time.Second
-	}
 	if c.HTTP == nil {
 		c.HTTP = &http.Client{Timeout: 60 * time.Second}
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	c.Clock = simclock.Or(c.Clock)
 	return c
@@ -371,6 +364,10 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, st)
 }
 
+// maxBodyBytes bounds inbound request bodies at the replicas' own limit. It
+// is a variable only so that tests can lower it.
+var maxBodyBytes int64 = serving.MaxBodyBytes
+
 // maxPresize bounds the buffer a declared Content-Length reserves before any
 // body byte arrives. The declaration is the client's word alone: a client
 // that declares a large body and then stalls holds no more than this.
@@ -383,9 +380,9 @@ const maxPresize = 1 << 20
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	var body bytes.Buffer
 	if n := r.ContentLength; n > 0 {
-		body.Grow(int(min(n, rt.cfg.MaxBodyBytes, maxPresize)) + bytes.MinRead)
+		body.Grow(int(min(n, maxBodyBytes, maxPresize)) + bytes.MinRead)
 	}
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)); err != nil {
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		rt.badBody(w, err)
 		return nil, false
 	}

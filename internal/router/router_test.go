@@ -352,7 +352,8 @@ func TestPredictValidationAndRouting(t *testing.T) {
 }
 
 func TestBodyTooLarge(t *testing.T) {
-	_, _, front := newFakeFleet(t, 1, func(c *router.Config) { c.MaxBodyBytes = 64 })
+	router.LowerMaxBodyBytes(t, 64)
+	_, _, front := newFakeFleet(t, 1, nil)
 	big := `{"history":{"values":[` + strings.Repeat("1,", 200) + `1]}}`
 	resp, body := post(t, front.URL+"/v2/predict", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(body, "too_large") {
@@ -550,7 +551,7 @@ func newServingFleet(t *testing.T, n int) ([]*stream.Ingestor, *router.Router, *
 	ings := make([]*stream.Ingestor, n)
 	for i := range ings {
 		ings[i] = stream.NewIngestor(stream.Config{})
-		svc := serving.NewService(reg, nil, serving.ServiceConfig{Ingestor: ings[i], MaxInflight: -1})
+		svc := serving.NewService(reg, nil, serving.ServiceConfig{Ingestor: ings[i]})
 		srv := httptest.NewServer(svc.Handler())
 		t.Cleanup(func() { srv.Close(); svc.Close() })
 		cfg.Replicas = append(cfg.Replicas, router.Replica{Name: fmt.Sprintf("shard-%c", 'a'+i), BaseURL: srv.URL})

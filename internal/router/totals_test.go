@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"seagull/internal/admission"
+	"seagull/internal/modelpool"
 	"seagull/internal/obs"
 	"seagull/internal/serving"
 	"seagull/internal/stream"
@@ -18,7 +19,7 @@ import (
 func TestFleetTotalsMatchHandWrittenSums(t *testing.T) {
 	replica := func(k uint64) *serving.Varz {
 		return &serving.Varz{
-			Pool: serving.PoolStats{Hits: 10 * k, Misses: 3 * k},
+			Pool: modelpool.Stats{Hits: 10 * k, Misses: 3 * k},
 			Endpoints: map[string]obs.EndpointStats{
 				"POST /v2/predict": {Count: 100 * k, Errors: k, InFlight: 2},
 				"POST /v2/ingest":  {Count: 7 * k},
@@ -30,7 +31,7 @@ func TestFleetTotalsMatchHandWrittenSums(t *testing.T) {
 			Admission:  &admission.Stats{Limit: 64, InFlight: 3},
 		}
 	}
-	sparse := &serving.Varz{Pool: serving.PoolStats{Hits: 1}} // no stream layer attached
+	sparse := &serving.Varz{Pool: modelpool.Stats{Hits: 1}} // no stream layer attached
 	replicas := map[string]ReplicaVarz{
 		"shard-a": {Ready: true, Varz: replica(1)},
 		"shard-b": {Ready: true, Varz: replica(2)},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 
+	"seagull/internal/modelpool"
 	"seagull/internal/obs"
 	"seagull/internal/serving"
 	"seagull/internal/stream"
@@ -54,7 +55,7 @@ type FleetTotals struct {
 // dashboard reads; the summing itself belongs to each Stats type's Add.
 func fleetTotals(replicas map[string]ReplicaVarz) FleetTotals {
 	var (
-		pool  serving.PoolStats
+		pool  modelpool.Stats
 		reqs  obs.EndpointStats
 		ing   stream.Stats
 		drift stream.DriftStats

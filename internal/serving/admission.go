@@ -40,13 +40,8 @@ func classTarget(base time.Duration, class admission.Class) time.Duration {
 // admitted wraps h with admission control under the given endpoint name and
 // priority class. A non-nil degraded handler marks the endpoint
 // brownout-capable: under saturation its requests are served the cheap
-// fallback instead of queueing behind the storm or being shed. With
-// admission disabled (ServiceConfig.MaxInflight < 0) the handler passes
-// through untouched.
+// fallback instead of queueing behind the storm or being shed.
 func (s *Service) admitted(pattern string, class admission.Class, h, degraded http.HandlerFunc) http.HandlerFunc {
-	if s.limiter == nil {
-		return h
-	}
 	ep := s.limiter.Endpoint(pattern, class, classTarget(s.cfg.LatencyTarget, class))
 	allowDegrade := degraded != nil
 	var lastShedLog atomic.Int64 // unix nanos of the last shed/brownout log line

@@ -231,33 +231,6 @@ func TestReadyzDrainingCarriesRetryAfter(t *testing.T) {
 	}
 }
 
-func TestAdmissionDisabledPassesThrough(t *testing.T) {
-	srv, svc, reg := v2Server(t, ServiceConfig{MaxInflight: -1})
-	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, forecast.NamePersistentPrevDay, "")
-	if svc.limiter != nil {
-		t.Fatal("negative MaxInflight must disable the limiter")
-	}
-	resp := postJSON(t, srv.URL+"/v2/predict", PredictRequestV2{
-		Scenario: "backup", Region: "r", History: FromSeries(weekHistory()), Horizon: 288,
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	var vz Varz
-	r, err := http.Get(srv.URL + "/varz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(r.Body).Decode(&vz); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if vz.Admission != nil {
-		t.Error("disabled admission must not appear on varz")
-	}
-}
-
 // The degraded fallback must equal a pf-prev-day deployment's answer: the
 // brownout trades model quality, never correctness of the cheap model.
 func TestBrownoutForecastEqualsPersistentDeployment(t *testing.T) {

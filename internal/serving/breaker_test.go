@@ -29,7 +29,7 @@ func TestBreakerOpensFailsFastAndRecloses(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
+	c.Retry = RetryConfig{MaxAttempts: 2}
 	c.Breaker = BreakerConfig{Threshold: 3, Cooldown: 50 * time.Millisecond}
 	clock := simclock.NewSimulated(time.Unix(0, 0))
 	clock.AutoAdvanceSleeps() // backoff waits advance simulated time instantly
@@ -170,7 +170,7 @@ func TestBreakerConcurrentFlappingServer(t *testing.T) {
 	}))
 
 	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	c.Retry = RetryConfig{MaxAttempts: 2}
 	c.Breaker = BreakerConfig{Threshold: 5, Cooldown: 20 * time.Millisecond}
 
 	const workers = 8
@@ -245,11 +245,7 @@ func TestClientIngestRetries429(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	clock := simclock.NewSimulated(time.Unix(0, 0))
-	clock.AutoAdvanceSleeps() // the Retry-After wait advances simulated time
-	c.Clock = clock
+	c, clock := simClient(srv.URL, RetryConfig{MaxAttempts: 3}) // the Retry-After wait advances simulated time
 	start := clock.Now()
 	resp, err := c.Ingest(context.Background(), IngestRequest{
 		Points: []IngestPoint{{ServerID: "s", TimeUnix: 0, Value: 1}},
@@ -261,7 +257,7 @@ func TestClientIngestRetries429(t *testing.T) {
 		t.Fatalf("accepted=%d calls=%d, want 1 accepted over 2 calls", resp.Accepted, calls.Load())
 	}
 	// The server's Retry-After paced the retry (~1s of simulated time), not
-	// the 1ms backoff — and no real second was slept.
+	// the client's own backoff — and no real second was slept.
 	if elapsed := clock.Now().Sub(start); elapsed < 900*time.Millisecond {
 		t.Fatalf("retry waited only %v; Retry-After: 1 must pace the 429 retry", elapsed)
 	}
@@ -271,11 +267,7 @@ func TestClientIngestRetries429(t *testing.T) {
 // instead of retrying forever.
 func TestClientIngestRespectsBudgetOn429(t *testing.T) {
 	srv, calls := flappingServer(t, 1<<30, http.StatusTooManyRequests)
-	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 100, BaseDelay: 10 * time.Millisecond, MaxDelay: 10 * time.Millisecond, MaxElapsed: 60 * time.Millisecond}
-	clock := simclock.NewSimulated(time.Unix(0, 0))
-	clock.AutoAdvanceSleeps()
-	c.Clock = clock
+	c, _ := simClient(srv.URL, RetryConfig{MaxAttempts: 100, MaxElapsed: 10 * retryBaseDelay})
 	_, err := c.Ingest(context.Background(), IngestRequest{
 		Points: []IngestPoint{{ServerID: "s", TimeUnix: 0, Value: 1}},
 	})

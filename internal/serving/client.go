@@ -32,6 +32,17 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("serving: %d %s: %s", e.Status, e.Code, e.Message)
 }
 
+// The retry backoff: the first retry waits about retryBaseDelay, and each
+// further one doubles the wait up to retryMaxDelay. The actual sleep is
+// uniformly jittered over [delay/2, delay) so synchronized clients do not
+// re-converge on the recovering server. A response carrying a Retry-After
+// header overrides the computed backoff — the server knows its own drain
+// schedule better than the client does.
+const (
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = time.Second
+)
+
 // RetryConfig bounds the client's retry loop. Retries target the drain
 // window of a rolling restart: a server flips /readyz to draining and soon
 // refuses connections, so a request may hit a transport error or a 503
@@ -41,29 +52,11 @@ type RetryConfig struct {
 	// MaxAttempts is the total number of tries (first attempt included);
 	// values below 2 disable retrying.
 	MaxAttempts int
-	// BaseDelay is the first backoff; each retry doubles it up to MaxDelay,
-	// and the actual sleep is uniformly jittered over [delay/2, delay) so
-	// synchronized clients do not re-converge on the recovering server.
-	// A 503 carrying a Retry-After header overrides the computed backoff —
-	// the server knows its own drain schedule better than the client does.
-	// Defaults: 50ms base, 1s max.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// MaxElapsed is the total retry budget, measured from the first attempt:
 	// when the next backoff would overrun it, the loop gives up immediately
 	// instead of sleeping, so callers can bound worst-case latency. 0 means
 	// no budget (retries bounded by MaxAttempts and ctx alone).
 	MaxElapsed time.Duration
-}
-
-func (c RetryConfig) withDefaults() RetryConfig {
-	if c.BaseDelay <= 0 {
-		c.BaseDelay = 50 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = time.Second
-	}
-	return c
 }
 
 // Client is the typed Go client for the serving endpoints.
@@ -114,7 +107,7 @@ func (c *Client) Do(ctx context.Context, method, path string, in, out any) error
 			return err
 		}
 	}
-	rc := c.Retry.withDefaults()
+	rc := c.Retry
 	clock := simclock.Or(c.Clock)
 	brk := c.breakerFor(path)
 	cooldown := c.Breaker.Cooldown
@@ -156,9 +149,9 @@ func (c *Client) Do(ctx context.Context, method, path string, in, out any) error
 			return err
 		}
 		lastErr = err
-		delay := rc.BaseDelay << attempt
-		if delay > rc.MaxDelay || delay <= 0 {
-			delay = rc.MaxDelay
+		delay := retryBaseDelay << attempt
+		if delay > retryMaxDelay || delay <= 0 {
+			delay = retryMaxDelay
 		}
 		// Uniform jitter over [delay/2, delay).
 		delay = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))

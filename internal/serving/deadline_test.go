@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"seagull/internal/forecast"
+	"seagull/internal/modelpool"
 	"seagull/internal/registry"
 	"seagull/internal/timeseries"
 )
@@ -28,7 +29,7 @@ func TestBatchPerItemDeadline(t *testing.T) {
 	reg := registry.New(nil)
 	svc := NewService(reg, nil, ServiceConfig{
 		Workers: 1,
-		Pool: PoolConfig{NewModel: func(name string, seed int64) (forecast.Model, error) {
+		Pool: modelpool.Config{NewModel: func(name string, seed int64) (forecast.Model, error) {
 			inner, err := forecast.New(name, seed)
 			if err != nil {
 				return nil, err

@@ -1,39 +1,31 @@
 package serving
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"seagull/internal/forecast"
+	"seagull/internal/modelpool"
 	"seagull/internal/registry"
 	"seagull/internal/timeseries"
 )
 
+// These tests drive the warm pool a Service builds: NewService sizes its idle
+// bound and binds it to the service's registry, and every request's answer
+// rests on a warm instance forecasting exactly what a fresh model would.
+
 var poolTarget = registry.Target{Scenario: "backup", Region: "westus"}
 
-func TestPoolCheckoutReturnReuse(t *testing.T) {
-	p := NewModelPool(PoolConfig{})
-	m1, hit, err := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
-	if err != nil || hit {
-		t.Fatalf("first checkout: hit=%v err=%v", hit, err)
-	}
-	p.Return(poolTarget, 1, m1)
-	m2, hit, err := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
-	if err != nil || !hit {
-		t.Fatalf("second checkout: hit=%v err=%v", hit, err)
-	}
-	if m1 != m2 {
-		t.Error("warm checkout must hand back the returned instance")
-	}
-	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss", st)
-	}
+// servicePool returns the warm pool of a new service over a new registry.
+func servicePool(t *testing.T, cfg ServiceConfig) (*modelpool.Pool, *registry.Registry) {
+	reg := registry.New(nil)
+	svc := NewService(reg, nil, cfg)
+	t.Cleanup(svc.Close)
+	return svc.Pool(), reg
 }
 
 func TestPoolVersionIsPartOfTheKey(t *testing.T) {
-	p := NewModelPool(PoolConfig{})
+	p, _ := servicePool(t, ServiceConfig{})
 	m1, _, _ := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
 	p.Return(poolTarget, 1, m1)
 	_, hit, _ := p.Checkout(poolTarget, 2, forecast.NamePersistentPrevDay)
@@ -42,43 +34,27 @@ func TestPoolVersionIsPartOfTheKey(t *testing.T) {
 	}
 }
 
+// TestPoolMaxIdleBound: the service's pool keeps max(DefaultMaxIdle,
+// Workers) idle instances per slot and drops returns beyond that.
 func TestPoolMaxIdleBound(t *testing.T) {
-	p := newModelPool(PoolConfig{}, 1)
-	m1, _, _ := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
-	m2, _, _ := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
-	p.Return(poolTarget, 1, m1)
-	p.Return(poolTarget, 1, m2) // beyond the idle bound: dropped
-	if st := p.Stats(); st.Idle != 1 {
-		t.Errorf("idle = %d, want 1", st.Idle)
-	}
-}
-
-func TestPoolLRUEviction(t *testing.T) {
-	p := NewModelPool(PoolConfig{})
-	slot := func(i int) registry.Target {
-		return registry.Target{Scenario: "backup", Region: fmt.Sprintf("region-%d", i)}
-	}
-	for i := 0; i <= maxPoolEntries; i++ {
-		m, _, _ := p.Checkout(slot(i), 1, forecast.NamePersistentPrevDay)
-		p.Return(slot(i), 1, m)
-	}
-	st := p.Stats()
-	if st.Entries != maxPoolEntries || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want %d entries / 1 eviction", st, maxPoolEntries)
-	}
-	// The first slot was least recently used and must be cold again.
-	if _, hit, _ := p.Checkout(slot(0), 1, forecast.NamePersistentPrevDay); hit {
-		t.Error("evicted slot must miss")
-	}
-	if _, hit, _ := p.Checkout(slot(maxPoolEntries), 1, forecast.NamePersistentPrevDay); !hit {
-		t.Error("recently used slot must stay warm")
+	for _, workers := range []int{1, 2 * modelpool.DefaultMaxIdle} {
+		p, _ := servicePool(t, ServiceConfig{Workers: workers})
+		want := max(modelpool.DefaultMaxIdle, workers)
+		insts := make([]*modelpool.Instance, want+1)
+		for i := range insts {
+			insts[i], _, _ = p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
+		}
+		for _, inst := range insts {
+			p.Return(poolTarget, 1, inst) // the last one is beyond the idle bound: dropped
+		}
+		if st := p.Stats(); st.Idle != want {
+			t.Errorf("workers %d: idle = %d, want %d", workers, st.Idle, want)
+		}
 	}
 }
 
 func TestPoolInvalidateOnRegistryChange(t *testing.T) {
-	reg := registry.New(nil)
-	p := NewModelPool(PoolConfig{})
-	p.Bind(reg)
+	p, reg := servicePool(t, ServiceConfig{}) // NewService binds the pool to reg
 
 	v1 := reg.Deploy(poolTarget, forecast.NamePersistentPrevDay, "")
 	m, _, _ := p.Checkout(poolTarget, v1, forecast.NamePersistentPrevDay)
@@ -99,9 +75,7 @@ func TestPoolInvalidateOnRegistryChange(t *testing.T) {
 }
 
 func TestPoolInvalidateOnRollback(t *testing.T) {
-	reg := registry.New(nil)
-	p := NewModelPool(PoolConfig{})
-	p.Bind(reg)
+	p, reg := servicePool(t, ServiceConfig{}) // NewService binds the pool to reg
 
 	v1 := reg.Deploy(poolTarget, forecast.NamePersistentPrevDay, "")
 	if err := reg.RecordAccuracy(poolTarget, v1, 0.95); err != nil {
@@ -122,7 +96,7 @@ func TestPoolInvalidateOnRollback(t *testing.T) {
 // TestReturnAfterInvalidateDropsInstance: an instance checked out before an
 // invalidation must be discarded on Return, not resurrect a stale slot.
 func TestReturnAfterInvalidateDropsInstance(t *testing.T) {
-	p := NewModelPool(PoolConfig{})
+	p, _ := servicePool(t, ServiceConfig{})
 	inst, _, err := p.Checkout(poolTarget, 1, forecast.NamePersistentPrevDay)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +137,7 @@ func warmHistory(seed int64, days int) timeseries.Series {
 func TestWarmPoolForecastEquivalence(t *testing.T) {
 	for _, name := range []string{forecast.NameSSA, forecast.NameFFNN, forecast.NameAdditive, forecast.NamePersistentPrevDay} {
 		t.Run(name, func(t *testing.T) {
-			p := NewModelPool(PoolConfig{})
+			p, _ := servicePool(t, ServiceConfig{})
 			warm, _, err := p.Checkout(poolTarget, 1, name)
 			if err != nil {
 				t.Fatal(err)
@@ -219,7 +193,7 @@ func TestWarmPoolForecastEquivalence(t *testing.T) {
 // deterministic-inference model: identical history skips, and the skipped
 // forecast is bit-identical to a fresh model's.
 func TestTrainMemoSkipsIdenticalHistory(t *testing.T) {
-	p := NewModelPool(PoolConfig{})
+	p, _ := servicePool(t, ServiceConfig{})
 	inst, _, err := p.Checkout(poolTarget, 1, forecast.NameSSA)
 	if err != nil {
 		t.Fatal(err)
@@ -261,63 +235,11 @@ func TestTrainMemoSkipsIdenticalHistory(t *testing.T) {
 	}
 }
 
-// panicOnceModel trains normally except for one call that panics mid-train,
-// simulating corruption of the retained state.
-type panicOnceModel struct {
-	forecast.Model
-	calls   int
-	panicAt int
-}
-
-func (m *panicOnceModel) Train(h timeseries.Series) error {
-	m.calls++
-	if m.calls == m.panicAt {
-		panic("mid-train corruption")
-	}
-	return m.Model.Train(h)
-}
-
-func (m *panicOnceModel) DeterministicInference() bool { return true }
-
-// TestTrainMemoInvalidatedByPanickedTrain: a Train that panics (recovered by
-// the batch path's safeCall) must leave the instance untrained, so a later
-// request with the previously memoized history retrains instead of serving
-// a forecast from half-mutated state.
-func TestTrainMemoInvalidatedByPanickedTrain(t *testing.T) {
-	inner, err := forecast.New(forecast.NamePersistentPrevDay, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := newInstance(&panicOnceModel{Model: inner, panicAt: 2})
-	if !inst.memoOK {
-		t.Fatal("wrapper must advertise deterministic inference")
-	}
-	h1 := warmHistory(1, 7)
-	if _, err := inst.TrainOn(h1); err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected the second Train to panic")
-			}
-		}()
-		_, _ = inst.TrainOn(warmHistory(2, 7))
-	}()
-	skipped, err := inst.TrainOn(h1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped {
-		t.Fatal("memo must not survive a panicked Train")
-	}
-}
-
 // TestAdditiveNeverSkipsTrain: the additive model consumes RNG at inference,
 // so the memo must never skip its retrain — each request re-seeds in Train,
 // keeping every response equivalent to a fresh model's.
 func TestAdditiveNeverSkipsTrain(t *testing.T) {
-	p := NewModelPool(PoolConfig{})
+	p, _ := servicePool(t, ServiceConfig{})
 	inst, _, err := p.Checkout(poolTarget, 1, forecast.NameAdditive)
 	if err != nil {
 		t.Fatal(err)

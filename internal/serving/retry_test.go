@@ -13,7 +13,19 @@ import (
 	"time"
 
 	"seagull/internal/registry"
+	"seagull/internal/simclock"
 )
+
+// simClient returns a client for url with the given retry policy whose
+// backoff waits advance a simulated clock instead of sleeping.
+func simClient(url string, rc RetryConfig) (*Client, *simclock.Simulated) {
+	clock := simclock.NewSimulated(time.Unix(0, 0))
+	clock.AutoAdvanceSleeps()
+	c := NewClient(url)
+	c.Retry = rc
+	c.Clock = clock
+	return c, clock
+}
 
 // flappingServer fails the first `failures` requests with the given status
 // (or by dropping the connection when status is 0), then serves a valid
@@ -47,8 +59,7 @@ func flappingServer(t *testing.T, failures int64, status int) (*httptest.Server,
 
 func TestClientRetriesThrough503(t *testing.T) {
 	srv, calls := flappingServer(t, 2, http.StatusServiceUnavailable)
-	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+	c, _ := simClient(srv.URL, RetryConfig{MaxAttempts: 5})
 	if _, err := c.ModelsV2(context.Background()); err != nil {
 		t.Fatalf("retrying client failed: %v", err)
 	}
@@ -59,8 +70,7 @@ func TestClientRetriesThrough503(t *testing.T) {
 
 func TestClientRetriesThroughConnectionDrop(t *testing.T) {
 	srv, calls := flappingServer(t, 1, 0)
-	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond}
+	c, _ := simClient(srv.URL, RetryConfig{MaxAttempts: 3})
 	if _, err := c.ModelsV2(context.Background()); err != nil {
 		t.Fatalf("retrying client failed: %v", err)
 	}
@@ -71,8 +81,7 @@ func TestClientRetriesThroughConnectionDrop(t *testing.T) {
 
 func TestClientRetryBounded(t *testing.T) {
 	srv, calls := flappingServer(t, 1<<30, http.StatusServiceUnavailable)
-	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	c, _ := simClient(srv.URL, RetryConfig{MaxAttempts: 4})
 	_, err := c.ModelsV2(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
@@ -97,8 +106,7 @@ func TestClientNoRetryByDefault(t *testing.T) {
 func TestClientNoRetryOnDefinitiveError(t *testing.T) {
 	// 404 is a definitive answer, not a drain signal.
 	srv, calls := flappingServer(t, 5, http.StatusNotFound)
-	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond}
+	c, _ := simClient(srv.URL, RetryConfig{MaxAttempts: 5})
 	if _, err := c.ModelsV2(context.Background()); err == nil {
 		t.Fatal("404 should surface")
 	}
@@ -109,8 +117,11 @@ func TestClientNoRetryOnDefinitiveError(t *testing.T) {
 
 func TestClientRetryCancelDuringBackoff(t *testing.T) {
 	srv, _ := flappingServer(t, 1<<30, http.StatusServiceUnavailable)
+	// The simulated clock never advances on its own, so the first backoff
+	// ends only through ctx.
 	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 10, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second}
+	c.Retry = RetryConfig{MaxAttempts: 10}
+	c.Clock = simclock.NewSimulated(time.Unix(0, 0))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -129,16 +140,15 @@ func TestClientRetryAgainstReadyzDrain(t *testing.T) {
 	svc := NewService(registry.New(nil), nil, ServiceConfig{})
 	srv := httptest.NewServer(svc)
 	t.Cleanup(srv.Close)
-	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond}
+	c, clock := simClient(srv.URL, RetryConfig{MaxAttempts: 5})
 
 	svc.SetReady(false)
-	start := time.Now()
+	start := clock.Now()
 	if c.Ready(context.Background()) {
 		t.Fatal("draining service reported ready")
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("Ready() took %v; it must not retry", elapsed)
+	if elapsed := clock.Now().Sub(start); elapsed != 0 {
+		t.Fatalf("Ready() backed off for %v; it must not retry", elapsed)
 	}
 	svc.SetReady(true)
 	if !c.Ready(context.Background()) {
@@ -147,7 +157,7 @@ func TestClientRetryAgainstReadyzDrain(t *testing.T) {
 }
 
 // TestClientHonorsRetryAfter: a 503 carrying a Retry-After header overrides
-// the client's own (tiny) backoff — the server's drain schedule wins.
+// the client's own backoff — the server's drain schedule wins.
 func TestClientHonorsRetryAfter(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -160,14 +170,13 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	start := time.Now()
+	c, clock := simClient(srv.URL, RetryConfig{MaxAttempts: 3})
+	start := clock.Now()
 	if _, err := c.ModelsV2(context.Background()); err != nil {
 		t.Fatalf("retrying client failed: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
-		t.Fatalf("retry waited only %v; Retry-After: 1 should have stretched the backoff to ~1s", elapsed)
+	if elapsed := clock.Now().Sub(start); elapsed != time.Second {
+		t.Fatalf("retry waited %v; Retry-After: 1 should have set the backoff to 1s", elapsed)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("server saw %d requests, want 2", got)
@@ -179,13 +188,13 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 // caller's worst-case latency mid-backoff rather than at the next attempt.
 func TestClientRetryBudgetExhaustion(t *testing.T) {
 	srv, calls := flappingServer(t, 1<<30, http.StatusServiceUnavailable)
-	c := NewClient(srv.URL)
-	// A 10s base delay against a 50ms budget: the very first backoff blows
-	// the budget, so the loop must give up after one attempt without sleeping.
-	c.Retry = RetryConfig{MaxAttempts: 10, BaseDelay: 10 * time.Second, MaxElapsed: 50 * time.Millisecond}
-	start := time.Now()
+	// The first backoff (at least half of retryBaseDelay) against a budget
+	// below it: the very first backoff blows the budget, so the loop must
+	// give up after one attempt without sleeping.
+	c, clock := simClient(srv.URL, RetryConfig{MaxAttempts: 10, MaxElapsed: retryBaseDelay / 4})
+	start := clock.Now()
 	_, err := c.ModelsV2(context.Background())
-	elapsed := time.Since(start)
+	elapsed := clock.Now().Sub(start)
 	if err == nil {
 		t.Fatal("want budget-exhaustion error, got success")
 	}
@@ -199,8 +208,8 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("server saw %d requests, want 1 (budget dies before the first sleep)", got)
 	}
-	if elapsed > time.Second {
-		t.Fatalf("exhaustion took %v; the client must not sleep past the budget", elapsed)
+	if elapsed != 0 {
+		t.Fatalf("exhaustion slept %v; the client must not sleep into a blown budget", elapsed)
 	}
 }
 
@@ -208,19 +217,18 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 // attempts still cuts the loop off before MaxAttempts.
 func TestClientRetryBudgetMidBackoff(t *testing.T) {
 	srv, calls := flappingServer(t, 1<<30, http.StatusServiceUnavailable)
-	c := NewClient(srv.URL)
-	c.Retry = RetryConfig{MaxAttempts: 100, BaseDelay: 30 * time.Millisecond, MaxDelay: 30 * time.Millisecond, MaxElapsed: 100 * time.Millisecond}
-	start := time.Now()
+	c, clock := simClient(srv.URL, RetryConfig{MaxAttempts: 100, MaxElapsed: 10 * retryBaseDelay})
+	start := clock.Now()
 	_, err := c.ModelsV2(context.Background())
-	elapsed := time.Since(start)
+	elapsed := clock.Now().Sub(start)
 	if err == nil || !strings.Contains(err.Error(), "retry budget") {
 		t.Fatalf("err = %v, want a retry-budget message", err)
 	}
 	if got := calls.Load(); got < 2 || got >= 100 {
 		t.Fatalf("server saw %d requests, want a few attempts then budget exhaustion", got)
 	}
-	if elapsed > time.Second {
-		t.Fatalf("exhaustion took %v, want well under the un-budgeted backoff total", elapsed)
+	if elapsed > c.Retry.MaxElapsed {
+		t.Fatalf("exhaustion took %v, want within the %v budget", elapsed, c.Retry.MaxElapsed)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"seagull/internal/admission"
 	"seagull/internal/cosmos"
 	"seagull/internal/metrics"
+	"seagull/internal/modelpool"
 	"seagull/internal/obs"
 	"seagull/internal/parallel"
 	"seagull/internal/pipeline"
@@ -40,23 +41,33 @@ const maxHorizon = 4032
 // as each replica's.
 const MaxBatch = 256
 
+// MaxBodyBytes bounds any request body. The router holds inbound bodies to it
+// too, so a body the router relays always fits a replica.
+const MaxBodyBytes = 64 << 20
+
+// The request limits the service enforces. They are variables only so that
+// tests can lower them.
+var (
+	maxBodyBytes int64 = MaxBodyBytes
+	// maxIngestPoints bounds the telemetry points in one /v2/ingest call: one
+	// million, ~8 MiB of values, inside the body limit.
+	maxIngestPoints = 1 << 20
+)
+
 // ServiceConfig parameterizes the serving layer. The zero value selects
 // production defaults. /v2/advise judges windows with the paper's accuracy
 // constants (metrics.DefaultConfig), a live_history predict needs at least
-// one day of live points, and a batch carries at most MaxBatch servers.
+// one day of live points, a batch carries at most MaxBatch servers, a request
+// body at most MaxBodyBytes, and an ingest call at most 1<<20 points. Every
+// /v2 route runs behind admission control and under the request deadline.
 type ServiceConfig struct {
-	// MaxBodyBytes bounds any request body. Default 64 MiB.
-	MaxBodyBytes int64
-	// Timeout is the per-request serving deadline. Default 60s. Negative
-	// disables the deadline (the caller's context still applies).
+	// Timeout is the per-request serving deadline. 0 or negative selects the
+	// default of 60s.
 	Timeout time.Duration
 	// Workers bounds the batch fan-out concurrency. 0 means NumCPU.
 	Workers int
 	// Pool configures the warm model pool.
-	Pool PoolConfig
-	// MaxIngestPoints bounds the telemetry points in one /v2/ingest call.
-	// Default 1<<20 (one million — ~8 MiB of values, inside the body limit).
-	MaxIngestPoints int
+	Pool modelpool.Config
 	// Ingestor, when set, enables the POST /v2/ingest endpoint feeding the
 	// stream layer (and live_history predicts); Drift and Refresher
 	// additionally let an ingest call run a drift sweep and queue drifted
@@ -76,7 +87,7 @@ type ServiceConfig struct {
 	// admission-controlled endpoint (all of /v2; liveness endpoints
 	// are exempt). The adaptive limiter starts here and walks the effective
 	// limit down whenever observed latency exceeds the per-class target.
-	// 0 → default 256; negative disables admission control entirely.
+	// 0 or negative selects the default of 256.
 	MaxInflight int
 	// LatencyTarget is the predict-class latency target the AIMD limiter
 	// defends (ingest gets 2x, background 4x). Default 500ms.
@@ -107,16 +118,10 @@ type ServiceConfig struct {
 }
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.Timeout == 0 {
+	if c.Timeout <= 0 {
 		c.Timeout = 60 * time.Second
 	}
-	if c.MaxIngestPoints == 0 {
-		c.MaxIngestPoints = 1 << 20
-	}
-	if c.MaxInflight == 0 {
+	if c.MaxInflight <= 0 {
 		c.MaxInflight = 256
 	}
 	if c.LatencyTarget <= 0 {
@@ -136,11 +141,11 @@ type Service struct {
 	reg      *registry.Registry
 	db       *cosmos.DB // optional; nil disables /v2/predictions
 	cfg      ServiceConfig
-	pool     *ModelPool
+	pool     *modelpool.Pool
 	workers  *parallel.Pool
-	limiter  *admission.Limiter // nil: admission control disabled
-	tracer   *obs.Tracer        // nil: tracing disabled (every method is nil-safe)
-	logger   *slog.Logger       // never nil: discards when unconfigured
+	limiter  *admission.Limiter
+	tracer   *obs.Tracer  // nil: tracing disabled (every method is nil-safe)
+	logger   *slog.Logger // never nil: discards when unconfigured
 	mux      *http.ServeMux
 	http     *obs.HTTP // per-endpoint accounting, request IDs, trace start/finish
 	ready    atomic.Bool
@@ -164,7 +169,7 @@ func NewService(reg *registry.Registry, db *cosmos.DB, cfg ServiceConfig) *Servi
 		reg:     reg,
 		db:      db,
 		cfg:     cfg,
-		pool:    newModelPool(cfg.Pool, max(defaultMaxIdle, workers)),
+		pool:    modelpool.New(cfg.Pool, max(modelpool.DefaultMaxIdle, workers)),
 		workers: parallel.NewPool(cfg.Workers),
 		tracer:  cfg.Tracer,
 		logger:  obs.LoggerOr(cfg.Logger),
@@ -177,19 +182,17 @@ func NewService(reg *registry.Registry, db *cosmos.DB, cfg ServiceConfig) *Servi
 	// refresher's sustained-backpressure predicate doubles as an external
 	// brownout-entry signal (a saturated refresh queue means the CPUs are
 	// already behind on retraining).
-	if cfg.MaxInflight > 0 {
-		var saturated func() bool
-		if cfg.Refresher != nil {
-			saturated = cfg.Refresher.Saturated
-		}
-		s.limiter = admission.NewLimiter(admission.Config{
-			MaxInflight: cfg.MaxInflight,
-			Target:      cfg.LatencyTarget,
-			Brownout:    cfg.Brownout,
-			Saturated:   saturated,
-			Clock:       cfg.Clock,
-		})
+	var saturated func() bool
+	if cfg.Refresher != nil {
+		saturated = cfg.Refresher.Saturated
 	}
+	s.limiter = admission.NewLimiter(admission.Config{
+		MaxInflight: cfg.MaxInflight,
+		Target:      cfg.LatencyTarget,
+		Brownout:    cfg.Brownout,
+		Saturated:   saturated,
+		Clock:       cfg.Clock,
+	})
 
 	// Every route is instrumented under its route pattern, so /varz reports
 	// per-endpoint latency histograms, error counts and in-flight gauges.
@@ -230,7 +233,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serv
 func (s *Service) Handler() http.Handler { return s }
 
 // Pool exposes the warm model pool (stats, manual invalidation).
-func (s *Service) Pool() *ModelPool { return s.pool }
+func (s *Service) Pool() *modelpool.Pool { return s.pool }
 
 // SetReady flips the /readyz verdict. A service starts ready; servers flip
 // it to false while draining during graceful shutdown so load balancers
@@ -309,7 +312,7 @@ func (s *Service) active(scenario, region string) (registry.Target, registry.Ver
 // trained one (see Instance.TrainOn); the train span's hit flag records
 // that memo outcome. tr may be nil (tracing disabled); batch workers record
 // into one shared trace concurrently.
-func (s *Service) predictWith(ctx context.Context, tr *obs.Trace, inst *Instance, history SeriesJSON, horizon, windowPoints int) (SeriesJSON, int, float64, *ServiceError) {
+func (s *Service) predictWith(ctx context.Context, tr *obs.Trace, inst *modelpool.Instance, history SeriesJSON, horizon, windowPoints int) (SeriesJSON, int, float64, *ServiceError) {
 	if err := ctx.Err(); err != nil {
 		return SeriesJSON{}, -1, 0, ctxServiceError(err)
 	}
@@ -440,12 +443,12 @@ func (s *Service) PredictBatch(ctx context.Context, req BatchRequest) (BatchResp
 	tr := obs.TraceFrom(ctx)
 
 	type workerModel struct {
-		inst *Instance
+		inst *modelpool.Instance
 		err  error
 	}
 	var (
 		mu      sync.Mutex
-		loaned  []*Instance
+		loaned  []*modelpool.Instance
 		results = make([]BatchItemResult, len(req.Servers))
 	)
 	err := parallel.ForEachScratchCtx(ctx, s.workers, len(req.Servers),
@@ -583,9 +586,6 @@ func (s *Service) StoredPredictions(region string, week int) ([]*pipeline.Predic
 
 // requestContext applies the service deadline to the caller's context.
 func (s *Service) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.cfg.Timeout < 0 {
-		return r.Context(), func() {}
-	}
 	return context.WithTimeout(r.Context(), s.cfg.Timeout)
 }
 
@@ -597,7 +597,7 @@ func (s *Service) requestContext(r *http.Request) (context.Context, context.Canc
 // into its routing structs accepts, and leaves the rest of each body to the
 // replica that decodes it here.
 func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) *ServiceError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	err := dec.Decode(v)
 	if err == nil {
 		_, err = dec.Token()
@@ -611,7 +611,7 @@ func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) *Service
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		return svcErr(CodeTooLarge, http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+			"request body exceeds %d bytes", maxBodyBytes)
 	}
 	return badRequest("decode request: %v", err)
 }

@@ -14,6 +14,7 @@ import (
 	"seagull/internal/cosmos"
 	"seagull/internal/forecast"
 	"seagull/internal/metrics"
+	"seagull/internal/modelpool"
 	"seagull/internal/pipeline"
 	"seagull/internal/registry"
 	"seagull/internal/timeseries"
@@ -26,6 +27,13 @@ func v2Server(t *testing.T, cfg ServiceConfig) (*httptest.Server, *Service, *reg
 	srv := httptest.NewServer(svc)
 	t.Cleanup(srv.Close)
 	return srv, svc, reg
+}
+
+// lowerLimit sets a package limit to v until t ends.
+func lowerLimit[T int | int64](t *testing.T, limit *T, v T) {
+	old := *limit
+	*limit = v
+	t.Cleanup(func() { *limit = old })
 }
 
 func TestPredictV2EndToEnd(t *testing.T) {
@@ -263,7 +271,7 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 	reg := registry.New(nil)
 	svc := NewService(reg, nil, ServiceConfig{
 		Workers: 2,
-		Pool: PoolConfig{NewModel: func(name string, seed int64) (forecast.Model, error) {
+		Pool: modelpool.Config{NewModel: func(name string, seed int64) (forecast.Model, error) {
 			inner, err := forecast.New(name, seed)
 			if err != nil {
 				return nil, err
@@ -314,7 +322,8 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 }
 
 func TestStructuredErrorCodes(t *testing.T) {
-	srv, _, reg := v2Server(t, ServiceConfig{MaxBodyBytes: 1 << 20})
+	lowerLimit(t, &maxBodyBytes, 1<<20)
+	srv, _, reg := v2Server(t, ServiceConfig{})
 	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, forecast.NamePersistentPrevDay, "")
 	reg.Deploy(registry.Target{Scenario: "backup", Region: "broken"}, "no-such-model", "")
 
@@ -534,7 +543,7 @@ func TestRequestDeadline(t *testing.T) {
 	reg := registry.New(nil)
 	svc := NewService(reg, nil, ServiceConfig{
 		Timeout: 30 * time.Millisecond,
-		Pool: PoolConfig{NewModel: func(name string, seed int64) (forecast.Model, error) {
+		Pool: modelpool.Config{NewModel: func(name string, seed int64) (forecast.Model, error) {
 			inner, err := forecast.New(name, seed)
 			if err != nil {
 				return nil, err

@@ -7,45 +7,12 @@ import (
 	"time"
 
 	"seagull/internal/obs"
-	"seagull/internal/registry"
 	"seagull/internal/stream"
-	"seagull/internal/timeseries"
 )
 
-// This file wires the stream layer into the serving surface: the warm-pool
-// adapter the refresher trains through, and the POST /v2/ingest endpoint
-// that feeds live telemetry into the ingestor (optionally closing the loop
-// with a drift sweep + refresh enqueue in the same call).
-
-// poolInstance adapts a warm-pool Instance to stream.Instance (Forecast
-// lives on the embedded Model).
-type poolInstance struct{ *Instance }
-
-func (pi poolInstance) Forecast(horizon int) (timeseries.Series, error) {
-	return pi.Model.Forecast(horizon)
-}
-
-// streamPool adapts a ModelPool to the stream refresher's Pool interface.
-type streamPool struct{ p *ModelPool }
-
-func (sp streamPool) Checkout(target registry.Target, version int, modelName string) (stream.Instance, error) {
-	inst, _, err := sp.p.Checkout(target, version, modelName)
-	if err != nil {
-		return nil, err
-	}
-	return poolInstance{inst}, nil
-}
-
-func (sp streamPool) Return(target registry.Target, version int, inst stream.Instance) {
-	if pi, ok := inst.(poolInstance); ok {
-		sp.p.Return(target, version, pi.Instance)
-	}
-}
-
-// StreamPool adapts a warm model pool to the stream refresher's Pool
-// interface, so drift-triggered retrains reuse the same trained-scratch-
-// retaining instances (and invalidation semantics) as serving traffic.
-func StreamPool(p *ModelPool) stream.Pool { return streamPool{p: p} }
+// This file wires the stream layer into the serving surface: the POST
+// /v2/ingest endpoint that feeds live telemetry into the ingestor (optionally
+// closing the loop with a drift sweep + refresh enqueue in the same call).
 
 // --- /v2/ingest wire types ---
 
@@ -133,9 +100,9 @@ func (s *Service) Ingest(ctx context.Context, req IngestRequest) (IngestResponse
 	if total == 0 && req.Sweep == nil {
 		return IngestResponse{}, badRequest("ingest batch must contain at least one point")
 	}
-	if total > s.cfg.MaxIngestPoints {
+	if total > maxIngestPoints {
 		return IngestResponse{}, svcErr(CodeTooLarge, http.StatusRequestEntityTooLarge,
-			"ingest batch of %d points exceeds the limit of %d", total, s.cfg.MaxIngestPoints)
+			"ingest batch of %d points exceeds the limit of %d", total, maxIngestPoints)
 	}
 
 	var sum stream.AppendSummary

@@ -11,6 +11,7 @@ import (
 
 	"seagull/internal/cosmos"
 	"seagull/internal/forecast"
+	"seagull/internal/modelpool"
 	"seagull/internal/pipeline"
 	"seagull/internal/registry"
 	"seagull/internal/stream"
@@ -27,8 +28,8 @@ func newTestHTTPServer(t *testing.T, svc *Service) string {
 func timeUnixStr(t time.Time) string { return strconv.FormatInt(t.Unix(), 10) }
 
 // streamServer wires a service with the full stream stack attached: an
-// ingestor, a drift detector over db, and a refresher training through the
-// service's own warm pool.
+// ingestor, a drift detector over db, and a refresher training through a
+// warm pool of its own.
 func streamServer(t *testing.T) (*Client, *Service, *registry.Registry, *cosmos.DB, *stream.Ingestor) {
 	t.Helper()
 	db, err := cosmos.Open("")
@@ -39,9 +40,9 @@ func streamServer(t *testing.T) (*Client, *Service, *registry.Registry, *cosmos.
 	epoch := time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC)
 	ing := stream.NewIngestor(stream.Config{Epoch: epoch})
 	det := stream.NewDriftDetector(ing, db)
-	pool := NewModelPool(PoolConfig{})
+	pool := modelpool.New(modelpool.Config{}, modelpool.DefaultMaxIdle)
 	t.Cleanup(pool.Bind(reg))
-	ref := stream.NewRefresher(ing, db, reg, StreamPool(pool), stream.RefreshConfig{})
+	ref := stream.NewRefresher(ing, db, reg, pool, stream.RefreshConfig{})
 	svc := NewService(reg, db, ServiceConfig{Ingestor: ing, Drift: det, Refresher: ref})
 	srv := newTestHTTPServer(t, svc)
 	return NewClient(srv), svc, reg, db, ing
@@ -176,12 +177,9 @@ func TestIngestValidation(t *testing.T) {
 	}
 
 	// Over the point limit → too_large.
+	lowerLimit(t, &maxIngestPoints, 1024)
 	big := IngestRequest{Servers: []IngestSeries{{ServerID: "s", IntervalMin: 5, Start: epoch, Values: make([]float64, 2048)}}}
-	svcSmall := NewService(registry.New(nil), nil, ServiceConfig{
-		Ingestor: stream.NewIngestor(stream.Config{}), MaxIngestPoints: 1024,
-	})
-	cSmall := NewClient(newTestHTTPServer(t, svcSmall))
-	if _, err := cSmall.Ingest(ctx, big); !hasCode(err, CodeTooLarge) {
+	if _, err := c.Ingest(ctx, big); !hasCode(err, CodeTooLarge) {
 		t.Errorf("oversized ingest: %v", err)
 	}
 

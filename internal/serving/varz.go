@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"seagull/internal/admission"
+	"seagull/internal/modelpool"
 	"seagull/internal/obs"
 	"seagull/internal/stream"
 )
@@ -18,7 +19,7 @@ import (
 // Varz is the /varz document.
 type Varz struct {
 	UptimeSec float64                      `json:"uptime_sec" metric:"gauge seagull_uptime_seconds Seconds since the service started."`
-	Pool      PoolStats                    `json:"pool"`
+	Pool      modelpool.Stats              `json:"pool"`
 	Endpoints map[string]obs.EndpointStats `json:"endpoints" label:"endpoint"`
 	Ingest    *stream.Stats                `json:"ingest,omitempty"`
 	Drift     *stream.DriftStats           `json:"drift,omitempty"`
@@ -61,10 +62,8 @@ func (s *Service) VarzSnapshot() Varz {
 		st := s.cfg.Durability.Stats()
 		out.Durability = &st
 	}
-	if s.limiter != nil {
-		st := s.limiter.Stats()
-		out.Admission = &st
-	}
+	adm := s.limiter.Stats()
+	out.Admission = &adm
 	out.Degraded = s.Degraded()
 	return out
 }

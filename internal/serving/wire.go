@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"seagull/internal/modelpool"
 	"seagull/internal/pipeline"
 )
 
@@ -169,8 +170,8 @@ type AdviseResponse struct {
 
 // ModelsResponseV2 is the v2 deployment listing with pool effectiveness.
 type ModelsResponseV2 struct {
-	Models []ModelInfo `json:"models"`
-	Pool   PoolStats   `json:"pool"`
+	Models []ModelInfo     `json:"models"`
+	Pool   modelpool.Stats `json:"pool"`
 }
 
 // PredictionsResponse returns the stored PredictionDocs of one pipeline run

@@ -17,6 +17,7 @@ import (
 	"seagull/internal/cosmos"
 	"seagull/internal/extract"
 	"seagull/internal/lake"
+	"seagull/internal/modelpool"
 	"seagull/internal/obs"
 	"seagull/internal/parallel"
 	"seagull/internal/pipeline"
@@ -312,7 +313,7 @@ func (h *harness) build(dir string, liveWeeks int) error {
 	}
 	h.shadow = stream.NewIngestor(ringCfg)
 	h.sdet = stream.NewDriftDetector(h.shadow, db)
-	pool := serving.NewModelPool(serving.PoolConfig{})
+	pool := modelpool.New(modelpool.Config{}, modelpool.DefaultMaxIdle)
 	unbind := pool.Bind(h.reg)
 	h.simTracer = obs.NewTracer(obs.TracerConfig{Clock: h.clock})
 	h.wallTracer = obs.NewTracer(obs.TracerConfig{})
@@ -330,7 +331,7 @@ func (h *harness) build(dir string, liveWeeks int) error {
 		st := &simStack{name: name}
 		st.ing = stream.NewIngestor(ringCfg)
 		st.det = stream.NewDriftDetector(st.ing, db)
-		st.ref = stream.NewRefresher(st.ing, db, h.reg, serving.StreamPool(pool), stream.RefreshConfig{
+		st.ref = stream.NewRefresher(st.ing, db, h.reg, pool, stream.RefreshConfig{
 			Workers: 2,
 			Clock:   h.clock,
 			Tracer:  h.simTracer,

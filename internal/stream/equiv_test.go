@@ -19,9 +19,9 @@ import (
 	"seagull/internal/extract"
 	"seagull/internal/forecast"
 	"seagull/internal/lake"
+	"seagull/internal/modelpool"
 	"seagull/internal/pipeline"
 	"seagull/internal/registry"
-	"seagull/internal/serving"
 	"seagull/internal/simulate"
 	"seagull/internal/stream"
 )
@@ -118,16 +118,15 @@ func (f *eqFixture) feed(t *testing.T, ing *stream.Ingestor, perturbID string, f
 // zeroTime marks "no perturbation window" in feed calls.
 var zeroTime time.Time
 
-// newWarmPool builds the serving layer's warm model pool bound to the
-// fixture's registry, adapted to the stream refresher's Pool interface.
-func newWarmPool(t *testing.T, f *eqFixture) stream.Pool {
+// newWarmPool builds a warm model pool bound to the fixture's registry.
+func newWarmPool(t *testing.T, f *eqFixture) *modelpool.Pool {
 	t.Helper()
-	pool := serving.NewModelPool(serving.PoolConfig{})
+	pool := modelpool.New(modelpool.Config{}, modelpool.DefaultMaxIdle)
 	t.Cleanup(pool.Bind(f.reg))
-	return serving.StreamPool(pool)
+	return pool
 }
 
-// warmRefresher builds a refresher over the serving layer's warm model pool.
+// warmRefresher builds a refresher over a warm model pool.
 func warmRefresher(t *testing.T, f *eqFixture, ing *stream.Ingestor) *stream.Refresher {
 	t.Helper()
 	return stream.NewRefresher(ing, f.db, f.reg, newWarmPool(t, f), stream.RefreshConfig{})

@@ -12,14 +12,13 @@ import (
 	"time"
 
 	"seagull/internal/cosmos"
-	"seagull/internal/forecast"
 	"seagull/internal/metrics"
+	"seagull/internal/modelpool"
 	"seagull/internal/obs"
 	"seagull/internal/parallel"
 	"seagull/internal/pipeline"
 	"seagull/internal/registry"
 	"seagull/internal/simclock"
-	"seagull/internal/timeseries"
 )
 
 // Refresh errors.
@@ -28,53 +27,6 @@ var (
 	ErrInsufficientHistory = errors.New("stream: insufficient live history to retrain")
 	ErrQueueFull           = errors.New("stream: refresh queue full")
 )
-
-// Instance is one checked-out trained-or-trainable model. It is satisfied by
-// the serving layer's warm-pool instances (serving.Instance via its stream
-// adapter), whose retained scratch makes repeated refreshes allocation-lean.
-type Instance interface {
-	// TrainOn fits the instance on h; deterministic-inference instances may
-	// skip when h is bit-identical to their last trained history.
-	TrainOn(h timeseries.Series) (skipped bool, err error)
-	// Forecast predicts the next horizon observations after the trained
-	// history.
-	Forecast(horizon int) (timeseries.Series, error)
-}
-
-// Pool is the warm model source the refresher trains through. The serving
-// layer's ModelPool satisfies it through serving.StreamPool; NewFreshPool
-// provides a dependency-free fallback that builds a model per refresh.
-type Pool interface {
-	Checkout(target registry.Target, version int, modelName string) (Instance, error)
-	Return(target registry.Target, version int, inst Instance)
-}
-
-// freshPool is the no-reuse Pool: a deterministic fresh model per checkout,
-// mirroring what the batch pipeline does per server.
-type freshPool struct{ seed int64 }
-
-// freshInstance adapts a bare forecast.Model to the Instance interface.
-type freshInstance struct{ m forecast.Model }
-
-func (fi freshInstance) TrainOn(h timeseries.Series) (bool, error) { return false, fi.m.Train(h) }
-func (fi freshInstance) Forecast(horizon int) (timeseries.Series, error) {
-	return fi.m.Forecast(horizon)
-}
-
-func (p freshPool) Checkout(_ registry.Target, _ int, modelName string) (Instance, error) {
-	m, err := forecast.New(modelName, p.seed)
-	if err != nil {
-		return nil, err
-	}
-	return freshInstance{m: m}, nil
-}
-
-func (p freshPool) Return(registry.Target, int, Instance) {}
-
-// NewFreshPool returns a Pool that builds a deterministic fresh model per
-// checkout — the model-per-refresh baseline, and the standalone option when
-// no serving layer is attached.
-func NewFreshPool(seed int64) Pool { return freshPool{seed: seed} }
 
 // RefreshConfig parameterizes a Refresher. The zero value selects the
 // pipeline's production defaults: the refresher retrains the active model of
@@ -149,14 +101,14 @@ type job struct {
 
 // Refresher retrains drifted servers from live telemetry and republishes
 // their PredictionDocs. Refreshes flow through a bounded dedup queue drained
-// by Run or Drain (across Workers — retraining is CPU-bound, and the serving
+// by Run or Drain (across Workers — retraining is CPU-bound, and the warm
 // pool hands each checkout exclusive ownership), or synchronously through
 // RefreshServer/RefreshWeek. Safe for concurrent use.
 type Refresher struct {
 	ing  *Ingestor
 	db   *cosmos.DB
 	reg  *registry.Registry
-	pool Pool
+	pool *modelpool.Pool
 	cfg  RefreshConfig
 
 	workers *parallel.Pool // Run and Drain fan retrains across it
@@ -184,13 +136,11 @@ type Refresher struct {
 }
 
 // NewRefresher wires a refresher over live telemetry, the document store,
-// the model registry and a warm model pool. pool may be nil: a fresh
-// deterministic model is then built per refresh (NewFreshPool(0)).
-func NewRefresher(ing *Ingestor, db *cosmos.DB, reg *registry.Registry, pool Pool, cfg RefreshConfig) *Refresher {
+// the model registry and the warm model pool every retrain checks its model
+// out of. The pool should be bound to reg (Pool.Bind), so a promote or
+// rollback drops the warm instances of the old deployment.
+func NewRefresher(ing *Ingestor, db *cosmos.DB, reg *registry.Registry, pool *modelpool.Pool, cfg RefreshConfig) *Refresher {
 	cfg = cfg.withDefaults()
-	if pool == nil {
-		pool = NewFreshPool(0)
-	}
 	return &Refresher{
 		ing: ing, db: db, reg: reg, pool: pool, cfg: cfg,
 		workers: parallel.NewPool(cfg.Workers),
@@ -424,8 +374,8 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 	}
 
 	sp = tr.Begin(obs.StageCheckout)
-	inst, err := r.pool.Checkout(target, v.Number, v.ModelName)
-	sp.End()
+	inst, hit, err := r.pool.Checkout(target, v.Number, v.ModelName)
+	sp.EndHit(hit)
 	if err != nil {
 		return err
 	}
@@ -440,7 +390,7 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 		return fmt.Errorf("retrain %s with %s: %w", serverID, v.ModelName, err)
 	}
 	sp = tr.Begin(obs.StageInference)
-	pred, err := inst.Forecast(ppd)
+	pred, err := inst.Model.Forecast(ppd)
 	sp.End()
 	if err != nil {
 		return fmt.Errorf("forecast %s with %s: %w", serverID, v.ModelName, err)

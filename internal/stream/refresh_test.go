@@ -10,6 +10,8 @@ import (
 
 	"seagull/internal/cosmos"
 	"seagull/internal/forecast"
+	"seagull/internal/modelpool"
+	"seagull/internal/obs"
 	"seagull/internal/pipeline"
 	"seagull/internal/registry"
 )
@@ -38,9 +40,16 @@ func refreshFixture(t *testing.T, days int) (*Ingestor, *cosmos.DB, *registry.Re
 	return g, db, reg, doc
 }
 
+// newPool returns a warm model pool bound to reg until t ends.
+func newPool(t *testing.T, reg *registry.Registry) *modelpool.Pool {
+	pool := modelpool.New(modelpool.Config{}, modelpool.DefaultMaxIdle)
+	t.Cleanup(pool.Bind(reg))
+	return pool
+}
+
 func TestRefreshServer(t *testing.T) {
 	g, db, reg, _ := refreshFixture(t, 7)
-	r := NewRefresher(g, db, reg, nil, RefreshConfig{})
+	r := NewRefresher(g, db, reg, newPool(t, reg), RefreshConfig{})
 	if err := r.RefreshServer(context.Background(), "r", "srv", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +81,7 @@ func TestRefreshServer(t *testing.T) {
 
 func TestRefreshServerErrors(t *testing.T) {
 	g, db, reg, _ := refreshFixture(t, 7)
-	r := NewRefresher(g, db, reg, nil, RefreshConfig{})
+	r := NewRefresher(g, db, reg, newPool(t, reg), RefreshConfig{})
 	ctx := context.Background()
 
 	if err := r.RefreshServer(ctx, "r", "ghost", 1); !errors.Is(err, ErrNoPrediction) {
@@ -93,6 +102,28 @@ func TestRefreshServerErrors(t *testing.T) {
 	}
 }
 
+// TestRefreshTraceRecordsWarmCheckout: the second refresh of a server takes
+// its model warm from the pool, and the refresh trace's checkout span says so.
+func TestRefreshTraceRecordsWarmCheckout(t *testing.T) {
+	g, db, reg, _ := refreshFixture(t, 7)
+	tracer := obs.NewTracer(obs.TracerConfig{})
+	r := NewRefresher(g, db, reg, newPool(t, reg), RefreshConfig{Tracer: tracer})
+	for i := 0; i < 2; i++ {
+		if err := r.RefreshServer(context.Background(), "r", "srv", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range tracer.StageStats() {
+		if st.Stage == obs.StageCheckout.String() {
+			if st.Count != 2 || st.Hits < 1 {
+				t.Fatalf("checkout stage = %+v, want 2 spans with at least 1 warm hit", st)
+			}
+			return
+		}
+	}
+	t.Fatal("the refresh traces recorded no checkout span")
+}
+
 func TestRefreshInsufficientHistory(t *testing.T) {
 	// Only two whole days of live history before the predicted day: below
 	// the three-day floor the batch pipeline enforces.
@@ -101,7 +132,7 @@ func TestRefreshInsufficientHistory(t *testing.T) {
 	for i := 5 * 288; i < 7*288; i++ {
 		g.Append("young", testEpoch.Add(time.Duration(i)*5*time.Minute), 25)
 	}
-	r := NewRefresher(g, db, reg, nil, RefreshConfig{})
+	r := NewRefresher(g, db, reg, newPool(t, reg), RefreshConfig{})
 	if err := r.RefreshServer(context.Background(), "r", "young", 1); !errors.Is(err, ErrInsufficientHistory) {
 		t.Fatalf("young server: %v", err)
 	}
@@ -109,7 +140,7 @@ func TestRefreshInsufficientHistory(t *testing.T) {
 
 func TestRefreshQueue(t *testing.T) {
 	g, db, reg, _ := refreshFixture(t, 7)
-	r := NewRefresher(g, db, reg, nil, RefreshConfig{})
+	r := NewRefresher(g, db, reg, newPool(t, reg), RefreshConfig{})
 
 	if q, err := r.Enqueue("r", "srv", 1); err != nil || !q {
 		t.Fatalf("first enqueue = (%v, %v)", q, err)
@@ -152,7 +183,7 @@ func TestRefreshQueue(t *testing.T) {
 
 func TestRefreshRun(t *testing.T) {
 	g, db, reg, _ := refreshFixture(t, 7)
-	r := NewRefresher(g, db, reg, nil, RefreshConfig{})
+	r := NewRefresher(g, db, reg, newPool(t, reg), RefreshConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- r.Run(ctx) }()
@@ -182,7 +213,7 @@ func TestRefreshWeek(t *testing.T) {
 	}
 	storePrediction(t, db, "r", flatDoc("cold", "r", 1, day, 20))
 
-	r := NewRefresher(g, db, reg, nil, RefreshConfig{})
+	r := NewRefresher(g, db, reg, newPool(t, reg), RefreshConfig{})
 	n, err := r.RefreshWeek(context.Background(), "r", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -196,16 +227,5 @@ func TestRefreshWeek(t *testing.T) {
 	}
 	if got.Values[0] != 42 || got.Refreshes != 1 {
 		t.Fatalf("srv2 refreshed doc = v0 %v refreshes %d", got.Values[0], got.Refreshes)
-	}
-}
-
-// TestFreshPoolUnknownModel covers the fallback pool's error path.
-func TestFreshPoolUnknownModel(t *testing.T) {
-	p := NewFreshPool(1)
-	if _, err := p.Checkout(registry.Target{}, 1, "no-such-model"); err == nil {
-		t.Fatal("unknown model should fail checkout")
-	}
-	if _, err := p.Checkout(registry.Target{}, 1, forecast.NameSSA); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -15,9 +15,9 @@
 //     bucket-ratio machinery: a stored prediction whose live actuals fall
 //     below the accuracy threshold has drifted.
 //
-//   - Refresher retrains only the drifted servers — through the serving
-//     layer's warm model pool, via the Pool interface — and republishes the
-//     refreshed PredictionDocs to cosmos. A fleet where 2% of servers
+//   - Refresher retrains only the drifted servers — through a warm model
+//     pool (internal/modelpool, the same pool type the serving layer uses) —
+//     and republishes the refreshed PredictionDocs to cosmos. A fleet where 2% of servers
 //     drifted costs ~2% of a weekly pipeline run. Queued refreshes drain
 //     across a bounded parallel.Pool (RefreshConfig.Workers), and a full
 //     queue is surfaced as a Dropped count rather than silently discarded.

@@ -39,6 +39,7 @@ import (
 	"seagull/internal/insights"
 	"seagull/internal/lake"
 	"seagull/internal/metrics"
+	"seagull/internal/modelpool"
 	"seagull/internal/pipeline"
 	"seagull/internal/registry"
 	"seagull/internal/scheduler"
@@ -489,17 +490,17 @@ func (s *System) Ingest(serverID string, t time.Time, value float64) AppendStatu
 }
 
 // streamSet lazily builds the shared drift detector and refresher. The
-// refresher trains through its own warm model pool (the serving layer's
-// pool machinery, bound to the registry for invalidation on
+// refresher trains through its own warm model pool (a modelpool.Pool like
+// the serving layer's, bound to the registry for invalidation on
 // promote/rollback) so drift-triggered retrains reuse trained scratch
 // without contending with request-serving instances.
 func (s *System) streamSet() (*Ingestor, *DriftDetector, *Refresher) {
 	s.streamSetOnce.Do(func() {
 		ing := s.Stream()
 		s.drift = stream.NewDriftDetector(ing, s.DB)
-		pool := serving.NewModelPool(serving.PoolConfig{})
+		pool := modelpool.New(modelpool.Config{}, modelpool.DefaultMaxIdle)
 		s.refUnbind = pool.Bind(s.Registry)
-		s.refresher = stream.NewRefresher(ing, s.DB, s.Registry, serving.StreamPool(pool), s.cfg.Refresh)
+		s.refresher = stream.NewRefresher(ing, s.DB, s.Registry, pool, s.cfg.Refresh)
 		s.sweeper = stream.NewSweeper(s.DB, s.drift, s.refresher, s.cfg.Sweep)
 	})
 	return s.stream, s.drift, s.refresher
