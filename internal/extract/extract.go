@@ -135,7 +135,15 @@ func Ingest(store *lake.Store, region string, week int, interval time.Duration) 
 // IngestVisit is Ingest that also hands every row of its one scan, in file
 // order, to visit (when non-nil) — how Data Validation checks the rows of
 // the extract the pipeline trains on without reading it a second time.
+//
+// Interval must be a whole, positive number of minutes, and a server's rows
+// must lie within less than a week of each other, as the rows of one weekly
+// extract do; a file breaking that is refused with an error, so one bad
+// timestamp cannot size a server's series beyond a week of points.
 func IngestVisit(store *lake.Store, region string, week int, interval time.Duration, visit func(lake.Row)) ([]*ServerLoad, error) {
+	if interval <= 0 || interval%time.Minute != 0 {
+		return nil, fmt.Errorf("extract: ingest %s week %d: interval %v is not a whole, positive number of minutes", region, week, interval)
+	}
 	r, err := store.Reader(Dataset, region, week)
 	if err != nil {
 		return nil, err
@@ -143,7 +151,7 @@ func IngestVisit(store *lake.Store, region string, week int, interval time.Durat
 	defer r.Close()
 
 	step := int64(interval / time.Minute)
-	weekPoints := int(7 * 24 * 60 / max(step, 1))
+	weekPoints := int(weekMinutes / step)
 	byServer := map[string]*serverAcc{}
 	var cur *serverAcc
 	err = lake.ScanRows(r, func(row lake.Row) error {
@@ -159,6 +167,8 @@ func IngestVisit(store *lake.Store, region string, week int, interval time.Durat
 						BackupEnd:   time.Unix(row.BackupEndMin*60, 0).UTC(),
 					},
 					first: row.TimestampMin,
+					lo:    row.TimestampMin,
+					hi:    row.TimestampMin,
 					vals:  make([]float64, 0, weekPoints),
 				}
 				byServer[row.ServerID] = cur
@@ -168,8 +178,7 @@ func IngestVisit(store *lake.Store, region string, week int, interval time.Durat
 		if v < 0 {
 			v = timeseries.Missing
 		}
-		cur.add(row.TimestampMin, v, step)
-		return nil
+		return cur.add(row.TimestampMin, v, step)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("extract: ingest %s week %d: %w", region, week, err)
@@ -187,11 +196,15 @@ func IngestVisit(store *lake.Store, region string, week int, interval time.Durat
 	return out, nil
 }
 
+// weekMinutes is the length of one weekly extract in minutes.
+const weekMinutes = 7 * 24 * 60
+
 // serverAcc builds one server's series as its rows arrive.
 type serverAcc struct {
-	sl    *ServerLoad
-	first int64 // timestamp of vals[0]
-	vals  []float64
+	sl     *ServerLoad
+	first  int64 // timestamp of vals[0]
+	lo, hi int64 // the earliest and latest timestamps seen
+	vals   []float64
 	// times is nil while every row lands on the grid at or after the
 	// server's first row, which is how ExtractWeek writes; vals is then the
 	// series itself. The first row before that or off the grid turns vals
@@ -199,8 +212,15 @@ type serverAcc struct {
 	times []int64
 }
 
-// add records one observation; later rows for the same slot win.
-func (a *serverAcc) add(t int64, v float64, step int64) {
+// add records one observation; later rows for the same slot win. It refuses
+// a row a week or more away from another of the server's rows, which bounds
+// both vals and place's grid to a week of points.
+func (a *serverAcc) add(t int64, v float64, step int64) error {
+	lo, hi := min(a.lo, t), max(a.hi, t)
+	if uint64(hi-lo) >= weekMinutes { // hi-lo wraps, but as a uint64 it is exact
+		return fmt.Errorf("server %q: rows at minutes %d and %d are a week or more apart", a.sl.ServerID, lo, hi)
+	}
+	a.lo, a.hi = lo, hi
 	if a.times == nil {
 		if d := t - a.first; d >= 0 && d%step == 0 {
 			i := int(d / step)
@@ -208,7 +228,7 @@ func (a *serverAcc) add(t int64, v float64, step int64) {
 				a.vals = append(a.vals, timeseries.Missing)
 			}
 			a.vals[i] = v
-			return
+			return nil
 		}
 		// Every slot becomes a pair, gaps included: a gap's Missing pair
 		// precedes all later rows, so it can be overwritten but never
@@ -220,16 +240,14 @@ func (a *serverAcc) add(t int64, v float64, step int64) {
 	}
 	a.times = append(a.times, t)
 	a.vals = append(a.vals, v)
+	return nil
 }
 
 // place lays the (time, value) pairs of a shuffled or off-grid file out on
 // the grid of the server's earliest timestamp, later rows winning.
 func (a *serverAcc) place(step int64) {
-	first, last := a.times[0], a.times[0]
-	for _, t := range a.times {
-		first, last = min(first, t), max(last, t)
-	}
-	vals := make([]float64, int((last-first)/step)+1)
+	first := a.lo
+	vals := make([]float64, int((a.hi-first)/step)+1)
 	for i := range vals {
 		vals[i] = timeseries.Missing
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,5 +302,62 @@ func TestIngestMatchesPlacementReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// writeExtract publishes data as the extract of (region, week 0).
+func writeExtract(t *testing.T, store *lake.Store, region, data string) {
+	t.Helper()
+	w, err := store.Writer(Dataset, region, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// One bad timestamp can no longer size a server's series: rows a week or
+// more apart, shuffled or in order, are refused with an error naming the
+// server and the extract, while a block just under a week still ingests.
+func TestIngestRefusesRowsAWeekApart(t *testing.T) {
+	store := testStore(t)
+	h := lake.Header + "\n"
+	for name, data := range map[string]string{
+		"shuffled":    h + "srv,1000,1.000,0,10\nsrv,5,2.000,0,10\nsrv,999999999999999995,3.000,0,10\n",
+		"in-order":    h + "srv,100,1.000,0,10\nsrv,10180,2.000,0,10\n",
+		"extremes":    h + "srv,-9223372036854775808,1.000,0,10\nsrv,9223372036854775807,2.000,0,10\n",
+		"before-grid": h + "srv,10080,1.000,0,10\nsrv,0,2.000,0,10\n",
+	} {
+		writeExtract(t, store, name, data)
+		_, err := Ingest(store, name, 0, 5*time.Minute)
+		if err == nil || !strings.Contains(err.Error(), `server "srv"`) ||
+			!strings.Contains(err.Error(), "ingest "+name+" week 0") {
+			t.Errorf("%s: err = %v, want a refusal naming the server and the extract", name, err)
+		}
+	}
+
+	writeExtract(t, store, "just-under", h+"srv,100,1.000,0,10\nsrv,10175,2.000,0,10\n")
+	loads, err := Ingest(store, "just-under", 0, 5*time.Minute)
+	if err != nil || len(loads) != 1 || loads[0].Load.Len() != 7*24*12 {
+		t.Fatalf("a week-long block: err %v, loads %v", err, loads)
+	}
+}
+
+// An interval that is not a whole, positive number of minutes is refused
+// before the extract is read, rather than dividing by a zero step.
+func TestIngestRefusesBadInterval(t *testing.T) {
+	store := testStore(t)
+	writeExtract(t, store, "r", lake.Header+"\nsrv,100,1.000,0,10\nsrv,101,2.000,0,10\n")
+	for _, interval := range []time.Duration{0, -5 * time.Minute, 30 * time.Second, 90 * time.Second} {
+		if _, err := Ingest(store, "r", 0, interval); err == nil || !strings.Contains(err.Error(), "whole, positive number of minutes") {
+			t.Errorf("interval %v: err = %v, want a refusal", interval, err)
+		}
+	}
+	if _, err := Ingest(store, "r", 0, time.Minute); err != nil {
+		t.Errorf("one-minute interval: %v", err)
 	}
 }

@@ -6,6 +6,8 @@ package lake
 // must survive an encode/decode round trip.
 
 import (
+	"bufio"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -99,6 +101,65 @@ func FuzzScanRows(f *testing.F) {
 		if err != nil && rows > 0 && !strings.HasPrefix(data, Header+"\n") {
 			// A file that fails the header check must deliver zero rows.
 			t.Fatalf("header-rejected file still delivered %d rows", rows)
+		}
+	})
+}
+
+// FuzzScanRowsMatchesParseRow checks the stateful scanner over whole files:
+// ScanRows, which reuses a row's backup window when the bytes after its CPU
+// field repeat the previous fast-path row's, delivers exactly the rows
+// ParseRow gives line by line, and fails with the same error on the same
+// line.
+func FuzzScanRowsMatchesParseRow(f *testing.F) {
+	f.Add("a,1,2.000,10,20\na,2,+3,10,20\na,3,4.000,10,20\n")    // slow row between equal tails
+	f.Add("a,1,2.000,10,20\na,2,3,+11,20\na,3,4.000,10,20\n")    // slow row with other backup fields
+	f.Add("a,1,2.000,10,20\na,2,3,11,21\na,3,4.000,10,20\n")     // a tail change on the fast path
+	f.Add("a,1,2.000,\na,2,3.000,\n")                            // empty tail
+	f.Add("a,1,2.000,10,20\r\na,2,3.000,10,20\r\na,3,4,10,20\r") // CRLF endings
+	f.Add("a,1,2.000,10,20\nb,1,3.000,10,20\n")                  // server change, equal tail
+	f.Add("a,1,2.000,10,20\na,2,3.000,10,20,\na,3,4.000,10\n")   // a sixth and a fourth field
+	f.Add("a,1,2.000,10,20\na,2,x,10,20\n")                      // error after a kept tail
+
+	f.Fuzz(func(t *testing.T, body string) {
+		var got []Row
+		gotErr := ScanRows(strings.NewReader(Header+"\n"+body), func(r Row) error {
+			got = append(got, r)
+			return nil
+		})
+
+		// The reference splits lines as ScanRows's scanner does and decodes
+		// each one with ParseRow alone.
+		var want []Row
+		var wantErr error
+		sc := bufio.NewScanner(strings.NewReader(body))
+		sc.Buffer(nil, maxLine)
+		line := 1
+		for sc.Scan() {
+			line++
+			r, err := ParseRow(sc.Text())
+			if err != nil {
+				wantErr = fmt.Errorf("line %d: %w", line, err)
+				break
+			}
+			want = append(want, r)
+		}
+		if err := sc.Err(); err != nil && wantErr == nil {
+			wantErr = fmt.Errorf("line %d: %w", line+1, err)
+		}
+
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("ScanRows err %v, ParseRow err %v", gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ScanRows delivered %d rows, ParseRow %d", len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.ServerID != w.ServerID || g.TimestampMin != w.TimestampMin ||
+				math.Float64bits(g.CPUPct) != math.Float64bits(w.CPUPct) ||
+				g.BackupStartMin != w.BackupStartMin || g.BackupEndMin != w.BackupEndMin {
+				t.Fatalf("row %d: ScanRows %+v, ParseRow %+v", i, g, w)
+			}
 		}
 	})
 }

@@ -6,10 +6,15 @@
 // The paper's input files "contain server identifier, timestamp in minutes,
 // average user CPU load percentage per five minutes, default backup start
 // and end timestamps"; Row and the CSV codec implement exactly that layout.
-// ScanRows decodes an extract in one pass without per-row allocations: rows
-// in the shape the extraction writes take a byte-level fast path that is
-// bit-identical to strconv, and any other line falls back to ParseRow, the
-// strconv reference.
+// ScanRows decodes an extract without per-row allocations, each line in one
+// pass: one IndexByte finds the end of the server id, and every numeric
+// field is then decoded by a loop that stops at its own ',' or at the end of
+// the line, so no field is walked twice. The backup window repeats on every row
+// of a server block, so ScanRows keeps the bytes after the CPU field of the
+// last fast-path row and, while the next line's are equal, reuses that
+// window without decoding it again. The fast path is bit-identical to
+// strconv; any other line falls back to ParseRow, the strconv reference,
+// and forgets the kept bytes.
 //
 // Beyond the weekly extracts, the lake stores named auxiliary objects (see
 // object.go) — notably the stream layer's ring snapshots. Both have atomic
@@ -244,39 +249,53 @@ func ParseRow(line string) (Row, error) {
 	return r, nil
 }
 
-// parseRow decodes line into r. Rows of the shape ExtractWeek writes —
-// optionally '-'-signed decimal digits, a CPU with at most 15 digits and no
-// exponent — are decoded in place without allocating, and r.ServerID is kept
-// while the server does not change; every other line goes to ParseRow.
+// parseRow decodes one line into r with no kept tail, so every field is
+// decoded; see decodeRow.
 func parseRow(line []byte, r *Row) error {
-	var f [5][]byte
-	rest := line
-	for i := range 4 {
-		j := bytes.IndexByte(rest, ',')
-		if j < 0 {
-			return parseRowSlow(line, r)
+	var tail []byte
+	return decodeRow(line, r, &tail)
+}
+
+// decodeRow decodes line into r in one pass. Rows of the shape ExtractWeek
+// writes — optionally '-'-signed decimal digits, a CPU with at most 15
+// digits and no exponent — are decoded in place without allocating, and
+// r.ServerID is kept while the server does not change; every other line goes
+// to ParseRow. *tail holds the bytes after the CPU field of the last row
+// decoded here, whose backup window r still carries: a line whose own bytes
+// there are equal keeps that window without decoding it again. A line that
+// leaves the fast path clears *tail, and an empty tail never matches.
+func decodeRow(line []byte, r *Row, tail *[]byte) error {
+	id := bytes.IndexByte(line, ',')
+	if id < 0 {
+		return parseRowSlow(line, r, tail)
+	}
+	ts, i, ok := intField(line, id+1)
+	if !ok || i == len(line) {
+		return parseRowSlow(line, r, tail)
+	}
+	cpu, i, ok := cpuField(line, i+1)
+	if !ok || i == len(line) {
+		return parseRowSlow(line, r, tail)
+	}
+	bs, be := r.BackupStartMin, r.BackupEndMin
+	if rest := line[i+1:]; len(*tail) == 0 || !bytes.Equal(rest, *tail) {
+		if bs, i, ok = intField(line, i+1); !ok || i == len(line) {
+			return parseRowSlow(line, r, tail)
 		}
-		f[i], rest = rest[:j], rest[j+1:]
+		if be, i, ok = intField(line, i+1); !ok || i != len(line) {
+			return parseRowSlow(line, r, tail)
+		}
+		*tail = append((*tail)[:0], rest...)
 	}
-	if bytes.IndexByte(rest, ',') >= 0 {
-		return parseRowSlow(line, r)
-	}
-	f[4] = rest
-	ts, ok1 := parseInt(f[1])
-	cpu, ok2 := parseCPU(f[2])
-	bs, ok3 := parseInt(f[3])
-	be, ok4 := parseInt(f[4])
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return parseRowSlow(line, r)
-	}
-	if string(f[0]) != r.ServerID {
-		r.ServerID = string(f[0])
+	if string(line[:id]) != r.ServerID {
+		r.ServerID = string(line[:id])
 	}
 	r.TimestampMin, r.CPUPct, r.BackupStartMin, r.BackupEndMin = ts, cpu, bs, be
 	return nil
 }
 
-func parseRowSlow(line []byte, r *Row) error {
+func parseRowSlow(line []byte, r *Row, tail *[]byte) error {
+	*tail = (*tail)[:0]
 	row, err := ParseRow(string(line))
 	if err == nil {
 		*r = row
@@ -284,60 +303,59 @@ func parseRowSlow(line []byte, r *Row) error {
 	return err
 }
 
-// parseDigits decodes an optionally '-'-signed run of 1 to maxDigits decimal
-// digits, with at most one '.' when dotOK: m is the digits read as one
-// integer and frac the number of them after the '.'.
-func parseDigits(b []byte, maxDigits int, dotOK bool) (m uint64, frac int, neg, ok bool) {
-	neg = len(b) > 0 && b[0] == '-'
-	if neg {
-		b = b[1:]
+// field decodes the field that starts at b[i] and ends at the next ',' or
+// at the end of b, which end indexes: an optionally '-'-signed run of 1 to
+// maxDigits decimal digits, with at most one '.' when dotOK. m is the digits
+// read as one integer and frac the number of them after the '.'.
+func field(b []byte, i, maxDigits int, dotOK bool) (m uint64, frac int, neg bool, end int, ok bool) {
+	if i < len(b) && b[i] == '-' {
+		neg, i = true, i+1
 	}
-	digits, dot := 0, false
-	for _, c := range b {
-		switch {
-		case c >= '0' && c <= '9':
+	start, dot := i, -1
+	for ; i < len(b) && b[i] != ','; i++ {
+		switch c := b[i]; {
+		case c-'0' <= 9:
 			m = m*10 + uint64(c-'0')
-			digits++
-			if dot {
-				frac++
-			}
-		case c == '.' && dotOK && !dot:
-			dot = true
+		case c == '.' && dotOK && dot < 0:
+			dot = i
 		default:
-			return 0, 0, false, false
+			return 0, 0, false, i, false
 		}
 	}
-	return m, frac, neg, digits > 0 && digits <= maxDigits
+	digits := i - start
+	if dot >= 0 {
+		digits, frac = digits-1, i-dot-1
+	}
+	return m, frac, neg, i, digits > 0 && digits <= maxDigits
 }
 
-// parseInt decodes an optionally '-'-signed integer of at most 18 digits,
-// which cannot overflow an int64.
-func parseInt(b []byte) (int64, bool) {
-	m, _, neg, ok := parseDigits(b, 18, false)
-	if neg {
-		return -int64(m), ok
+// intField decodes an integer field of at most 18 digits, which cannot
+// overflow an int64.
+func intField(b []byte, i int) (v int64, end int, ok bool) {
+	m, _, neg, end, ok := field(b, i, 18, false)
+	if v = int64(m); neg {
+		v = -v
 	}
-	return int64(m), ok
+	return v, end, ok
 }
 
 // pow10 holds the powers of ten up to 10^15, all exact in a float64.
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
-// parseCPU decodes an optionally '-'-signed decimal of at most 15 digits
-// without exponent. The digits form an integer m < 10^15 < 2^53 and the k
-// fraction digits a divisor 10^k, both exact in a float64, so m / 10^k is the
-// correctly rounded value of the decimal — bit-identical to
-// strconv.ParseFloat, whose own exact fast path this is.
-func parseCPU(b []byte) (float64, bool) {
-	m, frac, neg, ok := parseDigits(b, 15, true)
+// cpuField decodes a CPU field of at most 15 digits without exponent. The
+// digits form an integer m < 10^15 < 2^53 and the k fraction digits a divisor
+// 10^k, both exact in a float64, so m / 10^k is the correctly rounded value
+// of the decimal — bit-identical to strconv.ParseFloat, whose own exact fast
+// path this is.
+func cpuField(b []byte, i int) (v float64, end int, ok bool) {
+	m, frac, neg, end, ok := field(b, i, 15, true)
 	if !ok {
-		return 0, false
+		return 0, end, false
 	}
-	v := float64(m) / pow10[frac]
-	if neg {
+	if v = float64(m) / pow10[frac]; neg {
 		v = -v
 	}
-	return v, true
+	return v, end, true
 }
 
 // maxLine caps one extract line; the scan buffer starts at 64 KiB and grows
@@ -361,9 +379,10 @@ func ScanRows(r io.Reader, fn func(Row) error) error {
 	}
 	line := 1
 	var row Row
+	var tail []byte
 	for sc.Scan() {
 		line++
-		if err := parseRow(sc.Bytes(), &row); err != nil {
+		if err := decodeRow(sc.Bytes(), &row, &tail); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
 		}
 		if err := fn(row); err != nil {

@@ -256,19 +256,30 @@ func TestScanRowsReportsLineNumbers(t *testing.T) {
 
 // The extract's whole CPU domain — the missing sentinel and 0.000 through
 // 100.000 as ExtractWeek formats them — decodes bit-identically to
-// strconv.ParseFloat.
+// strconv.ParseFloat through ScanRows, every line on its fast path.
 func TestParseCPUExhaustiveDomain(t *testing.T) {
-	check := func(v float64) {
-		text := strconv.AppendFloat(nil, v, 'f', 3, 64)
-		got, ok := parseCPU(text)
-		want, err := strconv.ParseFloat(string(text), 64)
-		if !ok || err != nil || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: parseCPU %v (ok %v), ParseFloat %v (err %v)", text, got, ok, want, err)
-		}
-	}
-	check(-1)
+	var texts []string
+	add := func(v float64) { texts = append(texts, strconv.FormatFloat(v, 'f', 3, 64)) }
+	add(-1)
 	for milli := 0; milli <= 100_000; milli++ {
-		check(float64(milli) / 1000)
+		add(float64(milli) / 1000)
+	}
+	var data strings.Builder
+	data.WriteString(Header + "\n")
+	for _, text := range texts {
+		data.WriteString("srv,1," + text + ",2,3\n")
+	}
+	i := 0
+	err := ScanRows(strings.NewReader(data.String()), func(r Row) error {
+		want, err := strconv.ParseFloat(texts[i], 64)
+		if err != nil || math.Float64bits(r.CPUPct) != math.Float64bits(want) {
+			return fmt.Errorf("%s: ScanRows %v, ParseFloat %v (err %v)", texts[i], r.CPUPct, want, err)
+		}
+		i++
+		return nil
+	})
+	if err != nil || i != len(texts) {
+		t.Fatalf("after %d of %d rows: %v", i, len(texts), err)
 	}
 }
 

@@ -73,8 +73,9 @@ type Config struct {
 	ModelName string
 	// Interval is the telemetry granularity; defaults to 5 minutes.
 	Interval time.Duration
-	// Workers bounds the parallel accuracy evaluation; 0 means NumCPU, 1
-	// forces the single-threaded baseline.
+	// Workers bounds a run's parallel work: the concurrent parse of the
+	// ingested weeks' extracts and the per-server train, infer and accuracy
+	// evaluation. 0 means NumCPU; 1 forces the single-threaded baseline.
 	Workers int
 	// Seed drives stochastic models.
 	Seed int64
@@ -316,30 +317,38 @@ type serverHistory struct {
 
 // ingest loads the current week plus up to HistoryWeeks prior weeks and
 // concatenates them per server, handing the current week's rows to check as
-// they are scanned. It returns the per-server histories and the current
-// week's loads (for validation).
+// they are scanned. The weeks are parsed concurrently under cfg.Workers, each
+// into its own slot, and concatenated in week order, so the result and the
+// error returned (the first in week order) do not depend on the worker
+// count. It returns the per-server histories and the current week's loads
+// (for validation).
 func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverHistory, []*extract.ServerLoad, error) {
-	firstWeek := cfg.Week - metrics.DefaultConfig().HistoryWeeks
-	if firstWeek < 0 {
-		firstWeek = 0
+	if cfg.Week < 0 {
+		return nil, nil, ErrNoData
+	}
+	firstWeek := max(cfg.Week-metrics.DefaultConfig().HistoryWeeks, 0)
+	weeks := make([][]*extract.ServerLoad, cfg.Week-firstWeek+1)
+	errs := make([]error, len(weeks))
+	err := parallel.NewPool(cfg.Workers).ForEach(len(weeks), func(i int) error {
+		var visit func(lake.Row)
+		if firstWeek+i == cfg.Week {
+			visit = check
+		}
+		weeks[i], errs[i] = extract.IngestVisit(p.Store, cfg.Region, firstWeek+i, cfg.Interval, visit)
+		return nil
+	})
+	if err != nil { // a recovered panic; the weeks' own errors are in errs
+		return nil, nil, err
 	}
 	weekPoints := int(7 * 24 * time.Hour / cfg.Interval)
 	histories := map[string]*serverHistory{}
-	var weekLoads []*extract.ServerLoad
-	for w := firstWeek; w <= cfg.Week; w++ {
-		var visit func(lake.Row)
-		if w == cfg.Week {
-			visit = check
-		}
-		loads, err := extract.IngestVisit(p.Store, cfg.Region, w, cfg.Interval, visit)
-		if err != nil {
+	for i, loads := range weeks {
+		w := firstWeek + i
+		if err := errs[i]; err != nil {
 			if errors.Is(err, lake.ErrNotFound) && w != cfg.Week {
 				continue // older weeks may predate the dataset
 			}
 			return nil, nil, err
-		}
-		if w == cfg.Week {
-			weekLoads = loads
 		}
 		for _, sl := range loads {
 			h := histories[sl.ServerID]
@@ -361,6 +370,7 @@ func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverH
 			h.windowPoints = sl.WindowPoints()
 		}
 	}
+	weekLoads := weeks[len(weeks)-1]
 	if len(weekLoads) == 0 {
 		return nil, nil, ErrNoData
 	}

@@ -2,7 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,23 +209,103 @@ func TestFallbackOnRegression(t *testing.T) {
 	}
 }
 
+// editExtract rewrites the stored extract of (region, week) through edit.
+func editExtract(t *testing.T, p *Pipeline, region string, week int, edit func(lines []string) []string) {
+	t.Helper()
+	path := p.Store.Path(extract.Dataset, region, week)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := edit(strings.Split(string(data), "\n"))
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storedPredictions returns the predictions collection's stored bytes by id.
+func storedPredictions(t *testing.T, p *Pipeline, region string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := p.DB.Collection(PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
+		out[id] = string(body)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// The worker count changes neither training nor ingestion, whose history
+// weeks parse concurrently: a week with three history weeks and planted
+// anomalies gives the same rows, servers, anomalies in order, classes and
+// stored prediction bytes on one worker as on eight.
 func TestWorkersProduceSameResults(t *testing.T) {
-	p1, _ := fixture(t, 40)
-	p2, _ := fixture(t, 40)
-	r1, err := p1.RunWeek(context.Background(), Config{Region: "testreg", Week: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	plant := func(lines []string) []string {
+		for i, cpu := range map[int]string{5: "250.000", 900: "-7.000", 4000: "101.000"} {
+			parts := strings.Split(lines[i], ",")
+			parts[2] = cpu
+			lines[i] = strings.Join(parts, ",")
+		}
+		return lines
 	}
-	r8, err := p2.RunWeek(context.Background(), Config{Region: "testreg", Week: 1, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+	for _, week := range []int{1, 3} {
+		p1, _ := fixture(t, 40)
+		p8, _ := fixture(t, 40)
+		editExtract(t, p1, "testreg", week, plant)
+		editExtract(t, p8, "testreg", week, plant)
+		r1, err := p1.RunWeek(context.Background(), Config{Region: "testreg", Week: week, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r8, err := p8.RunWeek(context.Background(), Config{Region: "testreg", Week: week, Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.Rows != r8.Rows || r1.Servers != r8.Servers || r1.Rows == 0 {
+			t.Errorf("week %d: rows/servers %d/%d vs %d/%d", week, r1.Rows, r1.Servers, r8.Rows, r8.Servers)
+		}
+		if r1.Predicted != r8.Predicted || r1.Evaluated != r8.Evaluated {
+			t.Errorf("week %d: parallelism changed results: %d/%d vs %d/%d",
+				week, r1.Predicted, r1.Evaluated, r8.Predicted, r8.Evaluated)
+		}
+		if r1.Summary.PctCorrect != r8.Summary.PctCorrect {
+			t.Errorf("week %d: accuracy differs: %v vs %v", week, r1.Summary.PctCorrect, r8.Summary.PctCorrect)
+		}
+		if len(r1.Validation.Anomalies) == 0 || !reflect.DeepEqual(r1.Validation, r8.Validation) {
+			t.Errorf("week %d: validation differs:\n%+v\n%+v", week, r1.Validation, r8.Validation)
+		}
+		if !reflect.DeepEqual(r1.Classes, r8.Classes) {
+			t.Errorf("week %d: classes differ: %+v vs %+v", week, r1.Classes, r8.Classes)
+		}
+		d1, d8 := storedPredictions(t, p1, "testreg"), storedPredictions(t, p8, "testreg")
+		if len(d1) != r1.Predicted || !reflect.DeepEqual(d1, d8) {
+			t.Errorf("week %d: stored predictions differ (%d vs %d docs)", week, len(d1), len(d8))
+		}
 	}
-	if r1.Predicted != r8.Predicted || r1.Evaluated != r8.Evaluated {
-		t.Errorf("parallelism changed results: %d/%d vs %d/%d",
-			r1.Predicted, r1.Evaluated, r8.Predicted, r8.Evaluated)
+}
+
+// With the history weeks parsed concurrently, the error a run returns is
+// still the first in week order, and a missing earliest week is skipped.
+func TestIngestReturnsFirstCorruptWeek(t *testing.T) {
+	corrupt := func(line string) func([]string) []string {
+		return func(lines []string) []string { return append(lines[:len(lines)-1], line) }
 	}
-	if r1.Summary.PctCorrect != r8.Summary.PctCorrect {
-		t.Errorf("accuracy differs: %v vs %v", r1.Summary.PctCorrect, r8.Summary.PctCorrect)
+	for _, workers := range []int{1, 8} {
+		p, _ := fixture(t, 10)
+		if err := os.Remove(p.Store.Path(extract.Dataset, "testreg", 0)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.RunWeek(context.Background(), Config{Region: "testreg", Week: 3, Workers: workers}); err != nil {
+			t.Fatalf("workers %d: a missing week 0 must be skipped: %v", workers, err)
+		}
+		editExtract(t, p, "testreg", 1, corrupt("garbage,row\n"))
+		editExtract(t, p, "testreg", 2, corrupt("srv,1,2,3\n"))
+		_, err := p.RunWeek(context.Background(), Config{Region: "testreg", Week: 3, Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "ingest testreg week 1:") || !strings.Contains(err.Error(), "garbage") {
+			t.Errorf("workers %d: err = %v, want week 1's error", workers, err)
+		}
 	}
 }
 
