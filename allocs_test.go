@@ -1,7 +1,7 @@
 //go:build !race
 
 // The race detector adds allocations of its own (StreamRefresh measures 27
-// allocs per op without it and 42 with it, PipelineWeek 1,238 and 1,597), so
+// allocs per op without it and 34 with it, PipelineWeek 1,061 and 1,389), so
 // the ceilings hold for the normal build only and `go test -race` skips this
 // file.
 
@@ -37,6 +37,7 @@ import (
 	"seagull/internal/modelpool"
 	"seagull/internal/obs"
 	"seagull/internal/parallel"
+	"seagull/internal/pipeline"
 	"seagull/internal/registry"
 	"seagull/internal/serving"
 	"seagull/internal/simulate"
@@ -92,9 +93,10 @@ var allocCases = []allocCase{
 	{"StreamWALReplay", 297, streamWALReplayCase},                   // 270 measured: 36,864 log records
 
 	// The weekly batch and admission control.
-	{"PipelineWeek", 1361, pipelineWeekCase},    // 1,238 measured: RunWeek over 40 servers
-	{"AdmissionAccept", 0, admissionAcceptCase}, // the accept fast path
-	{"AdmissionShed", 0, admissionShedCase},     // shedding is cheaper than serving
+	{"PipelineWeek", 1167, pipelineWeekCase(false)},    // 1,061 measured: RunWeek over 40 servers, week 0 kept
+	{"PipelineWeekCold", 1302, pipelineWeekCase(true)}, // 1,184 measured: the same on a fresh Pipeline, both weeks parsed
+	{"AdmissionAccept", 0, admissionAcceptCase},        // the accept fast path
+	{"AdmissionShed", 0, admissionShedCase},            // shedding is cheaper than serving
 }
 
 // allocRuns is how many calls AllocsPerRun averages (rounding down).
@@ -606,24 +608,36 @@ func streamWALReplayCase(tb testing.TB) func() {
 
 // pipelineWeekCase is one weekly RunWeek over 40 servers and two weeks of
 // extracts, on one worker so the count is the same on every host.
-func pipelineWeekCase(tb testing.TB) func() {
-	sys, err := seagull.NewSystem(seagull.SystemConfig{DataDir: tb.TempDir()})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { _ = sys.Close() })
-	fleet := seagull.GenerateFleet(seagull.FleetConfig{Region: "bench", Servers: 40, Weeks: 2, Seed: 1})
-	if _, err := sys.LoadFleet(fleet); err != nil {
-		tb.Fatal(err)
-	}
-	return func() {
-		res, err := sys.RunWeek(seagull.PipelineConfig{Region: "bench", Week: 1, Workers: 1})
+// pipelineWeekCase is one RunWeek over 40 servers, week 1 with week 0 as
+// history. Warm, the system's own Pipeline runs it, after its first two runs
+// kept both weeks; cold, every op runs on a fresh Pipeline, which parses both.
+func pipelineWeekCase(cold bool) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		sys, err := seagull.NewSystem(seagull.SystemConfig{DataDir: tb.TempDir()})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if res.Predicted == 0 {
-			tb.Fatal("no predictions")
+		tb.Cleanup(func() { _ = sys.Close() })
+		fleet := seagull.GenerateFleet(seagull.FleetConfig{Region: "bench", Servers: 40, Weeks: 2, Seed: 1})
+		if _, err := sys.LoadFleet(fleet); err != nil {
+			tb.Fatal(err)
 		}
+		cfg := seagull.PipelineConfig{Region: "bench", Week: 1, Workers: 1}
+		run := func(p *pipeline.Pipeline) {
+			res, err := p.RunWeek(context.Background(), cfg)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if res.Predicted == 0 {
+				tb.Fatal("no predictions")
+			}
+		}
+		if cold {
+			return func() { run(pipeline.New(sys.Lake, sys.DB, sys.Registry, sys.Dashboard)) }
+		}
+		run(sys.Pipeline)
+		run(sys.Pipeline)
+		return func() { run(sys.Pipeline) }
 	}
 }
 

@@ -53,8 +53,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("week %d: %v", week, err)
 		}
-		fmt.Printf("week %d: servers=%d rows=%d predicted=%d evaluated=%d\n",
-			week, res.Servers, res.Rows, res.Predicted, res.Evaluated)
+		fmt.Printf("week %d: servers=%d rows=%d predicted=%d evaluated=%d reused-weeks=%d\n",
+			week, res.Servers, res.Rows, res.Predicted, res.Evaluated, res.ReusedWeeks)
 		fmt.Printf("  accuracy: LL-correct=%.2f%% LL-accurate=%.2f%% predictable=%.2f%%\n",
 			100*res.Summary.PctCorrect, 100*res.Summary.PctAccurate, 100*res.Summary.PctPredictable)
 		fmt.Printf("  classes: %s\n", res.Classes)

@@ -16,6 +16,7 @@ package extract
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -141,20 +142,25 @@ func Ingest(store *lake.Store, region string, week int, interval time.Duration) 
 // extract do; a file breaking that is refused with an error, so one bad
 // timestamp cannot size a server's series beyond a week of points.
 func IngestVisit(store *lake.Store, region string, week int, interval time.Duration, visit func(lake.Row)) ([]*ServerLoad, error) {
-	if interval <= 0 || interval%time.Minute != 0 {
-		return nil, fmt.Errorf("extract: ingest %s week %d: interval %v is not a whole, positive number of minutes", region, week, interval)
-	}
 	r, err := store.Reader(Dataset, region, week)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
+	return IngestReader(r, region, week, interval, visit)
+}
 
+// IngestReader is IngestVisit over an extract the caller has opened; region
+// and week only name it in errors.
+func IngestReader(r io.Reader, region string, week int, interval time.Duration, visit func(lake.Row)) ([]*ServerLoad, error) {
+	if interval <= 0 || interval%time.Minute != 0 {
+		return nil, fmt.Errorf("extract: ingest %s week %d: interval %v is not a whole, positive number of minutes", region, week, interval)
+	}
 	step := int64(interval / time.Minute)
 	weekPoints := int(weekMinutes / step)
 	byServer := map[string]*serverAcc{}
 	var cur *serverAcc
-	err = lake.ScanRows(r, func(row lake.Row) error {
+	err := lake.ScanRows(r, func(row lake.Row) error {
 		if visit != nil {
 			visit(row)
 		}

@@ -8,11 +8,14 @@
 //
 // Concurrency: a Pipeline is safe for concurrent runs over distinct
 // (region, week) pairs — runs share the substrates but write disjoint
-// documents (failure_test.go pins the isolation). Cancelling a run's ctx
-// abandons it at the next stage boundary or server partition and records it
-// as failed. Equivalence: RunWeek is deterministic per (config, stored
-// extract) — the stream layer's refresh path is pinned bit-identical to it,
-// and the Cron replays are pinned against operator-triggered runs.
+// documents (failure_test.go pins the isolation). Runs also share the
+// Pipeline's kept earlier weeks (weeks.go): concurrent runs of one region
+// may evict each other's, which only costs a parse, and what was kept never
+// changes a result (weeks_test.go pins kept against fresh). Cancelling a
+// run's ctx abandons it at the next stage boundary or server partition and
+// records it as failed. Equivalence: RunWeek is deterministic per (config,
+// stored extract) — the stream layer's refresh path is pinned bit-identical
+// to it, and the Cron replays are pinned against operator-triggered runs.
 package pipeline
 
 import (
@@ -167,6 +170,9 @@ type Result struct {
 	FellBack     bool
 	StageTimings []insights.StageTiming
 	Total        time.Duration
+	// ReusedWeeks counts the earlier weeks served from the Pipeline's kept
+	// weeks instead of parsed (see weeks.go).
+	ReusedWeeks int
 }
 
 // Pipeline wires the use-case-agnostic components together.
@@ -178,6 +184,8 @@ type Pipeline struct {
 	// Clock stamps run records with (possibly simulated) time; stage timings
 	// always use the wall clock — they measure real work.
 	Clock simclock.Clock
+
+	weeks weekCache
 }
 
 // New returns a pipeline over the given substrates. dash may be nil (a
@@ -220,11 +228,12 @@ func (p *Pipeline) RunWeek(ctx context.Context, cfg Config) (*Result, error) {
 	t := time.Now()
 	schema := validate.DefaultSchema()
 	rows := validate.NewRowChecker(schema)
-	histories, weekLoads, err := p.ingest(cfg, rows.Check)
+	histories, weekLoads, reused, err := p.ingest(cfg, rows.Check)
 	record(StageIngestion, time.Since(t))
 	if err != nil {
 		return fail(StageIngestion, err)
 	}
+	res.ReusedWeeks = reused
 	res.Servers = len(weekLoads)
 	for _, sl := range weekLoads {
 		res.Rows += sl.Load.Len()
@@ -317,45 +326,53 @@ type serverHistory struct {
 
 // ingest loads the current week plus up to HistoryWeeks prior weeks and
 // concatenates them per server, handing the current week's rows to check as
-// they are scanned. The weeks are parsed concurrently under cfg.Workers, each
-// into its own slot, and concatenated in week order, so the result and the
-// error returned (the first in week order) do not depend on the worker
-// count. It returns the per-server histories and the current week's loads
-// (for validation).
-func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverHistory, []*extract.ServerLoad, error) {
+// they are scanned. The weeks are read concurrently under cfg.Workers, each
+// into its own slot — an earlier week from the Pipeline's kept weeks when its
+// extract is unchanged (weeks.go) — and concatenated in week order, so the
+// result and the error returned (the first in week order) depend neither on
+// the worker count nor on what was kept. It returns the per-server
+// histories, the current week's loads (for validation) and how many earlier
+// weeks were reused.
+func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverHistory, []*extract.ServerLoad, int, error) {
 	if cfg.Week < 0 {
-		return nil, nil, ErrNoData
+		return nil, nil, 0, ErrNoData
 	}
 	firstWeek := max(cfg.Week-metrics.DefaultConfig().HistoryWeeks, 0)
-	weeks := make([][]*extract.ServerLoad, cfg.Week-firstWeek+1)
+	keep := p.weeks.begin(cfg.Region)
+	defer p.weeks.retain(cfg.Region, cfg.Interval, firstWeek, cfg.Week)
+	weeks := make([]ingestedWeek, cfg.Week-firstWeek+1)
 	errs := make([]error, len(weeks))
 	err := parallel.NewPool(cfg.Workers).ForEach(len(weeks), func(i int) error {
 		var visit func(lake.Row)
 		if firstWeek+i == cfg.Week {
 			visit = check
 		}
-		weeks[i], errs[i] = extract.IngestVisit(p.Store, cfg.Region, firstWeek+i, cfg.Interval, visit)
+		weeks[i], errs[i] = p.readWeek(cfg, firstWeek+i, visit, keep)
 		return nil
 	})
 	if err != nil { // a recovered panic; the weeks' own errors are in errs
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	weekPoints := int(7 * 24 * time.Hour / cfg.Interval)
 	histories := map[string]*serverHistory{}
-	for i, loads := range weeks {
+	reused := 0
+	for i, wk := range weeks {
 		w := firstWeek + i
 		if err := errs[i]; err != nil {
 			if errors.Is(err, lake.ErrNotFound) && w != cfg.Week {
 				continue // older weeks may predate the dataset
 			}
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
-		for _, sl := range loads {
+		if wk.reused {
+			reused++
+		}
+		for _, sl := range wk.servers {
 			h := histories[sl.ServerID]
 			if h == nil {
 				// Size the history once for every week still to come, so the
 				// later weeks append in place.
-				vals := append(make([]float64, 0, (cfg.Week-w+1)*weekPoints), sl.Load.Values...)
+				vals := sl.appendTo(make([]float64, 0, (cfg.Week-w+1)*weekPoints))
 				h = &serverHistory{id: sl.ServerID, load: timeseries.New(sl.Load.Start, sl.Load.Interval, vals)}
 				histories[sl.ServerID] = h
 			} else {
@@ -364,17 +381,17 @@ func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverH
 				for g := 0; g < gap; g++ {
 					h.load.Append(timeseries.Missing)
 				}
-				h.load.Append(sl.Load.Values...)
+				h.load.Values = sl.appendTo(h.load.Values)
 			}
 			h.backupStart, h.backupEnd = sl.BackupStart, sl.BackupEnd
 			h.windowPoints = sl.WindowPoints()
 		}
 	}
-	weekLoads := weeks[len(weeks)-1]
+	weekLoads := weeks[len(weeks)-1].loads
 	if len(weekLoads) == 0 {
-		return nil, nil, ErrNoData
+		return nil, nil, 0, ErrNoData
 	}
-	return histories, weekLoads, nil
+	return histories, weekLoads, reused, nil
 }
 
 // extractFeatures classifies every server on its concatenated history.
@@ -467,7 +484,7 @@ func (p *Pipeline) predictServer(cfg Config, h *serverHistory) (*PredictionDoc, 
 	if !ok {
 		return nil, nil
 	}
-	history, err := h.load.Slice(dayIdx-trainPoints, dayIdx)
+	history, err := h.load.View(dayIdx-trainPoints, dayIdx)
 	if err != nil {
 		return nil, nil
 	}
@@ -506,7 +523,7 @@ func (p *Pipeline) predictServer(cfg Config, h *serverHistory) (*PredictionDoc, 
 	}
 
 	// Evaluate against actuals (run happens after the week completed).
-	trueDay, err := h.load.Slice(dayIdx, dayIdx+ppd)
+	trueDay, err := h.load.View(dayIdx, dayIdx+ppd)
 	if err != nil {
 		return pdoc, nil
 	}
@@ -619,12 +636,8 @@ func (p *Pipeline) RunSchedule(ctx context.Context, base Config, regions []strin
 			cfg := base
 			cfg.Region = region
 			cfg.Week = week
-			res, err := p.RunWeek(ctx, cfg)
-			if err != nil {
-				// RunWeek already raised the incident; keep the partial result.
-				out = append(out, res)
-				continue
-			}
+			// A failed run has raised its incident; its partial result is kept.
+			res, _ := p.RunWeek(ctx, cfg)
 			out = append(out, res)
 		}
 	}

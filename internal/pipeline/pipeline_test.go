@@ -23,8 +23,14 @@ import (
 // a ready pipeline.
 func fixture(t *testing.T, servers int) (*Pipeline, *simulate.Fleet) {
 	t.Helper()
+	return fixtureWeeks(t, servers, 4)
+}
+
+// fixtureWeeks is fixture over a fleet of the given number of weeks.
+func fixtureWeeks(t *testing.T, servers, weeks int) (*Pipeline, *simulate.Fleet) {
+	t.Helper()
 	fleet := simulate.GenerateFleet(simulate.Config{
-		Region: "testreg", Servers: servers, Weeks: 4, Seed: 21,
+		Region: "testreg", Servers: servers, Weeks: weeks, Seed: 21,
 	})
 	store, err := lake.Open(t.TempDir())
 	if err != nil {
@@ -226,8 +232,14 @@ func editExtract(t *testing.T, p *Pipeline, region string, week int, edit func(l
 // storedPredictions returns the predictions collection's stored bytes by id.
 func storedPredictions(t *testing.T, p *Pipeline, region string) map[string]string {
 	t.Helper()
+	return storedDocs(t, p, PredictionsCollection, region)
+}
+
+// storedDocs returns a collection's stored bytes in region by id.
+func storedDocs(t *testing.T, p *Pipeline, collection, region string) map[string]string {
+	t.Helper()
 	out := map[string]string{}
-	err := p.DB.Collection(PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
+	err := p.DB.Collection(collection).Query(region, func(id string, body json.RawMessage) error {
 		out[id] = string(body)
 		return nil
 	})
