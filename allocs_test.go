@@ -21,9 +21,13 @@ package seagull_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -81,6 +85,7 @@ var allocCases = []allocCase{
 	{"ServePredictFFNN", 5, servePredictCase(forecast.NameFFNN, fastFFNN)}, // exact: the warm-predict guarantee
 	{"ServeBatch", 71, serveBatchCase},                                     // 65 measured: 8 retrains on one warm model
 	{"TracedPredict", 3, tracedPredictCase},                                // exact: tracing adds no allocation
+	{"ServeDecodePredict", 5, serveDecodePredictCase},                      // 5 measured: one 2,016-point body read once and walked
 	{"MetricsRender", 106, metricsRenderCase},                              // 97 measured: one /metrics scrape
 
 	// The stream layer.
@@ -322,6 +327,69 @@ func serveBatchCase(tb testing.TB) func() {
 		if resp.Failed != 0 {
 			tb.Fatalf("%d batch items failed", resp.Failed)
 		}
+	}
+}
+
+// wireBody is a /v2/predict body as the benchmark's clients send it: a week
+// of 5-minute history whose values carry 16–17 significant digits.
+func wireBody(tb testing.TB) []byte {
+	req := benchPredictRequest()
+	rng := rand.New(rand.NewSource(3))
+	for i := range req.History.Values {
+		req.History.Values[i] += rng.Float64()
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// reusedBody is a request body that can be rewound, so a row can send one
+// body many times without allocating a reader per call.
+type reusedBody struct{ bytes.Reader }
+
+func (*reusedBody) Close() error { return nil }
+
+// serveDecodePredictCase is the replica's route decode of one 2,016-point
+// /v2/predict body: read it once under the body limit and walk it into the
+// typed request.
+func serveDecodePredictCase(tb testing.TB) func() {
+	body := wireBody(tb)
+	rd := &reusedBody{}
+	r := httptest.NewRequest(http.MethodPost, "/v2/predict", nil)
+	w := httptest.NewRecorder()
+	var req serving.PredictRequestV2
+	return func() {
+		rd.Reset(body)
+		r.Body, r.ContentLength = rd, int64(len(body))
+		req = serving.PredictRequestV2{}
+		if serr := serving.DecodeRequest(w, r, &req); serr != nil || len(req.History.Values) != 7*288 {
+			tb.Fatalf("decoded %d values: %v", len(req.History.Values), serr)
+		}
+	}
+}
+
+// TestServeDecodeBytes bounds the bytes the replica's route decode allocates
+// per 2,016-point body: the body is read once and its values parsed once, so
+// it holds the body and the floats, with room for buffer slack but not for
+// a second copy of the body.
+func TestServeDecodeBytes(t *testing.T) {
+	body := wireBody(t)
+	op := serveDecodePredictCase(t)
+	op()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	limit := 2*len(body) + 8*7*288
+	if n := int(after.TotalAlloc-before.TotalAlloc) / runs; n > limit {
+		t.Fatalf("decoding a %d-byte body allocated %d bytes; want at most %d", len(body), n, limit)
+	} else {
+		t.Logf("decoding a %d-byte body allocated %d bytes, limit %d", len(body), n, limit)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"seagull/internal/classify"
@@ -394,10 +395,24 @@ func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverH
 	return histories, weekLoads, reused, nil
 }
 
+// sortedIDs returns the servers of histories in id order. Every stage that
+// walks the servers walks them in this order: persistResults sums the fleet
+// summary in it, and float addition is not associative, so map order would
+// change the stored summary's last bits from run to run.
+func sortedIDs(histories map[string]*serverHistory) []string {
+	ids := make([]string, 0, len(histories))
+	for id := range histories {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // extractFeatures classifies every server on its concatenated history.
 func (p *Pipeline) extractFeatures(cfg Config, histories map[string]*serverHistory) *classify.Summary {
 	sum := classify.NewSummary()
-	for _, h := range histories {
+	for _, id := range sortedIDs(histories) {
+		h := histories[id]
 		cat, err := classify.Categorize(h.load, h.load.NumDays(), metrics.DefaultConfig())
 		if err != nil {
 			p.Dash.Raise(insights.SevWarning, cfg.Region, StageFeatures, "%s: %v", h.id, err)
@@ -414,10 +429,7 @@ func (p *Pipeline) extractFeatures(cfg Config, histories map[string]*serverHisto
 // happens at the end of the week). Servers are processed in parallel
 // partitions, Dask-style.
 func (p *Pipeline) trainInferEvaluate(ctx context.Context, cfg Config, histories map[string]*serverHistory) ([]*PredictionDoc, []*EvalDoc, error) {
-	ids := make([]string, 0, len(histories))
-	for id := range histories {
-		ids = append(ids, id)
-	}
+	ids := sortedIDs(histories)
 	pool := parallel.NewPool(cfg.Workers)
 	type outcome struct {
 		pred *PredictionDoc

@@ -298,6 +298,42 @@ func TestWorkersProduceSameResults(t *testing.T) {
 	}
 }
 
+// TestRunWeekDeterministic: RunWeek is a pure function of its config and the
+// stored extracts. Week 3 of a 60-server lake, run 30 times at each worker
+// count, each time on a fresh Pipeline and document store, stores the same
+// summary, prediction and evaluation bytes every time. Thirty runs at this
+// size are what it takes for map order to show in the fleet summary's
+// float sum.
+func TestRunWeekDeterministic(t *testing.T) {
+	base, _ := fixtureWeeks(t, 60, 4)
+	var want map[string]map[string]string
+	for _, workers := range []int{1, 8} {
+		for run := 0; run < 30; run++ {
+			db, err := cosmos.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := New(base.Store, db, registry.New(nil), insights.New(nil))
+			if _, err := p.RunWeek(context.Background(), Config{Region: "testreg", Week: 3, Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]map[string]string{}
+			for _, c := range []string{SummariesCollection, PredictionsCollection, "evaluations"} {
+				got[c] = storedDocs(t, p, c, "testreg")
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for c, docs := range want {
+				if len(docs) == 0 || !reflect.DeepEqual(got[c], docs) {
+					t.Fatalf("workers %d, run %d: stored %s differ from the first run's", workers, run, c)
+				}
+			}
+		}
+	}
+}
+
 // With the history weeks parsed concurrently, the error a run returns is
 // still the first in week order, and a missing earliest week is skipped.
 func TestIngestReturnsFirstCorruptWeek(t *testing.T) {

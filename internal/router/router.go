@@ -32,14 +32,13 @@
 //   - POST /v2/advise, GET /v2/models: stateless; round-robin with failover
 //     to the next replica.
 //
-// The router decodes no request. json.Valid checks each body, and one scan
-// (scan.go) reads its routing fields; a routed predict goes upstream as
-// received, and each owner of a batch or ingest receives its items' bytes
-// as received.
+// The router decodes no request. One scan (scan.go) checks each body's
+// syntax and reads its routing fields in the same pass; a routed predict
+// goes upstream as received, and each owner of a batch or ingest receives
+// its items' bytes as received.
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"seagull/internal/jsonbody"
 	"seagull/internal/obs"
 	"seagull/internal/serving"
 	"seagull/internal/shard"
@@ -368,25 +368,15 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 // is a variable only so that tests can lower it.
 var maxBodyBytes int64 = serving.MaxBodyBytes
 
-// maxPresize bounds the buffer a declared Content-Length reserves before any
-// body byte arrives. The declaration is the client's word alone: a client
-// that declares a large body and then stalls holds no more than this.
-const maxPresize = 1 << 20
-
 // readBody reads a bounded body whole, for a route that relays the bytes it
-// received. A declared Content-Length sizes the buffer, up to maxPresize, so
-// a body of up to a mebibyte is not copied through ever larger buffers as
-// it arrives; a larger one grows as its bytes come.
+// received, and answers the client itself when it cannot.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	var body bytes.Buffer
-	if n := r.ContentLength; n > 0 {
-		body.Grow(int(min(n, maxBodyBytes, maxPresize)) + bytes.MinRead)
-	}
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+	body, err := jsonbody.Read(w, r, maxBodyBytes)
+	if err != nil {
 		rt.badBody(w, err)
 		return nil, false
 	}
-	return body.Bytes(), true
+	return body, true
 }
 
 // badBody answers a body that could not be read or decoded: 413 over the

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 
+	"seagull/internal/jsonbody"
 	"seagull/internal/serving"
 )
 
@@ -314,7 +315,7 @@ func (rt *Router) forward(method, path string) http.HandlerFunc {
 			if body, ok = rt.readBody(w, r); !ok {
 				return
 			}
-			if !json.Valid(body) {
+			if !jsonbody.Valid(body) {
 				writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "malformed JSON: not exactly one JSON value")
 				return
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"seagull/internal/jsonbody"
 )
 
 // This file holds the one pass the traffic routes make over a request body.
@@ -11,9 +13,10 @@ import (
 // the byte range and server_id of every item of a batch's or an ingest's
 // split arrays, whether an ingest carries a sweep, and the top-level members
 // that are not split. Nothing else is decoded; the items' bytes go to their
-// owners as the client sent them. json.Valid checks the body first, so the
-// scan runs over JSON known to be well formed: the only errors it finds are
-// routing fields of the wrong type.
+// owners as the client sent them. The scan checks the body's syntax as it
+// walks (jsonbody.Scanner), so a body is read in this one pass. When it
+// fails, the reply is today's: a syntax error anywhere in the body wins over
+// a routing field of the wrong type, and encoding/json names it.
 
 // route names the routing struct a scan stands in for. A scan fails exactly
 // when json.Unmarshal of the body into that struct fails, and reads the same
@@ -85,55 +88,60 @@ type scanned struct {
 
 // scanBody makes the one pass over body for route r.
 func scanBody(body []byte, r route) (*scanned, error) {
-	if !json.Valid(body) {
-		// encoding/json names the syntax error.
-		return nil, json.Unmarshal(body, new(struct{}))
-	}
-	s := scanner{data: body}
+	s := jsonbody.NewScanner(body)
 	out := &scanned{}
 	var err error
-	switch s.next() {
+	switch s.Peek() {
 	case '{':
-		err = s.object(func(key []byte, plain bool, start int) error {
+		err = s.Object(func(key []byte, plain bool, start int) error {
 			return out.member(&s, r, key, plain, start)
 		})
 	case 'n': // null decodes as an empty object
+		err = s.Skip()
 	default:
-		err = s.typeError("request body", "an object")
+		err = typeError(&s, "request body", "an object")
+	}
+	if err == nil {
+		err = s.End()
 	}
 	if err != nil {
+		if !json.Valid(body) {
+			// encoding/json names the syntax error.
+			return nil, json.Unmarshal(body, new(struct{}))
+		}
 		return nil, err
 	}
 	return out, nil
 }
 
 // member scans the value of one top-level member whose key starts at start.
-func (sc *scanned) member(s *scanner, r route, key []byte, plain bool, start int) error {
+func (sc *scanned) member(s *jsonbody.Scanner, r route, key []byte, plain bool, start int) error {
 	switch match(key, plain, routeFields[r]) {
 	case fieldServerID:
-		return s.stringInto(&sc.serverID, "server_id")
+		return stringInto(s, &sc.serverID, "server_id")
 	case fieldLiveHistory:
-		switch s.next() {
+		switch s.Peek() {
 		case 't':
 			sc.liveHistory = true
 		case 'f':
 			sc.liveHistory = false
 		case 'n':
 		default:
-			return s.typeError("live_history", "a boolean")
+			return typeError(s, "live_history", "a boolean")
 		}
-		s.skip()
-		return nil
+		return s.Skip()
 	case fieldServers:
-		return s.items(&sc.servers, "servers")
+		return items(s, &sc.servers, "servers")
 	case fieldPoints:
-		return s.items(&sc.points, "points")
+		return items(s, &sc.points, "points")
 	case fieldSweep:
-		sc.sweep = s.next() != 'n'
+		sc.sweep = s.Peek() != 'n'
 	}
-	s.skip()
+	if err := s.Skip(); err != nil {
+		return err
+	}
 	if r != predictRoute {
-		sc.members = append(sc.members, span{start, s.off})
+		sc.members = append(sc.members, span{start, s.Offset()})
 	}
 	return nil
 }
@@ -190,7 +198,7 @@ func match(key []byte, plain bool, fields []field) field {
 	if !plain {
 		var k string
 		if json.Unmarshal(key, &k) != nil {
-			return fieldNone // unreachable: the body is valid
+			return fieldNone // unreachable: the scanner checked the key
 		}
 		key = []byte(k)
 	} else {
@@ -207,184 +215,64 @@ func match(key []byte, plain bool, fields []field) field {
 // items scans the value of a split array member into l. Like a slice field,
 // null empties it, a repeated key replaces it, and every item must be an
 // object or null (an item with no server_id).
-func (s *scanner) items(l *itemList, name string) error {
-	switch s.next() {
+func items(s *jsonbody.Scanner, l *itemList, name string) error {
+	switch s.Peek() {
 	case 'n':
 		l.spans, l.ids = nil, nil
-		s.skip()
-		return nil
+		return s.Skip()
 	case '[':
 	default:
-		return s.typeError(name, "an array")
+		return typeError(s, name, "an array")
 	}
 	l.spans, l.ids = l.spans[:0], l.ids[:0]
-	s.off++
-	for s.next() != ']' {
+	return s.Array(func() error {
 		var id string
-		start := s.off
-		switch s.data[start] {
+		var err error
+		c := s.Peek()
+		start := s.Offset()
+		switch c {
 		case '{':
-			err := s.object(func(key []byte, plain bool, _ int) error {
+			err = s.Object(func(key []byte, plain bool, _ int) error {
 				if match(key, plain, itemFields) == fieldServerID {
-					return s.stringInto(&id, "server_id")
+					return stringInto(s, &id, "server_id")
 				}
-				s.skip()
-				return nil
+				return s.Skip()
 			})
-			if err != nil {
-				return err
-			}
 		case 'n':
-			s.skip()
+			err = s.Skip()
 		default:
-			return s.typeError(name+" item", "an object")
+			return typeError(s, name+" item", "an object")
 		}
-		l.spans = append(l.spans, span{start, s.off})
-		l.ids = append(l.ids, id)
-		if s.next() == ',' {
-			s.off++
-		}
-	}
-	s.off++
-	return nil
-}
-
-// scanner walks JSON that json.Valid has accepted.
-type scanner struct {
-	data []byte
-	off  int
-}
-
-// next skips whitespace and returns the byte at s.off, or 0 at the end of
-// the input.
-func (s *scanner) next() byte {
-	d, i := s.data, s.off
-	for ; i < len(d); i++ {
-		switch c := d[i]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			s.off = i
-			return c
-		}
-	}
-	s.off = i
-	return 0
-}
-
-// skip moves past the next value.
-func (s *scanner) skip() {
-	switch s.next() {
-	case '"':
-		s.str()
-	case '{', '[':
-		// Strings aside, a container ends where its brackets balance.
-		d, depth := s.data, 0
-		for i := s.off; ; i++ {
-			switch d[i] {
-			case '"':
-				s.off = i
-				s.str()
-				i = s.off - 1
-			case '{', '[':
-				depth++
-			case '}', ']':
-				if depth--; depth == 0 {
-					s.off = i + 1
-					return
-				}
-			}
-		}
-	default: // a number or a literal runs to the next delimiter
-		d, i := s.data, s.off
-		for i < len(d) && !delimiter[d[i]] {
-			i++
-		}
-		s.off = i
-	}
-}
-
-// delimiter marks the bytes that can follow a number or a literal.
-var delimiter = func() (t [256]bool) {
-	for _, c := range ",}] \t\n\r" {
-		t[c] = true
-	}
-	return t
-}()
-
-// object scans the object at s.off, handing each member to member with its
-// quoted key, whether the key is plain (see str) and the offset the member
-// starts at; member must move past the value.
-func (s *scanner) object(member func(key []byte, plain bool, start int) error) error {
-	s.off++
-	for s.next() != '}' {
-		start := s.off
-		plain := s.str()
-		key := s.data[start:s.off]
-		s.next() // the ':'
-		s.off++
-		if err := member(key, plain, start); err != nil {
+		if err != nil {
 			return err
 		}
-		if s.next() == ',' {
-			s.off++
-		}
-	}
-	s.off++
-	return nil
-}
-
-// plainByte marks the bytes a string may hold as they are and still be
-// read without unquoting: printable ASCII other than '"' and '\'.
-var plainByte = func() (t [256]bool) {
-	for c := ' '; c < 0x80; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// str moves past the string whose opening quote is at s.off. It reports
-// whether the string is plain — no escape and no byte outside ASCII — so
-// that its content is the bytes between the quotes.
-func (s *scanner) str() (plain bool) {
-	d, i := s.data, s.off+1
-	plain = true
-	for {
-		for plainByte[d[i]] {
-			i++
-		}
-		switch d[i] {
-		case '"':
-			s.off = i + 1
-			return plain
-		case '\\': // the escaped byte is never the closing quote
-			plain = false
-			i += 2
-		default: // a byte of a multi-byte sequence, valid UTF-8 or not
-			plain = false
-			i++
-		}
-	}
+		l.spans = append(l.spans, span{start, s.Offset()})
+		l.ids = append(l.ids, id)
+		return nil
+	})
 }
 
 // stringInto scans a value decoded into a string field: a string sets
 // *dst, null leaves it, and any other value is a type error.
-func (s *scanner) stringInto(dst *string, name string) error {
-	switch s.next() {
+func stringInto(s *jsonbody.Scanner, dst *string, name string) error {
+	switch s.Peek() {
 	case '"':
-		start := s.off
-		if s.str() {
-			*dst = string(s.data[start+1 : s.off-1])
+		raw, plain, err := s.Quoted()
+		switch {
+		case err != nil:
+			return err
+		case plain:
+			*dst = string(raw[1 : len(raw)-1])
 			return nil
 		}
-		return json.Unmarshal(s.data[start:s.off], dst)
+		return json.Unmarshal(raw, dst)
 	case 'n':
-		s.skip()
-		return nil
+		return s.Skip()
 	}
-	return s.typeError(name, "a string")
+	return typeError(s, name, "a string")
 }
 
 // typeError reports a value of the wrong type for a routing field.
-func (s *scanner) typeError(name, want string) error {
-	return fmt.Errorf("%s must be %s (offset %d)", name, want, s.off)
+func typeError(s *jsonbody.Scanner, name, want string) error {
+	return fmt.Errorf("%s must be %s (offset %d)", name, want, s.Offset())
 }

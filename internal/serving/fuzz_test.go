@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"seagull/internal/forecast"
@@ -96,4 +98,71 @@ func FuzzFloats(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzWireDecode holds the replica's request decode to encoding/json: for a
+// predict and a batch, DecodeRequest fails exactly when json.Unmarshal into
+// a fresh value fails, with its message, and otherwise fills the same
+// request, float for float bit-identical.
+func FuzzWireDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"scenario":"backup","region":"r","server_id":"s","horizon":288,"window_points":12,"live_history":false,` +
+			`"history":{"start":"2019-12-01T00:00:00Z","interval_min":5,"values":[1,2.5e-3,-0]}}`,
+		`{"scenario":"a","servers":[{"server_id":"s1","history":{"values":[1]},"deadline_ms":5},null,{}],"region":"r"}`,
+		`{"scenario":"a","scenario":"b","SCENARIO":"c","Region":"r","ſcenario":"d","servers":[{"SERVER_ID":"x"}]}`,
+		`{"history":{"values":[1,2]},"history":{"interval_min":5}}`,
+		`{"servers":[{"server_id":"a","horizon":1}],"servers":[{"server_id":"b"}]}`,
+		`{"scenario":null,"history":null,"horizon":null,"live_history":null,"servers":null}`,
+		`{"history":{"start":null,"values":null,"interval_min":null},"servers":[{"history":{"values":[null]}}]}`,
+		`{"history":{"values":[-0,0,-0.0,1e400]}}`,
+		`{"history":{"values":[1e-400,4.9e-324,1.7976931348623157e308]}}`,
+		`{"server_id":"a\u0062c","servers":[{"server_id":"\u00e9"},{"server_id":"é"}]}`,
+		`{"scen\u0061rio":"x","history":{"v\u0061lues":[1]},"ſervers":[{"horizon":1}]}`,
+		`{"horizon":1.5}`, `{"horizon":1e2}`, `{"horizon":9223372036854775808}`, `{"horizon":"1"}`,
+		`{"live_history":1}`, `{"history":{"start":"yesterday"}}`, `{"history":{"start":7}}`,
+		`{"servers":{}}`, `{"servers":[1]}`, `[]`, `null`, `{"a":1} trailing`, `{"a":01}`, ``,
+		`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkWireDecode(t, body, new(PredictRequestV2), new(PredictRequestV2), func(v any) []Floats {
+			return []Floats{v.(*PredictRequestV2).History.Values}
+		})
+		checkWireDecode(t, body, new(BatchRequest), new(BatchRequest), func(v any) []Floats {
+			var out []Floats
+			for _, item := range v.(*BatchRequest).Servers {
+				out = append(out, item.History.Values)
+			}
+			return out
+		})
+	})
+}
+
+// checkWireDecode decodes body into got through DecodeRequest and into want
+// through json.Unmarshal, and compares the two; values lists each decoded
+// float array.
+func checkWireDecode(t *testing.T, body []byte, got, want any, values func(any) []Floats) {
+	t.Helper()
+	wantErr := json.Unmarshal(body, want)
+	serr := DecodeRequest(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), got)
+	switch {
+	case wantErr != nil && (serr == nil || serr.Message != "decode request: "+wantErr.Error()):
+		t.Fatalf("%T: decode error %v, encoding/json %v", got, serr, wantErr)
+	case wantErr == nil && serr != nil:
+		t.Fatalf("%T: decode error %v, encoding/json none", got, serr)
+	case wantErr != nil:
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decode:\n%+v\nencoding/json:\n%+v", got, want)
+	}
+	gv, wv := values(got), values(want)
+	for i := range gv {
+		for j := range gv[i] {
+			if math.Float64bits(gv[i][j]) != math.Float64bits(wv[i][j]) {
+				t.Fatalf("%T: values[%d][%d] is %v, encoding/json %v", got, i, j, gv[i][j], wv[i][j])
+			}
+		}
+	}
 }

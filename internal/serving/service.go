@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -589,33 +588,6 @@ func (s *Service) requestContext(r *http.Request) (context.Context, context.Canc
 	return context.WithTimeout(r.Context(), s.cfg.Timeout)
 }
 
-// decode reads the request body as exactly one JSON value into v, under the
-// service's size limit. Trailing data after the value is refused rather than
-// silently ignored — the body is what encoding/json's Unmarshal accepts.
-// Every route of the service decodes with it. The router does not: it reads
-// only routing fields, with a scan that accepts exactly what json.Unmarshal
-// into its routing structs accepts, and leaves the rest of each body to the
-// replica that decodes it here.
-func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) *ServiceError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	err := dec.Decode(v)
-	if err == nil {
-		_, err = dec.Token()
-		switch err {
-		case io.EOF:
-			return nil
-		case nil:
-			err = errors.New("trailing data after the JSON value")
-		}
-	}
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return svcErr(CodeTooLarge, http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes", maxBodyBytes)
-	}
-	return badRequest("decode request: %v", err)
-}
-
 func writeV2Error(w http.ResponseWriter, serr *ServiceError) {
 	if sec := retryAfterSeconds(serr.RetryAfter); sec > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(sec))
@@ -648,7 +620,7 @@ func (s *Service) handleReady(w http.ResponseWriter, _ *http.Request) {
 func jsonRoute[Req, Resp any](s *Service, op func(context.Context, Req) (Resp, *ServiceError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if serr := s.decode(w, r, &req); serr != nil {
+		if serr := DecodeRequest(w, r, &req); serr != nil {
 			writeV2Error(w, serr)
 			return
 		}

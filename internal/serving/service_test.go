@@ -329,7 +329,7 @@ func TestStructuredErrorCodes(t *testing.T) {
 
 	good := FromSeries(weekHistory())
 	// A structurally valid request whose JSON alone exceeds the 1 MiB body
-	// limit: the decoder must hit the MaxBytesReader mid-array.
+	// limit: the body read must hit the MaxBytesReader mid-array.
 	oversized := `{"scenario":"backup","region":"r","horizon":288,"history":{"start":"2019-12-01T00:00:00Z","interval_min":5,"values":[` +
 		strings.Repeat("0,", 700000) + `0]}}`
 
@@ -390,6 +390,11 @@ func TestStructuredErrorCodes(t *testing.T) {
 			Scenario: "backup", Region: "r",
 		}), http.StatusBadRequest, CodeBadRequest},
 		{"oversized body", "/v2/predict", oversized,
+			http.StatusRequestEntityTooLarge, CodeTooLarge},
+		// The body is read whole before any of it is decoded, so the size
+		// limit answers before a syntax error in the first bytes, as it
+		// does on the router.
+		{"oversized body, malformed from its first byte", "/v2/predict", "{not json" + strings.Repeat(" ", 1<<20),
 			http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"advise bad window", "/v2/advise", mustJSON(AdviseRequest{
 			PredictedDay: good, CustomerStart: 0, WindowPoints: 0,
