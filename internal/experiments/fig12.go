@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"os"
+	"slices"
 	"time"
 
 	"seagull/internal/cosmos"
@@ -14,25 +16,7 @@ import (
 	"seagull/internal/pipeline"
 	"seagull/internal/registry"
 	"seagull/internal/simulate"
-	"seagull/internal/timeseries"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "fig12a",
-		Title: "Figure 12(a): runtime of the use-case-agnostic components per region",
-		Paper: "model deployment ≈ constant (~1min); other components grow linearly " +
-			"with input size; accuracy evaluation dominates beyond 1GB",
-		Run: runFig12a,
-	})
-	register(Experiment{
-		ID:    "fig12b",
-		Title: "Figure 12(b): single-threaded vs parallel accuracy evaluation",
-		Paper: "parallel loses slightly at 60MB, wins beyond 400MB (26% faster at 2.5GB " +
-			"for backup-day evaluation); full-week evaluation speeds up 3–4.6×",
-		Run: runFig12b,
-	})
-}
 
 // region sizes (server counts) standing in for the paper's input sizes of
 // hundreds of KB to a few GB.
@@ -42,158 +26,122 @@ func regionSizes(o Options) []int {
 
 // runFig12a runs the full weekly pipeline for regions of growing size and
 // reports per-stage wall clock — the component breakdown of Figure 12(a).
-func runFig12a(o Options) ([]Table, error) {
+func runFig12a(o Options) (Result, error) {
 	o = o.withDefaults()
 	sizes := regionSizes(o)
+	stages := []string{pipeline.StageIngestion, pipeline.StageValidation, pipeline.StageFeatures,
+		pipeline.StageDeployment, pipeline.StageTrainInfer, pipeline.StageAccuracy}
 
 	t := Table{
 		Caption: "Figure 12(a) — pipeline component runtime per region size (1 week, persistent forecast)",
-		Header: []string{"servers", "extract MB", pipeline.StageIngestion, pipeline.StageValidation,
-			pipeline.StageFeatures, pipeline.StageDeployment, pipeline.StageTrainInfer,
-			pipeline.StageAccuracy, "total"},
+		Header:  append(append([]string{"servers", "extract MB"}, stages...), "total"),
 	}
 
 	for i, n := range sizes {
-		dir, err := tempDir("fig12a")
+		dir, err := os.MkdirTemp("", "seagull-fig12a-*")
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		store, err := lake.Open(dir)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		region := fmt.Sprintf("size-%d", n)
-		fleet := cachedFleet(simulate.Config{
+		fleet := simulate.GenerateFleet(simulate.Config{
 			Region: region, Servers: n, Weeks: 1, Seed: o.Seed + int64(i)*7,
 		})
 		if _, err := extract.ExtractAll(store, fleet); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		sz, err := store.Size(extract.Dataset, region, 0)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		db, err := cosmos.Open("")
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		p := pipeline.New(store, db, registry.New(nil), insights.New(nil))
 		res, err := p.RunWeek(context.Background(), pipeline.Config{Region: region, Week: 0, Workers: o.Workers})
 		if err != nil {
-			return nil, fmt.Errorf("fig12a n=%d: %w", n, err)
+			return Result{}, fmt.Errorf("fig12a n=%d: %w", n, err)
 		}
-		stage := map[string]time.Duration{}
+		took := map[string]time.Duration{}
 		for _, st := range res.StageTimings {
-			stage[st.Stage] = st.Duration
+			took[st.Stage] = st.Duration
 		}
-		t.AddRow(n, fmt.Sprintf("%.1f", float64(sz)/(1<<20)),
-			fmtDuration(stage[pipeline.StageIngestion]),
-			fmtDuration(stage[pipeline.StageValidation]),
-			fmtDuration(stage[pipeline.StageFeatures]),
-			fmtDuration(stage[pipeline.StageDeployment]),
-			fmtDuration(stage[pipeline.StageTrainInfer]),
-			fmtDuration(stage[pipeline.StageAccuracy]),
-			fmtDuration(res.Total))
-		cleanupDir(dir)
+		row := []any{n, fmt.Sprintf("%.1f", float64(sz)/(1<<20))}
+		for _, stage := range stages {
+			row = append(row, fmtDuration(took[stage]))
+		}
+		t.AddRow(append(row, fmtDuration(res.Total))...)
+		os.RemoveAll(dir)
 	}
-	return []Table{t}, nil
+	return Result{Tables: []Table{t}}, nil
 }
 
-// runFig12b compares single-threaded and parallel (Dask-analog) accuracy
-// evaluation: once for the backup day only, and once for every day of the
-// week ahead (the paper's planned extension). The evaluation work is
+// runFig12b times accuracy evaluation against the single-threaded run for
+// each worker count: once for the backup day only, and once for every day
+// of the week ahead (the paper's planned extension). The evaluation work is
 // identical across worker settings; only the partitioning changes.
-func runFig12b(o Options) ([]Table, error) {
+func runFig12b(o Options) (Result, error) {
 	o = o.withDefaults()
 	sizes := regionSizes(o)
 	mcfg := metrics.DefaultConfig()
-	// The single-threaded and parallel pools are reused across every region
-	// size; only the timed work changes.
-	seqPool := parallel.NewPool(1)
-	parPool := parallel.NewPool(o.Workers)
+	workers := []int{1, 2, 4, 8, 16}
+	if !slices.Contains(workers, o.Workers) {
+		workers = append(workers, o.Workers)
+	}
 
 	t := Table{
-		Caption: "Figure 12(b) — accuracy evaluation: single-threaded vs parallel per server",
-		Note: fmt.Sprintf("parallel runs on %d workers; evaluation = LL window + bucket ratio "+
-			"per server-day (Definitions 2 and 8)", o.Workers),
-		Header: []string{"servers", "backup-day 1w", fmt.Sprintf("backup-day %dw", o.Workers),
-			"speedup", "week 1w", fmt.Sprintf("week %dw", o.Workers), "speedup"},
+		Caption: "Figure 12(b) — accuracy evaluation per worker count",
+		Note: "evaluation = LL window + bucket ratio per server-day (Definitions 2 and 8); " +
+			"speedup against 1 worker",
+		Header: []string{"servers", "workers", "backup day", "speedup", "week", "speedup"},
 	}
 
 	for i, n := range sizes {
-		fleet := cachedFleet(simulate.Config{
+		fleet := simulate.GenerateFleet(simulate.Config{
 			Region: "fig12b", Servers: n, Weeks: 2, Seed: o.Seed + int64(i)*13,
 		})
-		// Precompute persistent-forecast predictions for the final week so
-		// the timed section isolates accuracy evaluation, as in the paper.
-		type job struct {
-			trueDays []timeseries.Series
-			predDays []timeseries.Series
-			window   int
-		}
-		var jobs []job
-		for _, srv := range fleet.Servers {
-			load := srv.Load()
-			ppd := load.PointsPerDay()
-			nd := load.NumDays()
-			if nd < 9 {
-				continue
-			}
-			j := job{window: srv.WindowPoints()}
-			// Day views share the load's backing array; FillGaps makes the
-			// one copy each day actually needs.
-			for d := nd - 7; d < nd; d++ {
-				cur, err1 := load.View(d*ppd, (d+1)*ppd)
-				prev, err2 := load.View((d-1)*ppd, d*ppd)
-				if err1 != nil || err2 != nil {
-					return nil, fmt.Errorf("fig12b day views: %v, %v", err1, err2)
-				}
-				j.trueDays = append(j.trueDays, cur.FillGaps())
-				j.predDays = append(j.predDays, prev.FillGaps())
-			}
-			jobs = append(jobs, j)
+		jobs, err := finalWeekPairs(fleet)
+		if err != nil {
+			return Result{}, err
 		}
 
-		evalBackupDay := func(j job) error {
-			_, err := metrics.EvaluateDay(j.trueDays[0], j.predDays[0], j.window, mcfg)
-			return err
-		}
-		evalWeek := func(j job) error {
-			for d := range j.trueDays {
-				if _, err := metrics.EvaluateDay(j.trueDays[d], j.predDays[d], j.window, mcfg); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-
-		timeRun := func(pool *parallel.Pool, fn func(job) error) (time.Duration, error) {
+		// timeRun evaluates the first days of every job's week.
+		timeRun := func(pool *parallel.Pool, days int) (time.Duration, error) {
 			start := time.Now()
-			err := pool.ForEach(len(jobs), func(i int) error { return fn(jobs[i]) })
+			err := pool.ForEach(len(jobs), func(i int) error {
+				j := jobs[i]
+				for d := range days {
+					if _, err := metrics.EvaluateDay(j.trueDays[d], j.predDays[d], j.window, mcfg); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
 			return time.Since(start), err
 		}
 
-		day1, err := timeRun(seqPool, evalBackupDay)
-		if err != nil {
-			return nil, err
+		var day1, week1 time.Duration
+		for _, w := range workers {
+			pool := parallel.NewPool(w)
+			day, err := timeRun(pool, 1)
+			if err != nil {
+				return Result{}, err
+			}
+			week, err := timeRun(pool, 7)
+			if err != nil {
+				return Result{}, err
+			}
+			if w == 1 {
+				day1, week1 = day, week
+			}
+			t.AddRow(n, w, fmtDuration(day), speedup(day1, day), fmtDuration(week), speedup(week1, week))
 		}
-		dayN, err := timeRun(parPool, evalBackupDay)
-		if err != nil {
-			return nil, err
-		}
-		week1, err := timeRun(seqPool, evalWeek)
-		if err != nil {
-			return nil, err
-		}
-		weekN, err := timeRun(parPool, evalWeek)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(n,
-			fmtDuration(day1), fmtDuration(dayN), speedup(day1, dayN),
-			fmtDuration(week1), fmtDuration(weekN), speedup(week1, weekN))
 	}
-	return []Table{t}, nil
+	return Result{Tables: []Table{t}}, nil
 }
 
 func speedup(single, par time.Duration) string {

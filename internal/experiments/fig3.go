@@ -9,21 +9,11 @@ import (
 	"seagull/internal/simulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig3",
-		Title: "Figure 3: classification of servers",
-		Paper: "42.1% short-lived, 53.5% stable, 0.2% daily/weekly pattern, " +
-			"4.2% without pattern; 58% long-lived; 53.7% expected predictable",
-		Run: runFig3,
-	})
-}
-
 // runFig3 classifies a multi-region sample of servers by Definitions 3–6,
 // reproducing the population breakdown of Figure 3. The paper used "a random
 // sample of several tens of thousands of servers from four regions during
 // one month in 2019".
-func runFig3(o Options) ([]Table, error) {
+func runFig3(o Options) (Result, error) {
 	o = o.withDefaults()
 	perRegion := pick(o, 300, 3000)
 	regions := []string{"region-a", "region-b", "region-c", "region-d"}
@@ -36,7 +26,7 @@ func runFig3(o Options) ([]Table, error) {
 	// reuses one prediction buffer across all servers the worker claims.
 	cats := make([]classify.Category, perRegion)
 	for ri, region := range regions {
-		fleet := cachedFleet(simulate.Config{
+		fleet := simulate.GenerateFleet(simulate.Config{
 			Region: region, Servers: perRegion, Weeks: 4, Seed: o.Seed + int64(ri)*97,
 		})
 		err := parallel.ForEachScratch(pool, len(fleet.Servers),
@@ -51,25 +41,27 @@ func runFig3(o Options) ([]Table, error) {
 				return nil
 			})
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		for _, c := range cats[:len(fleet.Servers)] {
 			sum.Add(c)
 		}
 	}
 
-	t := Table{
-		Caption: "Figure 3 — classification of servers (Definitions 3–6)",
+	// Every share counts all sum.Total servers; the fleets are generated
+	// to simulate.PaperMix, which is Figure 3, so sampling bounds the gap.
+	n := sum.Total
+	return Result{
+		Claims: []Claim{
+			share("short-lived", 42.1, sum.Pct(classify.ShortLived), n),
+			share("long-lived stable", 53.5, sum.Pct(classify.Stable), n),
+			share("daily or weekly pattern", 0.2,
+				sum.Pct(classify.DailyPattern)+sum.Pct(classify.WeeklyPattern), n),
+			share("no pattern", 4.2, sum.Pct(classify.NoPattern), n),
+			share("long-lived total", 58, sum.PctLongLived(), n),
+			share("expected predictable", 53.7, sum.PctPredictableExpected(), n),
+		},
 		Note: fmt.Sprintf("%d servers across %d regions, 4 weeks at 5-minute granularity",
 			sum.Total, len(regions)),
-		Header: []string{"class", "paper", "measured"},
-	}
-	t.AddRow("short-lived", "42.1%", pctStr(sum.Pct(classify.ShortLived)))
-	t.AddRow("long-lived stable", "53.5%", pctStr(sum.Pct(classify.Stable)))
-	t.AddRow("daily pattern", "0.1%", pct2Str(sum.Pct(classify.DailyPattern)))
-	t.AddRow("weekly pattern", "0.1%", pct2Str(sum.Pct(classify.WeeklyPattern)))
-	t.AddRow("no pattern", "4.2%", pctStr(sum.Pct(classify.NoPattern)))
-	t.AddRow("long-lived total", "58%", pctStr(sum.PctLongLived()))
-	t.AddRow("expected predictable", "53.7%", pctStr(sum.PctPredictableExpected()))
-	return []Table{t}, nil
+	}, nil
 }

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"seagull/internal/forecast"
 	"seagull/internal/metrics"
 	"seagull/internal/parallel"
 	"seagull/internal/simulate"
+	"seagull/internal/timeseries"
 )
 
 // modelFactory returns a constructor for fresh model instances. fast selects
@@ -38,89 +38,6 @@ func modelFactory(name string, seed int64, fast bool) func() (forecast.Model, er
 	}
 }
 
-// fleetCache memoizes generated fleets by exact config. Experiments
-// regenerate identical fleets on every run; the cached fleet (lazily
-// materialized, read-only by convention) makes repeat runs skip both the
-// metadata generation and — thanks to per-server sync.Once materialization
-// — the telemetry synthesis they already paid for.
-//
-// The cache is a bounded LRU: a long-lived process sweeping many regions
-// (seagull-serve sharing a binary with the experiments, or a full-scale
-// multi-region run) must not pin every fleet it ever generated. Materialized
-// telemetry dominates a fleet's footprint, so the bound is on fleet count.
-const fleetCacheCap = 32
-
-var fleetCache = struct {
-	sync.Mutex
-	fleets map[simulate.Config]*fleetCacheEntry
-	tick   uint64 // monotonic use counter; larger = more recent
-}{fleets: map[simulate.Config]*fleetCacheEntry{}}
-
-type fleetCacheEntry struct {
-	fleet    *simulate.Fleet
-	lastUsed uint64
-}
-
-func cachedFleet(cfg simulate.Config) *simulate.Fleet {
-	fleetCache.Lock()
-	fleetCache.tick++
-	if e, ok := fleetCache.fleets[cfg]; ok {
-		e.lastUsed = fleetCache.tick
-		fleetCache.Unlock()
-		return e.fleet
-	}
-	// Generate outside the lock: lazy generation is cheap (metadata only)
-	// but there is no reason to serialize independent configs. A racing
-	// generator for the same config loses and its fleet is dropped —
-	// generation is deterministic, so both fleets are identical.
-	fleetCache.Unlock()
-	f := simulate.GenerateFleet(cfg)
-	fleetCache.Lock()
-	defer fleetCache.Unlock()
-	if e, ok := fleetCache.fleets[cfg]; ok {
-		return e.fleet
-	}
-	for len(fleetCache.fleets) >= fleetCacheCap {
-		var oldest simulate.Config
-		var oldestUse uint64
-		first := true
-		for k, e := range fleetCache.fleets {
-			if first || e.lastUsed < oldestUse {
-				oldest, oldestUse, first = k, e.lastUsed, false
-			}
-		}
-		delete(fleetCache.fleets, oldest)
-	}
-	fleetCache.fleets[cfg] = &fleetCacheEntry{fleet: f, lastUsed: fleetCache.tick}
-	return f
-}
-
-// ResetFleetCache drops every memoized fleet, releasing their materialized
-// telemetry. Long-lived hosts call it between unrelated workloads.
-func ResetFleetCache() {
-	fleetCache.Lock()
-	defer fleetCache.Unlock()
-	fleetCache.fleets = map[simulate.Config]*fleetCacheEntry{}
-}
-
-// fleetCacheLen reports the number of cached fleets (tests).
-func fleetCacheLen() int {
-	fleetCache.Lock()
-	defer fleetCache.Unlock()
-	return len(fleetCache.fleets)
-}
-
-// serverEval is one server's chronological backup-day evaluations.
-type serverEval struct {
-	srv     *simulate.Server
-	results []metrics.DayResult
-}
-
-// predictable applies Definition 9 to the collected results.
-func (se serverEval) predictable(cfg metrics.Config) bool {
-	return metrics.Predictable(se.results, cfg)
-}
-
 // modelArena is the per-worker scratch evaluateFleet threads through
 // parallel.ForEachScratch: one model instance (created lazily on the
 // worker's first server) retrained across every server the worker claims.
@@ -143,13 +60,14 @@ func (ar *modelArena) get(newModel func() (forecast.Model, error)) (forecast.Mod
 // backup-day prediction, exactly following the paper's methodology
 // (Section 5.3.1): each model is trained on up to one week of data
 // immediately preceding the server's backup day; servers need at least
-// three days of history. Short-lived servers are skipped.
+// three days of history. Short-lived servers are skipped; the result holds
+// each long-lived server's chronological backup-day evaluations.
 //
 // Callers pass the shared worker pool so one pool serves every model, region
 // and sweep point of an experiment run; each worker carries one modelArena
 // for all its servers.
 func evaluateFleet(fleet *simulate.Fleet, newModel func() (forecast.Model, error),
-	weeks []int, mcfg metrics.Config, pool *parallel.Pool) ([]serverEval, error) {
+	weeks []int, mcfg metrics.Config, pool *parallel.Pool) ([][]metrics.DayResult, error) {
 
 	var longLived []*simulate.Server
 	for _, srv := range fleet.Servers {
@@ -157,12 +75,11 @@ func evaluateFleet(fleet *simulate.Fleet, newModel func() (forecast.Model, error
 			longLived = append(longLived, srv)
 		}
 	}
-	evals := make([]serverEval, len(longLived))
+	evals := make([][]metrics.DayResult, len(longLived))
 	err := parallel.ForEachScratch(pool, len(longLived),
 		func() *modelArena { return &modelArena{} },
 		func(i int, arena *modelArena) error {
 			srv := longLived[i]
-			se := serverEval{srv: srv}
 			load := srv.Load()
 			ppd := load.PointsPerDay()
 			for _, week := range weeks {
@@ -196,15 +113,11 @@ func evaluateFleet(fleet *simulate.Fleet, newModel func() (forecast.Model, error
 				if err != nil {
 					return err
 				}
-				se.results = append(se.results, dr)
+				evals[i] = append(evals[i], dr)
 			}
-			evals[i] = se
 			return nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	return evals, nil
+	return evals, err
 }
 
 // fleetStats aggregates evaluations into the three paper percentages: share
@@ -219,14 +132,14 @@ type fleetStats struct {
 	Predictable int
 }
 
-func aggregate(evals []serverEval, mcfg metrics.Config) fleetStats {
+func aggregate(evals [][]metrics.DayResult, mcfg metrics.Config) fleetStats {
 	var st fleetStats
-	for _, se := range evals {
-		if len(se.results) == 0 {
+	for _, results := range evals {
+		if len(results) == 0 {
 			continue
 		}
 		st.Servers++
-		for _, dr := range se.results {
+		for _, dr := range results {
 			st.Days++
 			if dr.Window.Correct {
 				st.Correct++
@@ -235,39 +148,66 @@ func aggregate(evals []serverEval, mcfg metrics.Config) fleetStats {
 				st.Accurate++
 			}
 		}
-		if se.predictable(mcfg) {
+		if metrics.Predictable(results, mcfg) {
 			st.Predictable++
 		}
 	}
 	return st
 }
 
-func (st fleetStats) pctCorrect() float64 {
-	if st.Days == 0 {
+func (st fleetStats) pctCorrect() float64     { return ratio(st.Correct, st.Days) }
+func (st fleetStats) pctAccurate() float64    { return ratio(st.Accurate, st.Days) }
+func (st fleetStats) pctPredictable() float64 { return ratio(st.Predictable, st.Servers) }
+
+// ratio is a/b, or 0 when b is 0.
+func ratio(a, b int) float64 {
+	if b == 0 {
 		return 0
 	}
-	return float64(st.Correct) / float64(st.Days)
+	return float64(a) / float64(b)
 }
 
-func (st fleetStats) pctAccurate() float64 {
-	if st.Days == 0 {
-		return 0
+// dayPairs is one server's final week for accuracy evaluation: each day's
+// true load and its persistent forecast (the day before), gaps filled.
+type dayPairs struct {
+	trueDays, predDays []timeseries.Series
+	window             int
+}
+
+// finalWeekPairs builds the dayPairs of every server with at least nine
+// days of telemetry, ahead of the evaluation that is timed or swept, so that
+// it isolates accuracy evaluation, as in the paper.
+func finalWeekPairs(fleet *simulate.Fleet) ([]dayPairs, error) {
+	var out []dayPairs
+	for _, srv := range fleet.Servers {
+		load := srv.Load()
+		ppd := load.PointsPerDay()
+		nd := load.NumDays()
+		if nd < 9 {
+			continue
+		}
+		p := dayPairs{window: srv.WindowPoints()}
+		// Day views share the load's backing array; FillGaps makes the
+		// one copy each day actually needs.
+		for d := nd - 7; d < nd; d++ {
+			cur, err1 := load.View(d*ppd, (d+1)*ppd)
+			prev, err2 := load.View((d-1)*ppd, d*ppd)
+			if err1 != nil || err2 != nil {
+				return nil, fmt.Errorf("day views: %v, %v", err1, err2)
+			}
+			p.trueDays = append(p.trueDays, cur.FillGaps())
+			p.predDays = append(p.predDays, prev.FillGaps())
+		}
+		out = append(out, p)
 	}
-	return float64(st.Accurate) / float64(st.Days)
+	return out, nil
 }
 
-func (st fleetStats) pctPredictable() float64 {
-	if st.Servers == 0 {
-		return 0
-	}
-	return float64(st.Predictable) / float64(st.Servers)
-}
-
-// unstableFleet returns a (cached) fleet of long-lived servers without
+// unstableFleet returns a fleet of long-lived servers without
 // recognizable patterns — the population the paper applies ML models to
 // (Section 5.3.3).
 func unstableFleet(region string, servers int, seed int64) *simulate.Fleet {
-	return cachedFleet(simulate.Config{
+	return simulate.GenerateFleet(simulate.Config{
 		Region: region, Servers: servers, Weeks: 4, Seed: seed,
 		Mix: simulate.Mix{NoPattern: 1},
 	})

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -19,12 +21,8 @@ func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
-		case string:
-			row[i] = v
 		case float64:
 			row[i] = fmt.Sprintf("%.2f", v)
-		case fmt.Stringer:
-			row[i] = v.String()
 		default:
 			row[i] = fmt.Sprint(v)
 		}
@@ -51,45 +49,66 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Text renders the table as aligned plain text for terminal output.
-func (t *Table) Text() string {
-	var b strings.Builder
-	if t.Caption != "" {
-		b.WriteString(t.Caption + "\n")
+// Claim is one comparison with the paper: the metric, the paper's figure
+// as printed, our figure and the band [Min, Max] ours must fall in. Where a
+// claim is made, a comment says why its band is that wide. A relation such
+// as "no riskier than" is a claim on a difference.
+type Claim struct {
+	Metric   string
+	Paper    string
+	Got      float64
+	Min, Max float64
+	Unit     string // "%" (a share), "pp" (a difference of shares) or "" (a ratio)
+}
+
+// Holds reports whether our figure falls inside the claim's band.
+func (c Claim) Holds() bool { return c.Got >= c.Min && c.Got <= c.Max }
+
+// Result is one experiment run: its claims, and the tables (sweeps,
+// histograms, wall clocks) that the claims do not state.
+type Result struct {
+	Claims []Claim
+	Note   string // the run behind the claims: sample sizes, substitutions
+	Tables []Table
+}
+
+// Render returns every table to print: the claims as one "paper vs ours"
+// table, then the rest.
+func (r Result) Render() []Table {
+	if len(r.Claims) == 0 {
+		return r.Tables
 	}
-	all := make([][]string, 0, len(t.Rows)+1)
-	if len(t.Header) > 0 {
-		all = append(all, t.Header)
-	}
-	all = append(all, t.Rows...)
-	widths := map[int]int{}
-	for _, row := range all {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	t := Table{Caption: "paper vs ours", Note: r.Note,
+		Header: []string{"metric", "paper", "ours", "band", "holds"}}
+	for _, c := range r.Claims {
+		holds := "yes"
+		if !c.Holds() {
+			holds = "NO"
 		}
+		t.AddRow(c.Metric, c.Paper, fmt.Sprintf("%.2f%s", c.Got, c.Unit),
+			fmt.Sprintf("[%.2f, %.2f]", c.Min, c.Max), holds)
 	}
-	for ri, row := range all {
-		for i, c := range row {
-			fmt.Fprintf(&b, "%-*s  ", widths[i], c)
-		}
-		b.WriteString("\n")
-		if ri == 0 && len(t.Header) > 0 {
-			for i := range row {
-				b.WriteString(strings.Repeat("-", widths[i]) + "  ")
-			}
-			b.WriteString("\n")
-		}
-	}
-	if t.Note != "" {
-		b.WriteString("note: " + t.Note + "\n")
-	}
-	return b.String()
+	return append([]Table{t}, r.Tables...)
+}
+
+// noise is three binomial standard errors, in percentage points, of a share
+// near p (a fraction) counted over n trials.
+func noise(p float64, n int) float64 {
+	return 300 * math.Sqrt(p*(1-p)/float64(max(n, 1)))
+}
+
+// share claims that a measured share got (a fraction) agrees with the
+// paper's paperPct (in percent) up to the sampling noise of the run: the
+// band is paperPct ± noise over the n trials (servers, server-days or
+// decisions) the share counts, clipped to [0, 100]. It is used where the
+// substrate is generated to the paper's population, so only sampling should
+// separate the two figures: a systematic gap shows at any n, while a
+// small-scale run is not failed for its sample size alone.
+func share(metric string, paperPct, got float64, n int) Claim {
+	d := noise(paperPct/100, n)
+	return Claim{Metric: metric, Paper: strconv.FormatFloat(paperPct, 'f', -1, 64) + "%",
+		Got: 100 * got, Min: max(paperPct-d, 0), Max: min(paperPct+d, 100), Unit: "%"}
 }
 
 // pctStr formats a fraction as a percentage.
 func pctStr(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
-
-// pct2Str formats a fraction as a percentage with two decimals.
-func pct2Str(f float64) string { return fmt.Sprintf("%.2f%%", 100*f) }

@@ -43,32 +43,6 @@ func fixture(t *testing.T, servers int) (*Scheduler, *simulate.Fleet, *pipeline.
 	return s, fleet, p
 }
 
-func trueDayFunc(fleet *simulate.Fleet) TrueDayFunc {
-	byID := map[string]*simulate.Server{}
-	for _, srv := range fleet.Servers {
-		byID[srv.ID] = srv
-	}
-	return func(serverID string, day time.Time) (timeseries.Series, bool) {
-		srv := byID[serverID]
-		if srv == nil {
-			return timeseries.Series{}, false
-		}
-		idx, ok := srv.Load().IndexOf(day)
-		if !ok {
-			return timeseries.Series{}, false
-		}
-		ppd := srv.Load().PointsPerDay()
-		if idx+ppd > srv.Load().Len() {
-			return timeseries.Series{}, false
-		}
-		sub, err := srv.Load().Slice(idx, idx+ppd)
-		if err != nil {
-			return timeseries.Series{}, false
-		}
-		return sub.FillGaps(), true
-	}
-}
-
 func TestScheduleWeekDecisions(t *testing.T) {
 	s, _, _ := fixture(t, 70)
 	decisions, err := s.ScheduleWeek(context.Background(), "sched", 3)
@@ -130,7 +104,7 @@ func TestEvaluateImpactShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, err := EvaluateImpact(decisions, trueDayFunc(fleet), metrics.DefaultConfig())
+	im, err := EvaluateImpact(decisions, fleet.TrueDay, metrics.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

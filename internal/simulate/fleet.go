@@ -206,6 +206,27 @@ func (s *Server) WindowPoints() int {
 type Fleet struct {
 	Config  Config
 	Servers []*Server
+	byID    map[string]*Server
+}
+
+// TrueDay returns a server's actual load, gaps filled, over the day that
+// starts at day — the actuals source used when evaluating scheduling
+// impact. ok is false for an unknown server or a day outside its telemetry.
+func (f *Fleet) TrueDay(serverID string, day time.Time) (timeseries.Series, bool) {
+	srv := f.byID[serverID]
+	if srv == nil {
+		return timeseries.Series{}, false
+	}
+	load := srv.Load()
+	idx, ok := load.IndexOf(day)
+	if !ok {
+		return timeseries.Series{}, false
+	}
+	sub, err := load.View(idx, idx+load.PointsPerDay())
+	if err != nil {
+		return timeseries.Series{}, false
+	}
+	return sub.FillGaps(), true
 }
 
 // Span returns the fleet telemetry interval [start, end).
@@ -218,12 +239,15 @@ func (f *Fleet) Span() (time.Time, time.Time) {
 func GenerateFleet(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	fleet := &Fleet{Config: cfg, Servers: make([]*Server, 0, cfg.Servers)}
+	fleet := &Fleet{Config: cfg, Servers: make([]*Server, 0, cfg.Servers),
+		byID: make(map[string]*Server, cfg.Servers)}
 	for i := 0; i < cfg.Servers; i++ {
 		// Every server owns an independent generator derived from the fleet
 		// seed so the fleet is reproducible regardless of generation order.
 		srng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)*7919 + 17))
-		fleet.Servers = append(fleet.Servers, generateServer(cfg, i, srng))
+		srv := generateServer(cfg, i, srng)
+		fleet.Servers = append(fleet.Servers, srv)
+		fleet.byID[srv.ID] = srv
 	}
 	_ = rng
 	return fleet

@@ -597,28 +597,4 @@ func (s *System) DashboardSummary() insights.Summary {
 
 // FleetTrueDay returns a TrueDayFunc over a fleet's generated telemetry —
 // the actuals source used when evaluating scheduling impact.
-func FleetTrueDay(fleet *Fleet) TrueDayFunc {
-	byID := make(map[string]*Server, len(fleet.Servers))
-	for _, srv := range fleet.Servers {
-		byID[srv.ID] = srv
-	}
-	return func(serverID string, day time.Time) (Series, bool) {
-		srv := byID[serverID]
-		if srv == nil {
-			return Series{}, false
-		}
-		idx, ok := srv.Load().IndexOf(day)
-		if !ok {
-			return Series{}, false
-		}
-		ppd := srv.Load().PointsPerDay()
-		if idx+ppd > srv.Load().Len() {
-			return Series{}, false
-		}
-		sub, err := srv.Load().Slice(idx, idx+ppd)
-		if err != nil {
-			return Series{}, false
-		}
-		return sub.FillGaps(), true
-	}
-}
+func FleetTrueDay(fleet *Fleet) TrueDayFunc { return fleet.TrueDay }
