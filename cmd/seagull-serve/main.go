@@ -67,84 +67,57 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("seagull-serve: ")
 
-	var (
-		addr   = flag.String("addr", ":8080", "listen address")
-		deploy = flag.String("deploy", "backup/westus=pf-prev-day",
-			"comma-separated scenario/region=model deployments")
-		dataDir = flag.String("data", "", "data directory (empty = temporary)")
-		persist = flag.Bool("persist", false, "keep the document store durable on disk")
-		demo    = flag.Bool("demo", false,
-			"seed a demo fleet for the first deployment's region and run one pipeline week "+
-				"so /v2/predictions has content")
-		drain = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-		grace = flag.Duration("grace", 0,
-			"delay between flipping /readyz to draining and closing the listener, so load "+
-				"balancers observe the drain before connections are refused (set to your probe interval)")
-		timeout     = flag.Duration("timeout", 60*time.Second, "per-request serving deadline")
-		maxInflight = flag.Int("max-inflight", 0,
-			"adaptive admission control: ceiling on concurrently served requests "+
-				"(0 = default 256; admission control is always on)")
-		latencyTarget = flag.Duration("latency-target", 0,
-			"admission latency target for predict traffic (ingest 2x, background 4x); the "+
-				"limiter backs off when served latency exceeds it (0 = default 500ms)")
-		brownout = flag.Bool("brownout", false,
-			"serve saturated /v2/predict traffic from the persistent-forecast fallback "+
-				"(flagged degraded:true) instead of shedding it")
-		streamOn = flag.Bool("stream", true, "enable the online telemetry stream (POST /v2/ingest + drift refresh)")
-		snapshot = flag.Bool("snapshot", true,
-			"restore the live telemetry rings from the lake on startup and persist them while running, "+
-				"so the stream window survives restarts (requires -stream; pair with -data for durability)")
-		walCommit = flag.Duration("wal-commit", 100*time.Millisecond,
-			"WAL group-commit interval: the bounded-loss δ in restore ≥ T-δ (requires -snapshot)")
-		snapInterval = flag.Duration("snapshot-interval", 30*time.Second,
-			"incremental ring-snapshot interval; unchanged shards are skipped (negative = drain-only snapshots)")
-		sweepEvery = flag.Duration("sweep-interval", time.Minute,
-			"background drift sweeper tick: every interval, sweep each region's latest summarized week "+
-				"against live telemetry and queue drifted servers for refresh (0 disables; requires -stream)")
-		refreshWorkers = flag.Int("refresh-workers", 0,
-			"concurrent drift retrains in the refresher (0 = one per CPU; 1 = serial)")
-		cronOn    = flag.Bool("cron", false, "run the weekly pipeline automatically for every backup deployment region")
-		cronEpoch = flag.String("cron-epoch", "2019-12-01T00:00:00Z",
-			"dataset epoch (RFC3339): week N covers [epoch+N·week, epoch+(N+1)·week)")
-		cronFirst = flag.Int("cron-first", 1, "first week the cron processes")
-		cronLast  = flag.Int("cron-last", 1, "last week the cron processes (inclusive)")
-		logFormat = flag.String("log", "text", "structured log format: text or json")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-		slowReq   = flag.Duration("slow-request", time.Second,
-			"log any request slower than this with its full span breakdown (0 disables the slow log; "+
-				"tracing and GET /debug/traces stay on)")
-		pprofOn = flag.Bool("pprof", false,
-			"mount net/http/pprof under /debug/pprof/ (off by default: profiling endpoints "+
-				"bypass admission control)")
-	)
+	var cfg serveConfig
+	addr := flag.String("addr", ":8080", "listen address")
+	flag.StringVar(&cfg.Deploy, "deploy", "backup/westus=pf-prev-day",
+		"comma-separated scenario/region=model deployments")
+	flag.StringVar(&cfg.DataDir, "data", "", "data directory (empty = temporary)")
+	flag.BoolVar(&cfg.Persist, "persist", false, "keep the document store durable on disk")
+	flag.BoolVar(&cfg.Demo, "demo", false,
+		"seed a demo fleet for the first deployment's region and run one pipeline week "+
+			"so /v2/predictions has content")
+	flag.DurationVar(&cfg.Drain, "drain", 10*time.Second, "graceful-shutdown drain timeout")
+	flag.DurationVar(&cfg.Grace, "grace", 0,
+		"delay between flipping /readyz to draining and closing the listener, so load "+
+			"balancers observe the drain before connections are refused (set to your probe interval)")
+	flag.DurationVar(&cfg.Timeout, "timeout", 60*time.Second, "per-request serving deadline")
+	flag.IntVar(&cfg.MaxInflight, "max-inflight", 0,
+		"adaptive admission control: ceiling on concurrently served requests "+
+			"(0 = default 256; admission control is always on)")
+	flag.DurationVar(&cfg.LatencyTarget, "latency-target", 0,
+		"admission latency target for predict traffic (ingest 2x, background 4x); the "+
+			"limiter backs off when served latency exceeds it (0 = default 500ms)")
+	flag.BoolVar(&cfg.Brownout, "brownout", false,
+		"serve saturated /v2/predict traffic from the persistent-forecast fallback "+
+			"(flagged degraded:true) instead of shedding it")
+	flag.BoolVar(&cfg.Stream, "stream", true, "enable the online telemetry stream (POST /v2/ingest + drift refresh)")
+	flag.BoolVar(&cfg.Snapshot, "snapshot", true,
+		"restore the live telemetry rings from the lake on startup and persist them while running, "+
+			"so the stream window survives restarts (requires -stream; pair with -data for durability)")
+	flag.DurationVar(&cfg.WALCommit, "wal-commit", 100*time.Millisecond,
+		"WAL group-commit interval: the bounded-loss δ in restore ≥ T-δ (requires -snapshot)")
+	flag.DurationVar(&cfg.SnapshotEvery, "snapshot-interval", 30*time.Second,
+		"incremental ring-snapshot interval; unchanged shards are skipped (negative = drain-only snapshots)")
+	flag.DurationVar(&cfg.SweepInterval, "sweep-interval", time.Minute,
+		"background drift sweeper tick: every interval, sweep each region's latest summarized week "+
+			"against live telemetry and queue drifted servers for refresh (0 disables; requires -stream)")
+	flag.IntVar(&cfg.RefreshWorkers, "refresh-workers", 0,
+		"concurrent drift retrains in the refresher (0 = one per CPU; 1 = serial)")
+	flag.BoolVar(&cfg.Cron, "cron", false, "run the weekly pipeline automatically for every backup deployment region")
+	flag.StringVar(&cfg.CronEpoch, "cron-epoch", "2019-12-01T00:00:00Z",
+		"dataset epoch (RFC3339): week N covers [epoch+N·week, epoch+(N+1)·week)")
+	flag.IntVar(&cfg.CronFirst, "cron-first", 1, "first week the cron processes")
+	flag.IntVar(&cfg.CronLast, "cron-last", 1, "last week the cron processes (inclusive)")
+	flag.StringVar(&cfg.LogFormat, "log", "text", "structured log format: text or json")
+	flag.StringVar(&cfg.LogLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
+	flag.DurationVar(&cfg.SlowRequest, "slow-request", time.Second,
+		"log any request slower than this with its full span breakdown (0 disables the slow log; "+
+			"tracing and GET /debug/traces stay on)")
+	flag.BoolVar(&cfg.Pprof, "pprof", false,
+		"mount net/http/pprof under /debug/pprof/ (off by default: profiling endpoints "+
+			"bypass admission control)")
 	flag.Parse()
 
-	cfg := serveConfig{
-		Deploy:         *deploy,
-		DataDir:        *dataDir,
-		Persist:        *persist,
-		Demo:           *demo,
-		Drain:          *drain,
-		Grace:          *grace,
-		Timeout:        *timeout,
-		MaxInflight:    *maxInflight,
-		LatencyTarget:  *latencyTarget,
-		Brownout:       *brownout,
-		Stream:         *streamOn,
-		Snapshot:       *snapshot,
-		WALCommit:      *walCommit,
-		SnapshotEvery:  *snapInterval,
-		SweepInterval:  *sweepEvery,
-		RefreshWorkers: *refreshWorkers,
-		Cron:           *cronOn,
-		CronEpoch:      *cronEpoch,
-		CronFirst:      *cronFirst,
-		CronLast:       *cronLast,
-		LogFormat:      *logFormat,
-		LogLevel:       *logLevel,
-		SlowRequest:    *slowReq,
-		Pprof:          *pprofOn,
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ln, err := net.Listen("tcp", *addr)
@@ -259,7 +232,7 @@ func serve(ctx context.Context, cfg serveConfig, ln net.Listener, out io.Writer)
 		if _, err := sys.LoadFleet(fleet); err != nil {
 			return err
 		}
-		res, err := sys.RunWeekCtx(ctx, seagull.PipelineConfig{Region: region, Week: 1, ModelName: slots[0].model})
+		res, err := sys.Pipeline.RunWeek(ctx, seagull.PipelineConfig{Region: region, Week: 1, ModelName: slots[0].model})
 		if err != nil {
 			return err
 		}

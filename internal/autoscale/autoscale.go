@@ -195,34 +195,3 @@ func CompareModels(names []string, dbs []*simulate.Database, cfg EvalConfig) ([]
 	}
 	return out, nil
 }
-
-// Action is a preemptive auto-scale recommendation.
-type Action string
-
-// Recommendations derived from the 24h-ahead forecast.
-const (
-	ActionScaleUp   Action = "scale-up"
-	ActionScaleDown Action = "scale-down"
-	ActionHold      Action = "hold"
-)
-
-// Recommend derives the preemptive scaling action from a predicted day of
-// load: scale up when the predicted 95th percentile exceeds upPct, scale
-// down when the predicted peak stays under downPct — the resource-saving
-// opportunity Figure 13(b) quantifies (96.3% of servers never reach
-// capacity).
-func Recommend(predicted timeseries.Series, upPct, downPct float64) (Action, error) {
-	p95, err := predicted.Quantile(0.95)
-	if err != nil {
-		return ActionHold, err
-	}
-	peak, _ := predicted.Max()
-	switch {
-	case p95 >= upPct:
-		return ActionScaleUp, nil
-	case peak < downPct:
-		return ActionScaleDown, nil
-	default:
-		return ActionHold, nil
-	}
-}

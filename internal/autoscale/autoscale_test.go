@@ -162,23 +162,3 @@ func TestCompareModels(t *testing.T) {
 		t.Errorf("PF train+infer %v should not dwarf SSA %v", evs[0].TrainInfer, evs[1].TrainInfer)
 	}
 }
-
-func TestRecommend(t *testing.T) {
-	high := timeseries.New(t0, 15*time.Minute, []float64{90, 92, 95, 91, 90, 93})
-	low := timeseries.New(t0, 15*time.Minute, []float64{5, 6, 4, 5, 6, 5})
-	mid := timeseries.New(t0, 15*time.Minute, []float64{40, 45, 50, 42, 41, 44})
-
-	if a, err := Recommend(high, 80, 20); err != nil || a != ActionScaleUp {
-		t.Errorf("high: %v %v", a, err)
-	}
-	if a, err := Recommend(low, 80, 20); err != nil || a != ActionScaleDown {
-		t.Errorf("low: %v %v", a, err)
-	}
-	if a, err := Recommend(mid, 80, 20); err != nil || a != ActionHold {
-		t.Errorf("mid: %v %v", a, err)
-	}
-	empty := timeseries.New(t0, 15*time.Minute, nil)
-	if _, err := Recommend(empty, 80, 20); err == nil {
-		t.Error("empty forecast should error")
-	}
-}

@@ -65,20 +65,6 @@ func (c Category) String() string {
 	}
 }
 
-// Features is the per-server feature vector the Feature Extraction module
-// computes for model selection and monitoring.
-type Features struct {
-	LifespanDays int
-	MeanLoad     float64
-	StdLoad      float64
-	MaxLoad      float64
-	MissingRatio float64
-	// StableRatio is the bucket ratio of the average-load prediction
-	// (the Definition 4 test statistic).
-	StableRatio float64
-	Category    Category
-}
-
 // Scratch carries the reusable buffer of one classification worker: the
 // constant prediction series the Definition 4 stability test compares
 // against. Classification sweeps (fig3 runs four regions of servers) thread
@@ -208,32 +194,6 @@ func CategorizeScratch(load timeseries.Series, lifespanDays int, cfg metrics.Con
 		return WeeklyPattern, nil
 	}
 	return NoPattern, nil
-}
-
-// Extract computes the full feature vector for one server.
-func Extract(load timeseries.Series, lifespanDays int, cfg metrics.Config) (Features, error) {
-	cat, err := Categorize(load, lifespanDays, cfg)
-	if err != nil {
-		return Features{}, err
-	}
-	_, stableRatio, err := IsStable(load, cfg)
-	if err != nil {
-		return Features{}, err
-	}
-	maxLoad, _ := load.Max()
-	missing := 0.0
-	if load.Len() > 0 {
-		missing = float64(load.MissingCount()) / float64(load.Len())
-	}
-	return Features{
-		LifespanDays: lifespanDays,
-		MeanLoad:     load.Mean(),
-		StdLoad:      load.Std(),
-		MaxLoad:      maxLoad,
-		MissingRatio: missing,
-		StableRatio:  stableRatio,
-		Category:     cat,
-	}, nil
 }
 
 // Summary is the population breakdown of Figure 3.

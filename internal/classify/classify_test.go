@@ -177,32 +177,6 @@ func TestCategorizeNoPattern(t *testing.T) {
 	}
 }
 
-func TestExtractFeatures(t *testing.T) {
-	cfg := metrics.DefaultConfig()
-	rng := rand.New(rand.NewSource(6))
-	s := mkDays(28, func(d, sl int) float64 { return 40 + rng.NormFloat64() })
-	s.Values[0] = timeseries.Missing
-	f, err := Extract(s, 28, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Category != Stable {
-		t.Errorf("category = %v", f.Category)
-	}
-	if math.Abs(f.MeanLoad-40) > 1 {
-		t.Errorf("mean = %v", f.MeanLoad)
-	}
-	if f.MissingRatio <= 0 {
-		t.Error("missing ratio should be positive")
-	}
-	if f.LifespanDays != 28 {
-		t.Errorf("lifespan = %d", f.LifespanDays)
-	}
-	if f.MaxLoad < 40 {
-		t.Errorf("max = %v", f.MaxLoad)
-	}
-}
-
 func TestSummary(t *testing.T) {
 	s := NewSummary()
 	s.Add(Stable)

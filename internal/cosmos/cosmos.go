@@ -118,18 +118,6 @@ func (db *DB) Collection(name string) *Collection {
 	return c
 }
 
-// Collections lists collection names, sorted.
-func (db *DB) Collections() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.collections))
-	for name := range db.collections {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Flush persists every collection to the database directory. It is a no-op
 // for memory-only databases.
 func (db *DB) Flush() error {

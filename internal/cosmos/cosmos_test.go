@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -157,9 +158,8 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if got.Name != "persisted" || got.Value != 7 {
 		t.Errorf("got %+v", got)
 	}
-	cols := db2.Collections()
-	if len(cols) != 2 {
-		t.Errorf("collections = %v", cols)
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 2 {
+		t.Errorf("collection files = %v", files)
 	}
 }
 

@@ -28,11 +28,6 @@ import (
 // Dataset is the lake dataset name for backup-scheduling extracts.
 const Dataset = "pgmysql-load"
 
-// WeekOf returns the 0-based week index of t relative to fleetStart.
-func WeekOf(fleetStart, t time.Time) int {
-	return int(t.Sub(fleetStart) / (7 * 24 * time.Hour))
-}
-
 // ExtractWeek runs the weekly extraction query for one fleet: it selects all
 // telemetry falling inside week (0-based from the fleet start) and writes it
 // to the lake partition for (fleet region, week). It returns the number of

@@ -177,16 +177,6 @@ func TestExtractAll(t *testing.T) {
 	}
 }
 
-func TestWeekOf(t *testing.T) {
-	start := time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC)
-	if w := WeekOf(start, start); w != 0 {
-		t.Errorf("week of start = %d", w)
-	}
-	if w := WeekOf(start, start.Add(8*24*time.Hour)); w != 1 {
-		t.Errorf("week of day 8 = %d", w)
-	}
-}
-
 func TestIngestMissingObject(t *testing.T) {
 	store := testStore(t)
 	if _, err := Ingest(store, "ghost", 0, 5*time.Minute); err == nil {

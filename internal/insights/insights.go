@@ -64,9 +64,6 @@ type Dashboard struct {
 	runs      []RunRecord
 	incidents []Incident
 	clock     func() time.Time
-	// onIncident, when set, is invoked synchronously for every incident —
-	// the hook the paging integration attaches to.
-	onIncident func(Incident)
 }
 
 // New returns an empty dashboard. clock may be nil for wall time.
@@ -77,13 +74,6 @@ func New(clock func() time.Time) *Dashboard {
 	return &Dashboard{clock: clock}
 }
 
-// OnIncident installs a synchronous incident hook (may be nil to remove).
-func (d *Dashboard) OnIncident(fn func(Incident)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.onIncident = fn
-}
-
 // RecordRun appends one pipeline run record.
 func (d *Dashboard) RecordRun(r RunRecord) {
 	d.mu.Lock()
@@ -91,7 +81,7 @@ func (d *Dashboard) RecordRun(r RunRecord) {
 	d.runs = append(d.runs, r)
 }
 
-// Raise records an incident and fires the hook.
+// Raise records an incident.
 func (d *Dashboard) Raise(sev Severity, region, stage, format string, args ...any) {
 	inc := Incident{
 		At:       d.clock(),
@@ -101,12 +91,8 @@ func (d *Dashboard) Raise(sev Severity, region, stage, format string, args ...an
 		Message:  fmt.Sprintf(format, args...),
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.incidents = append(d.incidents, inc)
-	hook := d.onIncident
-	d.mu.Unlock()
-	if hook != nil {
-		hook(inc)
-	}
 }
 
 // Incidents returns all raised incidents, oldest first.

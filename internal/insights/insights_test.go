@@ -14,17 +14,15 @@ func tick() func() time.Time {
 	}
 }
 
-func TestRaiseAndHook(t *testing.T) {
+func TestRaise(t *testing.T) {
 	d := New(tick())
-	var hooked []Incident
-	d.OnIncident(func(i Incident) { hooked = append(hooked, i) })
 
 	d.Raise(SevError, "westus", "validation", "found %d anomalies", 3)
 	d.Raise(SevCritical, "eastus", "deployment", "deploy failed")
 
 	incs := d.Incidents()
-	if len(incs) != 2 || len(hooked) != 2 {
-		t.Fatalf("incidents=%d hooked=%d", len(incs), len(hooked))
+	if len(incs) != 2 {
+		t.Fatalf("incidents=%d", len(incs))
 	}
 	if incs[0].Severity != SevError || incs[0].Message != "found 3 anomalies" {
 		t.Errorf("inc[0] = %+v", incs[0])
@@ -34,12 +32,6 @@ func TestRaiseAndHook(t *testing.T) {
 	}
 	if !strings.Contains(incs[0].String(), "westus/validation") {
 		t.Errorf("String = %q", incs[0].String())
-	}
-	// Hook removal.
-	d.OnIncident(nil)
-	d.Raise(SevWarning, "r", "s", "m")
-	if len(hooked) != 2 {
-		t.Error("removed hook still fired")
 	}
 }
 

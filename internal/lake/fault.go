@@ -118,18 +118,6 @@ func (f *FaultStore) Reset() {
 	f.rules = nil
 }
 
-// Fired reports whether any rule for the named object and op has fired.
-func (f *FaultStore) Fired(name string, op FaultOp) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, st := range f.rules {
-		if st.Name == name && st.Op == op && st.fired {
-			return true
-		}
-	}
-	return false
-}
-
 // match returns the first armed rule for the named object and op.
 func (f *FaultStore) match(name string, op FaultOp) *faultState {
 	f.mu.Lock()

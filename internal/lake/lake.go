@@ -56,9 +56,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // Path returns the object path for (dataset, region, week).
 func (s *Store) Path(dataset, region string, week int) string {
 	return filepath.Join(s.root, dataset, region, fmt.Sprintf("week-%04d.csv", week))

@@ -70,15 +70,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
@@ -147,20 +138,6 @@ func Dot(a, b []float64) float64 {
 
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-func identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// SolveLeastSquares returns x minimizing ‖Ax − b‖₂ via the normal equations
-// with Cholesky decomposition. Returns ErrSingular for rank-deficient A.
-func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	return SolveRidge(a, b, 0)
-}
 
 // MulTransposedInto computes dst = AᵀA without materializing Aᵀ. dst must be
 // Cols×Cols; its contents are overwritten. Only the upper triangle is
@@ -338,46 +315,4 @@ func CholeskySolveInPlace(g *Matrix, b []float64) error {
 		b[i] = sum / d[i*n+i]
 	}
 	return nil
-}
-
-// Hankel builds the L×K trajectory (Hankel) matrix of series x with window
-// length L, where K = len(x) − L + 1 and H[i][j] = x[i+j]. This is the
-// embedding step of singular spectrum analysis. The SSA hot path fills its
-// scratch-backed trajectory matrix inline; this constructor remains as the
-// reference definition of the embedding (and for external consumers).
-func Hankel(x []float64, l int) (*Matrix, error) {
-	k := len(x) - l + 1
-	if l <= 0 || k <= 0 {
-		return nil, fmt.Errorf("%w: window %d of series %d", ErrShape, l, len(x))
-	}
-	h := NewMatrix(l, k)
-	for i := 0; i < l; i++ {
-		for j := 0; j < k; j++ {
-			h.Set(i, j, x[i+j])
-		}
-	}
-	return h, nil
-}
-
-// DiagonalAverage reconstructs a series of length l+k−1 from an l×k matrix by
-// averaging its anti-diagonals — the inverse of the Hankel embedding used in
-// SSA reconstruction. The SSA hot path computes only the trailing
-// anti-diagonal sums it needs for the forecast seed; this full
-// reconstruction remains as the reference the tail-only math is checked
-// against.
-func DiagonalAverage(m *Matrix) []float64 {
-	l, k := m.Rows, m.Cols
-	n := l + k - 1
-	out := make([]float64, n)
-	cnt := make([]int, n)
-	for i := 0; i < l; i++ {
-		for j := 0; j < k; j++ {
-			out[i+j] += m.At(i, j)
-			cnt[i+j]++
-		}
-	}
-	for i := range out {
-		out[i] /= float64(cnt[i])
-	}
-	return out
 }

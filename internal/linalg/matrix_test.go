@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -20,10 +19,6 @@ func TestMatrixBasics(t *testing.T) {
 	r[0] = 99
 	if m.At(0, 0) != 0 {
 		t.Error("Row must copy")
-	}
-	c := m.Col(1)
-	if c[0] != 5 || c[1] != 0 {
-		t.Errorf("Col = %v", c)
 	}
 }
 
@@ -93,7 +88,8 @@ func TestDotNorm(t *testing.T) {
 }
 
 func TestSVDIdentity(t *testing.T) {
-	sv, err := ComputeSVD(identity(3))
+	id, _ := FromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
+	sv, err := ComputeSVD(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +165,10 @@ func TestSVDOrthonormalColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ut, vt := sv.U.T(), sv.V.T()
 	for p := 0; p < 4; p++ {
 		for q := 0; q < 4; q++ {
-			dot := Dot(sv.U.Col(p), sv.U.Col(q))
+			dot := Dot(ut.Row(p), ut.Row(q))
 			want := 0.0
 			if p == q {
 				want = 1
@@ -179,7 +176,7 @@ func TestSVDOrthonormalColumns(t *testing.T) {
 			if !approx(dot, want, 1e-8) {
 				t.Errorf("UᵀU[%d,%d] = %v, want %v", p, q, dot, want)
 			}
-			dotV := Dot(sv.V.Col(p), sv.V.Col(q))
+			dotV := Dot(vt.Row(p), vt.Row(q))
 			if !approx(dotV, want, 1e-8) {
 				t.Errorf("VᵀV[%d,%d] = %v, want %v", p, q, dotV, want)
 			}
@@ -210,7 +207,7 @@ func TestSVDEmpty(t *testing.T) {
 func TestSolveLeastSquaresExact(t *testing.T) {
 	// Exactly determined: x = [2, -1].
 	a, _ := FromRows([][]float64{{1, 1}, {1, -1}})
-	x, err := SolveLeastSquares(a, []float64{1, 3})
+	x, err := SolveRidge(a, []float64{1, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +225,7 @@ func TestSolveLeastSquaresOverdetermined(t *testing.T) {
 		b = append(b, 2*float64(ti)+1)
 	}
 	a, _ := FromRows(rows)
-	x, err := SolveLeastSquares(a, b)
+	x, err := SolveRidge(a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +260,7 @@ func TestSolveRidgeShrinks(t *testing.T) {
 func TestSolveSingular(t *testing.T) {
 	// Two identical columns: rank deficient.
 	a, _ := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	if _, err := SolveLeastSquares(a, []float64{1, 2, 3}); err == nil {
+	if _, err := SolveRidge(a, []float64{1, 2, 3}, 0); err == nil {
 		t.Error("rank-deficient system should error without ridge")
 	}
 	// Ridge regularization rescues it.
@@ -282,76 +279,8 @@ func TestCholeskySolveErrors(t *testing.T) {
 	}
 }
 
-func TestHankel(t *testing.T) {
-	h, err := Hankel([]float64{1, 2, 3, 4, 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Rows != 3 || h.Cols != 3 {
-		t.Fatalf("Hankel shape %dx%d", h.Rows, h.Cols)
-	}
-	want := [][]float64{{1, 2, 3}, {2, 3, 4}, {3, 4, 5}}
-	for i := range want {
-		for j := range want[i] {
-			if h.At(i, j) != want[i][j] {
-				t.Errorf("H(%d,%d) = %v", i, j, h.At(i, j))
-			}
-		}
-	}
-	if _, err := Hankel([]float64{1, 2}, 5); err == nil {
-		t.Error("window longer than series should error")
-	}
-	if _, err := Hankel([]float64{1, 2}, 0); err == nil {
-		t.Error("zero window should error")
-	}
-}
-
-func TestDiagonalAverageInvertsHankel(t *testing.T) {
-	x := []float64{4, 8, 15, 16, 23, 42}
-	h, err := Hankel(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := DiagonalAverage(h)
-	if len(back) != len(x) {
-		t.Fatalf("len = %d", len(back))
-	}
-	for i := range x {
-		if !approx(back[i], x[i], 1e-12) {
-			t.Errorf("back[%d] = %v, want %v", i, back[i], x[i])
-		}
-	}
-}
-
-// Property: Hankel → DiagonalAverage is the identity for any series/window.
-func TestPropertyHankelRoundTrip(t *testing.T) {
-	f := func(raw []uint8, lSeed uint8) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		x := make([]float64, len(raw))
-		for i, r := range raw {
-			x[i] = float64(r)
-		}
-		l := 1 + int(lSeed)%len(x)
-		h, err := Hankel(x, l)
-		if err != nil {
-			return false
-		}
-		back := DiagonalAverage(h)
-		for i := range x {
-			if !approx(back[i], x[i], 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: least-squares residual is orthogonal to the column space.
+// Property: the least-squares (λ = 0) residual is orthogonal to the column
+// space.
 func TestPropertyLeastSquaresOrthogonalResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -365,7 +294,7 @@ func TestPropertyLeastSquaresOrthogonalResidual(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := SolveLeastSquares(a, b)
+		x, err := SolveRidge(a, b, 0)
 		if err != nil {
 			continue // random degenerate case
 		}
@@ -374,8 +303,9 @@ func TestPropertyLeastSquaresOrthogonalResidual(t *testing.T) {
 		for i := range res {
 			res[i] = b[i] - ax[i]
 		}
+		at := a.T()
 		for j := 0; j < n; j++ {
-			if d := Dot(a.Col(j), res); !approx(d, 0, 1e-6) {
+			if d := Dot(at.Row(j), res); !approx(d, 0, 1e-6) {
 				t.Fatalf("trial %d: residual not orthogonal to col %d: %v", trial, j, d)
 			}
 		}

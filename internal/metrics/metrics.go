@@ -122,11 +122,6 @@ type Window struct {
 	AvgLoad float64 // average load over the window in the series it came from
 }
 
-// Overlaps reports whether two windows share at least one observation.
-func (w Window) Overlaps(o Window) bool {
-	return w.Start < o.Start+o.Length && o.Start < w.Start+w.Length
-}
-
 // LowestLoadWindow (Definition 7) finds the length-w window with minimal
 // average load in day (a series covering the backup day). w is the expected
 // backup duration in observations.

@@ -139,23 +139,6 @@ func TestLowestLoadWindow(t *testing.T) {
 	}
 }
 
-func TestWindowOverlaps(t *testing.T) {
-	a := Window{Start: 0, Length: 3}
-	cases := []struct {
-		b    Window
-		want bool
-	}{
-		{Window{Start: 2, Length: 2}, true},
-		{Window{Start: 3, Length: 2}, false},
-		{Window{Start: 0, Length: 1}, true},
-	}
-	for _, c := range cases {
-		if got := a.Overlaps(c.b); got != c.want {
-			t.Errorf("Overlaps(%+v) = %v, want %v", c.b, got, c.want)
-		}
-	}
-}
-
 // Figure 8 scenario: windows do not overlap but true load in the predicted
 // window is only slightly above the optimum → correctly chosen.
 func TestEvaluateWindowCorrectNonOverlapping(t *testing.T) {
@@ -167,11 +150,9 @@ func TestEvaluateWindowCorrectNonOverlapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Length-2 windows at 2 and 6 do not overlap.
 	if res.True.Start != 2 || res.Predicted.Start != 6 {
 		t.Fatalf("windows = %+v", res)
-	}
-	if res.Predicted.Overlaps(res.True) {
-		t.Fatal("windows should not overlap in this scenario")
 	}
 	// True load in predicted window (5) is within +10 of the optimum (3).
 	if !res.Correct {

@@ -204,17 +204,3 @@ func MapInto[T, R any](p *Pool, in []T, out []R, fn func(T) (R, error)) error {
 		return nil
 	})
 }
-
-// MapSeq is the single-threaded reference implementation used as the
-// baseline in Figure 12(b)'s comparison.
-func MapSeq[T, R any](in []T, fn func(T) (R, error)) ([]R, error) {
-	out := make([]R, len(in))
-	for i, v := range in {
-		r, err := fn(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}

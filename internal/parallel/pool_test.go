@@ -109,6 +109,7 @@ func TestMapError(t *testing.T) {
 	}
 }
 
+// TestMapSeqMatchesMap checks Map against a sequential loop over the input.
 func TestMapSeqMatchesMap(t *testing.T) {
 	p := NewPool(4)
 	f := func(in []int8) bool {
@@ -116,17 +117,12 @@ func TestMapSeqMatchesMap(t *testing.T) {
 		for i, v := range in {
 			vals[i] = int(v)
 		}
-		sq := func(v int) (int, error) { return v * v, nil }
-		a, err1 := Map(p, vals, sq)
-		b, err2 := MapSeq(vals, sq)
-		if err1 != nil || err2 != nil {
+		a, err := Map(p, vals, func(v int) (int, error) { return v * v, nil })
+		if err != nil || len(a) != len(vals) {
 			return false
 		}
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
+		for i, v := range vals {
+			if a[i] != v*v {
 				return false
 			}
 		}
@@ -134,15 +130,6 @@ func TestMapSeqMatchesMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMapSeqError(t *testing.T) {
-	_, err := MapSeq([]int{1, 2}, func(v int) (int, error) {
-		return 0, errors.New("x")
-	})
-	if err == nil {
-		t.Error("MapSeq should propagate errors")
 	}
 }
 

@@ -21,13 +21,3 @@ func TestRunWeekCancelledBeforeStart(t *testing.T) {
 		t.Errorf("dashboard failed runs = %d, want 1", sum.Failed)
 	}
 }
-
-func TestRunScheduleStopsOnCancel(t *testing.T) {
-	p, _ := fixture(t, 20)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out := p.RunSchedule(ctx, Config{}, []string{"testreg"}, []int{0, 1, 2})
-	if len(out) != 0 {
-		t.Fatalf("cancelled schedule produced %d results", len(out))
-	}
-}

@@ -634,24 +634,3 @@ func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDo
 func DocID(serverID string, week int) string {
 	return fmt.Sprintf("%s/week-%04d", serverID, week)
 }
-
-// RunSchedule executes weekly runs for several regions and weeks in
-// sequence, as the recurring Pipeline Scheduler does in production. Failed
-// runs raise incidents but do not stop the schedule; cancelling ctx does.
-func (p *Pipeline) RunSchedule(ctx context.Context, base Config, regions []string, weeks []int) []*Result {
-	var out []*Result
-	for _, region := range regions {
-		for _, week := range weeks {
-			if ctx.Err() != nil {
-				return out
-			}
-			cfg := base
-			cfg.Region = region
-			cfg.Week = week
-			// A failed run has raised its incident; its partial result is kept.
-			res, _ := p.RunWeek(ctx, cfg)
-			out = append(out, res)
-		}
-	}
-	return out
-}

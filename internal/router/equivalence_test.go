@@ -5,7 +5,8 @@ package router_test
 // of servers: its own ingest rings, drift detector and namespaced WAL +
 // snapshots in the shared lake) fed the same telemetry through the router
 // must serve forecasts bit-identical to the single-process system, and a
-// replica drain/rejoin must lose zero acknowledged points.
+// replica killed and rebuilt behind a fresh router must lose zero
+// acknowledged points.
 
 import (
 	"context"
@@ -136,21 +137,26 @@ func (st *replicaStack) close() {
 
 // newFleet mounts n durable replicas and a router over them.
 func (w *world) newFleet(n int) ([]*replicaStack, *router.Router) {
-	w.t.Helper()
 	reps := make([]*replicaStack, n)
-	cfg := router.Config{Seed: 42}
 	for i := range reps {
-		name := string(rune('a' + i))
-		reps[i] = w.newStack("shard-"+name, true)
-		cfg.Replicas = append(cfg.Replicas, router.Replica{
-			Name: reps[i].name, BaseURL: reps[i].srv.URL,
-		})
+		reps[i] = w.newStack("shard-"+string(rune('a'+i)), true)
+	}
+	return reps, w.newRouter(reps)
+}
+
+// newRouter builds a router over reps, as a router process started with
+// their names and URLs would be.
+func (w *world) newRouter(reps []*replicaStack) *router.Router {
+	w.t.Helper()
+	cfg := router.Config{Seed: 42}
+	for _, rep := range reps {
+		cfg.Replicas = append(cfg.Replicas, router.Replica{Name: rep.name, BaseURL: rep.srv.URL})
 	}
 	rt, err := router.New(cfg)
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	return reps, rt
+	return rt
 }
 
 // ingestBatch converts a slice of server loads into one ingest request.
@@ -330,8 +336,8 @@ func findLoad(t *testing.T, loads []*extract.ServerLoad, id string) *extract.Ser
 
 // TestDrainRejoinZeroLoss kills one replica after its points were
 // acknowledged (accepted + WAL-committed), rebuilds it from the shared
-// lake, and requires every acknowledged point back — and re-sent telemetry
-// to register as duplicates, never double-upserts.
+// lake behind a fresh router, and requires every acknowledged point back —
+// and re-sent telemetry to register as duplicates, never double-upserts.
 func TestDrainRejoinZeroLoss(t *testing.T) {
 	w := newWorld(t, 32)
 	ctx := context.Background()
@@ -379,7 +385,7 @@ func TestDrainRejoinZeroLoss(t *testing.T) {
 	for id, want := range before {
 		snap, ok := reborn.ing.SnapshotInto(id, nil)
 		if !ok {
-			t.Fatalf("server %s lost across drain/rejoin", id)
+			t.Fatalf("server %s lost across the kill and rebuild", id)
 		}
 		if len(snap.Values) != len(want) {
 			t.Fatalf("server %s window %d points, had %d acknowledged", id, len(snap.Values), len(want))
@@ -391,23 +397,23 @@ func TestDrainRejoinZeroLoss(t *testing.T) {
 		}
 	}
 
-	// Rejoin under the same name: the map is unchanged (same membership,
-	// same seed), so no other replica's assignment moved.
+	// Bring the replica back behind a fresh router with the same seed and
+	// names, at its new URL: the map is unchanged (same membership, same
+	// seed), so no replica's assignment moved.
 	oldOwners := map[string]string{}
 	for _, id := range w.predictTargets() {
 		oldOwners[id] = rt.Map().Owner(id)
 	}
-	if err := rt.Leave(victim.name); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Join(router.Replica{Name: reborn.name, BaseURL: reborn.srv.URL}); err != nil {
-		t.Fatal(err)
-	}
+	reps[1] = reborn
+	rt = w.newRouter(reps)
 	for id, owner := range oldOwners {
 		if got := rt.Map().Owner(id); got != owner {
-			t.Fatalf("rejoin moved %s: %s -> %s", id, owner, got)
+			t.Fatalf("rebuilt router moved %s: %s -> %s", id, owner, got)
 		}
 	}
+	rebuilt := httptest.NewServer(rt.Handler())
+	defer rebuilt.Close()
+	routed = serving.NewClient(rebuilt.URL)
 
 	// An at-least-once client re-sends the whole batch: every point the
 	// fleet already held must count as a duplicate — no double upserts.
@@ -425,11 +431,11 @@ func TestDrainRejoinZeroLoss(t *testing.T) {
 	// Full coverage restored: live predicts work for victim-owned servers.
 	st := rt.Ready(ctx)
 	if !st.Ready {
-		t.Fatalf("fleet not ready after rejoin: %+v", st)
+		t.Fatalf("fleet not ready after the rebuild: %+v", st)
 	}
 	for _, id := range owned {
 		if _, err := routed.PredictV2(ctx, livePredict(id)); err != nil {
-			t.Fatalf("predict %s after rejoin: %v", id, err)
+			t.Fatalf("predict %s after the rebuild: %v", id, err)
 		}
 	}
 }

@@ -68,7 +68,7 @@ type Config struct {
 	// Seed fixes the shard map. Every router (and every tool that needs to
 	// compute ownership offline) must share it.
 	Seed uint64
-	// Replicas is the initial membership. At least one is required.
+	// Replicas is the membership. At least one is required.
 	Replicas []Replica
 	// Retry bounds the per-replica retry loop; the zero value enables 4
 	// attempts with a 2s budget — sized for the drain window of a rolling
@@ -104,8 +104,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// replicaVars is one replica's forwarding counters. They survive membership
-// changes, so a drain/rejoin keeps its history.
+// replicaVars is one replica's forwarding counters.
 type replicaVars struct {
 	forwards atomic.Uint64
 	failures atomic.Uint64
@@ -113,48 +112,52 @@ type replicaVars struct {
 
 // Router fronts the replica fleet. Construct with New; it is an
 // http.Handler.
+//
+// Membership is fixed when the router is built: changing it means starting a
+// router with a new replica list. A router holds no state, so that restart
+// loses nothing, and a routed request reads the membership without a lock.
 type Router struct {
-	cfg  Config
 	mux  *http.ServeMux
 	http *obs.HTTP // per-route accounting and request IDs, shared with the replicas
 
-	// mu guards the membership view: the shard map and the client set swap
-	// together, atomically from a request's point of view.
-	mu      sync.RWMutex
-	smap    *shard.Map
-	clients map[string]*serving.Client
+	smap     *shard.Map
+	clients  map[string]*serving.Client
+	replicas map[string]*replicaVars // keyed like clients
 
 	rr atomic.Uint64 // round-robin cursor for stateless forwards
-
-	repMu    sync.Mutex
-	replicas map[string]*replicaVars
 }
 
 // New builds a router over the configured replicas.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	rt := &Router{
-		cfg:      cfg,
 		http:     obs.NewHTTP(cfg.Clock, nil),
-		replicas: map[string]*replicaVars{},
+		clients:  make(map[string]*serving.Client, len(cfg.Replicas)),
+		replicas: make(map[string]*replicaVars, len(cfg.Replicas)),
 	}
 	names := make([]string, 0, len(cfg.Replicas))
-	clients := make(map[string]*serving.Client, len(cfg.Replicas))
 	for _, rep := range cfg.Replicas {
 		if rep.BaseURL == "" {
 			return nil, fmt.Errorf("router: replica %q has no base URL", rep.Name)
 		}
-		if _, dup := clients[rep.Name]; dup {
+		if _, dup := rt.clients[rep.Name]; dup {
 			return nil, fmt.Errorf("router: duplicate replica %q", rep.Name)
 		}
 		names = append(names, rep.Name)
-		clients[rep.Name] = rt.newClient(rep.BaseURL)
+		rt.clients[rep.Name] = &serving.Client{
+			BaseURL: rep.BaseURL,
+			HTTP:    cfg.HTTP,
+			Retry:   cfg.Retry,
+			Breaker: cfg.Breaker,
+			Clock:   cfg.Clock,
+		}
+		rt.replicas[rep.Name] = &replicaVars{}
 	}
 	smap, err := shard.New(cfg.Seed, names)
 	if err != nil {
 		return nil, err
 	}
-	rt.smap, rt.clients = smap, clients
+	rt.smap = smap
 
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
@@ -174,92 +177,24 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// newClient builds the retry/breaker-armed client for one replica URL.
-func (rt *Router) newClient(baseURL string) *serving.Client {
-	return &serving.Client{
-		BaseURL: baseURL,
-		HTTP:    rt.cfg.HTTP,
-		Retry:   rt.cfg.Retry,
-		Breaker: rt.cfg.Breaker,
-		Clock:   rt.cfg.Clock,
-	}
-}
-
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
 // Handler returns the router as an http.Handler (itself).
 func (rt *Router) Handler() http.Handler { return rt }
 
-// Map returns the current shard map.
-func (rt *Router) Map() *shard.Map {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.smap
-}
-
-// Members returns the current replica names, sorted.
-func (rt *Router) Members() []string { return rt.Map().Replicas() }
-
-// Join adds a replica to the membership. Only the keys the newcomer wins
-// move to it (≈ 1/(N+1) of the fleet); every other assignment is untouched.
-func (rt *Router) Join(rep Replica) error {
-	if rep.BaseURL == "" {
-		return fmt.Errorf("router: replica %q has no base URL", rep.Name)
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	smap, err := rt.smap.WithJoined(rep.Name)
-	if err != nil {
-		return err
-	}
-	clients := make(map[string]*serving.Client, len(rt.clients)+1)
-	for n, c := range rt.clients {
-		clients[n] = c
-	}
-	clients[rep.Name] = rt.newClient(rep.BaseURL)
-	rt.smap, rt.clients = smap, clients
-	return nil
-}
-
-// Leave removes a replica from the membership; only the keys it owned move.
-// A fresh client is built if the replica later rejoins, so a stale open
-// breaker never outlives the member that tripped it.
-func (rt *Router) Leave(name string) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	smap, err := rt.smap.WithLeft(name)
-	if err != nil {
-		return err
-	}
-	clients := make(map[string]*serving.Client, len(rt.clients)-1)
-	for n, c := range rt.clients {
-		if n != name {
-			clients[n] = c
-		}
-	}
-	rt.smap, rt.clients = smap, clients
-	return nil
-}
-
-// view snapshots the membership for one request.
-func (rt *Router) view() (*shard.Map, map[string]*serving.Client) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.smap, rt.clients
-}
+// Map returns the shard map.
+func (rt *Router) Map() *shard.Map { return rt.smap }
 
 // ownerClient resolves a server ID to its owning replica's client.
 func (rt *Router) ownerClient(serverID string) (string, *serving.Client) {
-	smap, clients := rt.view()
-	name := smap.Owner(serverID)
-	return name, clients[name]
+	name := rt.smap.Owner(serverID)
+	return name, rt.clients[name]
 }
 
 // nextClient picks a replica for a stateless forward, round-robin.
 func (rt *Router) nextClient(skip map[string]bool) (string, *serving.Client) {
-	smap, clients := rt.view()
-	names := smap.Replicas()
+	names := rt.smap.Replicas()
 	n := len(names)
 	start := int(rt.rr.Add(1)-1) % n
 	for i := 0; i < n; i++ {
@@ -267,27 +202,14 @@ func (rt *Router) nextClient(skip map[string]bool) (string, *serving.Client) {
 		if skip[name] {
 			continue
 		}
-		return name, clients[name]
+		return name, rt.clients[name]
 	}
 	return "", nil
 }
 
-// replicaVarsFor returns (creating once) the forwarding counters of one
-// replica.
-func (rt *Router) replicaVarsFor(name string) *replicaVars {
-	rt.repMu.Lock()
-	defer rt.repMu.Unlock()
-	rv, ok := rt.replicas[name]
-	if !ok {
-		rv = &replicaVars{}
-		rt.replicas[name] = rv
-	}
-	return rv
-}
-
 // observeForward records one upstream call's outcome.
 func (rt *Router) observeForward(name string, err error) {
-	rv := rt.replicaVarsFor(name)
+	rv := rt.replicas[name]
 	rv.forwards.Add(1)
 	if err != nil {
 		rv.failures.Add(1)
@@ -340,10 +262,9 @@ type ReadyStatus struct {
 
 // Ready probes every replica's /readyz and reports fleet coverage.
 func (rt *Router) Ready(ctx context.Context) ReadyStatus {
-	smap, clients := rt.view()
-	names := smap.Replicas()
+	names := rt.smap.Replicas()
 	st := ReadyStatus{Ready: true, Replicas: make(map[string]bool, len(names))}
-	probes := scatter(names, clients, nil, func(_ string, c *serving.Client) (bool, error) {
+	probes := scatter(names, rt.clients, nil, func(_ string, c *serving.Client) (bool, error) {
 		return c.Ready(ctx), nil
 	})
 	for _, p := range probes {

@@ -3,7 +3,8 @@ package router_test
 // Router unit tests against scripted fake replicas: membership validation,
 // readiness coverage, stateless failover, the drain/retry semantics of
 // satellite endpoints (errors confined to the dead replica's shard, breaker
-// opening, rejoin restoring coverage), and fleet observability rendering.
+// opening, a replacement behind a fresh router restoring coverage), and
+// fleet observability rendering.
 
 import (
 	"bytes"
@@ -122,16 +123,23 @@ func newFake(t testing.TB, name string) *fake {
 func newFakeFleet(t testing.TB, n int, mod func(*router.Config)) ([]*fake, *router.Router, *httptest.Server) {
 	t.Helper()
 	fakes := make([]*fake, n)
+	for i := range fakes {
+		fakes[i] = newFake(t, fmt.Sprintf("shard-%c", 'a'+i))
+	}
+	rt, front := newRouterOver(t, fakes, mod)
+	return fakes, rt, front
+}
+
+// newRouterOver builds a router over fakes, served on a test front.
+func newRouterOver(t testing.TB, fakes []*fake, mod func(*router.Config)) (*router.Router, *httptest.Server) {
+	t.Helper()
 	cfg := router.Config{
 		Seed:    7,
 		Retry:   serving.RetryConfig{MaxAttempts: 1},
 		Breaker: serving.BreakerConfig{Threshold: -1},
 	}
-	for i := range fakes {
-		fakes[i] = newFake(t, fmt.Sprintf("shard-%c", 'a'+i))
-		cfg.Replicas = append(cfg.Replicas, router.Replica{
-			Name: fakes[i].name, BaseURL: fakes[i].srv.URL,
-		})
+	for _, fk := range fakes {
+		cfg.Replicas = append(cfg.Replicas, router.Replica{Name: fk.name, BaseURL: fk.srv.URL})
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -142,7 +150,7 @@ func newFakeFleet(t testing.TB, n int, mod func(*router.Config)) ([]*fake, *rout
 	}
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
-	return fakes, rt, front
+	return rt, front
 }
 
 func post(t testing.TB, url, body string) (*http.Response, string) {
@@ -191,28 +199,6 @@ func TestNewValidation(t *testing.T) {
 		{Name: "a", BaseURL: "http://x"}, {Name: "a", BaseURL: "http://y"},
 	}}); err == nil {
 		t.Error("duplicate replica names must be rejected")
-	}
-}
-
-func TestJoinLeaveErrors(t *testing.T) {
-	_, rt, _ := newFakeFleet(t, 2, nil)
-	if err := rt.Join(router.Replica{Name: "new"}); err == nil {
-		t.Error("join without base URL must fail")
-	}
-	if err := rt.Join(router.Replica{Name: "shard-a", BaseURL: "http://x"}); err == nil {
-		t.Error("joining an existing member must fail")
-	}
-	if err := rt.Leave("ghost"); err == nil {
-		t.Error("leaving an unknown member must fail")
-	}
-	if err := rt.Leave("shard-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Leave("shard-b"); err == nil {
-		t.Error("the last member must not be allowed to leave")
-	}
-	if got := rt.Members(); len(got) != 1 || got[0] != "shard-b" {
-		t.Fatalf("members = %v", got)
 	}
 }
 
@@ -650,9 +636,10 @@ func FuzzRouterPredict(f *testing.F) {
 	})
 }
 
-// TestBatchFailureConfinedAndBreaker is satellite drain/retry semantics: a
-// replica killed mid-batch fails only its own items, repeated traffic trips
-// its breaker, and a rejoin restores full coverage with no remapping.
+// TestBatchFailureConfinedAndBreaker is drain/retry semantics: a replica
+// killed mid-batch fails only its own items, repeated traffic trips its
+// breaker, and a replacement behind a fresh router restores full coverage
+// with no remapping.
 func TestBatchFailureConfinedAndBreaker(t *testing.T) {
 	fakes, rt, front := newFakeFleet(t, 2, func(c *router.Config) {
 		c.Breaker = serving.BreakerConfig{Threshold: 2}
@@ -701,18 +688,19 @@ func TestBatchFailureConfinedAndBreaker(t *testing.T) {
 		t.Fatal("breaker never opened against the dead replica")
 	}
 
-	// Rejoin under the same name at a fresh address: same map, fresh client,
-	// full coverage back.
+	// The replacement comes back under the same name at a fresh address,
+	// behind a router started with the same seed and names: same map, fresh
+	// client, full coverage back.
 	replacement := newFake(t, "shard-b")
-	if err := rt.Leave("shard-b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Join(router.Replica{Name: "shard-b", BaseURL: replacement.srv.URL}); err != nil {
-		t.Fatal(err)
+	rebuilt, front := newRouterOver(t, []*fake{fakes[0], replacement}, func(c *router.Config) {
+		c.Breaker = serving.BreakerConfig{Threshold: 2}
+	})
+	if rebuilt.Map().Owner(idA) != "shard-a" || rebuilt.Map().Owner(idB) != "shard-b" {
+		t.Fatal("the rebuilt router moved an owner")
 	}
 	resp, out = post(t, front.URL+"/v2/predict", `{"server_id":"`+idB+`","history":{"values":[1]}}`)
 	if resp.StatusCode != 200 || !strings.Contains(out, "fake-shard-b") {
-		t.Fatalf("rejoined replica not serving: %d %s", resp.StatusCode, out)
+		t.Fatalf("replacement replica not serving: %d %s", resp.StatusCode, out)
 	}
 }
 

@@ -75,12 +75,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if missingID(w, "servers", ids) {
 		return
 	}
-	smap, clients := rt.view()
-	parts := smap.Split(ids)
-	owners := slices.DeleteFunc(smap.Replicas(), func(name string) bool { return parts[name] == nil })
+	parts := rt.smap.Split(ids)
+	owners := slices.DeleteFunc(rt.smap.Replicas(), func(name string) bool { return parts[name] == nil })
 	ctx := upstreamContext(w, r)
 
-	replies := scatter(owners, clients, rt.observeForward,
+	replies := scatter(owners, rt.clients, rt.observeForward,
 		func(name string, c *serving.Client) (serving.BatchResponse, error) {
 			var out serving.BatchResponse
 			err := c.Do(ctx, http.MethodPost, "/v2/predict/batch", route.subBody(body, parts[name], nil), &out)
@@ -165,11 +164,10 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if missingID(w, "servers", route.servers.ids) || missingID(w, "points", route.points.ids) {
 		return
 	}
-	smap, clients := rt.view()
-	series, points := smap.Split(route.servers.ids), smap.Split(route.points.ids)
+	series, points := rt.smap.Split(route.servers.ids), rt.smap.Split(route.points.ids)
 	// The sweep must cover every shard, including those this batch carried
 	// no points for.
-	owners := slices.DeleteFunc(smap.Replicas(), func(name string) bool {
+	owners := slices.DeleteFunc(rt.smap.Replicas(), func(name string) bool {
 		return !route.sweep && series[name] == nil && points[name] == nil
 	})
 	if len(owners) == 0 {
@@ -178,7 +176,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := upstreamContext(w, r)
-	replies := scatter(owners, clients, rt.observeForward,
+	replies := scatter(owners, rt.clients, rt.observeForward,
 		func(name string, c *serving.Client) (serving.IngestResponse, error) {
 			var out serving.IngestResponse
 			err := c.Do(ctx, http.MethodPost, "/v2/ingest", route.subBody(body, series[name], points[name]), &out)
@@ -229,9 +227,8 @@ func (rt *Router) handlePredictions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "path must be /v2/predictions/{region}/{week}")
 		return
 	}
-	smap, clients := rt.view()
 	ctx := upstreamContext(w, r)
-	replies := scatter(smap.Replicas(), clients, rt.observeForward,
+	replies := scatter(rt.smap.Replicas(), rt.clients, rt.observeForward,
 		func(_ string, c *serving.Client) (serving.PredictionsResponse, error) {
 			return c.Predictions(ctx, region, week)
 		})
@@ -281,8 +278,7 @@ func (rt *Router) relay(w http.ResponseWriter, r *http.Request, name string, cli
 // and relays the reply, failing over to the next replica on a retryable
 // error.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path string, body json.RawMessage) {
-	smap, _ := rt.view()
-	n := smap.N()
+	n := rt.smap.N()
 	skip := map[string]bool{}
 	var lastName string
 	var lastErr error

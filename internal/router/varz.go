@@ -109,11 +109,10 @@ type FleetVarz struct {
 // FleetVarz assembles the aggregated fleet document, probing every replica
 // concurrently.
 func (rt *Router) FleetVarz(ctx context.Context) FleetVarz {
-	smap, clients := rt.view()
-	names := smap.Replicas()
+	names := rt.smap.Replicas()
 	out := FleetVarz{
 		UptimeSec: rt.http.UptimeSec(),
-		Seed:      smap.Seed(),
+		Seed:      rt.smap.Seed(),
 		Members:   names,
 		Routes:    map[string]RouteVarz{},
 		Replicas:  make(map[string]ReplicaVarz, len(names)),
@@ -122,7 +121,7 @@ func (rt *Router) FleetVarz(ctx context.Context) FleetVarz {
 		out.Routes[name] = RouteVarz{Count: ep.Count, Errors: ep.Errors}
 	}
 
-	probes := scatter(names, clients, nil, func(name string, c *serving.Client) (ReplicaVarz, error) {
+	probes := scatter(names, rt.clients, nil, func(name string, c *serving.Client) (ReplicaVarz, error) {
 		rep := ReplicaVarz{Ready: c.Ready(ctx)}
 		v, err := c.Varz(ctx)
 		if err != nil {
@@ -130,7 +129,7 @@ func (rt *Router) FleetVarz(ctx context.Context) FleetVarz {
 		} else {
 			rep.Varz = &v
 		}
-		rv := rt.replicaVarsFor(name)
+		rv := rt.replicas[name]
 		rep.Forwards, rep.Failures = rv.forwards.Load(), rv.failures.Load()
 		return rep, nil
 	})

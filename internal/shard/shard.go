@@ -27,9 +27,8 @@ import (
 	"sort"
 )
 
-// Map is an immutable assignment of string keys onto a replica set. Methods
-// never mutate; membership changes return a new Map, so a router can swap
-// maps atomically while requests route against the old one.
+// Map is an immutable assignment of string keys onto a replica set, safe for
+// concurrent use. A different membership is a new Map built with New.
 type Map struct {
 	seed     uint64
 	names    []string // sorted, unique
@@ -69,12 +68,6 @@ func (m *Map) N() int { return len(m.names) }
 // Replicas returns the sorted member names (a copy).
 func (m *Map) Replicas() []string { return append([]string(nil), m.names...) }
 
-// Contains reports whether replica is a member.
-func (m *Map) Contains(replica string) bool {
-	i := sort.SearchStrings(m.names, replica)
-	return i < len(m.names) && m.names[i] == replica
-}
-
 // OwnerIndex returns the index (into Replicas()) of the replica owning key.
 func (m *Map) OwnerIndex(key string) int {
 	kh := hash64(key)
@@ -91,28 +84,6 @@ func (m *Map) OwnerIndex(key string) int {
 
 // Owner returns the name of the replica owning key.
 func (m *Map) Owner(key string) string { return m.names[m.OwnerIndex(key)] }
-
-// WithJoined returns a new map with replica added.
-func (m *Map) WithJoined(replica string) (*Map, error) {
-	if m.Contains(replica) {
-		return nil, fmt.Errorf("shard: replica %q already a member", replica)
-	}
-	return New(m.seed, append(m.Replicas(), replica))
-}
-
-// WithLeft returns a new map with replica removed.
-func (m *Map) WithLeft(replica string) (*Map, error) {
-	if !m.Contains(replica) {
-		return nil, fmt.Errorf("shard: replica %q is not a member", replica)
-	}
-	names := make([]string, 0, len(m.names)-1)
-	for _, n := range m.names {
-		if n != replica {
-			names = append(names, n)
-		}
-	}
-	return New(m.seed, names)
-}
 
 // Split partitions keys by owning replica, preserving each key's position via
 // the returned index slices: keys[idx[name][j]] is the j-th key owned by

@@ -118,23 +118,6 @@ func TestSimulatedAutoAdvanceSleeps(t *testing.T) {
 	}
 }
 
-func TestSimulatedStep(t *testing.T) {
-	s := NewSimulated(t0)
-	if _, ok := s.Step(); ok {
-		t.Fatal("Step with no timers must report false")
-	}
-	_ = s.After(time.Minute)
-	_ = s.After(time.Second)
-	now, ok := s.Step()
-	if !ok || !now.Equal(t0.Add(time.Second)) {
-		t.Fatalf("Step = %v %v, want first timer", now, ok)
-	}
-	now, ok = s.Step()
-	if !ok || !now.Equal(t0.Add(time.Minute)) {
-		t.Fatalf("Step = %v %v, want second timer", now, ok)
-	}
-}
-
 func TestSimulatedDeterministicFiringOrder(t *testing.T) {
 	// Two timers due at the same instant fire in registration order, every
 	// run — the property the harness's bit-identical timelines rest on.
@@ -155,30 +138,13 @@ func TestSimulatedDeterministicFiringOrder(t *testing.T) {
 			}(name, ch)
 		}
 		// All three one-shot channels are buffered: firing order is the
-		// channel-send order inside Advance, observable via Step-by-step
-		// draining. Here we just check all fire and none are lost.
+		// channel-send order inside Advance. Here we just check all fire and
+		// none are lost.
 		s.Advance(time.Minute)
 		wg.Wait()
 		if len(order) != 3 {
 			t.Fatalf("run %d: fired %d timers, want 3", run, len(order))
 		}
-	}
-}
-
-func TestSimulatedDrive(t *testing.T) {
-	s := NewSimulated(t0)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.Drive(ctx, 1000) }()
-	// At 1000×, simulated time should cross 1s within ~several ms of wall.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Now().Before(t0.Add(time.Second)) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	<-done
-	if s.Now().Before(t0.Add(time.Second)) {
-		t.Fatalf("Drive advanced only to %v", s.Now())
 	}
 }
 

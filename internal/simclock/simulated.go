@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Simulated is a manually advanced Clock. Time only moves when Advance,
-// AdvanceTo, Step or Drive move it; timers and tickers due at or before the
+// Simulated is a manually advanced Clock. Time only moves when Advance or
+// AdvanceTo move it; timers and tickers due at or before the
 // new time fire in timestamp order (ties broken by registration order), so a
 // given sequence of advances produces exactly one firing order — the
 // property the simulation harness's bit-identical-timeline guarantee rests
@@ -159,19 +159,6 @@ func (s *Simulated) AdvanceTo(t time.Time) {
 	s.mu.Unlock()
 }
 
-// Step advances the clock to the next pending timer and fires it, returning
-// the new time and true; with no pending timers it returns now and false.
-func (s *Simulated) Step() (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.earliestLocked()
-	if t == nil {
-		return s.now, false
-	}
-	s.advanceLocked(t.at)
-	return s.now, true
-}
-
 // Waiters reports how many goroutines are currently parked in Sleep plus
 // pending After timers and live tickers — i.e. how many things an Advance
 // could wake.
@@ -201,28 +188,6 @@ func (s *Simulated) BlockUntil(n int) {
 		ch := s.waitCh
 		s.mu.Unlock()
 		<-ch
-	}
-}
-
-// Drive advances the clock in lockstep with the wall clock, scale simulated
-// seconds per wall second, until ctx is done. It implements the time-scale
-// factor mode: a system wired to this clock experiences time scale× faster
-// than real. Returns ctx.Err().
-func (s *Simulated) Drive(ctx context.Context, scale float64) error {
-	if scale <= 0 {
-		scale = 1
-	}
-	const wallStep = time.Millisecond
-	simStep := time.Duration(float64(wallStep) * scale)
-	t := time.NewTicker(wallStep)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-			s.Advance(simStep)
-		}
 	}
 }
 

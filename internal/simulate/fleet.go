@@ -174,17 +174,6 @@ func (s *Server) materialize() {
 // the series.
 func (s *Server) Interval() time.Duration { return s.interval }
 
-// Alive reports whether the server existed during the whole of day d
-// (0-based from the fleet start).
-func (s *Server) Alive(fleetStart time.Time, day int) bool {
-	dayStart := fleetStart.Add(time.Duration(day) * 24 * time.Hour)
-	dayEnd := dayStart.Add(24 * time.Hour)
-	if s.CreatedAt.After(dayStart) {
-		return false
-	}
-	return s.DeletedAt.IsZero() || !s.DeletedAt.Before(dayEnd)
-}
-
 // LifespanDays returns the number of whole days the server existed within
 // the generated span. It is answerable from metadata alone — no
 // materialization.

@@ -32,6 +32,21 @@ import (
 
 const week = 7 * 24 * time.Hour
 
+// The harness's fixed settings, the same in every scenario.
+const (
+	// slotMinutes is the telemetry interval; the WAL group-commits once a
+	// slot (the simulated δ).
+	slotMinutes = 5
+	slot        = slotMinutes * time.Minute
+	slotsPerDay = int(24 * time.Hour / slot)
+	// snapshotEvery is the incremental-snapshot cadence.
+	snapshotEvery = 6 * time.Hour
+	// maxInflight bounds each replica's admitted concurrency (the adaptive
+	// limiter's ceiling). Saturated predicts degrade to the persistent
+	// fallback (brownout) instead of shedding.
+	maxInflight = 64
+)
+
 // Options parameterizes a harness run, orthogonally to the Scenario: the
 // scenario says what happens in simulated time; the options say how the run
 // executes on the host.
@@ -99,8 +114,6 @@ type harness struct {
 
 	fleetStart  time.Time
 	replayStart time.Time
-	slot        time.Duration
-	ppd         int
 	genWeeks    int
 
 	store *lake.Store
@@ -228,8 +241,7 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Outcome, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	h := &harness{sc: sc, opts: opts, slot: sc.slotDur()}
-	h.ppd = int(24 * time.Hour / h.slot)
+	h := &harness{sc: sc, opts: opts}
 	liveWeeks := int(math.Ceil(sc.Hours / (7 * 24)))
 	if liveWeeks < 1 {
 		liveWeeks = 1
@@ -284,7 +296,7 @@ func (h *harness) build(dir string, liveWeeks int) error {
 			Region:   spec.Name,
 			Servers:  spec.Servers,
 			Weeks:    h.genWeeks,
-			Interval: h.slot,
+			Interval: slot,
 			Seed:     h.sc.Seed + int64(i),
 		})
 		r := &regionRun{spec: spec, fleet: fleet, servers: fleet.Servers}
@@ -304,9 +316,9 @@ func (h *harness) build(dir string, liveWeeks int) error {
 	h.pipe = pipeline.New(store, db, h.reg, nil)
 	h.pipe.Clock = h.clock
 
-	ppw := int(week / h.slot)
+	ppw := int(week / slot)
 	ringCfg := stream.Config{
-		Interval: h.slot,
+		Interval: slot,
 		Epoch:    h.fleetStart,
 		Slots:    (liveWeeks + 2) * ppw,
 		Clock:    h.clock,
@@ -342,8 +354,8 @@ func (h *harness) build(dir string, liveWeeks int) error {
 			Tracer:   h.simTracer,
 		})
 		durCfg := stream.DurabilityConfig{
-			CommitEvery:   time.Duration(h.sc.CommitEveryMinutes) * time.Minute,
-			SnapshotEvery: time.Duration(h.sc.SnapshotEveryMinutes) * time.Minute,
+			CommitEvery:   slot,
+			SnapshotEvery: snapshotEvery,
 			Clock:         h.clock,
 		}
 		if h.sc.Replicas > 1 {
@@ -390,10 +402,9 @@ func (h *harness) warmup(ctx context.Context) error {
 		}
 		for w := 0; w < h.sc.HistoryWeeks; w++ {
 			if _, err := h.pipe.RunWeek(ctx, pipeline.Config{
-				Region:    r.spec.Name,
-				Week:      w,
-				ModelName: h.sc.Model,
-				Interval:  h.slot,
+				Region:   r.spec.Name,
+				Week:     w,
+				Interval: slot,
 			}); err != nil {
 				return fmt.Errorf("simworkload: warmup %s week %d: %w", r.spec.Name, w, err)
 			}
@@ -419,7 +430,7 @@ func (h *harness) warmup(ctx context.Context) error {
 // cold-starting.
 func (h *harness) prefeed() error {
 	for _, r := range h.regions {
-		loads, err := extract.Ingest(h.store, r.spec.Name, h.sc.HistoryWeeks-2, h.slot)
+		loads, err := extract.Ingest(h.store, r.spec.Name, h.sc.HistoryWeeks-2, slot)
 		if err != nil {
 			return err
 		}
@@ -456,8 +467,8 @@ func (h *harness) serve() (func(), error) {
 			Refresher:   st.ref,
 			Sweeper:     st.sw,
 			Durability:  st.dur,
-			MaxInflight: h.sc.MaxInflight,
-			Brownout:    h.sc.Brownout,
+			MaxInflight: maxInflight,
+			Brownout:    true,
 			Tracer:      h.wallTracer,
 		})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -512,12 +523,11 @@ func (h *harness) close() {
 // fan out the slot's telemetry and predict traffic concurrently, then fire
 // whatever simulated cadences the slot boundary crossed.
 func (h *harness) replay(ctx context.Context, wallStart time.Time) ([]Row, error) {
-	totalSlots := int(math.Ceil(sc2h(h.sc.Hours) / float64(h.slot)))
-	slotMin := h.sc.SlotMinutes
+	totalSlots := int(math.Ceil(sc2h(h.sc.Hours) / float64(slot)))
 	weekMin := int(week / time.Minute)
 	rowEveryMin := int(h.opts.RowEvery / time.Minute)
-	if rowEveryMin < slotMin {
-		rowEveryMin = slotMin
+	if rowEveryMin < slotMinutes {
+		rowEveryMin = slotMinutes
 	}
 
 	rows := []Row{h.sample(0)}
@@ -525,13 +535,13 @@ func (h *harness) replay(ctx context.Context, wallStart time.Time) ([]Row, error
 		if err := ctx.Err(); err != nil {
 			return rows, err
 		}
-		slotStart := h.replayStart.Add(time.Duration(s) * h.slot)
-		slotEnd := slotStart.Add(h.slot)
+		slotStart := h.replayStart.Add(time.Duration(s) * slot)
+		slotEnd := slotStart.Add(slot)
 		h.clock.AdvanceTo(slotEnd)
 		// Hours come from integer minute counts so slot boundaries that fall
 		// on whole hours are exact (2, never 1.9999999999999998).
-		hour := float64(s*slotMin) / 60
-		endHour := float64((s+1)*slotMin) / 60
+		hour := float64(s*slotMinutes) / 60
+		endHour := float64((s+1)*slotMinutes) / 60
 
 		appends := h.slotAppends(slotStart, hour)
 		predicts := h.slotPredicts(slotStart, hour)
@@ -558,13 +568,11 @@ func (h *harness) replay(ctx context.Context, wallStart time.Time) ([]Row, error
 
 		// Maintenance fires per replica, in shard-map order — the iteration
 		// order is part of the deterministic timeline.
-		elapsedMin := (s + 1) * slotMin
-		if elapsedMin%h.sc.CommitEveryMinutes == 0 {
-			for _, st := range h.stacks {
-				_ = st.dur.CommitNow()
-			}
+		elapsedMin := (s + 1) * slotMinutes
+		for _, st := range h.stacks {
+			_ = st.dur.CommitNow()
 		}
-		if h.sc.SnapshotEveryMinutes > 0 && elapsedMin%h.sc.SnapshotEveryMinutes == 0 {
+		if elapsedMin%int(snapshotEvery/time.Minute) == 0 {
 			for _, st := range h.stacks {
 				_, _ = st.dur.SnapshotNow()
 			}
@@ -591,10 +599,9 @@ func (h *harness) replay(ctx context.Context, wallStart time.Time) ([]Row, error
 			if completed >= h.sc.HistoryWeeks && completed < h.genWeeks {
 				for _, r := range h.regions {
 					if _, err := h.pipe.RunWeek(ctx, pipeline.Config{
-						Region:    r.spec.Name,
-						Week:      completed,
-						ModelName: h.sc.Model,
-						Interval:  h.slot,
+						Region:   r.spec.Name,
+						Week:     completed,
+						Interval: slot,
 					}); err != nil {
 						return rows, fmt.Errorf("simworkload: week %d boundary run: %w", completed, err)
 					}
@@ -609,13 +616,13 @@ func (h *harness) replay(ctx context.Context, wallStart time.Time) ([]Row, error
 		}
 
 		if h.opts.Scale > 0 {
-			wallTarget := time.Duration(float64(time.Duration(s+1)*h.slot) / h.opts.Scale)
+			wallTarget := time.Duration(float64(time.Duration(s+1)*slot) / h.opts.Scale)
 			if lead := wallTarget - time.Since(wallStart); lead > 0 {
 				time.Sleep(lead)
 			}
 		}
 	}
-	last := float64(totalSlots*slotMin) / 60
+	last := float64(totalSlots*slotMinutes) / 60
 	if n := len(rows); n == 0 || rows[n-1].SimHours != last {
 		rows = append(rows, h.sample(last))
 	}
@@ -715,7 +722,7 @@ func (h *harness) slotPredicts(slotStart time.Time, hour float64) []predictJob {
 			}
 		}
 		share := float64(len(r.targets)) / float64(total)
-		r.carry += float64(h.sc.PredictsPerHour) * share * shape * mult * h.slot.Hours()
+		r.carry += float64(h.sc.PredictsPerHour) * share * shape * mult * slot.Hours()
 		n := int(r.carry)
 		r.carry -= float64(n)
 		for i := 0; i < n; i++ {
@@ -735,7 +742,7 @@ func (h *harness) doPredict(ctx context.Context, job predictJob) {
 		Region:      job.region,
 		ServerID:    job.id,
 		LiveHistory: true,
-		Horizon:     h.ppd,
+		Horizon:     slotsPerDay,
 	})
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
 	h.latMu.Lock()

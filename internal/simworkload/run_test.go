@@ -154,7 +154,8 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 // TestLoadScenarioRoundTrip: a scenario serialized to JSON loads back equal,
-// and the built-ins all validate.
+// a file with a key the Scenario does not define or with data after the
+// object fails, and the built-ins all validate.
 func TestLoadScenarioRoundTrip(t *testing.T) {
 	sc, _ := Builtin("burst-drift-36h")
 	data, err := json.MarshalIndent(sc, "", "  ")
@@ -189,6 +190,19 @@ func TestLoadScenarioRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadScenario(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file loaded")
+	}
+	stale := bytes.Replace(data, []byte(`"seed"`), []byte(`"max_inflight": 16, "seed"`), 1)
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadScenario(path); err == nil || !strings.Contains(err.Error(), "max_inflight") {
+		t.Fatalf("a file setting max_inflight loaded: %v", err)
+	}
+	if err := os.WriteFile(path, append(data, " {}"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadScenario(path); err == nil {
+		t.Fatal("a file with data after the scenario loaded")
 	}
 }
 

@@ -14,8 +14,8 @@ package simworkload
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"time"
 )
 
 // Event types.
@@ -96,11 +96,6 @@ type Scenario struct {
 	HistoryWeeks int `json:"history_weeks"`
 	// Hours is the live-replay length in simulated hours.
 	Hours float64 `json:"hours"`
-	// SlotMinutes is the telemetry interval. Default 5.
-	SlotMinutes int `json:"slot_minutes,omitempty"`
-	// Model is the forecast model the pipeline trains and deploys. Default
-	// persistent previous-day (the production choice).
-	Model string `json:"model,omitempty"`
 	// PredictsPerHour is the baseline predict request rate across the
 	// fleet, shaped by a diurnal factor and multiplied by active
 	// burst-storm/failover events. Default 120.
@@ -108,18 +103,6 @@ type Scenario struct {
 	// SweepEvery is the background drift-sweep cadence in simulated
 	// minutes. Default 60.
 	SweepEveryMinutes int `json:"sweep_every_minutes,omitempty"`
-	// CommitEvery is the WAL group-commit cadence in simulated minutes
-	// (the simulated δ). Default: one slot.
-	CommitEveryMinutes int `json:"commit_every_minutes,omitempty"`
-	// SnapshotEvery is the incremental-snapshot cadence in simulated
-	// minutes. Default 360 (six hours); negative disables snapshots.
-	SnapshotEveryMinutes int `json:"snapshot_every_minutes,omitempty"`
-	// MaxInflight bounds the serving layer's admitted concurrency (the
-	// adaptive limiter's ceiling). Default 64.
-	MaxInflight int `json:"max_inflight,omitempty"`
-	// Brownout lets saturated predicts degrade to the persistent fallback
-	// instead of shedding.
-	Brownout bool `json:"brownout,omitempty"`
 	// Replicas shards the serving layer: that many replicas, each owning a
 	// consistent-hash shard of server IDs (its own ingest rings, drift
 	// detector, refresher, sweeper and namespaced WAL/snapshots), behind a
@@ -132,23 +115,11 @@ type Scenario struct {
 }
 
 func (sc Scenario) withDefaults() Scenario {
-	if sc.SlotMinutes <= 0 {
-		sc.SlotMinutes = 5
-	}
 	if sc.PredictsPerHour <= 0 {
 		sc.PredictsPerHour = 120
 	}
 	if sc.SweepEveryMinutes <= 0 {
 		sc.SweepEveryMinutes = 60
-	}
-	if sc.CommitEveryMinutes <= 0 {
-		sc.CommitEveryMinutes = sc.SlotMinutes
-	}
-	if sc.SnapshotEveryMinutes == 0 {
-		sc.SnapshotEveryMinutes = 360
-	}
-	if sc.MaxInflight == 0 {
-		sc.MaxInflight = 64
 	}
 	if sc.Replicas <= 0 {
 		sc.Replicas = 1
@@ -196,25 +167,28 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// LoadScenario reads and validates a scenario JSON file.
+// LoadScenario reads and validates a scenario JSON file. A key the Scenario
+// does not define is an error, so a file that sets a removed or misspelled
+// setting fails instead of running without it.
 func LoadScenario(path string) (Scenario, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Scenario{}, err
 	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
 	var sc Scenario
-	if err := json.Unmarshal(data, &sc); err != nil {
+	if err := dec.Decode(&sc); err != nil {
 		return Scenario{}, fmt.Errorf("simworkload: parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("simworkload: parse %s: data after the scenario object", path)
 	}
 	if err := sc.Validate(); err != nil {
 		return Scenario{}, err
 	}
 	return sc, nil
-}
-
-// slotDur returns the telemetry interval.
-func (sc Scenario) slotDur() time.Duration {
-	return time.Duration(sc.SlotMinutes) * time.Minute
 }
 
 // Builtin returns the named built-in scenario, or ok=false. Names:
@@ -238,7 +212,6 @@ func Builtin(name string) (Scenario, bool) {
 			HistoryWeeks: 2, Hours: 6,
 			PredictsPerHour:   240,
 			SweepEveryMinutes: 30,
-			Brownout:          true,
 			Events: []Event{
 				{Type: EventBurstStorm, AtHour: 1, DurationHours: 1.5, Magnitude: 3, Fraction: 0.5},
 				{Type: EventDrift, AtHour: 2.5, Magnitude: 35, Fraction: 0.75},
@@ -251,7 +224,6 @@ func Builtin(name string) (Scenario, bool) {
 			HistoryWeeks: 2, Hours: 36,
 			PredictsPerHour:   600,
 			SweepEveryMinutes: 60,
-			Brownout:          true,
 			Events: []Event{
 				{Type: EventBurstStorm, AtHour: 6, DurationHours: 4, Magnitude: 3, Fraction: 0.5},
 				{Type: EventDrift, AtHour: 12, Magnitude: 35, Fraction: 0.25},
@@ -265,7 +237,6 @@ func Builtin(name string) (Scenario, bool) {
 			HistoryWeeks: 2, Hours: 48,
 			PredictsPerHour:   480,
 			SweepEveryMinutes: 60,
-			Brownout:          true,
 			Events: []Event{
 				{Type: EventFailover, Region: "east", AtHour: 12, DurationHours: 6, Magnitude: 1.8},
 			},
@@ -277,7 +248,6 @@ func Builtin(name string) (Scenario, bool) {
 			HistoryWeeks: 2, Hours: 12,
 			PredictsPerHour:   360,
 			SweepEveryMinutes: 60,
-			Brownout:          true,
 			Replicas:          4,
 			Events: []Event{
 				{Type: EventBurstStorm, AtHour: 2, DurationHours: 2, Magnitude: 3, Fraction: 0.5},

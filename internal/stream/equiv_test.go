@@ -149,11 +149,15 @@ func TestRefreshEquivalentToRunWeek(t *testing.T) {
 			f.feed(t, ing, "", time.Time{}, time.Time{}, 0)
 
 			r := warmRefresher(t, f, ing)
-			n, err := r.RefreshWeek(context.Background(), eqRegion, 1)
-			if err != nil {
+			for id := range f.docs {
+				if _, err := r.Enqueue(eqRegion, id, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.Drain(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if n != len(f.docs) {
+			if n := r.Stats().Refreshed; n != uint64(len(f.docs)) {
 				t.Fatalf("refreshed %d servers, want all %d", n, len(f.docs))
 			}
 

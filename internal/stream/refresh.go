@@ -2,11 +2,9 @@ package stream
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,7 +101,7 @@ type job struct {
 // their PredictionDocs. Refreshes flow through a bounded dedup queue drained
 // by Run or Drain (across Workers — retraining is CPU-bound, and the warm
 // pool hands each checkout exclusive ownership), or synchronously through
-// RefreshServer/RefreshWeek. Safe for concurrent use.
+// RefreshServer. Safe for concurrent use.
 type Refresher struct {
 	ing  *Ingestor
 	db   *cosmos.DB
@@ -416,40 +414,6 @@ func (r *Refresher) refresh(ctx context.Context, tr *obs.Trace, region, serverID
 	err = col.Upsert(region, docID, &doc)
 	sp.End()
 	return err
-}
-
-// RefreshWeek synchronously refreshes every stored prediction of (region,
-// week) — the full-fleet path the equivalence tests pin against
-// pipeline.RunWeek — and returns how many servers were refreshed. Servers
-// with insufficient live history are skipped, not fatal.
-func (r *Refresher) RefreshWeek(ctx context.Context, region string, week int) (int, error) {
-	weekSuffix := pipeline.DocID("", week)
-	var ids []string
-	err := r.db.Collection(pipeline.PredictionsCollection).Query(region, func(id string, body json.RawMessage) error {
-		if strings.HasSuffix(id, weekSuffix) {
-			ids = append(ids, strings.TrimSuffix(id, weekSuffix))
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, serverID := range ids {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		err := r.RefreshServer(ctx, region, serverID, week)
-		switch {
-		case err == nil:
-			n++
-		case errors.Is(err, ErrInsufficientHistory) || errors.Is(err, ErrNoTelemetry):
-			// counted as skipped by RefreshServer
-		default:
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // Stats snapshots the refresher's lifetime counters.

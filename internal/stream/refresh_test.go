@@ -203,6 +203,8 @@ func TestRefreshRun(t *testing.T) {
 	}
 }
 
+// TestRefreshWeek refreshes a week's stored servers through the queue: those
+// with live history are republished, the one without is skipped.
 func TestRefreshWeek(t *testing.T) {
 	g, db, reg, _ := refreshFixture(t, 7)
 	// A second fully-covered server and a telemetry-less one.
@@ -214,12 +216,16 @@ func TestRefreshWeek(t *testing.T) {
 	storePrediction(t, db, "r", flatDoc("cold", "r", 1, day, 20))
 
 	r := NewRefresher(g, db, reg, newPool(t, reg), RefreshConfig{})
-	n, err := r.RefreshWeek(context.Background(), "r", 1)
-	if err != nil {
+	for _, id := range []string{"srv", "srv2", "cold"} {
+		if _, err := r.Enqueue("r", id, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("refreshed %d servers, want 2 (cold one skipped)", n)
+	if st := r.Stats(); st.Refreshed != 2 || st.Skipped != 1 {
+		t.Fatalf("stats = %+v, want 2 refreshed (cold one skipped)", st)
 	}
 	var got pipeline.PredictionDoc
 	if err := db.Collection("predictions").Get("r", "srv2/week-0001", &got); err != nil {

@@ -57,11 +57,6 @@ func New(start time.Time, interval time.Duration, values []float64) Series {
 	return Series{Start: start, Interval: interval, Values: values}
 }
 
-// Zeros returns a Series of n zero observations.
-func Zeros(start time.Time, interval time.Duration, n int) Series {
-	return Series{Start: start, Interval: interval, Values: make([]float64, n)}
-}
-
 // Len returns the number of observations.
 func (s Series) Len() int { return len(s.Values) }
 
@@ -405,22 +400,6 @@ func (s Series) FillGaps() Series {
 		out.Values[j] = out.Values[prev]
 	}
 	return out
-}
-
-// Clamp limits every observation to [lo, hi] in place and returns the series
-// for chaining. Missing values are preserved.
-func (s Series) Clamp(lo, hi float64) Series {
-	for i, v := range s.Values {
-		if IsMissing(v) {
-			continue
-		}
-		if v < lo {
-			s.Values[i] = lo
-		} else if v > hi {
-			s.Values[i] = hi
-		}
-	}
-	return s
 }
 
 // Add returns the element-wise sum of two equally shaped series.

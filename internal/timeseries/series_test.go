@@ -323,17 +323,6 @@ func TestFillGapsAllMissing(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	s := New(t0, time.Minute, []float64{-5, 50, 150, Missing})
-	s.Clamp(0, 100)
-	if s.Values[0] != 0 || s.Values[1] != 50 || s.Values[2] != 100 {
-		t.Errorf("Clamp = %v", s.Values)
-	}
-	if !IsMissing(s.Values[3]) {
-		t.Error("Clamp should preserve missing values")
-	}
-}
-
 func TestAdd(t *testing.T) {
 	a := New(t0, time.Minute, []float64{1, 2})
 	b := New(t0, time.Minute, []float64{10, 20})

@@ -1,8 +1,8 @@
 // Package validate implements Seagull's Data Validation module (Section 2.2):
-// schema inference from input data, expert-verifiable schema files, and
 // detection of schema and bound anomalies — the rules of Breck et al. the
-// paper cites — plus per-server telemetry quality checks (gaps, duplicates,
-// coverage).
+// paper cites — against the fixed DefaultSchema, plus per-server telemetry
+// quality checks (gaps, duplicates, coverage). The paper's schema deduction
+// and expert-verified schema files (Section 2.4) are not reproduced.
 //
 // The row checks run as a RowChecker on a scan: the pipeline hands it the
 // rows of the same read that ingests the week (extract.IngestVisit), so a
@@ -15,7 +15,6 @@
 package validate
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -25,20 +24,19 @@ import (
 	"seagull/internal/timeseries"
 )
 
-// Schema captures the deduced data properties of an extract dataset: the
-// expected header and the observed numeric bounds. It is persisted as JSON,
-// "verified by a domain expert", and then used to detect anomalies in later
-// weeks (Section 2.4).
+// Schema captures the data properties of an extract dataset that rows are
+// checked against: the expected header and the numeric bounds. A zero
+// MaxTimestamp leaves the timestamp span unchecked.
 type Schema struct {
-	Header       string  `json:"header"`
-	MinTimestamp int64   `json:"min_timestamp_min"`
-	MaxTimestamp int64   `json:"max_timestamp_min"`
-	MinCPU       float64 `json:"min_cpu_pct"`
-	MaxCPU       float64 `json:"max_cpu_pct"`
+	Header       string
+	MinTimestamp int64
+	MaxTimestamp int64
+	MinCPU       float64
+	MaxCPU       float64
 	// MissingSentinel is the encoding of missing observations (< 0 CPU).
-	MissingSentinel float64 `json:"missing_sentinel"`
+	MissingSentinel float64
 	// MaxMissingRatio is the tolerated per-server share of missing points.
-	MaxMissingRatio float64 `json:"max_missing_ratio"`
+	MaxMissingRatio float64
 }
 
 // DefaultSchema returns the production schema for the backup-scheduling
@@ -52,47 +50,6 @@ func DefaultSchema() Schema {
 		MissingSentinel: -1,
 		MaxMissingRatio: 0.2,
 	}
-}
-
-// Infer deduces a schema from an extract stream: observed bounds widened to
-// the physical CPU range.
-func Infer(r io.Reader) (Schema, error) {
-	s := DefaultSchema()
-	first := true
-	err := lake.ScanRows(r, func(row lake.Row) error {
-		if first {
-			s.MinTimestamp, s.MaxTimestamp = row.TimestampMin, row.TimestampMin
-			first = false
-		}
-		if row.TimestampMin < s.MinTimestamp {
-			s.MinTimestamp = row.TimestampMin
-		}
-		if row.TimestampMin > s.MaxTimestamp {
-			s.MaxTimestamp = row.TimestampMin
-		}
-		return nil
-	})
-	if err != nil {
-		return Schema{}, fmt.Errorf("validate: infer: %w", err)
-	}
-	return s, nil
-}
-
-// Marshal renders the schema as the JSON document a domain expert signs off.
-func (s Schema) Marshal() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// ParseSchema loads a schema document.
-func ParseSchema(data []byte) (Schema, error) {
-	var s Schema
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Schema{}, fmt.Errorf("validate: parse schema: %w", err)
-	}
-	if s.Header == "" {
-		return Schema{}, fmt.Errorf("validate: schema missing header")
-	}
-	return s, nil
 }
 
 // AnomalyKind classifies a detected problem.

@@ -143,38 +143,6 @@ func TestValidateTimestampBounds(t *testing.T) {
 	}
 }
 
-func TestInferSchema(t *testing.T) {
-	s, err := Infer(rowsCSV(t, cleanRows()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.MinTimestamp != 100 || s.MaxTimestamp != 105 {
-		t.Errorf("timestamps = [%d,%d]", s.MinTimestamp, s.MaxTimestamp)
-	}
-	if s.MinCPU != 0 || s.MaxCPU != 100 {
-		t.Errorf("cpu bounds = [%v,%v]", s.MinCPU, s.MaxCPU)
-	}
-}
-
-func TestSchemaRoundTrip(t *testing.T) {
-	s := DefaultSchema()
-	s.MinTimestamp, s.MaxTimestamp = 1, 2
-	data, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseSchema(data)
-	if err != nil || got != s {
-		t.Errorf("round trip: %+v err %v", got, err)
-	}
-	if _, err := ParseSchema([]byte("{")); err == nil {
-		t.Error("bad JSON should error")
-	}
-	if _, err := ParseSchema([]byte("{}")); err == nil {
-		t.Error("schema without header should error")
-	}
-}
-
 func mkLoad(id string, n int, f func(i int) float64) *extract.ServerLoad {
 	vals := make([]float64, n)
 	for i := range vals {

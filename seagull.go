@@ -96,8 +96,6 @@ type (
 
 	// Category is a server class (Figure 3 taxonomy).
 	Category = classify.Category
-	// ClassSummary is a population breakdown by category.
-	ClassSummary = classify.Summary
 
 	// AutoscaleEval is one model's Appendix A evaluation row.
 	AutoscaleEval = autoscale.ModelEval
@@ -219,9 +217,6 @@ func BucketRatio(trueS, predicted Series, b Bound) (float64, error) {
 func Classify(load Series, lifespanDays int, cfg MetricsConfig) (Category, error) {
 	return classify.Categorize(load, lifespanDays, cfg)
 }
-
-// NewClassSummary returns an empty class population summary.
-func NewClassSummary() *ClassSummary { return classify.NewSummary() }
 
 // EvaluateImpact classifies scheduling decisions against actual backup-day
 // load (Figure 13(a)).
@@ -401,30 +396,19 @@ func (s *System) LoadFleet(fleet *Fleet) (int, error) {
 
 // RunWeek executes one weekly pipeline run.
 func (s *System) RunWeek(cfg PipelineConfig) (*PipelineResult, error) {
-	return s.RunWeekCtx(context.Background(), cfg)
-}
-
-// RunWeekCtx is RunWeek under a caller context: cancelling ctx abandons the
-// run at the next stage boundary or server partition.
-func (s *System) RunWeekCtx(ctx context.Context, cfg PipelineConfig) (*PipelineResult, error) {
-	return s.Pipeline.RunWeek(ctx, cfg)
+	return s.Pipeline.RunWeek(context.Background(), cfg)
 }
 
 // RunWeeks executes the pipeline for weeks firstWeek..lastWeek (inclusive)
 // in one region, returning the final week's result. Earlier weeks build the
 // prediction history that Definition 9's predictability gate needs.
 func (s *System) RunWeeks(region string, firstWeek, lastWeek int, cfg PipelineConfig) (*PipelineResult, error) {
-	return s.RunWeeksCtx(context.Background(), region, firstWeek, lastWeek, cfg)
-}
-
-// RunWeeksCtx is RunWeeks under a caller context.
-func (s *System) RunWeeksCtx(ctx context.Context, region string, firstWeek, lastWeek int, cfg PipelineConfig) (*PipelineResult, error) {
 	var last *PipelineResult
 	for w := firstWeek; w <= lastWeek; w++ {
 		cfg := cfg
 		cfg.Region = region
 		cfg.Week = w
-		res, err := s.Pipeline.RunWeek(ctx, cfg)
+		res, err := s.RunWeek(cfg)
 		if err != nil {
 			return res, err
 		}
@@ -437,12 +421,7 @@ func (s *System) RunWeeksCtx(ctx context.Context, region string, firstWeek, last
 // prediction for week in region (Section 2.3) and records them in the
 // fabric property store.
 func (s *System) ScheduleBackups(region string, week int) ([]Decision, error) {
-	return s.ScheduleBackupsCtx(context.Background(), region, week)
-}
-
-// ScheduleBackupsCtx is ScheduleBackups under a caller context.
-func (s *System) ScheduleBackupsCtx(ctx context.Context, region string, week int) ([]Decision, error) {
-	return s.Scheduler.ScheduleWeek(ctx, region, week)
+	return s.Scheduler.ScheduleWeek(context.Background(), region, week)
 }
 
 // Service builds a serving layer over the system's registry and document
