@@ -9,6 +9,8 @@ package jsonbody
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 )
@@ -292,10 +294,12 @@ func (s *Scanner) number() ([]byte, error) {
 }
 
 // Floats moves past the array of numbers at the scanner's position,
-// appending each element to dst[:0] with one strconv.ParseFloat, the call
-// encoding/json makes per number. Any other value — null, a non-number
-// element, a number out of float64's range — is an error, after which at
-// most the elements of dst before the failing one have been written.
+// appending each element to dst[:0]. Each number is converted in the walk
+// that checks its grammar (see float), to the float64 strconv.ParseFloat —
+// the call encoding/json makes per number — returns for it. Any other value
+// — null, a non-number element, a number out of float64's range — is an
+// error, after which at most the elements of dst before the failing one have
+// been written.
 func (s *Scanner) Floats(dst []float64) ([]float64, error) {
 	if s.Peek() != '[' {
 		return nil, errNotFloats
@@ -310,13 +314,9 @@ func (s *Scanner) Floats(dst []float64) ([]float64, error) {
 	}
 	err := s.Array(func() error {
 		s.Peek()
-		num, err := s.number() // refuses a value that is not a number
+		v, err := s.float() // refuses a value that is not a number
 		if err != nil {
 			return err
-		}
-		v, err := strconv.ParseFloat(string(num), 64)
-		if err != nil {
-			return errNotFloats
 		}
 		out = append(out, v)
 		return nil
@@ -325,6 +325,130 @@ func (s *Scanner) Floats(dst []float64) ([]float64, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// maxDigits is the most significant digits, and the most fraction digits,
+// the exact conversion takes: any 19-digit mantissa, and 10^19, fit in a
+// uint64.
+const maxDigits = 19
+
+// pow10 holds 10^k for k ≤ maxDigits; every one is exact in a uint64 and in
+// a float64 (which holds 10^k exactly up to k = 22).
+var pow10 = func() (t [maxDigits + 1]uint64) {
+	t[0] = 1
+	for k := 1; k < len(t); k++ {
+		t[k] = 10 * t[k-1]
+	}
+	return t
+}()
+
+// float moves past the number at the scanner's position, checking the same
+// grammar as number, and returns its value as strconv.ParseFloat would. The
+// digits accumulate, in the one walk that checks them, into a mantissa m
+// with k of them after the point, so the number is m / 10^k; decimal
+// rounds that quotient to nearest, ties to even. A number with an exponent,
+// more than maxDigits significant digits or more than maxDigits fraction
+// digits goes to strconv.ParseFloat, whose range error is errNotFloats.
+func (s *Scanner) float() (float64, error) {
+	d, i := s.data, s.off
+	neg := i < len(d) && d[i] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	nd := 0 // significant digits in m; past maxDigits m may have wrapped
+	switch {
+	case i == len(d):
+		return 0, errSyntax
+	case d[i] == '0':
+		i++
+	case '1' <= d[i] && d[i] <= '9':
+		for ; i < len(d) && isDigit(d[i]); i++ {
+			m = 10*m + uint64(d[i]-'0')
+			nd++
+		}
+	default:
+		return 0, errSyntax
+	}
+	k := 0
+	if i < len(d) && d[i] == '.' {
+		if i++; i == len(d) || !isDigit(d[i]) {
+			return 0, errSyntax
+		}
+		f := i
+		for ; i < len(d) && isDigit(d[i]); i++ {
+			if m = 10*m + uint64(d[i]-'0'); m != 0 {
+				nd++ // a zero before the first nonzero digit is not significant
+			}
+		}
+		k = i - f
+	}
+	exact := nd <= maxDigits && k <= maxDigits
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		if i++; i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
+		}
+		if i == len(d) || !isDigit(d[i]) {
+			return 0, errSyntax
+		}
+		i = digits(d, i)
+		exact = false
+	}
+	num := d[s.off:i]
+	s.off = i
+	if !exact {
+		v, err := strconv.ParseFloat(string(num), 64)
+		if err != nil {
+			return 0, errNotFloats
+		}
+		return v, nil
+	}
+	v := decimal(m, k)
+	if neg {
+		v = -v
+	}
+	return v, nil
+}
+
+// decimal returns m / 10^k rounded to the nearest float64, ties to even, for
+// k ≤ maxDigits. Below 2^53 both m and 10^k are exact float64s, so one IEEE
+// division rounds their quotient correctly (Clinger's fast path). Above it,
+// m is shifted left so that the 128-by-64-bit division of m·2^sh by 10^k
+// gives a quotient q of 63 or 64 bits and a remainder r:
+//
+//	m / 10^k = (q + r/10^k) · 2^-sh,  0 ≤ r/10^k < 1.
+//
+// q's top 53 bits are the mantissa; the dropped bits are compared with half
+// a unit in the last place, and a nonzero r — the part of the quotient below
+// q — makes an exact half round up. The result lies in [2^53/10^19, 10^19),
+// well inside float64's normal range, so it is built from its bits.
+func decimal(m uint64, k int) float64 {
+	if m < 1<<53 {
+		return float64(m) / float64(pow10[k])
+	}
+	p := pow10[k]
+	// The numerator's top bit lies one place below the divisor's top bit
+	// plus 64, so hi < p (Div64's condition) and q ≥ 2^62.
+	sh := 63 + bits.LeadingZeros64(m) - bits.LeadingZeros64(p)
+	var hi, lo uint64
+	if sh >= 64 {
+		hi = m << (sh - 64)
+	} else {
+		hi, lo = m>>(64-sh), m<<sh
+	}
+	q, r := bits.Div64(hi, lo, p)
+	drop := uint(64 - bits.LeadingZeros64(q) - 53) // 10 or 11
+	mant := q >> drop
+	rest, half := q&(1<<drop-1), uint64(1)<<(drop-1)
+	if rest > half || rest == half && (r != 0 || mant&1 == 1) {
+		mant++
+	}
+	exp := int(drop) - sh + 52 // the value is mant · 2^(exp-52)
+	if mant == 1<<53 {
+		mant >>= 1
+		exp++
+	}
+	return math.Float64frombits(uint64(exp+1023)<<52 | mant&(1<<52-1))
 }
 
 var errNotFloats = errors.New("jsonbody: not an array of float64s")

@@ -115,6 +115,18 @@ func New(db *cosmos.DB, fabric *FabricStore, cfg metrics.Config) *Scheduler {
 	return &Scheduler{DB: db, Fabric: fabric, Metrics: cfg, Clock: simclock.Wall}
 }
 
+// predictionFields is the part of a pipeline.PredictionDoc a decision reads:
+// decoding only these fields skips the stored forecast values unconverted.
+type predictionFields struct {
+	ServerID     string    `json:"server_id"`
+	Week         int       `json:"week"`
+	BackupDay    time.Time `json:"backup_day"`
+	WindowPoints int       `json:"window_points"`
+	IntervalMin  int       `json:"interval_min"`
+	DefaultStart time.Time `json:"default_start"`
+	LLStart      int       `json:"ll_start"`
+}
+
 // ScheduleWeek chooses backup windows for every server with a stored
 // prediction for `week` in `region`. A server gets its predicted LL window
 // only when its Definition 9 verdict from the *previous* week's evaluation
@@ -138,7 +150,7 @@ func (s *Scheduler) ScheduleWeek(ctx context.Context, region string, week int) (
 		if !strings.HasSuffix(id, weekSuffix) {
 			return nil
 		}
-		var pd pipeline.PredictionDoc
+		var pd predictionFields
 		if err := json.Unmarshal(body, &pd); err != nil {
 			return fmt.Errorf("scheduler: decode prediction %s: %w", id, err)
 		}

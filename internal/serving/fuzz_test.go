@@ -65,7 +65,11 @@ func FuzzJSONRoutes(f *testing.F) {
 // none), the same nil-ness and length, and bit-identical values, into an
 // empty destination and into one pre-filled past its length.
 func FuzzFloats(f *testing.F) {
-	for _, seed := range []string{`[]`, `null`, `[1e400]`, `[-0]`, `[1,null]`, `[1,"a"]`, `[4.9e-324]`} {
+	for _, seed := range []string{`[]`, `null`, `[1e400]`, `[-0]`, `[1,null]`, `[1,"a"]`, `[4.9e-324]`,
+		`[33.333333333333336,0.30000000000000004,99.999999999999986]`,
+		`[9007199254740993,9007199254740995,4503599627370496.5,-0.000]`,
+		`[9999999999999999999,12345678901234567890,0.0000000000000000001]`,
+	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -116,6 +120,8 @@ func FuzzWireDecode(f *testing.F) {
 		`{"history":{"start":null,"values":null,"interval_min":null},"servers":[{"history":{"values":[null]}}]}`,
 		`{"history":{"values":[-0,0,-0.0,1e400]}}`,
 		`{"history":{"values":[1e-400,4.9e-324,1.7976931348623157e308]}}`,
+		`{"history":{"values":[33.333333333333336,0.30000000000000004,99.999999999999986,12.34]}}`,
+		`{"servers":[{"history":{"values":[9007199254740993,9007199254740995,4503599627370496.5]}}]}`,
 		`{"server_id":"a\u0062c","servers":[{"server_id":"\u00e9"},{"server_id":"é"}]}`,
 		`{"scen\u0061rio":"x","history":{"v\u0061lues":[1]},"ſervers":[{"horizon":1}]}`,
 		`{"horizon":1.5}`, `{"horizon":1e2}`, `{"horizon":9223372036854775808}`, `{"horizon":"1"}`,

@@ -45,12 +45,13 @@ type SeriesJSON struct {
 }
 
 // Floats is the wire form of a float array. It decodes without reflection:
-// an array of numbers goes element by element to strconv.ParseFloat, the
-// call encoding/json makes per number (jsonbody.Scanner.Floats, which the
-// replica's request walk calls too), and every other shape (null, a
-// non-number element, a number out of float64 range) goes to encoding/json
-// itself, so values, nil-ness and errors are exactly those of []float64.
-// Encoding is []float64's.
+// an array of numbers goes to jsonbody.Scanner.Floats, which the replica's
+// request walk calls too and which converts each number as it checks it, to
+// the bits strconv.ParseFloat — the call encoding/json makes per number —
+// gives (falling back to that call past 19 digits or with an exponent).
+// Every other shape (null, a non-number element, a number out of float64
+// range) goes to encoding/json itself, so values, nil-ness and errors are
+// exactly those of []float64 (FuzzFloats). Encoding is []float64's.
 type Floats []float64
 
 // UnmarshalJSON implements json.Unmarshaler.

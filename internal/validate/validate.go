@@ -25,14 +25,12 @@ import (
 )
 
 // Schema captures the data properties of an extract dataset that rows are
-// checked against: the expected header and the numeric bounds. A zero
-// MaxTimestamp leaves the timestamp span unchecked.
+// checked against: the expected header, the CPU bounds, the encoding of a
+// missing point and the tolerated share of missing points.
 type Schema struct {
-	Header       string
-	MinTimestamp int64
-	MaxTimestamp int64
-	MinCPU       float64
-	MaxCPU       float64
+	Header string
+	MinCPU float64
+	MaxCPU float64
 	// MissingSentinel is the encoding of missing observations (< 0 CPU).
 	MissingSentinel float64
 	// MaxMissingRatio is the tolerated per-server share of missing points.
@@ -138,10 +136,6 @@ func (c *RowChecker) Check(row lake.Row) {
 	if row.CPUPct != s.MissingSentinel && !(row.CPUPct >= s.MinCPU && row.CPUPct <= s.MaxCPU) {
 		rep.add(Anomaly{Kind: KindBound, ServerID: row.ServerID,
 			Detail: fmt.Sprintf("cpu %.3f outside [%.1f,%.1f]", row.CPUPct, s.MinCPU, s.MaxCPU)})
-	}
-	if s.MaxTimestamp > 0 && (row.TimestampMin < s.MinTimestamp || row.TimestampMin > s.MaxTimestamp) {
-		rep.add(Anomaly{Kind: KindBound, ServerID: row.ServerID,
-			Detail: fmt.Sprintf("timestamp %d outside schema span", row.TimestampMin)})
 	}
 	if row.ServerID != c.curServer {
 		if c.seen[row.ServerID] {

@@ -132,17 +132,6 @@ func TestValidateSchemaAnomalies(t *testing.T) {
 	}
 }
 
-func TestValidateTimestampBounds(t *testing.T) {
-	s := DefaultSchema()
-	s.MinTimestamp, s.MaxTimestamp = 90, 110
-	rows := cleanRows()
-	rows[2].TimestampMin = 500
-	rep, _ := ValidateRows(rowsCSV(t, rows), s)
-	if rep.Valid {
-		t.Error("timestamp outside schema span not flagged")
-	}
-}
-
 func mkLoad(id string, n int, f func(i int) float64) *extract.ServerLoad {
 	vals := make([]float64, n)
 	for i := range vals {
