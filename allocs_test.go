@@ -86,10 +86,12 @@ var allocCases = []allocCase{
 	{"ServeBatch", 71, serveBatchCase},                                     // 65 measured: 8 retrains on one warm model
 	{"TracedPredict", 3, tracedPredictCase},                                // exact: tracing adds no allocation
 	{"ServeDecodePredict", 5, serveDecodePredictCase},                      // 5 measured: one 2,016-point body read once and walked
+	{"ServeDecodeIngest", 79, serveDecodeIngestCase},                       // 72 measured: one 32-series body, an id and a values slice per series
 	{"MetricsRender", 106, metricsRenderCase},                              // 97 measured: one /metrics scrape
 
 	// The stream layer.
 	{"StreamIngest", 0, streamIngestCase},                           // the warm append path
+	{"StreamAppendSeries", 0, streamAppendSeriesCase},               // the warm series path
 	{"StreamDriftSweep", 16, streamDriftSweepCase},                  // 15 measured: decoded predictions reused
 	{"StreamRefresh", 29, streamRefreshCase},                        // 27 measured: one refresh through the warm pool
 	{"StreamSweeper", 18, streamSweeperCase},                        // 17 measured: one background round
@@ -370,6 +372,35 @@ func serveDecodePredictCase(tb testing.TB) func() {
 	}
 }
 
+// serveDecodeIngestCase is the replica's route decode of one /v2/ingest
+// body as the router sends a replica its share of a 64-server call: 32
+// series of an hour of five-minute telemetry with 2-decimal values.
+func serveDecodeIngestCase(tb testing.TB) func() {
+	req := serving.IngestRequest{Servers: make([]serving.IngestSeries, 32)}
+	for i := range req.Servers {
+		vals := make([]float64, 12)
+		for j := range vals {
+			vals[j] = math.Round(100*(20+10*math.Sin(float64(i*12+j)/7))) / 100
+		}
+		req.Servers[i] = serving.IngestSeries{ServerID: fmt.Sprintf("live-srv-%06d", i), Start: streamEpoch, IntervalMin: 5, Values: vals}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rd := &reusedBody{}
+	r := httptest.NewRequest(http.MethodPost, "/v2/ingest", nil)
+	w := httptest.NewRecorder()
+	return func() {
+		rd.Reset(body)
+		r.Body, r.ContentLength = rd, int64(len(body))
+		req = serving.IngestRequest{}
+		if serr := serving.DecodeRequest(w, r, &req); serr != nil || len(req.Servers) != 32 {
+			tb.Fatalf("decoded %d series: %v", len(req.Servers), serr)
+		}
+	}
+}
+
 // TestServeDecodeBytes bounds the bytes the replica's route decode allocates
 // per 2,016-point body: the body is read once and its values parsed once, so
 // it holds the body and the floats, with room for buffer slack but not for
@@ -444,6 +475,30 @@ func streamIngestCase(tb testing.TB) func() {
 		at := streamEpoch.Add(time.Duration(1+i/servers) * 5 * time.Minute)
 		if st := ing.Append(ids[i%servers], at, 42); st != stream.Appended {
 			tb.Fatalf("append %d: %v", i, st)
+		}
+		i++
+	}
+}
+
+// streamAppendSeriesCase appends an hour of strictly advancing slots (12
+// points) round-robin over 64 servers whose rings are already allocated.
+func streamAppendSeriesCase(tb testing.TB) func() {
+	ing := stream.NewIngestor(stream.Config{Epoch: streamEpoch, Slots: 4096})
+	const servers = 64
+	ids := make([]string, servers)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("bench-srv-%04d", i)
+		ing.Append(ids[i], streamEpoch, 1) // the only allocating append per server
+	}
+	vals := make([]float64, 12)
+	for i := range vals {
+		vals[i] = 42
+	}
+	i := 0
+	return func() {
+		at := streamEpoch.Add(time.Duration(1+i/servers) * time.Hour)
+		if sum, err := ing.AppendSeries(ids[i%servers], at, vals); err != nil || sum.Appended != len(vals) {
+			tb.Fatalf("append %d: %+v, %v", i, sum, err)
 		}
 		i++
 	}

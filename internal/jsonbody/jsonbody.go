@@ -295,7 +295,7 @@ func (s *Scanner) number() ([]byte, error) {
 
 // Floats moves past the array of numbers at the scanner's position,
 // appending each element to dst[:0]. Each number is converted in the walk
-// that checks its grammar (see float), to the float64 strconv.ParseFloat —
+// that checks its grammar (see Float), to the float64 strconv.ParseFloat —
 // the call encoding/json makes per number — returns for it. Any other value
 // — null, a non-number element, a number out of float64's range — is an
 // error, after which at most the elements of dst before the failing one have
@@ -314,7 +314,7 @@ func (s *Scanner) Floats(dst []float64) ([]float64, error) {
 	}
 	err := s.Array(func() error {
 		s.Peek()
-		v, err := s.float() // refuses a value that is not a number
+		v, err := s.Float() // refuses a value that is not a number
 		if err != nil {
 			return err
 		}
@@ -342,14 +342,15 @@ var pow10 = func() (t [maxDigits + 1]uint64) {
 	return t
 }()
 
-// float moves past the number at the scanner's position, checking the same
-// grammar as number, and returns its value as strconv.ParseFloat would. The
-// digits accumulate, in the one walk that checks them, into a mantissa m
-// with k of them after the point, so the number is m / 10^k; decimal
-// rounds that quotient to nearest, ties to even. A number with an exponent,
-// more than maxDigits significant digits or more than maxDigits fraction
-// digits goes to strconv.ParseFloat, whose range error is errNotFloats.
-func (s *Scanner) float() (float64, error) {
+// Float moves past the number at the scanner's position (see Peek), checking
+// the same grammar as number, and returns its value as strconv.ParseFloat
+// would. The digits accumulate, in the one walk that checks them, into a
+// mantissa m with k of them after the point, so the number is m / 10^k;
+// decimal rounds that quotient to nearest, ties to even. A number with an
+// exponent, more than maxDigits significant digits or more than maxDigits
+// fraction digits goes to strconv.ParseFloat, whose range error is
+// errNotFloats. Any other value is a syntax error.
+func (s *Scanner) Float() (float64, error) {
 	d, i := s.data, s.off
 	neg := i < len(d) && d[i] == '-'
 	if neg {

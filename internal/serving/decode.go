@@ -34,17 +34,17 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) *ServiceError 
 	return badRequest("decode request: %v", err)
 }
 
-// unmarshal is json.Unmarshal of body into the zero value v. A predict or a
-// batch, the requests that carry histories, is filled by one walk that
-// checks the body's syntax and parses each values array as it goes. Any
+// unmarshal is json.Unmarshal of body into the zero value v. A predict, a
+// batch and an ingest, the requests that carry series, are filled by one
+// walk that checks the body's syntax and parses each number as it goes. Any
 // shape the walk does not fill (a string or key that is escaped or not
-// ASCII, a repeated member, a values element that is not a number within
-// float64's range) and any error go to json.Unmarshal of the whole body into
-// a fresh value, so values and errors are always encoding/json's
-// (FuzzWireDecode).
+// ASCII, a repeated member, a number that is not within float64's range or
+// not an integer where one is due) and any error go to json.Unmarshal of the
+// whole body into a fresh value, so values and errors are always
+// encoding/json's (FuzzWireDecode).
 func unmarshal(body []byte, v any) error {
 	switch v.(type) {
-	case *PredictRequestV2, *BatchRequest:
+	case *PredictRequestV2, *BatchRequest, *IngestRequest:
 		s := jsonbody.NewScanner(body)
 		if walk(&s, v) == nil && s.End() == nil {
 			return nil
@@ -59,10 +59,14 @@ var errUnwalked = errors.New("serving: value left to encoding/json")
 
 // The JSON names of the fields walk fills, in the order walk lists them.
 var (
-	predictFields = []string{"scenario", "region", "server_id", "history", "horizon", "window_points", "live_history"}
-	batchFields   = []string{"scenario", "region", "servers"}
-	itemFields    = []string{"server_id", "history", "horizon", "window_points", "deadline_ms"}
-	seriesFields  = []string{"start", "interval_min", "values"}
+	predictFields      = []string{"scenario", "region", "server_id", "history", "horizon", "window_points", "live_history"}
+	batchFields        = []string{"scenario", "region", "servers"}
+	itemFields         = []string{"server_id", "history", "horizon", "window_points", "deadline_ms"}
+	seriesFields       = []string{"start", "interval_min", "values"}
+	ingestFields       = []string{"servers", "points", "sweep"}
+	ingestSeriesFields = []string{"server_id", "start", "interval_min", "values"}
+	ingestPointFields  = []string{"server_id", "t_unix", "v"}
+	sweepFields        = []string{"region", "week"}
 )
 
 // walk fills the zero value dst points to from the value at the scanner, as
@@ -82,18 +86,28 @@ func walk(s *jsonbody.Scanner, dst any) error {
 		return walkObject(s, itemFields, &p.ServerID, &p.History, &p.Horizon, &p.WindowPoints, &p.DeadlineMS)
 	case *SeriesJSON:
 		return walkObject(s, seriesFields, &p.Start, &p.IntervalMin, &p.Values)
+	case *IngestRequest:
+		return walkObject(s, ingestFields, &p.Servers, &p.Points, &p.Sweep)
+	case *IngestSeries:
+		return walkObject(s, ingestSeriesFields, &p.ServerID, &p.Start, &p.IntervalMin, &p.Values)
+	case *IngestPoint:
+		return walkObject(s, ingestPointFields, &p.ServerID, &p.TimeUnix, &p.Value)
+	case **SweepSpec:
+		*p = new(SweepSpec)
+		return walkObject(s, sweepFields, &(*p).Region, &(*p).Week)
 	case *[]BatchItem:
-		if c != '[' {
-			return errUnwalked
-		}
-		*p = []BatchItem{} // encoding/json's [] is empty, not nil
-		return s.Array(func() error {
-			*p = append(*p, BatchItem{})
-			return walk(s, &(*p)[len(*p)-1])
-		})
+		return walkSlice(s, p)
+	case *[]IngestSeries:
+		return walkSlice(s, p)
+	case *[]IngestPoint:
+		return walkSlice(s, p)
 	case *Floats:
 		vals, err := s.Floats(nil)
 		*p = vals
+		return err
+	case *float64:
+		v, err := s.Float() // refuses a value that is not a number
+		*p = v
 		return err
 	case *string:
 		if c != '"' {
@@ -129,6 +143,19 @@ func walk(s *jsonbody.Scanner, dst any) error {
 		return err
 	}
 	return errUnwalked
+}
+
+// walkSlice walks the array at the scanner into the nil slice p points to,
+// one element at a time.
+func walkSlice[T any](s *jsonbody.Scanner, p *[]T) error {
+	if s.Peek() != '[' {
+		return errUnwalked
+	}
+	*p = []T{} // encoding/json's [] is empty, not nil
+	return s.Array(func() error {
+		*p = append(*p, *new(T))
+		return walk(s, &(*p)[len(*p)-1])
+	})
 }
 
 // walkObject walks the object at the scanner into a struct whose JSON field

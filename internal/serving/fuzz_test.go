@@ -105,9 +105,9 @@ func FuzzFloats(f *testing.F) {
 }
 
 // FuzzWireDecode holds the replica's request decode to encoding/json: for a
-// predict and a batch, DecodeRequest fails exactly when json.Unmarshal into
-// a fresh value fails, with its message, and otherwise fills the same
-// request, float for float bit-identical.
+// predict, a batch and an ingest, DecodeRequest fails exactly when
+// json.Unmarshal into a fresh value fails, with its message, and otherwise
+// fills the same request, float for float bit-identical.
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"scenario":"backup","region":"r","server_id":"s","horizon":288,"window_points":12,"live_history":false,` +
@@ -128,6 +128,13 @@ func FuzzWireDecode(f *testing.F) {
 		`{"live_history":1}`, `{"history":{"start":"yesterday"}}`, `{"history":{"start":7}}`,
 		`{"servers":{}}`, `{"servers":[1]}`, `[]`, `null`, `{"a":1} trailing`, `{"a":01}`, ``,
 		`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+		`{"servers":[{"server_id":"s","start":"2019-12-01T00:00:00Z","interval_min":5,"values":[1,-1,2.5]}],` +
+			`"points":[{"server_id":"p","t_unix":1575158400,"v":3.25},null,{}],"sweep":{"region":"r","week":1}}`,
+		`{"points":[{"server_id":"p","t_unix":1,"v":1e400}]}`, `{"points":[{"t_unix":1.5,"v":1}]}`,
+		`{"points":[{"V":1,"Server_ID":"p","t_unix":2},{"v":-0,"\u0076":2}],"ſervers":[],"sweep":null}`,
+		`{"servers":[{"server_id":"a","values":[1]}],"servers":[{"server_id":"b"}],"points":[null,{"v":-1.5}]}`,
+		`{"servers":[null,{"values":[-1,-2e-3,null]}],"sweep":{"week":"1"},"points":{}}`,
+		`{"servers":[],"points":[{"server_id":"p","t_unix":1575158400,"v":7},{"t_unix":-1,"v":-5}]}`, `{"points":[]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -141,6 +148,18 @@ func FuzzWireDecode(f *testing.F) {
 				out = append(out, item.History.Values)
 			}
 			return out
+		})
+		checkWireDecode(t, body, new(IngestRequest), new(IngestRequest), func(v any) []Floats {
+			req := v.(*IngestRequest)
+			var out []Floats
+			for _, sr := range req.Servers {
+				out = append(out, sr.Values)
+			}
+			var points Floats
+			for _, p := range req.Points {
+				points = append(points, p.Value)
+			}
+			return append(out, points)
 		})
 	})
 }

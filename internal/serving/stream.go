@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net/http"
+	"slices"
 	"time"
 
 	"seagull/internal/obs"
@@ -80,11 +81,14 @@ type IngestResponse struct {
 
 // Ingest appends a telemetry batch into the attached ingestor and, when
 // requested, sweeps one stored week for drift and queues the drifted
-// servers for refresh. ctx is observed between servers and before the
-// sweep; a cancelled call may have ingested a prefix (re-sending is safe —
-// appends are idempotent). So may a call whose point the stream layer
-// refused because its write-ahead log could not take it: that answers 503
-// overloaded with Retry-After of one commit interval.
+// servers for refresh. A series goes in as one AppendSeries per run of
+// non-negative values, under one shard lock and one clock read; a negative
+// value ends a run and counts as skipped. Points go in one Append each. ctx
+// is observed between servers and before the sweep; a cancelled call may
+// have ingested a prefix (re-sending is safe — appends are idempotent). So
+// may a call whose point the stream layer refused because its write-ahead
+// log could not take it: that answers 503 overloaded with Retry-After of
+// one commit interval.
 func (s *Service) Ingest(ctx context.Context, req IngestRequest) (IngestResponse, *ServiceError) {
 	ing := s.cfg.Ingestor
 	if ing == nil {
@@ -120,16 +124,21 @@ func (s *Service) Ingest(ctx context.Context, req IngestRequest) (IngestResponse
 			return IngestResponse{}, badRequest(
 				"servers[%d]: interval %dm must match the ingest granularity of %dm", i, sr.IntervalMin, slotMin)
 		}
-		for j, v := range sr.Values {
-			if v < 0 || math.IsNaN(v) {
-				sum.Skipped++ // lake convention: negative encodes missing
-				continue
+		// A negative value (the lake's mark for a missing observation)
+		// ends a run; each run is one series append.
+		for j, vals := 0, []float64(sr.Values); j < len(vals); j++ {
+			n := slices.IndexFunc(vals[j:], func(v float64) bool { return v < 0 })
+			if n < 0 {
+				n = len(vals) - j
 			}
-			st := ing.Append(sr.ServerID, sr.Start.Add(time.Duration(j)*ing.Interval()), v)
-			if st == stream.Refused {
+			run, err := ing.AppendSeries(sr.ServerID, sr.Start.Add(time.Duration(j)*ing.Interval()), vals[j:j+n])
+			if err != nil {
 				return IngestResponse{}, s.walRefused()
 			}
-			sum.Add(st)
+			sum.Merge(run)
+			if j += n; j < len(vals) {
+				sum.Skipped++ // vals[j] is negative; the loop steps past it
+			}
 		}
 	}
 	for i := range req.Points {

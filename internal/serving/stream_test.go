@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -176,6 +177,21 @@ func TestIngestValidation(t *testing.T) {
 		}
 	}
 
+	// Negative values split a series into runs: each counts as skipped, and
+	// the runs around it keep their slots.
+	slot := 5 * time.Minute
+	resp, err := c.Ingest(ctx, IngestRequest{Servers: []IngestSeries{
+		{ServerID: "runs", Start: epoch.Add(-2 * slot), IntervalMin: 5, Values: []float64{1, -1, 2, 3}},
+		{ServerID: "runs", Start: epoch, IntervalMin: 5, Values: []float64{-3, 4, 5, -4, -5, 6}},
+	}})
+	want := IngestResponse{Accepted: 4, Duplicates: 1, TooOld: 1, Skipped: 4}
+	if err != nil || resp != want {
+		t.Errorf("split series: %+v, %v; want %+v", resp, err, want)
+	}
+	if live, ok := ing.View("runs"); !ok || !live.Start.Equal(epoch) || fmt.Sprint(live.Values) != "[2 3 5 NaN NaN 6]" {
+		t.Errorf("split series left %v from %v", live.Values, live.Start)
+	}
+
 	// Over the point limit → too_large.
 	lowerLimit(t, &maxIngestPoints, 1024)
 	big := IngestRequest{Servers: []IngestSeries{{ServerID: "s", IntervalMin: 5, Start: epoch, Values: make([]float64, 2048)}}}
@@ -188,7 +204,7 @@ func TestIngestValidation(t *testing.T) {
 	reg := registry.New(nil)
 	svcNoDrift := NewService(reg, db, ServiceConfig{Ingestor: stream.NewIngestor(stream.Config{})})
 	cNoDrift := NewClient(newTestHTTPServer(t, svcNoDrift))
-	_, err := cNoDrift.Ingest(ctx, IngestRequest{
+	_, err = cNoDrift.Ingest(ctx, IngestRequest{
 		Points: []IngestPoint{{ServerID: "s", TimeUnix: time.Now().Unix(), Value: 1}},
 		Sweep:  &SweepSpec{Region: "r", Week: 0},
 	})

@@ -312,40 +312,46 @@ func (g *Ingestor) shardOf(serverID string) *shard {
 // the server's ring exists (the first point per server allocates it).
 func (g *Ingestor) Append(serverID string, t time.Time, v float64) AppendStatus {
 	sh := g.shardOf(serverID)
+	now := g.cfg.Clock.Now()
+	sh.mu.Lock()
+	st, _ := g.add(sh, nil, serverID, t, v, now)
+	sh.mu.Unlock()
+	return st
+}
+
+// add judges one point against now and rolls it into sh, whose lock the
+// caller holds (add may drop and retake it), counting its verdict. r is the
+// server's ring or nil; add returns the ring to pass with the next point.
+func (g *Ingestor) add(sh *shard, r *serverRing, serverID string, t time.Time, v float64, now time.Time) (AppendStatus, *serverRing) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		sh.mu.Lock()
 		sh.badValues++
-		sh.mu.Unlock()
-		return BadValue
+		return BadValue, r
 	}
-	if t.Sub(g.cfg.Clock.Now()) > maxFuture {
-		sh.mu.Lock()
+	if t.Sub(now) > maxFuture {
 		sh.tooNew++
-		sh.mu.Unlock()
-		return TooNew
+		return TooNew, r
 	}
 	slot, ok := g.SlotOf(t)
 	if !ok {
-		sh.mu.Lock()
 		sh.tooOld++
-		sh.mu.Unlock()
-		return TooOld
+		return TooOld, r
 	}
-	sh.mu.Lock()
 	for sh.walOn && len(sh.pend) >= cap(sh.pend) {
 		// The buffer is full: commit the log before taking the point, so
 		// every acknowledged point reaches it. The commit runs under the
 		// committer's lock, so it waits for a running snapshot round.
 		sh.mu.Unlock()
-		if err := sh.walFlush(); err != nil {
-			return Refused
-		}
+		err := sh.walFlush()
 		sh.mu.Lock()
+		if r = nil; err != nil {
+			return Refused, nil
+		}
 	}
-	r := sh.rings[serverID]
 	if r == nil {
-		r = newRing(slot, g.cfg.Slots)
-		sh.rings[serverID] = r
+		if r = sh.rings[serverID]; r == nil {
+			r = newRing(slot, g.cfg.Slots)
+			sh.rings[serverID] = r
+		}
 	}
 	st := r.put(slot, v, g.cfg.Slots)
 	switch st {
@@ -368,8 +374,7 @@ func (g *Ingestor) Append(serverID string, t time.Time, v float64) AppendStatus 
 	case TooOld:
 		sh.tooOld++
 	}
-	sh.mu.Unlock()
-	return st
+	return st, r
 }
 
 // replayPut applies one recovered WAL record directly at the ring level. The
@@ -468,21 +473,50 @@ func (a *AppendSummary) Add(st AppendStatus) {
 	}
 }
 
-// AppendSeries appends a contiguous run of observations starting at start.
-// The series interval must equal the ingestor's slot interval (points are
-// rolled up by slot, so a mismatched interval would alias). Missing (NaN)
-// observations are skipped — an unfilled slot already reads as missing. A
-// Refused point stops the run with ErrRefused; re-sending the whole series
-// is safe.
+// Merge folds another batch's tallies into a.
+func (a *AppendSummary) Merge(o AppendSummary) {
+	a.Appended += o.Appended
+	a.Duplicates += o.Duplicates
+	a.TooOld += o.TooOld
+	a.TooNew += o.TooNew
+	a.BadValues += o.BadValues
+	a.Skipped += o.Skipped
+}
+
+// seriesChunk is how many points AppendSeries puts under one lock hold.
+const seriesChunk = 4096
+
+// AppendSeries appends a contiguous run of observations starting at start,
+// with the verdicts of a loop of Append. The series interval must equal the
+// ingestor's slot interval (points are rolled up by slot, so a mismatched
+// interval would alias). Missing (NaN) observations are skipped — an
+// unfilled slot already reads as missing. It hashes the server, reads the
+// clock and finds the ring once per call, so the too-new edge can lag by
+// the call's own duration, and it lets the shard's readers in every
+// seriesChunk points. A Refused point stops the run with ErrRefused;
+// re-sending the whole series is safe.
 func (g *Ingestor) AppendSeries(serverID string, start time.Time, vals []float64) (AppendSummary, error) {
 	var sum AppendSummary
+	if len(vals) == 0 {
+		return sum, nil
+	}
+	sh := g.shardOf(serverID)
+	now := g.cfg.Clock.Now()
+	var r *serverRing
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for i, v := range vals {
+		if i > 0 && i%seriesChunk == 0 {
+			sh.mu.Unlock()
+			sh.mu.Lock()
+			r = nil
+		}
 		if timeseries.IsMissing(v) {
 			sum.Skipped++
 			continue
 		}
-		st := g.Append(serverID, start.Add(time.Duration(i)*g.cfg.Interval), v)
-		if st == Refused {
+		var st AppendStatus
+		if st, r = g.add(sh, r, serverID, start.Add(time.Duration(i)*g.cfg.Interval), v, now); st == Refused {
 			return sum, ErrRefused
 		}
 		sum.Add(st)

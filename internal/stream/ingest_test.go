@@ -266,35 +266,68 @@ func TestAppendSeries(t *testing.T) {
 	}
 }
 
-// TestConcurrentAppend hammers overlapping servers from several goroutines;
-// run under -race in CI. Totals must add up exactly: every delivery is
-// either appended or a duplicate.
+// TestConcurrentAppend hammers overlapping servers from several goroutines,
+// half of them appending points and half short series, through a WAL buffer
+// small enough that appenders flush it under contention; run under -race in
+// CI. Totals must add up exactly: every delivery is either appended or a
+// duplicate, and every appended point reaches the log once.
 func TestConcurrentAppend(t *testing.T) {
-	g := newIngestor(testConfig(2048), 4)
+	mem := newMemLog(testConfig(2048), 64, 0)
+	g := mem.g
 	ids := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	const perWorker = 2000
 	const workers = 8
+	delivered := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
+			rng := rand.New(rand.NewSource(int64(w + 1)))
+			vals := make([]float64, 8)
 			for i := 0; i < perWorker; i++ {
 				id := ids[rng.Intn(len(ids))]
 				slot := rng.Intn(1500)
-				g.Append(id, testEpoch.Add(time.Duration(slot)*5*time.Minute), float64(slot))
+				at := testEpoch.Add(time.Duration(slot) * 5 * time.Minute)
+				if w%2 == 0 {
+					g.Append(id, at, float64(slot))
+					delivered[w]++
+				} else {
+					run := vals[:1+rng.Intn(len(vals))]
+					for k := range run {
+						run[k] = float64(slot + k)
+					}
+					if _, err := g.AppendSeries(id, at, run); err != nil {
+						t.Error(err)
+						return
+					}
+					delivered[w] += len(run)
+				}
 				if i%64 == 0 {
 					g.WithView(id, func(live timeseries.Series) { _ = live.Len() })
 				}
 			}
-		}(int64(w + 1))
+		}(w)
 	}
 	wg.Wait()
+	total := 0
+	for _, n := range delivered {
+		total += n
+	}
 	st := g.Stats()
-	if st.Appended+st.Duplicates != workers*perWorker {
+	if st.Appended+st.Duplicates != uint64(total) {
 		t.Fatalf("appended %d + duplicates %d != %d deliveries",
-			st.Appended, st.Duplicates, workers*perWorker)
+			st.Appended, st.Duplicates, total)
+	}
+	logged, distinct := 0, map[walEntry]bool{}
+	for i := range g.sh {
+		for _, e := range append(mem.entries[i], g.sh[i].pend...) {
+			logged++
+			distinct[e] = true
+		}
+	}
+	if uint64(logged) != st.Appended || len(distinct) != logged {
+		t.Fatalf("%d points logged, %d of them distinct; %d appended", logged, len(distinct), st.Appended)
 	}
 	if st.Servers != len(ids) {
 		t.Fatalf("servers = %d, want %d", st.Servers, len(ids))
