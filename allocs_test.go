@@ -1,7 +1,7 @@
 //go:build !race
 
-// The race detector adds allocations of its own (StreamRefresh measures 27
-// allocs per op without it and 34 with it, PipelineWeek 1,061 and 1,389), so
+// The race detector adds allocations of its own (StreamRefresh measures 13
+// allocs per op without it and 18 with it, PipelineWeek 1,061 and 1,422), so
 // the ceilings hold for the normal build only and `go test -race` skips this
 // file.
 
@@ -92,8 +92,9 @@ var allocCases = []allocCase{
 	// The stream layer.
 	{"StreamIngest", 0, streamIngestCase},                           // the warm append path
 	{"StreamAppendSeries", 0, streamAppendSeriesCase},               // the warm series path
+	{"CosmosGetPrediction", 5, cosmosGetPredictionCase},             // 5 measured: one stored 288-value prediction walked
 	{"StreamDriftSweep", 16, streamDriftSweepCase},                  // 15 measured: decoded predictions reused
-	{"StreamRefresh", 29, streamRefreshCase},                        // 27 measured: one refresh through the warm pool
+	{"StreamRefresh", 14, streamRefreshCase},                        // 13 measured: one refresh through the warm pool
 	{"StreamSweeper", 18, streamSweeperCase},                        // 17 measured: one background round
 	{"StreamShardSnapshotWrite", 324, streamSnapshotWriteCase},      // 295 measured: open, snapshot 64 servers, close
 	{"StreamShardSnapshotRestore", 1054, streamSnapshotRestoreCase}, // 959 measured: 64 servers from snapshots
@@ -583,6 +584,34 @@ func streamRefreshCase(tb testing.TB) func() {
 	return func() {
 		if err := ref.RefreshServer(ctx, "bench", "bench-srv", 1); err != nil {
 			tb.Fatal(err)
+		}
+	}
+}
+
+// cosmosGetPredictionCase reads one stored prediction, a day of 288 values
+// of up to 17 significant digits, into a fresh PredictionDoc: the read each
+// refresh starts with.
+func cosmosGetPredictionCase(tb testing.TB) func() {
+	db, err := cosmos.Open("")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 288)
+	for i := range vals {
+		vals[i] = 100 * rng.Float64()
+	}
+	col := db.Collection("predictions")
+	if err := col.Upsert("bench", "bench-srv/week-0001", &seagull.PredictionDoc{
+		ServerID: "bench-srv", Region: "bench", Week: 1, Model: forecast.NameSSA,
+		BackupDay: streamEpoch, WindowPoints: 12, IntervalMin: 5, Values: vals,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		var doc seagull.PredictionDoc
+		if err := col.Get("bench", "bench-srv/week-0001", &doc); err != nil || len(doc.Values) != 288 {
+			tb.Fatalf("got %d values: %v", len(doc.Values), err)
 		}
 	}
 }

@@ -5,9 +5,10 @@
 // write-then-read-by-key semantics.
 //
 // Concurrency: DB and Collection are safe for concurrent use (collections
-// are independently RW-locked; Query holds a collection's read lock for the
-// whole iteration, so callbacks must not write back into the same
-// collection). Durability: writes are applied in memory and persisted by
+// are independently RW-locked; Query copies a partition's (id, body) pairs
+// under the read lock and releases it before the first callback, so a
+// callback may write into the same collection, and the iteration does not
+// see the write). Durability: writes are applied in memory and persisted by
 // Flush; a persistent DB reloads every collection on Open.
 //
 // Stored bodies are immutable: every write installs a freshly marshalled
@@ -23,9 +24,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+
+	"seagull/internal/jsonbody"
 )
 
 // ErrNotFound reports a missing document.
@@ -160,7 +164,8 @@ func (c *Collection) Upsert(partition, id string, v any) error {
 	return nil
 }
 
-// Get unmarshals the document at (partition, id) into out.
+// Get unmarshals the document at (partition, id) into out with
+// jsonbody.Unmarshal.
 func (c *Collection) Get(partition, id string, out any) error {
 	c.mu.RLock()
 	body := c.docs[partition][id]
@@ -168,7 +173,7 @@ func (c *Collection) Get(partition, id string, out any) error {
 	if body == nil {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, partition, id)
 	}
-	return json.Unmarshal(body, out)
+	return jsonbody.Unmarshal(body, out)
 }
 
 // Delete removes the document at (partition, id); deleting a missing
@@ -222,18 +227,14 @@ func (c *Collection) Count(partition string) int {
 func (c *Collection) Query(partition string, fn func(id string, body json.RawMessage) error) error {
 	c.mu.RLock()
 	part := c.docs[partition]
-	ids := make([]string, 0, len(part))
-	for id := range part {
-		ids = append(ids, id)
-	}
-	bodies := make(map[string]json.RawMessage, len(part))
+	docs := make([]Document, 0, len(part))
 	for id, b := range part {
-		bodies[id] = b
+		docs = append(docs, Document{ID: id, Body: b})
 	}
 	c.mu.RUnlock()
-	sort.Strings(ids)
-	for _, id := range ids {
-		if err := fn(id, bodies[id]); err != nil {
+	slices.SortFunc(docs, func(a, b Document) int { return strings.Compare(a.ID, b.ID) })
+	for _, d := range docs {
+		if err := fn(d.ID, d.Body); err != nil {
 			return err
 		}
 	}

@@ -1,9 +1,10 @@
 // Package jsonbody reads a request body once and walks it as JSON, checking
-// its syntax as it goes. Both serving tiers use it: the router reads a body's
-// routing fields in one pass, and a replica fills its typed requests in one.
-// A walk that completes has checked every byte of the body against exactly
-// the grammar json.Valid enforces, so neither tier makes a separate
-// validating pass.
+// its syntax as it goes. The router reads a body's routing fields in one
+// pass; Unmarshal fills a typed value in one walk, which a replica's
+// requests and the stored predictions every reader of the document store
+// decodes take. A walk that completes has checked every byte of the body
+// against exactly the grammar json.Valid enforces, so no caller makes a
+// separate validating pass.
 package jsonbody
 
 import (

@@ -30,6 +30,7 @@ import (
 	"seagull/internal/extract"
 	"seagull/internal/forecast"
 	"seagull/internal/insights"
+	"seagull/internal/jsonbody"
 	"seagull/internal/lake"
 	"seagull/internal/metrics"
 	"seagull/internal/parallel"
@@ -120,6 +121,17 @@ type PredictionDoc struct {
 	// Refreshes counts how many times the stream layer re-derived this
 	// prediction from live telemetry since the weekly run stored it.
 	Refreshes int `json:"refreshes,omitempty"`
+}
+
+// docFields are the JSON names of the fields WalkJSON fills, in its order.
+var docFields = []string{"server_id", "region", "week", "model", "backup_day", "window_points",
+	"interval_min", "default_start", "values", "ll_start", "ll_avg", "refreshes"}
+
+// WalkJSON implements jsonbody.Walker, so every reader of stored predictions
+// decodes a body in one walk with jsonbody.Unmarshal.
+func (p *PredictionDoc) WalkJSON(s *jsonbody.Scanner) error {
+	return s.Fields(docFields, &p.ServerID, &p.Region, &p.Week, &p.Model, &p.BackupDay, &p.WindowPoints,
+		&p.IntervalMin, &p.DefaultStart, &p.Values, &p.LLStart, &p.LLAvg, &p.Refreshes)
 }
 
 // Series reconstructs the predicted day as a series.

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"seagull/internal/cosmos"
+	"seagull/internal/jsonbody"
 	"seagull/internal/metrics"
 	"seagull/internal/pipeline"
 	"seagull/internal/simclock"
@@ -116,7 +117,7 @@ func New(db *cosmos.DB, fabric *FabricStore, cfg metrics.Config) *Scheduler {
 }
 
 // predictionFields is the part of a pipeline.PredictionDoc a decision reads:
-// decoding only these fields skips the stored forecast values unconverted.
+// its walk skips the stored forecast values unconverted.
 type predictionFields struct {
 	ServerID     string    `json:"server_id"`
 	Week         int       `json:"week"`
@@ -125,6 +126,13 @@ type predictionFields struct {
 	IntervalMin  int       `json:"interval_min"`
 	DefaultStart time.Time `json:"default_start"`
 	LLStart      int       `json:"ll_start"`
+}
+
+var predictionNames = []string{"server_id", "week", "backup_day", "window_points", "interval_min", "default_start", "ll_start"}
+
+// WalkJSON implements jsonbody.Walker.
+func (p *predictionFields) WalkJSON(s *jsonbody.Scanner) error {
+	return s.Fields(predictionNames, &p.ServerID, &p.Week, &p.BackupDay, &p.WindowPoints, &p.IntervalMin, &p.DefaultStart, &p.LLStart)
 }
 
 // ScheduleWeek chooses backup windows for every server with a stored
@@ -151,7 +159,7 @@ func (s *Scheduler) ScheduleWeek(ctx context.Context, region string, week int) (
 			return nil
 		}
 		var pd predictionFields
-		if err := json.Unmarshal(body, &pd); err != nil {
+		if err := jsonbody.Unmarshal(body, &pd); err != nil {
 			return fmt.Errorf("scheduler: decode prediction %s: %w", id, err)
 		}
 		if pd.Week != week {

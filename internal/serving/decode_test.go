@@ -42,7 +42,7 @@ func TestWalkFillsIngest(t *testing.T) {
 	body := ingestSubBody(t)
 	var got, want IngestRequest
 	s := jsonbody.NewScanner(body)
-	if err := walk(&s, &got); err != nil || s.End() != nil {
+	if err := got.WalkJSON(&s); err != nil || s.End() != nil {
 		t.Fatalf("walk left the body to encoding/json: %v", err)
 	}
 	if err := json.Unmarshal(body, &want); err != nil {

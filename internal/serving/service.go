@@ -16,6 +16,7 @@ import (
 
 	"seagull/internal/admission"
 	"seagull/internal/cosmos"
+	"seagull/internal/jsonbody"
 	"seagull/internal/metrics"
 	"seagull/internal/modelpool"
 	"seagull/internal/obs"
@@ -567,7 +568,7 @@ func (s *Service) StoredPredictions(region string, week int) ([]*pipeline.Predic
 			return nil
 		}
 		var pd pipeline.PredictionDoc
-		if err := json.Unmarshal(body, &pd); err != nil {
+		if err := jsonbody.Unmarshal(body, &pd); err != nil {
 			return fmt.Errorf("decode prediction %s: %w", id, err)
 		}
 		if pd.Week == week {

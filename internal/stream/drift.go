@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"seagull/internal/cosmos"
+	"seagull/internal/jsonbody"
 	"seagull/internal/metrics"
 	"seagull/internal/pipeline"
 	"seagull/internal/timeseries"
@@ -136,7 +137,7 @@ func (d *DriftDetector) Sweep(ctx context.Context, region string, week int) (Rep
 		e, ok := prev[id]
 		if !ok || !e.sameBody(body) {
 			e = decodedDoc{body: body, doc: new(pipeline.PredictionDoc)}
-			if err := json.Unmarshal(body, e.doc); err != nil {
+			if err := jsonbody.Unmarshal(body, e.doc); err != nil {
 				return fmt.Errorf("decode prediction %s: %w", id, err)
 			}
 			decoded++
