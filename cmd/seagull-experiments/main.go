@@ -6,7 +6,7 @@
 // Usage:
 //
 //	seagull-experiments -list
-//	seagull-experiments -run fig3,fig11a
+//	seagull-experiments -run fig3,fig12a
 //	seagull-experiments -run all -scale full > experiments-full.md
 package main
 

@@ -3,7 +3,7 @@
 //
 // The program classifies a SQL database population into stable/unstable
 // (Definition 10), compares forecasting models on 24h-ahead prediction with
-// the standard NRMSE/MASE metrics (Figures 16/17), and derives preemptive
+// the standard NRMSE/MASE metrics (Figure 16), and derives preemptive
 // scaling recommendations from the winning model's forecasts.
 //
 //	go run ./examples/autoscale
@@ -28,7 +28,7 @@ func main() {
 		total, 100*float64(stable)/float64(total))
 
 	// Compare persistent forecast with the neural network on a sample
-	// (Figure 16/17). ARIMA is omitted here for speed; see
+	// (Figure 16). ARIMA is omitted here for speed; see
 	// cmd/seagull-experiments -run fig16 for the full comparison.
 	sample := dbs[:60]
 	evals, err := seagull.CompareAutoscaleModels(
@@ -39,8 +39,8 @@ func main() {
 	}
 	fmt.Println("\nmodel comparison (24h ahead, one week training):")
 	for _, ev := range evals {
-		fmt.Printf("  %-22s NRMSE %.3f  MASE %.3f  train+infer %v (%d dbs)\n",
-			ev.Model, ev.MeanNRMSE, ev.MeanMASE, ev.TrainInfer.Round(1000000), ev.Databases)
+		fmt.Printf("  %-22s NRMSE %.3f  MASE %.3f  (%d dbs)\n",
+			ev.Model, ev.MeanNRMSE, ev.MeanMASE, ev.Databases)
 	}
 
 	// Preemptive recommendations from tomorrow's forecast, persistent

@@ -42,7 +42,6 @@ var calledOnlyByTests = map[string]string{
 	"Order":               "forecast.ARIMA: tests check the order the search chose",
 	"ContextWithTraceRef": "obs: the allocation rows and trace tests build a traced context without an HTTP hop",
 	"Unwrap":              "obs.statusWriter: http.ResponseController reaches the connection through it",
-	"Sum":                 "simulate.Mix: tests check that PaperMix sums to 1",
 }
 
 func TestExportedFunctionsHaveCallers(t *testing.T) {

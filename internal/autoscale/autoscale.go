@@ -3,7 +3,7 @@
 // stable and unstable (Definition 10), forecasts CPU load 24 hours ahead at
 // 15-minute granularity with the shared model zoo, and evaluates prediction
 // error with the standard metrics of Appendix A.2 (mean NRMSE and MASE) —
-// the data behind Figures 16 and 17.
+// the data behind Figure 16.
 //
 // Concurrency: evaluation entry points are stateless and safe to call from
 // multiple goroutines; the forecast models they build internally are not
@@ -14,7 +14,6 @@ package autoscale
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"seagull/internal/forecast"
 	"seagull/internal/metrics"
@@ -75,40 +74,31 @@ func (c Classifier) ClassifySQLFleet(dbs []*simulate.Database) (stable, total in
 	return stable, total, nil
 }
 
-// ModelEval is one row of Figures 16/17: a model's mean error metrics and
-// aggregate runtime over a database population.
+// ModelEval is one row of Figure 16: a model's mean error metrics over a
+// database population.
 type ModelEval struct {
-	Model      string
-	Databases  int           // databases successfully evaluated
-	MeanNRMSE  float64       // Figure 16
-	MeanMASE   float64       // Figure 16
-	TrainInfer time.Duration // Figure 17: total training + inference
-	Evaluation time.Duration // Figure 17: accuracy evaluation time
+	Model     string
+	Databases int     // databases successfully evaluated
+	MeanNRMSE float64 // Figure 16
+	MeanMASE  float64 // Figure 16
 }
+
+// TrainDays of history each database trains on before the 24h-ahead target
+// day: the paper trains on one week.
+const TrainDays = 7
 
 // EvalConfig parameterizes the Appendix A model comparison.
 type EvalConfig struct {
-	// TrainDays of history per database before the 24h-ahead target day.
-	// Default 7 (the paper trains on one week).
-	TrainDays int
 	// Workers for per-database parallelism; 0 means NumCPU.
 	Workers int
 	// Seed drives stochastic models.
 	Seed int64
 }
 
-func (c EvalConfig) withDefaults() EvalConfig {
-	if c.TrainDays == 0 {
-		c.TrainDays = 7
-	}
-	return c
-}
-
 // EvaluateModel trains the named model per database on TrainDays of history,
 // predicts the following day (24h ahead), and accumulates NRMSE/MASE against
 // the actual day.
 func EvaluateModel(name string, dbs []*simulate.Database, cfg EvalConfig) (ModelEval, error) {
-	cfg = cfg.withDefaults()
 	ev := ModelEval{Model: name}
 
 	type result struct {
@@ -116,54 +106,39 @@ func EvaluateModel(name string, dbs []*simulate.Database, cfg EvalConfig) (Model
 		ok          bool
 	}
 	pool := parallel.NewPool(cfg.Workers)
-	tiStart := time.Now()
-	// Train + infer in parallel per database (the per-database partitioning
-	// of Appendix A: "ARIMA runs in parallel per database").
-	preds, err := parallel.Map(pool, dbs, func(db *simulate.Database) (timeseries.Series, error) {
+	// Train, infer and score in parallel per database (the per-database
+	// partitioning of Appendix A: "ARIMA runs in parallel per database").
+	// A database without enough history, or that the model cannot fit, is
+	// skipped.
+	results, err := parallel.Map(pool, dbs, func(db *simulate.Database) (result, error) {
 		ppd := db.Load.PointsPerDay()
-		need := (cfg.TrainDays + 1) * ppd
+		need := (TrainDays + 1) * ppd
 		if db.Load.Len() < need {
-			return timeseries.Series{}, nil
+			return result{}, nil
 		}
 		hist, err := db.Load.Slice(db.Load.Len()-need, db.Load.Len()-ppd)
 		if err != nil {
-			return timeseries.Series{}, nil
+			return result{}, nil
 		}
 		m, err := forecast.New(name, cfg.Seed)
 		if err != nil {
-			return timeseries.Series{}, err
+			return result{}, err
 		}
 		pred, err := forecast.PredictDay(m, hist)
 		if err != nil {
-			return timeseries.Series{}, nil // skip databases the model can't fit
+			return result{}, nil
 		}
-		return pred, nil
+		target := db.Load.Values[db.Load.Len()-ppd:]
+		nr, err1 := metrics.NRMSE(target, pred.Values)
+		ms, err2 := metrics.MASE(target, pred.Values)
+		if err1 != nil || err2 != nil {
+			return result{}, nil
+		}
+		return result{nrmse: nr, mase: ms, ok: true}, nil
 	})
 	if err != nil {
 		return ev, err
 	}
-	ev.TrainInfer = time.Since(tiStart)
-
-	evStart := time.Now()
-	results := make([]result, len(dbs))
-	for i, db := range dbs {
-		pred := preds[i]
-		if pred.Len() == 0 {
-			continue
-		}
-		ppd := db.Load.PointsPerDay()
-		target, err := db.Load.Slice(db.Load.Len()-ppd, db.Load.Len())
-		if err != nil {
-			continue
-		}
-		nr, err1 := metrics.NRMSE(target.Values, pred.Values)
-		ms, err2 := metrics.MASE(target.Values, pred.Values)
-		if err1 != nil || err2 != nil {
-			continue
-		}
-		results[i] = result{nrmse: nr, mase: ms, ok: true}
-	}
-	ev.Evaluation = time.Since(evStart)
 
 	var sumN, sumM float64
 	for _, r := range results {
@@ -182,7 +157,7 @@ func EvaluateModel(name string, dbs []*simulate.Database, cfg EvalConfig) (Model
 	return ev, nil
 }
 
-// CompareModels runs EvaluateModel for each named model — the Figure 16/17
+// CompareModels runs EvaluateModel for each named model — the Figure 16
 // comparison (persistent forecast vs neural network vs ARIMA).
 func CompareModels(names []string, dbs []*simulate.Database, cfg EvalConfig) ([]ModelEval, error) {
 	out := make([]ModelEval, 0, len(names))

@@ -121,14 +121,11 @@ func TestEvaluateModelPersistentForecast(t *testing.T) {
 	if ev.MeanNRMSE > 3 {
 		t.Errorf("NRMSE = %v, implausibly bad", ev.MeanNRMSE)
 	}
-	if ev.TrainInfer <= 0 || ev.Evaluation <= 0 {
-		t.Errorf("timings: %+v", ev)
-	}
 }
 
 func TestEvaluateModelSkipsShortHistories(t *testing.T) {
 	dbs := simulate.GenerateSQL(simulate.SQLConfig{Databases: 5, Days: 4, Seed: 4})
-	if _, err := EvaluateModel(forecast.NamePersistentPrevDay, dbs, EvalConfig{TrainDays: 7}); err == nil {
+	if _, err := EvaluateModel(forecast.NamePersistentPrevDay, dbs, EvalConfig{}); err == nil {
 		t.Error("population with too-short histories should error (none evaluated)")
 	}
 }
@@ -156,9 +153,5 @@ func TestCompareModels(t *testing.T) {
 		if ev.Databases == 0 {
 			t.Errorf("%s evaluated nothing", ev.Model)
 		}
-	}
-	// Persistent forecast has (near-)zero training cost; SSA trains for real.
-	if evs[0].TrainInfer > evs[1].TrainInfer*3 {
-		t.Errorf("PF train+infer %v should not dwarf SSA %v", evs[0].TrainInfer, evs[1].TrainInfer)
 	}
 }

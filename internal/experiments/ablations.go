@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"seagull/internal/forecast"
 	"seagull/internal/metrics"
@@ -35,39 +36,31 @@ func runAblationBound(o Options) (Result, error) {
 		{"+5/−10 (inverted)", metrics.Bound{Over: 5, Under: 10}},
 	}
 
-	// The final day and its persistent forecast, the day before.
-	pairs, err := finalWeekPairs(fleet)
-	if err != nil {
-		return Result{}, err
-	}
-
-	t := Table{
-		Caption: "Ablation — acceptable error bound (Definition 1)",
-		Note: fmt.Sprintf("%d pattern/unstable servers; 'risky' = accepted window whose load was "+
-			"under-predicted by >5 points on >10%% of observations", len(pairs)),
-		Header: []string{"bound", "windows accepted accurate", "risky acceptances"},
-	}
-	// Per-pair verdicts fan out over the shared pool (EvaluateDay itself is
-	// allocation-free, so the sweep needs no per-worker arena beyond the
-	// outcome buffer reused across bounds).
-	pool := parallel.NewPool(o.Workers)
-	type verdict struct{ accepted, risky bool }
-	verdicts := make([]verdict, len(pairs))
-	riskyShare := make([]float64, len(bounds))
-	for bi, bb := range bounds {
-		cfg := metrics.DefaultConfig()
-		cfg.Bound = bb.b
-		cfg.WindowBound = bb.b
-		err := pool.ForEach(len(pairs), func(i int) error {
-			trueDay, predDay := pairs[i].trueDays[6], pairs[i].predDays[6]
-			verdicts[i] = verdict{}
-			dr, err := metrics.EvaluateDay(trueDay, predDay, pairs[i].window, cfg)
+	accepted, risky := make([]int, len(bounds)), make([]int, len(bounds))
+	servers := 0
+	for _, srv := range fleet.Servers {
+		load := srv.Load()
+		ppd, nd := load.PointsPerDay(), load.NumDays()
+		if nd < 9 {
+			continue
+		}
+		servers++
+		// The final day and its persistent forecast, the day before, gaps
+		// filled; both views lie inside the nine days just checked.
+		cur, _ := load.View((nd-1)*ppd, nd*ppd)
+		prev, _ := load.View((nd-2)*ppd, (nd-1)*ppd)
+		trueDay, predDay := cur.FillGaps(), prev.FillGaps()
+		for bi, bb := range bounds {
+			cfg := metrics.DefaultConfig()
+			cfg.Bound, cfg.WindowBound = bb.b, bb.b
+			dr, err := metrics.EvaluateDay(trueDay, predDay, srv.WindowPoints(), cfg)
 			if err != nil {
-				return err
+				return Result{}, err
 			}
 			if !dr.WindowAccurate {
-				return nil
+				continue
 			}
+			accepted[bi]++
 			// Re-examine the accepted window for dangerous under-prediction.
 			start, w := dr.Window.Predicted.Start, dr.Window.Predicted.Length
 			under := 0
@@ -76,30 +69,27 @@ func runAblationBound(o Options) (Result, error) {
 					under++
 				}
 			}
-			verdicts[i] = verdict{accepted: true, risky: float64(under) > 0.1*float64(w)}
-			return nil
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		accepted, risky := 0, 0
-		for _, v := range verdicts {
-			if v.accepted {
-				accepted++
-			}
-			if v.risky {
-				risky++
+			if float64(under) > 0.1*float64(w) {
+				risky[bi]++
 			}
 		}
-		riskyShare[bi] = ratio(risky, accepted)
-		t.AddRow(bb.name, pctStr(ratio(accepted, len(pairs))), pctStr(riskyShare[bi]))
+	}
+
+	t := Table{
+		Caption: "Ablation — acceptable error bound (Definition 1)",
+		Note: fmt.Sprintf("%d pattern/unstable servers; 'risky' = accepted window whose load was "+
+			"under-predicted by >5 points on >10%% of observations", servers),
+		Header: []string{"bound", "windows accepted accurate", "risky acceptances"},
+	}
+	for bi, bb := range bounds {
+		t.AddRow(bb.name, pctStr(ratio(accepted[bi], servers)), pctStr(ratio(risky[bi], accepted[bi])))
 	}
 	// The paper's reason for the asymmetry is that it admits fewer risky
 	// windows than the symmetric ±10 bound; the band ends at 0 because any
 	// positive difference means the production bound admitted more.
 	return Result{
-		Claims: []Claim{{Metric: "risky acceptances: +10/−5 minus ±10 symmetric",
-			Paper: "fewer", Got: 100 * (riskyShare[0] - riskyShare[1]), Min: -100, Max: 0, Unit: "pp"}},
+		Claims: []Claim{{Metric: "risky acceptances: +10/−5 minus ±10 symmetric", Paper: "fewer",
+			Got: 100 * (ratio(risky[0], accepted[0]) - ratio(risky[1], accepted[1])), Min: -100, Max: 0, Unit: "pp"}},
 		Tables: []Table{t},
 	}, nil
 }
@@ -112,7 +102,7 @@ func runAblationThreshold(o Options) (Result, error) {
 	fleet := simulate.GenerateFleet(simulate.Config{
 		Region: "ab-thresh", Servers: n, Weeks: 4, Seed: o.Seed,
 	})
-	factory := modelFactory(forecast.NamePersistentPrevDay, o.Seed, false)
+	factory := modelFactory(forecast.NamePersistentPrevDay, o)
 	pool := parallel.NewPool(o.Workers)
 	t := Table{
 		Caption: "Ablation — bucket-ratio accuracy threshold (Definition 2)",
@@ -150,7 +140,7 @@ func runAblationHistory(o Options) (Result, error) {
 		Region: "ab-hist", Servers: n, Weeks: 6, Seed: o.Seed,
 		Mix: simulate.Mix{Stable: 0.5, Daily: 0.1, NoPattern: 0.4},
 	})
-	factory := modelFactory(forecast.NamePersistentPrevDay, o.Seed, false)
+	factory := modelFactory(forecast.NamePersistentPrevDay, o)
 	mcfg := metrics.DefaultConfig()
 	// Evaluate weeks 1..5: five results per server, so even the 4-week gate
 	// has a full history window before the final (week 5) outcome.
@@ -174,14 +164,7 @@ func runAblationHistory(o Options) (Result, error) {
 				continue
 			}
 			hist := results[len(results)-1-gate : len(results)-1]
-			ok := true
-			for _, dr := range hist {
-				if !dr.Window.Correct || !dr.WindowAccurate {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if slices.ContainsFunc(hist, func(dr metrics.DayResult) bool { return !dr.Window.Correct || !dr.WindowAccurate }) {
 				continue
 			}
 			passed++
@@ -249,7 +232,7 @@ func runAblationPFVariants(o Options) (Result, error) {
 		})
 		row := []any{cl.name}
 		for _, v := range variants {
-			factory := modelFactory(v, o.Seed, false)
+			factory := modelFactory(v, o)
 			evals, err := evaluateFleet(fleet, factory, []int{2, 3}, mcfg, pool)
 			if err != nil {
 				return Result{}, err

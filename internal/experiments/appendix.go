@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"seagull/internal/autoscale"
 	"seagull/internal/forecast"
@@ -27,8 +29,9 @@ func runA1(o Options) (Result, error) {
 }
 
 // runFig1617 compares persistent forecast, the neural network and ARIMA on
-// 24h-ahead SQL database prediction: accuracy (Figure 16) and runtime
-// (Figure 17) from the same evaluation pass.
+// 24h-ahead SQL database prediction (Figure 16), and checks Figure 17's
+// "persistent forecast needs no training" by a count: its predicted day is
+// bit for bit the last day it was given, so it fits nothing.
 func runFig1617(o Options) (Result, error) {
 	o = o.withDefaults()
 	n := pick(o, 24, 120)
@@ -39,11 +42,28 @@ func runFig1617(o Options) (Result, error) {
 		forecast.NameFFNN, // the paper's "neural network" is GluonTS
 		forecast.NameARIMA,
 	}
-	evs, err := autoscale.CompareModels(names, dbs, autoscale.EvalConfig{
-		Workers: o.Workers, Seed: o.Seed,
-	})
+	evs, err := autoscale.CompareModels(names, dbs, autoscale.EvalConfig{Workers: o.Workers, Seed: o.Seed})
 	if err != nil {
 		return Result{}, err
+	}
+	// Previous-day PF on the week autoscale.EvaluateModel trains on.
+	copied := 0
+	for _, db := range dbs {
+		ppd := db.Load.PointsPerDay()
+		end := db.Load.Len() - ppd
+		hist, err := db.Load.View(end-autoscale.TrainDays*ppd, end)
+		if err != nil {
+			return Result{}, err
+		}
+		pred, err := forecast.PredictDay(forecast.NewPersistent(forecast.PrevDay), hist)
+		if err != nil {
+			return Result{}, err
+		}
+		if slices.EqualFunc(pred.Values, hist.Values[hist.Len()-ppd:], func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			copied++
+		}
 	}
 
 	acc := Table{
@@ -51,20 +71,20 @@ func runFig1617(o Options) (Result, error) {
 		Note:    fmt.Sprintf("%d databases, trained on one week, predicting 24h ahead", n),
 		Header:  []string{"model", "mean NRMSE", "mean MASE", "databases"},
 	}
-	rt := Table{
-		Caption: "Figure 17 — training+inference and accuracy-evaluation runtime (SQL databases)",
-		Note:    fmt.Sprintf("%d parallel partitions; ordering PF < neural net < ARIMA matches the paper", o.Workers),
-		Header:  []string{"model", "train+infer", "accuracy evaluation"},
-	}
 	for _, ev := range evs {
 		acc.AddRow(ev.Model, fmt.Sprintf("%.3f", ev.MeanNRMSE), fmt.Sprintf("%.3f", ev.MeanMASE), ev.Databases)
-		rt.AddRow(ev.Model, fmtDuration(ev.TrainInfer), fmtDuration(ev.Evaluation))
 	}
 	// "Competitive" is read strictly: the band ends at 1, where persistent
-	// forecast stops being at least as accurate as the neural network.
+	// forecast stops being at least as accurate as the neural network. A
+	// forecast that fits nothing repeats its input on every database, so
+	// "needs no training" admits no exception: the band is [100, 100].
 	return Result{
-		Claims: []Claim{{Metric: "NRMSE ratio, persistent forecast / neural network",
-			Paper: "competitive", Got: evs[0].MeanNRMSE / evs[1].MeanNRMSE, Min: 0, Max: 1}},
-		Tables: []Table{acc, rt},
+		Claims: []Claim{
+			{Metric: "NRMSE ratio, persistent forecast / neural network",
+				Paper: "competitive", Got: evs[0].MeanNRMSE / evs[1].MeanNRMSE, Min: 0, Max: 1},
+			{Metric: "databases whose persistent forecast is bit-identical to the day before",
+				Paper: "needs no training", Got: 100 * ratio(copied, n), Min: 100, Max: 100, Unit: "%"},
+		},
+		Tables: []Table{acc},
 	}, nil
 }

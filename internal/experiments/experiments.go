@@ -3,7 +3,7 @@
 // Each experiment is a named, parameterized run that returns its
 // comparisons with the paper as Claim values — the paper's figure, ours and
 // the band ours must fall in — together with the tables those claims do not
-// state; cmd/seagull-experiments renders and times them, and
+// state; cmd/seagull-experiments renders them, and
 // TestAllExperimentsRun checks every claim at small scale.
 //
 // Concurrency: experiments share bounded parallel.Pool workers with
@@ -67,23 +67,14 @@ var All = []Experiment{
 		Paper: "42.1% short-lived, 53.5% stable, 0.2% daily/weekly pattern, " +
 			"4.2% without pattern; 58% long-lived; 53.7% expected predictable",
 		Run: runFig3},
-	{ID: "fig11a", Title: "Figure 11(a): training and inference runtime per model",
-		Paper: "PF needs no training; NimbusML 2.5s–4min for 10–700 servers; " +
-			"GluonTS trains 4–10min; Prophet trains 1–34min and infers 1–15h " +
-			"(OOM beyond 200 servers); ARIMA fits up to 3h per server and is excluded",
-		Run: runFig11a},
 	{ID: "fig11bcd", Title: "Figure 11(b,c,d): LL windows, window accuracy and predictable servers per model and region",
 		Paper: "accuracy of PF, NimbusML and GluonTS comparable; NimbusML chooses " +
 			"the highest share of LL windows; Prophet similar or lower",
 		Run: runFig11bcd},
-	{ID: "fig12a", Title: "Figure 12(a): runtime of the use-case-agnostic components per region",
+	{ID: "fig12a", Title: "Figure 12(a): input and work of the use-case-agnostic components per region size",
 		Paper: "model deployment ≈ constant (~1min); other components grow linearly " +
 			"with input size; accuracy evaluation dominates beyond 1GB",
 		Run: runFig12a},
-	{ID: "fig12b", Title: "Figure 12(b): single-threaded vs parallel accuracy evaluation per worker count",
-		Paper: "parallel loses slightly at 60MB, wins beyond 400MB (26% faster at 2.5GB " +
-			"for backup-day evaluation); full-week evaluation speeds up 3–4.6×",
-		Run: runFig12b},
 	{ID: "fig13a", Title: "Figure 13(a): backup scheduling impact",
 		Paper: "daily-pattern servers: 12.5% of backups moved into correct LL windows, " +
 			"85.3% of defaults already were LL windows, 2.1% incorrect; stable servers: " +
@@ -100,7 +91,7 @@ var All = []Experiment{
 	{ID: "a1", Title: "Appendix A.1: classification of SQL databases",
 		Paper: "19.36% of several thousand sampled SQL databases are stable (Definition 10)",
 		Run:   runA1},
-	{ID: "fig16", Title: "Figures 16 and 17: model accuracy (NRMSE / MASE) and runtime for SQL databases",
+	{ID: "fig16", Title: "Figures 16 and 17: model accuracy (NRMSE / MASE) for SQL databases, and persistent forecast's training",
 		Paper: "persistent forecast competitive with the neural network; ARIMA works " +
 			"better on coarse 15-minute SQL data than on 5-minute server data; ARIMA's " +
 			"training runtime is not comparable with the other models; persistent " +

@@ -21,8 +21,8 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("ByID(%q) = %q, %v", e.ID, got.ID, ok)
 		}
 	}
-	if len(All) != 14 {
-		t.Errorf("registered %d experiments, want 14", len(All))
+	if len(All) != 12 {
+		t.Errorf("registered %d experiments, want 12", len(All))
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("unknown id should miss")
@@ -86,6 +86,7 @@ func TestAllExperimentsRun(t *testing.T) {
 func TestFig3SmallScale(t *testing.T)                   { checkClaims(t, "fig3", 1, 3) }
 func TestSec53SmallScale(t *testing.T)                  { checkClaims(t, "sec53", 1, 3) }
 func TestA1SmallScale(t *testing.T)                     { checkClaims(t, "a1", 1, 3) }
+func TestFig12aSmallScale(t *testing.T)                 { checkClaims(t, "fig12a", 1, 3) }
 func TestFig13bSmallScale(t *testing.T)                 { checkClaims(t, "fig13b", 1, 3) }
 func TestAblationBoundShowsAsymmetryValue(t *testing.T) { checkClaims(t, "ablation-bound", 1, 3) }
 func TestAblationPFVariants(t *testing.T)               { checkClaims(t, "ablation-pf-variants", 1, 3) }
@@ -129,7 +130,7 @@ func checkClaims(t *testing.T, id string, seeds ...int64) {
 // a partitioned run reproduces the single-threaded claims bit for bit and
 // every table cell.
 func TestClaimsIndependentOfWorkers(t *testing.T) {
-	for _, id := range []string{"fig3", "sec53", "fig13b", "a1", "ablation-bound",
+	for _, id := range []string{"fig3", "fig12a", "sec53", "fig13b", "a1", "ablation-bound",
 		"ablation-threshold", "ablation-history", "ablation-pf-variants"} {
 		e, _ := ByID(id)
 		one, err1 := e.Run(Options{Scale: ScaleSmall, Seed: 2, Workers: 1})

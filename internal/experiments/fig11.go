@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"seagull/internal/forecast"
 	"seagull/internal/metrics"
@@ -11,95 +10,11 @@ import (
 	"seagull/internal/simulate"
 )
 
-// runFig11a measures wall-clock training + inference per model as the number
-// of unstable servers grows — the scalability comparison of Figure 11(a).
-// Each model trains on one week per server and predicts the next day.
-func runFig11a(o Options) (Result, error) {
-	o = o.withDefaults()
-	counts := pick(o, []int{10, 50}, []int{10, 50, 100, 200, 700})
-	fast := o.Scale == ScaleSmall
-	models := forecast.StandardNames
-
-	t := Table{
-		Caption: "Figure 11(a) — training + inference wall clock (unstable servers, 1 week training)",
-		Note: fmt.Sprintf("servers processed on %d parallel partitions; the paper's single-core "+
-			"Python numbers are larger in absolute terms, and since the additive trainer moved to "+
-			"Gram-form gradient descent the Prophet analog no longer dominates the zoo — PF stays "+
-			"cheapest and the ARIMA order search stays the reason it is excluded", o.Workers),
-		Header: []string{"model"},
-	}
-	for _, n := range counts {
-		t.Header = append(t.Header, fmt.Sprintf("%d srv", n))
-	}
-
-	maxCount := counts[len(counts)-1]
-	fleet := unstableFleet("fig11a", maxCount, o.Seed)
-	// Materialize every server's telemetry before the timed loops: the lazy
-	// fleet would otherwise charge the synthesis cost to whichever model row
-	// touches a server first, distorting the figure's runtime ranking.
-	for _, srv := range fleet.Servers {
-		srv.Load()
-	}
-	pool := parallel.NewPool(o.Workers)
-	ppd := 288
-
-	// One reusable model per worker (see modelArena): the timed loop
-	// measures training and inference, not buffer allocation.
-	trainInfer := func(n int, factory func() (forecast.Model, error)) error {
-		return parallel.ForEachScratch(pool, n,
-			func() *modelArena { return &modelArena{} },
-			func(i int, arena *modelArena) error {
-				load := fleet.Servers[i].Load()
-				end := load.Len() - ppd
-				hist, err := load.View(end-7*ppd, end)
-				if err != nil {
-					return err
-				}
-				m, err := arena.get(factory)
-				if err != nil {
-					return err
-				}
-				_, err = forecast.PredictDay(m, hist)
-				return err
-			})
-	}
-
-	for _, name := range models {
-		factory := modelFactory(name, o.Seed, fast)
-		row := []any{name}
-		for _, n := range counts {
-			start := time.Now()
-			if err := trainInfer(n, factory); err != nil {
-				return Result{}, fmt.Errorf("fig11a %s n=%d: %w", name, n, err)
-			}
-			row = append(row, fmtDuration(time.Since(start)))
-		}
-		t.AddRow(row...)
-	}
-
-	// ARIMA is measured once at the smallest count — the paper excluded it
-	// because the six-parameter order search does not scale.
-	arimaN := counts[0]
-	factory := modelFactory(forecast.NameARIMA, o.Seed, fast)
-	start := time.Now()
-	if err := trainInfer(arimaN, factory); err != nil {
-		return Result{}, fmt.Errorf("fig11a arima: %w", err)
-	}
-	row := []any{forecast.NameARIMA + " (excluded)"}
-	row = append(row, fmtDuration(time.Since(start)))
-	for range counts[1:] {
-		row = append(row, "—")
-	}
-	t.AddRow(row...)
-	return Result{Tables: []Table{t}}, nil
-}
-
 // runFig11bcd evaluates every model on unstable servers across four regions
 // over one month, reporting the three paper metrics (Definitions 2, 8, 9).
 func runFig11bcd(o Options) (Result, error) {
 	o = o.withDefaults()
 	sizes := pick(o, []int{20, 25, 30, 35}, []int{80, 110, 140, 170})
-	fast := o.Scale == ScaleSmall
 	weeks := []int{1, 2, 3}
 	mcfg := metrics.DefaultConfig()
 	models := forecast.StandardNames
@@ -108,7 +23,12 @@ func runFig11bcd(o Options) (Result, error) {
 	names := make([]string, len(sizes))
 	for i, n := range sizes {
 		names[i] = fmt.Sprintf("region-%c", 'a'+i)
-		regions[i] = unstableFleet(names[i], n, o.Seed+int64(i)*131)
+		// Long-lived servers without recognizable patterns: the population
+		// the paper applies ML models to (Section 5.3.3).
+		regions[i] = simulate.GenerateFleet(simulate.Config{
+			Region: names[i], Servers: n, Weeks: 4, Seed: o.Seed + int64(i)*131,
+			Mix: simulate.Mix{NoPattern: 1},
+		})
 	}
 	pool := parallel.NewPool(o.Workers)
 
@@ -129,7 +49,7 @@ func runFig11bcd(o Options) (Result, error) {
 	// pooled[name] sums a model's server-days over every region.
 	pooled := map[string]fleetStats{}
 	for _, name := range models {
-		factory := modelFactory(name, o.Seed, fast)
+		factory := modelFactory(name, o)
 		rb, rc, rd := []any{name}, []any{name}, []any{name}
 		for _, fleet := range regions {
 			evals, err := evaluateFleet(fleet, factory, weeks, mcfg, pool)

@@ -3,48 +3,29 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
 
-	"seagull/internal/cosmos"
-	"seagull/internal/extract"
-	"seagull/internal/insights"
-	"seagull/internal/lake"
 	"seagull/internal/metrics"
 	"seagull/internal/pipeline"
-	"seagull/internal/registry"
 	"seagull/internal/scheduler"
 	"seagull/internal/simulate"
-	"seagull/internal/timeseries"
 )
 
 // impactFleet runs the full pipeline + scheduler flow over a fleet and
 // returns the impact over the servers of one generator class and over the
 // whole fleet.
 func impactFleet(o Options, fleet *simulate.Fleet, class simulate.Class) (im, total scheduler.Impact, err error) {
-	dir, err := os.MkdirTemp("", "seagull-fig13a-*")
+	p, done, err := lakePipeline(fleet)
 	if err != nil {
 		return im, total, err
 	}
-	defer os.RemoveAll(dir)
-	store, err := lake.Open(dir)
-	if err != nil {
-		return im, total, err
-	}
-	if _, err := extract.ExtractAll(store, fleet); err != nil {
-		return im, total, err
-	}
-	db, err := cosmos.Open("")
-	if err != nil {
-		return im, total, err
-	}
-	p := pipeline.New(store, db, registry.New(nil), insights.New(nil))
+	defer done()
 	region := fleet.Config.Region
 	for w := 0; w < fleet.Config.Weeks; w++ {
 		if _, err := p.RunWeek(context.Background(), pipeline.Config{Region: region, Week: w, Workers: o.Workers}); err != nil {
 			return im, total, err
 		}
 	}
-	sched := scheduler.New(db, scheduler.NewFabricStore(), metrics.DefaultConfig())
+	sched := scheduler.New(p.DB, scheduler.NewFabricStore(), metrics.DefaultConfig())
 	decisions, err := sched.ScheduleWeek(context.Background(), region, fleet.Config.Weeks-1)
 	if err != nil {
 		return im, total, err
@@ -131,14 +112,12 @@ func runFig13b(o Options) (Result, error) {
 	var buckets [10]int
 	atCapacity, total := 0, 0
 	for _, srv := range fleet.Servers {
-		days := srv.Load().Days()
-		if len(days) < 7 {
+		load := srv.Load()
+		ppd, nd := load.PointsPerDay(), load.NumDays()
+		if nd < 7 {
 			continue
 		}
-		week := timeseries.New(days[len(days)-7].Start, srv.Load().Interval, nil)
-		for _, d := range days[len(days)-7:] {
-			week.Append(d.Values...)
-		}
+		week, _ := load.View((nd-7)*ppd, nd*ppd) // in range: nd whole days exist
 		maxLoad, idx := week.Max()
 		if idx < 0 {
 			continue

@@ -31,14 +31,10 @@ func runFig3(o Options) (Result, error) {
 		})
 		err := parallel.ForEachScratch(pool, len(fleet.Servers),
 			func() *classify.Scratch { return &classify.Scratch{} },
-			func(i int, sc *classify.Scratch) error {
+			func(i int, sc *classify.Scratch) (err error) {
 				srv := fleet.Servers[i]
-				cat, err := classify.CategorizeScratch(srv.Load(), srv.LifespanDays(), mcfg, sc)
-				if err != nil {
-					return err
-				}
-				cats[i] = cat
-				return nil
+				cats[i], err = classify.CategorizeScratch(srv.Load(), srv.LifespanDays(), mcfg, sc)
+				return err
 			})
 		if err != nil {
 			return Result{}, err

@@ -1,40 +1,40 @@
 package experiments
 
 import (
-	"fmt"
-	"time"
+	"os"
 
+	"seagull/internal/cosmos"
+	"seagull/internal/extract"
 	"seagull/internal/forecast"
+	"seagull/internal/insights"
+	"seagull/internal/lake"
 	"seagull/internal/metrics"
 	"seagull/internal/parallel"
+	"seagull/internal/pipeline"
+	"seagull/internal/registry"
 	"seagull/internal/simulate"
-	"seagull/internal/timeseries"
 )
 
-// modelFactory returns a constructor for fresh model instances. fast selects
-// reduced fitting budgets so small-scale runs stay quick; relative cost
+// modelFactory returns a constructor for fresh model instances. At small
+// scale it selects reduced fitting budgets so runs stay quick; relative cost
 // ordering between models is preserved. The fast SSA profile opts into the
 // randomized trajectory SVD the production default keeps off (≤1e-6
 // forecast equivalence, TestSSARandomizedMatchesJacobi).
-func modelFactory(name string, seed int64, fast bool) func() (forecast.Model, error) {
-	if !fast {
-		return func() (forecast.Model, error) { return forecast.New(name, seed) }
-	}
+func modelFactory(name string, o Options) func() (forecast.Model, error) {
 	return func() (forecast.Model, error) {
-		switch name {
-		case forecast.NameAdditive:
-			return forecast.NewAdditive(forecast.AdditiveConfig{
-				Seed: seed, Iterations: 200, Samples: 200,
-			}), nil
-		case forecast.NameFFNN:
-			return forecast.NewFFNN(forecast.FFNNConfig{Seed: seed, Epochs: 8}), nil
-		case forecast.NameSSA:
-			return forecast.NewSSA(forecast.SSAConfig{RandomizedSVD: true, Seed: seed}), nil
-		case forecast.NameARIMA:
-			return forecast.NewARIMA(forecast.ARIMAConfig{MaxP: 1, MaxQ: 1, SearchBudget: 60}), nil
-		default:
-			return forecast.New(name, seed)
+		if o.Scale == ScaleSmall {
+			switch name {
+			case forecast.NameAdditive:
+				return forecast.NewAdditive(forecast.AdditiveConfig{
+					Seed: o.Seed, Iterations: 200, Samples: 200,
+				}), nil
+			case forecast.NameFFNN:
+				return forecast.NewFFNN(forecast.FFNNConfig{Seed: o.Seed, Epochs: 8}), nil
+			case forecast.NameSSA:
+				return forecast.NewSSA(forecast.SSAConfig{RandomizedSVD: true, Seed: o.Seed}), nil
+			}
 		}
+		return forecast.New(name, o.Seed)
 	}
 }
 
@@ -60,8 +60,8 @@ func (ar *modelArena) get(newModel func() (forecast.Model, error)) (forecast.Mod
 // backup-day prediction, exactly following the paper's methodology
 // (Section 5.3.1): each model is trained on up to one week of data
 // immediately preceding the server's backup day; servers need at least
-// three days of history. Short-lived servers are skipped; the result holds
-// each long-lived server's chronological backup-day evaluations.
+// three days of history. The result holds each server's chronological
+// backup-day evaluations, none for a short-lived server.
 //
 // Callers pass the shared worker pool so one pool serves every model, region
 // and sweep point of an experiment run; each worker carries one modelArena
@@ -69,17 +69,14 @@ func (ar *modelArena) get(newModel func() (forecast.Model, error)) (forecast.Mod
 func evaluateFleet(fleet *simulate.Fleet, newModel func() (forecast.Model, error),
 	weeks []int, mcfg metrics.Config, pool *parallel.Pool) ([][]metrics.DayResult, error) {
 
-	var longLived []*simulate.Server
-	for _, srv := range fleet.Servers {
-		if !srv.ShortLived {
-			longLived = append(longLived, srv)
-		}
-	}
-	evals := make([][]metrics.DayResult, len(longLived))
-	err := parallel.ForEachScratch(pool, len(longLived),
+	evals := make([][]metrics.DayResult, len(fleet.Servers))
+	err := parallel.ForEachScratch(pool, len(fleet.Servers),
 		func() *modelArena { return &modelArena{} },
 		func(i int, arena *modelArena) error {
-			srv := longLived[i]
+			srv := fleet.Servers[i]
+			if srv.ShortLived {
+				return nil
+			}
 			load := srv.Load()
 			ppd := load.PointsPerDay()
 			for _, week := range weeks {
@@ -108,8 +105,7 @@ func evaluateFleet(fleet *simulate.Fleet, newModel func() (forecast.Model, error
 				if err != nil {
 					return err
 				}
-				w := srv.WindowPoints()
-				dr, err := metrics.EvaluateDay(trueDay.FillGaps(), pred, w, mcfg)
+				dr, err := metrics.EvaluateDay(trueDay.FillGaps(), pred, srv.WindowPoints(), mcfg)
 				if err != nil {
 					return err
 				}
@@ -167,60 +163,23 @@ func ratio(a, b int) float64 {
 	return float64(a) / float64(b)
 }
 
-// dayPairs is one server's final week for accuracy evaluation: each day's
-// true load and its persistent forecast (the day before), gaps filled.
-type dayPairs struct {
-	trueDays, predDays []timeseries.Series
-	window             int
-}
-
-// finalWeekPairs builds the dayPairs of every server with at least nine
-// days of telemetry, ahead of the evaluation that is timed or swept, so that
-// it isolates accuracy evaluation, as in the paper.
-func finalWeekPairs(fleet *simulate.Fleet) ([]dayPairs, error) {
-	var out []dayPairs
-	for _, srv := range fleet.Servers {
-		load := srv.Load()
-		ppd := load.PointsPerDay()
-		nd := load.NumDays()
-		if nd < 9 {
-			continue
-		}
-		p := dayPairs{window: srv.WindowPoints()}
-		// Day views share the load's backing array; FillGaps makes the
-		// one copy each day actually needs.
-		for d := nd - 7; d < nd; d++ {
-			cur, err1 := load.View(d*ppd, (d+1)*ppd)
-			prev, err2 := load.View((d-1)*ppd, d*ppd)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("day views: %v, %v", err1, err2)
-			}
-			p.trueDays = append(p.trueDays, cur.FillGaps())
-			p.predDays = append(p.predDays, prev.FillGaps())
-		}
-		out = append(out, p)
+// lakePipeline extracts every week of fleet into a lake in a fresh
+// temporary directory and returns a pipeline over it, with an in-memory
+// cosmos and registry. done removes the directory.
+func lakePipeline(fleet *simulate.Fleet) (p *pipeline.Pipeline, done func(), err error) {
+	dir, err := os.MkdirTemp("", "seagull-experiments-*")
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, nil
-}
-
-// unstableFleet returns a fleet of long-lived servers without
-// recognizable patterns — the population the paper applies ML models to
-// (Section 5.3.3).
-func unstableFleet(region string, servers int, seed int64) *simulate.Fleet {
-	return simulate.GenerateFleet(simulate.Config{
-		Region: region, Servers: servers, Weeks: 4, Seed: seed,
-		Mix: simulate.Mix{NoPattern: 1},
-	})
-}
-
-// fmtDuration renders a duration compactly for tables.
-func fmtDuration(d time.Duration) string {
-	switch {
-	case d >= time.Minute:
-		return fmt.Sprintf("%.1fm", d.Minutes())
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	default:
-		return fmt.Sprintf("%dms", d.Milliseconds())
+	done = func() { os.RemoveAll(dir) }
+	store, err := lake.Open(dir)
+	if err == nil {
+		_, err = extract.ExtractAll(store, fleet)
 	}
+	if err != nil {
+		done()
+		return nil, nil, err
+	}
+	db, _ := cosmos.Open("") // in memory: no directory to fail on
+	return pipeline.New(store, db, registry.New(nil), insights.New(nil)), done, nil
 }

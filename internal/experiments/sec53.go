@@ -18,7 +18,7 @@ func runSec53(o Options) (Result, error) {
 	nFleet := pick(o, 300, 2500)
 	weeks := []int{1, 2, 3}
 	mcfg := metrics.DefaultConfig()
-	factory := modelFactory(forecast.NamePersistentPrevDay, o.Seed, false)
+	factory := modelFactory(forecast.NamePersistentPrevDay, o)
 	pool := parallel.NewPool(o.Workers)
 
 	// (1) Servers whose load is stable or follows a pattern (Section 5.3.2).

@@ -65,7 +65,7 @@ type Claim struct {
 func (c Claim) Holds() bool { return c.Got >= c.Min && c.Got <= c.Max }
 
 // Result is one experiment run: its claims, and the tables (sweeps,
-// histograms, wall clocks) that the claims do not state.
+// histograms, per-size counts) that the claims do not state.
 type Result struct {
 	Claims []Claim
 	Note   string // the run behind the claims: sample sizes, substitutions

@@ -21,8 +21,8 @@ import (
 // expensive model in Figure 11(a); the trainer now iterates on the
 // precomputed Gram matrix (see Train), so the per-iteration cost no longer
 // scales with the history length and the model trains far faster than the
-// Python original — the paper's cost ordering is recorded in the fig11a
-// Paper field rather than reproduced.
+// Python original — the paper's cost ordering is recorded in DESIGN.md's
+// Figure 11(a) rows rather than reproduced.
 type AdditiveConfig struct {
 	// Iterations of batch gradient descent. Default 1500.
 	Iterations int
@@ -66,7 +66,7 @@ func (c AdditiveConfig) withDefaults() AdditiveConfig {
 //
 // An Additive instance may be retrained on fresh histories: the design
 // matrix, Gram accumulator and coefficient buffers are retained between
-// Train calls (they dominated fig11a's allocation profile before reuse),
+// Train calls (they dominated the model zoo's allocation profile before reuse),
 // and the Monte-Carlo RNG is re-seeded at the top of Train so a reused
 // model forecasts exactly like a fresh one.
 type Additive struct {

@@ -185,8 +185,8 @@ type DayResult struct {
 // EvaluateDay runs the full backup-day evaluation: LL window choice and load
 // accuracy during the predicted window. It allocates nothing: the window
 // comparison reads zero-copy views of both days, which lets the parallel
-// accuracy-evaluation loops (fig12b and the worker ablation sweep millions
-// of server-days) run without per-day garbage.
+// accuracy-evaluation loops (the experiments sweep millions of server-days
+// at full scale) run without per-day garbage.
 func EvaluateDay(trueDay, predDay timeseries.Series, w int, cfg Config) (DayResult, error) {
 	wr, err := EvaluateWindow(trueDay, predDay, w, cfg)
 	if err != nil {

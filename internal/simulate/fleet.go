@@ -78,11 +78,6 @@ type Mix struct {
 // 0.1% daily, 0.1% weekly, 4.2% without pattern.
 var PaperMix = Mix{ShortLived: 0.421, Stable: 0.535, Daily: 0.001, Weekly: 0.001, NoPattern: 0.042}
 
-// Sum returns the total of all fractions (should be 1).
-func (m Mix) Sum() float64 {
-	return m.ShortLived + m.Stable + m.Daily + m.Weekly + m.NoPattern
-}
-
 // Config describes one regional fleet to generate.
 type Config struct {
 	Region   string

@@ -109,8 +109,9 @@ func TestShortLivedFraction(t *testing.T) {
 }
 
 func TestPaperMixSumsToOne(t *testing.T) {
-	if math.Abs(PaperMix.Sum()-1) > 1e-9 {
-		t.Errorf("PaperMix sums to %v", PaperMix.Sum())
+	m := PaperMix
+	if sum := m.ShortLived + m.Stable + m.Daily + m.Weekly + m.NoPattern; math.Abs(sum-1) > 1e-9 {
+		t.Errorf("PaperMix sums to %v", sum)
 	}
 }
 

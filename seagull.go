@@ -245,7 +245,7 @@ func BestBackupDay(m Model, history Series, window int, cfg MetricsConfig) (DayC
 	return scheduler.BestBackupDay(m, history, window, cfg)
 }
 
-// CompareAutoscaleModels runs the Appendix A evaluation (Figures 16/17).
+// CompareAutoscaleModels runs the Appendix A evaluation (Figure 16).
 func CompareAutoscaleModels(names []string, dbs []*Database, cfg AutoscaleConfig) ([]AutoscaleEval, error) {
 	return autoscale.CompareModels(names, dbs, cfg)
 }
