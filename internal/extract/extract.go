@@ -17,6 +17,7 @@ package extract
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 
@@ -148,14 +149,43 @@ func IngestVisit(store *lake.Store, region string, week int, interval time.Durat
 // IngestReader is IngestVisit over an extract the caller has opened; region
 // and week only name it in errors.
 func IngestReader(r io.Reader, region string, week int, interval time.Duration, visit func(lake.Row)) ([]*ServerLoad, error) {
+	loads, _, err := ingest(r, region, week, interval, visit, false)
+	return loads, err
+}
+
+// IngestCompact is IngestReader for a week that is to be kept: it decodes
+// each server straight into exact int32 thousandths wherever the extract's
+// digits give them (lake.ScanRowsMilli), with MissingMilli for a missing
+// point. For such a server milli[i] holds the values and loads[i].Load.Values
+// is nil. A server with a value that has no such form — -0, a fourth decimal
+// that is not zero, a row off ScanRows's fast path — or with a row off its
+// grid comes back as IngestReader gives it, with milli[i] nil; either way
+// ExpandMilli gives back the bits IngestReader would.
+func IngestCompact(r io.Reader, region string, week int, interval time.Duration, visit func(lake.Row)) ([]*ServerLoad, [][]int32, error) {
+	return ingest(r, region, week, interval, visit, true)
+}
+
+// MissingMilli stands for timeseries.Missing in thousandths; no value
+// decodes to it.
+const MissingMilli = math.MinInt32
+
+// ExpandMilli returns the value m thousandths stand for.
+func ExpandMilli(m int32) float64 {
+	if m == MissingMilli {
+		return timeseries.Missing
+	}
+	return float64(m) / 1000
+}
+
+func ingest(r io.Reader, region string, week int, interval time.Duration, visit func(lake.Row), compact bool) ([]*ServerLoad, [][]int32, error) {
 	if interval <= 0 || interval%time.Minute != 0 {
-		return nil, fmt.Errorf("extract: ingest %s week %d: interval %v is not a whole, positive number of minutes", region, week, interval)
+		return nil, nil, fmt.Errorf("extract: ingest %s week %d: interval %v is not a whole, positive number of minutes", region, week, interval)
 	}
 	step := int64(interval / time.Minute)
 	weekPoints := int(weekMinutes / step)
 	byServer := map[string]*serverAcc{}
 	var cur *serverAcc
-	err := lake.ScanRows(r, func(row lake.Row) error {
+	err := lake.ScanRowsMilli(r, func(row lake.Row, milli int32, exact bool) error {
 		if visit != nil {
 			visit(row)
 		}
@@ -170,31 +200,46 @@ func IngestReader(r io.Reader, region string, week int, interval time.Duration, 
 					first: row.TimestampMin,
 					lo:    row.TimestampMin,
 					hi:    row.TimestampMin,
-					vals:  make([]float64, 0, weekPoints),
+				}
+				if compact {
+					cur.milli = make([]int32, 0, weekPoints)
+				} else {
+					cur.vals = make([]float64, 0, weekPoints)
 				}
 				byServer[row.ServerID] = cur
 			}
 		}
 		v := row.CPUPct
 		if v < 0 {
-			v = timeseries.Missing
+			v, milli, exact = timeseries.Missing, MissingMilli, true
 		}
-		return cur.add(row.TimestampMin, v, step)
+		return cur.add(row.TimestampMin, v, milli, exact, step)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("extract: ingest %s week %d: %w", region, week, err)
+		return nil, nil, fmt.Errorf("extract: ingest %s week %d: %w", region, week, err)
 	}
 
-	out := make([]*ServerLoad, 0, len(byServer))
+	accs := make([]*serverAcc, 0, len(byServer))
 	for _, a := range byServer {
 		if a.times != nil {
 			a.place(step)
 		}
 		a.sl.Load = timeseries.New(time.Unix(a.first*60, 0).UTC(), interval, a.vals)
-		out = append(out, a.sl)
+		accs = append(accs, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ServerID < out[j].ServerID })
-	return out, nil
+	sort.Slice(accs, func(i, j int) bool { return accs[i].sl.ServerID < accs[j].sl.ServerID })
+	loads := make([]*ServerLoad, len(accs))
+	var milli [][]int32
+	if compact {
+		milli = make([][]int32, len(accs))
+	}
+	for i, a := range accs {
+		loads[i] = a.sl
+		if compact {
+			milli[i] = a.milli
+		}
+	}
+	return loads, milli, nil
 }
 
 // weekMinutes is the length of one weekly extract in minutes.
@@ -203,20 +248,25 @@ const weekMinutes = 7 * 24 * 60
 // serverAcc builds one server's series as its rows arrive.
 type serverAcc struct {
 	sl     *ServerLoad
-	first  int64 // timestamp of vals[0]
+	first  int64 // timestamp of the series' first point
 	lo, hi int64 // the earliest and latest timestamps seen
-	vals   []float64
+	// The series is milli while every value has come as exact thousandths
+	// (compact ingests only) and vals otherwise: the first value without
+	// them, or the first row off the grid, expands milli into vals.
+	milli []int32
+	vals  []float64
 	// times is nil while every row lands on the grid at or after the
-	// server's first row, which is how ExtractWeek writes; vals is then the
-	// series itself. The first row before that or off the grid turns vals
-	// into (times[i], vals[i]) pairs for place.
+	// server's first row, which is how ExtractWeek writes; the series is
+	// then laid out on that grid. The first row before that or off the grid
+	// turns vals into (times[i], vals[i]) pairs for place.
 	times []int64
 }
 
-// add records one observation; later rows for the same slot win. It refuses
-// a row a week or more away from another of the server's rows, which bounds
-// both vals and place's grid to a week of points.
-func (a *serverAcc) add(t int64, v float64, step int64) error {
+// add records one observation, v or, when exact, m thousandths; later rows
+// for the same slot win. It refuses a row a week or more away from another
+// of the server's rows, which bounds both the series and place's grid to a
+// week of points.
+func (a *serverAcc) add(t int64, v float64, m int32, exact bool, step int64) error {
 	lo, hi := min(a.lo, t), max(a.hi, t)
 	if uint64(hi-lo) >= weekMinutes { // hi-lo wraps, but as a uint64 it is exact
 		return fmt.Errorf("server %q: rows at minutes %d and %d are a week or more apart", a.sl.ServerID, lo, hi)
@@ -225,6 +275,14 @@ func (a *serverAcc) add(t int64, v float64, step int64) error {
 	if a.times == nil {
 		if d := t - a.first; d >= 0 && d%step == 0 {
 			i := int(d / step)
+			if a.vals == nil && exact {
+				for len(a.milli) <= i {
+					a.milli = append(a.milli, MissingMilli)
+				}
+				a.milli[i] = m
+				return nil
+			}
+			a.expand()
 			for len(a.vals) <= i {
 				a.vals = append(a.vals, timeseries.Missing)
 			}
@@ -234,6 +292,7 @@ func (a *serverAcc) add(t int64, v float64, step int64) error {
 		// Every slot becomes a pair, gaps included: a gap's Missing pair
 		// precedes all later rows, so it can be overwritten but never
 		// overwrites.
+		a.expand()
 		a.times = make([]int64, len(a.vals))
 		for i := range a.times {
 			a.times[i] = a.first + int64(i)*step
@@ -242,6 +301,18 @@ func (a *serverAcc) add(t int64, v float64, step int64) error {
 	a.times = append(a.times, t)
 	a.vals = append(a.vals, v)
 	return nil
+}
+
+// expand turns a compact series into float64 values.
+func (a *serverAcc) expand() {
+	if a.vals != nil {
+		return
+	}
+	a.vals = make([]float64, len(a.milli), cap(a.milli))
+	for i, m := range a.milli {
+		a.vals[i] = ExpandMilli(m)
+	}
+	a.milli = nil
 }
 
 // place lays the (time, value) pairs of a shuffled or off-grid file out on

@@ -351,3 +351,17 @@ func TestIngestRefusesBadInterval(t *testing.T) {
 		t.Errorf("one-minute interval: %v", err)
 	}
 }
+
+func BenchmarkExtractWeek(b *testing.B) {
+	fleet := simulate.GenerateFleet(simulate.Config{Region: "bench", Servers: 16, Weeks: 2, Seed: 3})
+	store, err := lake.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExtractWeek(store, fleet, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

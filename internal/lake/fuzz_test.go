@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -160,6 +161,54 @@ func FuzzScanRowsMatchesParseRow(f *testing.F) {
 				g.BackupStartMin != w.BackupStartMin || g.BackupEndMin != w.BackupEndMin {
 				t.Fatalf("row %d: ScanRows %+v, ParseRow %+v", i, g, w)
 			}
+		}
+	})
+}
+
+// FuzzAppendRow checks AppendRow's CPU formatting, which rounds in float64
+// wherever that cannot change the digits, against the strconv call it
+// stands for, byte for byte.
+func FuzzAppendRow(f *testing.F) {
+	for _, v := range []float64{math.Copysign(0, -1), 0, 0.0625, 0.0005, 0.0015, -1, 1e15, 1 << 40, 12.345,
+		99.9995, -2.5e-4, 5e-324, 2.2250738585072009e-308, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		r := Row{ServerID: "srv", TimestampMin: 1, CPUPct: v, BackupStartMin: 2, BackupEndMin: 3}
+		want := "srv,1," + strconv.FormatFloat(v, 'f', 3, 64) + ",2,3\n"
+		if got := string(AppendRow(nil, &r)); got != want {
+			t.Fatalf("%v (%#x): AppendRow %q, want %q", v, math.Float64bits(v), got, want)
+		}
+	})
+}
+
+// FuzzScanRowsMilli checks the thousandths ScanRowsMilli hands out: where it
+// says a CPU is exact, float64(milli)/1000 is the CPU bit for bit, and the
+// rows are ScanRows's.
+func FuzzScanRowsMilli(f *testing.F) {
+	for _, cpu := range []string{"12.500", "-1.000", "-0.000", "0.000", "12.3456", "1.5000", "0.0005",
+		"2147483.647", "2147483.648", "-2147483.647", "+3", "1e3", "007.100", "100"} {
+		f.Add("a,1," + cpu + ",10,20\n")
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		var want []Row
+		wantErr := ScanRows(strings.NewReader(Header+"\n"+body), func(r Row) error {
+			want = append(want, r)
+			return nil
+		})
+		i := 0
+		err := ScanRowsMilli(strings.NewReader(Header+"\n"+body), func(r Row, milli int32, exact bool) error {
+			if r != want[i] {
+				t.Fatalf("row %d: %+v, ScanRows %+v", i, r, want[i])
+			}
+			if exact && math.Float64bits(float64(milli)/1000) != math.Float64bits(r.CPUPct) {
+				t.Fatalf("row %d: %d thousandths for %v (%#x)", i, milli, r.CPUPct, math.Float64bits(r.CPUPct))
+			}
+			i++
+			return nil
+		})
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || i != len(want) {
+			t.Fatalf("%d rows, err %v; ScanRows %d rows, err %v", i, err, len(want), wantErr)
 		}
 	})
 }

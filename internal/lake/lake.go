@@ -14,7 +14,9 @@
 // last fast-path row and, while the next line's are equal, reuses that
 // window without decoding it again. The fast path is bit-identical to
 // strconv; any other line falls back to ParseRow, the strconv reference,
-// and forgets the kept bytes.
+// and forgets the kept bytes. ScanRowsMilli also hands out each CPU as a
+// whole number of thousandths wherever its digits give one exactly, so a
+// reader can keep the value in four bytes without converting it back.
 //
 // Beyond the weekly extracts, the lake stores named auxiliary objects (see
 // object.go) — notably the stream layer's ring snapshots. Both have atomic
@@ -33,11 +35,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // ErrNotFound is returned when a requested object does not exist.
@@ -212,12 +216,33 @@ func AppendRow(buf []byte, r *Row) []byte {
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, r.TimestampMin, 10)
 	buf = append(buf, ',')
-	buf = strconv.AppendFloat(buf, r.CPUPct, 'f', 3, 64)
+	buf = appendCPU(buf, r.CPUPct)
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, r.BackupStartMin, 10)
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, r.BackupEndMin, 10)
 	return append(buf, '\n')
+}
+
+// appendCPU appends v as strconv.AppendFloat(v, 'f', 3, 64) does. That
+// call always takes strconv's multi-precision path; here v·1000 is rounded
+// in float64 instead whenever that cannot change the result: below 2⁴⁰ the
+// product is within 2⁻¹⁴ of the exact v·1000, so unless its fraction lies
+// within 1/1024 of a half, both round to the same integer — and strconv's
+// round-half-to-even never comes into play. NaN, ±Inf, larger magnitudes
+// and near-ties go to strconv.
+func appendCPU(buf []byte, v float64) []byte {
+	a := math.Abs(v * 1000)
+	if !(a < 1<<40) || math.Abs(a-math.Floor(a)-0.5) < 1.0/1024 {
+		return strconv.AppendFloat(buf, v, 'f', 3, 64)
+	}
+	if math.Signbit(v) {
+		buf = append(buf, '-')
+	}
+	m := uint64(math.Round(a))
+	buf = strconv.AppendUint(buf, m/1000, 10)
+	f := m % 1000
+	return append(buf, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 // ParseRow decodes one CSV line (no trailing newline). It is the strconv
@@ -250,7 +275,8 @@ func ParseRow(line string) (Row, error) {
 // decoded; see decodeRow.
 func parseRow(line []byte, r *Row) error {
 	var tail []byte
-	return decodeRow(line, r, &tail)
+	_, _, err := decodeRow(line, r, &tail)
+	return err
 }
 
 // decodeRow decodes line into r in one pass. Rows of the shape ExtractWeek
@@ -260,27 +286,29 @@ func parseRow(line []byte, r *Row) error {
 // to ParseRow. *tail holds the bytes after the CPU field of the last row
 // decoded here, whose backup window r still carries: a line whose own bytes
 // there are equal keeps that window without decoding it again. A line that
-// leaves the fast path clears *tail, and an empty tail never matches.
-func decodeRow(line []byte, r *Row, tail *[]byte) error {
+// leaves the fast path clears *tail, and an empty tail never matches. milli
+// and exact are the CPU's thousandths as cpuField gives them; a line off the
+// fast path has none.
+func decodeRow(line []byte, r *Row, tail *[]byte) (milli int32, exact bool, err error) {
 	id := bytes.IndexByte(line, ',')
 	if id < 0 {
-		return parseRowSlow(line, r, tail)
+		return 0, false, parseRowSlow(line, r, tail)
 	}
 	ts, i, ok := intField(line, id+1)
 	if !ok || i == len(line) {
-		return parseRowSlow(line, r, tail)
+		return 0, false, parseRowSlow(line, r, tail)
 	}
-	cpu, i, ok := cpuField(line, i+1)
+	cpu, milli, exact, i, ok := cpuField(line, i+1)
 	if !ok || i == len(line) {
-		return parseRowSlow(line, r, tail)
+		return 0, false, parseRowSlow(line, r, tail)
 	}
 	bs, be := r.BackupStartMin, r.BackupEndMin
 	if rest := line[i+1:]; len(*tail) == 0 || !bytes.Equal(rest, *tail) {
 		if bs, i, ok = intField(line, i+1); !ok || i == len(line) {
-			return parseRowSlow(line, r, tail)
+			return 0, false, parseRowSlow(line, r, tail)
 		}
 		if be, i, ok = intField(line, i+1); !ok || i != len(line) {
-			return parseRowSlow(line, r, tail)
+			return 0, false, parseRowSlow(line, r, tail)
 		}
 		*tail = append((*tail)[:0], rest...)
 	}
@@ -288,7 +316,7 @@ func decodeRow(line []byte, r *Row, tail *[]byte) error {
 		r.ServerID = string(line[:id])
 	}
 	r.TimestampMin, r.CPUPct, r.BackupStartMin, r.BackupEndMin = ts, cpu, bs, be
-	return nil
+	return milli, exact, nil
 }
 
 func parseRowSlow(line []byte, r *Row, tail *[]byte) error {
@@ -344,27 +372,56 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 // 10^k, both exact in a float64, so m / 10^k is the correctly rounded value
 // of the decimal — bit-identical to strconv.ParseFloat, whose own exact fast
 // path this is.
-func cpuField(b []byte, i int) (v float64, end int, ok bool) {
+//
+// With k ≤ 3, once trailing zeros are dropped, the value is also the whole
+// number of thousandths m·10^(3−k), which milli holds when it fits an int32
+// and exact is set. float64(milli)/1000 is then the correctly rounded
+// quotient of the same decimal, so it has v's bits. -0 has no such form.
+func cpuField(b []byte, i int) (v float64, milli int32, exact bool, end int, ok bool) {
 	m, frac, neg, end, ok := field(b, i, 15, true)
 	if !ok {
-		return 0, end, false
+		return 0, 0, false, end, false
 	}
 	if v = float64(m) / pow10[frac]; neg {
 		v = -v
 	}
-	return v, end, true
+	for frac > 3 && m%10 == 0 {
+		m, frac = m/10, frac-1
+	}
+	if frac <= 3 {
+		if t := m * uint64(pow10[3-frac]); t <= math.MaxInt32 && !(neg && t == 0) {
+			if milli, exact = int32(t), true; neg {
+				milli = -milli
+			}
+		}
+	}
+	return v, milli, exact, end, true
 }
 
 // maxLine caps one extract line; the scan buffer starts at 64 KiB and grows
 // up to it.
 const maxLine = 1 << 20
 
+// scanBufs holds the 64 KiB buffers ScanRows starts its scanner with.
+var scanBufs = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
+
 // ScanRows reads a CSV extract, invoking fn per row. It verifies the header
 // and stops at the first malformed or over-long line, returning its error
 // with the line number.
 func ScanRows(r io.Reader, fn func(Row) error) error {
+	return ScanRowsMilli(r, func(row Row, _ int32, _ bool) error { return fn(row) })
+}
+
+// ScanRowsMilli is ScanRows that also hands fn each row's CPU as a whole
+// number of thousandths, milli, when exact is set: when its digits, at most
+// three of them after the point once trailing zeros are dropped, say exactly
+// that, and float64(milli)/1000 is then row.CPUPct bit for bit. exact is
+// false for -0, a magnitude of 2³¹/1000 or more and a line off the fast path.
+func ScanRowsMilli(r io.Reader, fn func(row Row, milli int32, exact bool) error) error {
+	bp := scanBufs.Get().(*[]byte)
+	defer scanBufs.Put(bp)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+	sc.Buffer(*bp, maxLine)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return fmt.Errorf("line 1: %w", err)
@@ -379,10 +436,11 @@ func ScanRows(r io.Reader, fn func(Row) error) error {
 	var tail []byte
 	for sc.Scan() {
 		line++
-		if err := decodeRow(sc.Bytes(), &row, &tail); err != nil {
+		milli, exact, err := decodeRow(sc.Bytes(), &row, &tail)
+		if err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
 		}
-		if err := fn(row); err != nil {
+		if err := fn(row, milli, exact); err != nil {
 			return err
 		}
 	}

@@ -334,3 +334,39 @@ func TestPropertyRowRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Every CPU of the extract's domain, as ExtractWeek formats it, comes with
+// its thousandths; -0, a fourth significant decimal and a row off the fast
+// path come without, and trailing zeros do not count.
+func TestScanRowsMilliDomain(t *testing.T) {
+	var data strings.Builder
+	data.WriteString(Header + "\n")
+	for milli := -1000; milli <= 100_000; milli++ {
+		data.WriteString("srv,1," + strconv.FormatFloat(float64(milli)/1000, 'f', 3, 64) + ",2,3\n")
+	}
+	odd := []struct {
+		cpu   string
+		milli int32
+		exact bool
+	}{{"-0.000", 0, false}, {"12.3456", 0, false}, {"1.5000", 1500, true}, {"2147483.647", math.MaxInt32, true},
+		{"2147483.648", 0, false}, {"+3", 0, false}, {"1e3", 0, false}, {"7", 7000, true}}
+	for _, o := range odd {
+		data.WriteString("srv,1," + o.cpu + ",2,3\n")
+	}
+	i := 0
+	err := ScanRowsMilli(strings.NewReader(data.String()), func(r Row, milli int32, exact bool) error {
+		want, wantExact := int32(i-1000), true
+		if i > 101_000 {
+			o := odd[i-101_001]
+			want, wantExact = o.milli, o.exact
+		}
+		if exact != wantExact || (exact && milli != want) {
+			return fmt.Errorf("row %d (%v): %d thousandths, exact %v; want %d, %v", i, r.CPUPct, milli, exact, want, wantExact)
+		}
+		i++
+		return nil
+	})
+	if err != nil || i != 101_001+len(odd) {
+		t.Fatalf("after %d rows: %v", i, err)
+	}
+}

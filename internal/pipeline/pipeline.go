@@ -79,8 +79,9 @@ type Config struct {
 	// Interval is the telemetry granularity; defaults to 5 minutes.
 	Interval time.Duration
 	// Workers bounds a run's parallel work: the concurrent parse of the
-	// ingested weeks' extracts and the per-server train, infer and accuracy
-	// evaluation. 0 means NumCPU; 1 forces the single-threaded baseline.
+	// ingested weeks' extracts and the per-server classification, train,
+	// infer, accuracy evaluation and prediction writes. 0 means NumCPU; 1
+	// forces the single-threaded baseline.
 	Workers int
 	// Seed drives stochastic models.
 	Seed int64
@@ -270,8 +271,12 @@ func (p *Pipeline) RunWeek(ctx context.Context, cfg Config) (*Result, error) {
 
 	// --- Feature extraction / classification. ---
 	t = time.Now()
-	res.Classes = p.extractFeatures(cfg, histories)
+	ids := sortedIDs(histories)
+	res.Classes, err = p.extractFeatures(cfg, ids, histories)
 	record(StageFeatures, time.Since(t))
+	if err != nil {
+		return fail(StageFeatures, err)
+	}
 
 	// --- Model deployment & tracking. ---
 	t = time.Now()
@@ -285,7 +290,7 @@ func (p *Pipeline) RunWeek(ctx context.Context, cfg Config) (*Result, error) {
 		return fail(StageTrainInfer, err)
 	}
 	t = time.Now()
-	preds, evals, err := p.trainInferEvaluate(ctx, cfg, histories)
+	preds, evals, err := p.trainInferEvaluate(ctx, cfg, ids, histories)
 	record(StageTrainInfer, time.Since(t))
 	if err != nil {
 		return fail(StageTrainInfer, err)
@@ -343,9 +348,11 @@ type serverHistory struct {
 // into its own slot — an earlier week from the Pipeline's kept weeks when its
 // extract is unchanged (weeks.go) — and concatenated in week order, so the
 // result and the error returned (the first in week order) depend neither on
-// the worker count nor on what was kept. It returns the per-server
-// histories, the current week's loads (for validation) and how many earlier
-// weeks were reused.
+// the worker count nor on what was kept. The pool claims the longest reads
+// first: the current week, then the earlier weeks that must be parsed, then
+// the kept ones, which only hash. It returns the per-server histories, the
+// current week's loads (for validation; views of the histories' last points)
+// and how many earlier weeks were reused.
 func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverHistory, []*extract.ServerLoad, int, error) {
 	if cfg.Week < 0 {
 		return nil, nil, 0, ErrNoData
@@ -353,14 +360,27 @@ func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverH
 	firstWeek := max(cfg.Week-metrics.DefaultConfig().HistoryWeeks, 0)
 	keep := p.weeks.begin(cfg.Region)
 	defer p.weeks.retain(cfg.Region, cfg.Interval, firstWeek, cfg.Week)
-	weeks := make([]ingestedWeek, cfg.Week-firstWeek+1)
-	errs := make([]error, len(weeks))
-	err := parallel.NewPool(cfg.Workers).ForEach(len(weeks), func(i int) error {
+	n := cfg.Week - firstWeek + 1
+	kept := make([]*keptWeek, n)
+	order, hashes := []int{n - 1}, []int(nil)
+	for i := 0; i < n-1; i++ {
+		if kept[i] = p.weeks.get(weekKey{region: cfg.Region, week: firstWeek + i, interval: cfg.Interval}); kept[i] == nil {
+			order = append(order, i)
+		} else {
+			hashes = append(hashes, i)
+		}
+	}
+	order = append(order, hashes...)
+	weeks := make([][]weekServer, n)
+	reusedWeek := make([]bool, n)
+	errs := make([]error, n)
+	err := parallel.NewPool(cfg.Workers).ForEach(n, func(j int) error {
+		i := order[j]
 		var visit func(lake.Row)
-		if firstWeek+i == cfg.Week {
+		if i == n-1 {
 			visit = check
 		}
-		weeks[i], errs[i] = p.readWeek(cfg, firstWeek+i, visit, keep)
+		weeks[i], reusedWeek[i], errs[i] = p.readWeek(cfg, firstWeek+i, kept[i], visit, keep)
 		return nil
 	})
 	if err != nil { // a recovered panic; the weeks' own errors are in errs
@@ -377,10 +397,10 @@ func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverH
 			}
 			return nil, nil, 0, err
 		}
-		if wk.reused {
+		if reusedWeek[i] {
 			reused++
 		}
-		for _, sl := range wk.servers {
+		for _, sl := range wk {
 			h := histories[sl.ServerID]
 			if h == nil {
 				// Size the history once for every week still to come, so the
@@ -400,9 +420,17 @@ func (p *Pipeline) ingest(cfg Config, check func(lake.Row)) (map[string]*serverH
 			h.windowPoints = sl.WindowPoints()
 		}
 	}
-	weekLoads := weeks[len(weeks)-1].loads
-	if len(weekLoads) == 0 {
+	current := weeks[n-1]
+	if len(current) == 0 {
 		return nil, nil, 0, ErrNoData
+	}
+	loads := make([]extract.ServerLoad, len(current))
+	weekLoads := make([]*extract.ServerLoad, len(current))
+	for i, sl := range current {
+		vals := histories[sl.ServerID].load.Values
+		loads[i] = *sl.ServerLoad
+		loads[i].Load.Values = vals[len(vals)-sl.points():]
+		weekLoads[i] = &loads[i]
 	}
 	return histories, weekLoads, reused, nil
 }
@@ -420,19 +448,30 @@ func sortedIDs(histories map[string]*serverHistory) []string {
 	return ids
 }
 
-// extractFeatures classifies every server on its concatenated history.
-func (p *Pipeline) extractFeatures(cfg Config, histories map[string]*serverHistory) *classify.Summary {
+// extractFeatures classifies every server on its concatenated history. The
+// servers are classified across the pool, one classify.Scratch per worker;
+// their categories are added, and failures raised, in id order.
+func (p *Pipeline) extractFeatures(cfg Config, ids []string, histories map[string]*serverHistory) (*classify.Summary, error) {
+	cats := make([]classify.Category, len(ids))
+	errs := make([]error, len(ids))
+	err := parallel.ForEachScratch(parallel.NewPool(cfg.Workers), len(ids), func() *classify.Scratch { return &classify.Scratch{} },
+		func(i int, sc *classify.Scratch) error {
+			h := histories[ids[i]]
+			cats[i], errs[i] = classify.CategorizeScratch(h.load, h.load.NumDays(), metrics.DefaultConfig(), sc)
+			return nil
+		})
+	if err != nil { // a recovered panic
+		return nil, err
+	}
 	sum := classify.NewSummary()
-	for _, id := range sortedIDs(histories) {
-		h := histories[id]
-		cat, err := classify.Categorize(h.load, h.load.NumDays(), metrics.DefaultConfig())
-		if err != nil {
-			p.Dash.Raise(insights.SevWarning, cfg.Region, StageFeatures, "%s: %v", h.id, err)
+	for i, id := range ids {
+		if errs[i] != nil {
+			p.Dash.Raise(insights.SevWarning, cfg.Region, StageFeatures, "%s: %v", id, errs[i])
 			continue
 		}
-		sum.Add(cat)
+		sum.Add(cats[i])
 	}
-	return sum
+	return sum, nil
 }
 
 // trainInferEvaluate predicts each server's backup day within the processed
@@ -440,8 +479,7 @@ func (p *Pipeline) extractFeatures(cfg Config, histories map[string]*serverHisto
 // prediction against the actuals (which are available because the run
 // happens at the end of the week). Servers are processed in parallel
 // partitions, Dask-style.
-func (p *Pipeline) trainInferEvaluate(ctx context.Context, cfg Config, histories map[string]*serverHistory) ([]*PredictionDoc, []*EvalDoc, error) {
-	ids := sortedIDs(histories)
+func (p *Pipeline) trainInferEvaluate(ctx context.Context, cfg Config, ids []string, histories map[string]*serverHistory) ([]*PredictionDoc, []*EvalDoc, error) {
 	pool := parallel.NewPool(cfg.Workers)
 	type outcome struct {
 		pred *PredictionDoc
@@ -571,7 +609,10 @@ func (p *Pipeline) predictServer(cfg Config, h *serverHistory) (*PredictionDoc, 
 
 // persistResults stores predictions and evaluations in Cosmos, computes the
 // Definition 9 predictability per server from the trailing weeks, and
-// records the fleet summary.
+// records the fleet summary. The prediction documents, which cost most to
+// encode, are written across the pool, and the first failure in id order is
+// returned; the evaluations stay in id order, as the Definition 9 reads and
+// the fleet summary's float sum need.
 func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDoc, evals []*EvalDoc) (metrics.FleetSummary, error) {
 	var summary metrics.FleetSummary
 	predCol := p.DB.Collection(PredictionsCollection)
@@ -579,8 +620,16 @@ func (p *Pipeline) persistResults(cfg Config, version int, preds []*PredictionDo
 	sumCol := p.DB.Collection(SummariesCollection)
 	historyWeeks := metrics.DefaultConfig().HistoryWeeks
 
-	for _, pd := range preds {
-		if err := predCol.Upsert(cfg.Region, DocID(pd.ServerID, pd.Week), pd); err != nil {
+	errs := make([]error, len(preds))
+	if err := parallel.NewPool(cfg.Workers).ForEach(len(preds), func(i int) error {
+		pd := preds[i]
+		errs[i] = predCol.Upsert(cfg.Region, DocID(pd.ServerID, pd.Week), pd)
+		return nil
+	}); err != nil { // a recovered panic
+		return summary, err
+	}
+	for _, err := range errs {
+		if err != nil {
 			return summary, err
 		}
 	}

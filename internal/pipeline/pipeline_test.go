@@ -307,9 +307,11 @@ func TestWorkersProduceSameResults(t *testing.T) {
 // count, each time on a fresh Pipeline and document store, stores the same
 // summary, prediction and evaluation bytes every time. Thirty runs at this
 // size are what it takes for map order to show in the fleet summary's
-// float sum.
+// float sum. Warm, one Pipeline runs weeks 3, 4 and 3 again — the
+// benchmark's cycle, so the last run reuses kept weeks and parses week 0
+// again — and stores after each run what Pipelines with nothing kept store.
 func TestRunWeekDeterministic(t *testing.T) {
-	base, _ := fixtureWeeks(t, 60, 4)
+	base, _ := fixtureWeeks(t, 60, 5)
 	var want map[string]map[string]string
 	for _, workers := range []int{1, 8} {
 		for run := 0; run < 30; run++ {
@@ -334,6 +336,35 @@ func TestRunWeekDeterministic(t *testing.T) {
 					t.Fatalf("workers %d, run %d: stored %s differ from the first run's", workers, run, c)
 				}
 			}
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		warm := fresh(t, base)
+		coldDB, err := cosmos.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldReg := registry.New(nil)
+		var reused []int
+		for run, week := range []int{3, 4, 3} {
+			cfg := Config{Region: "testreg", Week: week, Workers: workers}
+			res, err := warm.RunWeek(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused = append(reused, res.ReusedWeeks)
+			cold := New(base.Store, coldDB, coldReg, insights.New(nil))
+			if _, err := cold.RunWeek(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []string{SummariesCollection, PredictionsCollection, "evaluations"} {
+				if g, w := storedDocs(t, warm, c, "testreg"), storedDocs(t, cold, c, "testreg"); len(w) == 0 || !reflect.DeepEqual(g, w) {
+					t.Fatalf("warm, workers %d, run %d (week %d): stored %s differ from a fresh pipeline's", workers, run, week, c)
+				}
+			}
+		}
+		if want := []int{0, 0, 2}; !reflect.DeepEqual(reused, want) {
+			t.Errorf("warm, workers %d: reused weeks %v, want %v", workers, reused, want)
 		}
 	}
 }
